@@ -19,14 +19,11 @@ from typing import Dict
 
 from .types import Assortment, Choice, InvalidObservation, ModelParams, NULL
 
-__all__ = ["ChoiceModel", "AttractionModel", "choice_prob", "log_choice_prob_gradient"]
+__all__ = ["ChoiceModel", "AttractionModel", "choice_prob"]
 
 
 class ChoiceModel(ABC):
     """Probability of a choice given the offered assortment."""
-
-    #: whether the model exposes per-product attraction weights
-    is_attraction: bool = False
 
     @abstractmethod
     def prob(self, params: ModelParams, choice: Choice, assortment: Assortment) -> float:
@@ -35,8 +32,6 @@ class ChoiceModel(ABC):
 
 class AttractionModel(ChoiceModel):
     """Generic attraction model with scalar weights ``f_a = weight_a``."""
-
-    is_attraction = True
 
     def weight(self, params: ModelParams, product: int) -> float:
         return params.weights[product]
@@ -85,8 +80,3 @@ def choice_prob(
 ) -> float:
     return model.prob(params, choice, assortment)
 
-
-def log_choice_prob_gradient(
-    model: AttractionModel, params: ModelParams, choice: Choice, assortment: Assortment
-) -> Dict[int, float]:
-    return model.log_prob_gradient(params, choice, assortment)

@@ -6,10 +6,9 @@ assortment denominators are shared through a global registry.  Each
 optimizer step is then a handful of vectorized array operations with
 analytic gradients in ``(log rate, log weights)``.
 
-Fitting maximizes the profile likelihood: a golden-section search over the
-arrival rate, with the attraction weights re-optimized (warm-started
-L-BFGS) at every rate.  Complete data admits a closed-form rate.  The
-"naive" fit ignores stock-outs entirely and serves as the biased baseline.
+Fitting runs one joint L-BFGS-B over (log rate, log weights); complete
+data keeps its closed-form rate.  The "naive" fit ignores stock-outs
+entirely and serves as the biased baseline.
 """
 
 from __future__ import annotations
@@ -328,9 +327,14 @@ def compile_dataset(
         groups.setdefault(_group_key(obs, granularity), []).append(i)
     tables: List[Tuple[TermTable, int]] = []
     timed: List[Tuple[TimedSegmentTable, int]] = []
+    # m depends only on the horizon and the observed count here
+    sizes: Dict[Tuple[float, int], int] = {}
     for key, members in groups.items():
         obs = observations[members[0]]
-        m = truncation.resolve(obs.horizon, rate_cap, _observed_count(obs))
+        size_key = (obs.horizon, _observed_count(obs))
+        if size_key not in sizes:
+            sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, size_key[1])
+        m = sizes[size_key]
         # ints/floats hash deterministically, so this key is stable per run
         table = _build_table(
             obs, granularity, m, saa_samples, seed, hash(key) & 0x7FFFFFFF, naive
@@ -365,44 +369,6 @@ def dataset_log_likelihood(
     return ds.loglik_grad(x)[0]
 
 
-#: relative golden-section bracket around the naive rate
-RATE_BRACKET = (0.2, 5.0)
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _max_weights(
-    ds: CompiledDataset, log_rate: float, theta0: np.ndarray
-) -> Tuple[float, np.ndarray, bool]:
-    """Inner problem: best weights at a fixed rate (warm-started L-BFGS)."""
-
-    def negative(theta: np.ndarray):
-        v, g = ds.loglik_grad(np.concatenate(([log_rate], theta)))
-        return -v, -g[1:]
-
-    def solve(start: np.ndarray):
-        return minimize(
-            negative,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(-30.0, 30.0)] * len(theta0),
-            options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-9},
-        )
-
-    res = solve(theta0)
-    # near-degenerate weights (e.g. warm starts carried over from a rate
-    # whose optimum sits in a flat corner) leave L-BFGS with a vanishing
-    # gradient; restart from neutral weights and keep the better solution
-    if np.any(np.abs(res.x) > 20.0) or not res.success:
-        alt = solve(np.zeros_like(theta0))
-        if alt.fun < res.fun:
-            res = alt
-    # an abnormal line-search exit at an already-stationary point still
-    # counts as converged
-    ok = bool(res.success) or float(np.linalg.norm(res.jac, np.inf)) < 1e-4
-    return -float(res.fun), res.x, ok
-
-
 def _initial_theta(
     observations: Sequence[Observation], catalog: Sequence[int]
 ) -> np.ndarray:
@@ -423,63 +389,49 @@ def _initial_theta(
     return np.log([max(counts[a] / total, 1e-6) for a in catalog])
 
 
-def _profile_fit(
-    ds: CompiledDataset,
-    rate0: float,
-    theta0: np.ndarray,
-    includes_null: bool,
-    tol: float = 1e-8,
+def _joint_fit(
+    ds: CompiledDataset, observations: Sequence[Observation]
 ) -> FitResult:
-    """Golden-section search on ``log rate`` over the profile likelihood.
+    """Maximize the log-likelihood over ``x = (log rate, log weights)`` with
+    one bounded L-BFGS-B, started from the naive rate and the log naive
+    sales shares.
 
-    Ties within tolerance keep the lower rate, so flat profile directions
-    resolve deterministically.
+    Every coordinate is boxed to +-30 around its start (the weights around
+    zero).  Without a null option the score along ``(0, 1, ..., 1)`` is
+    zero, since scaling every weight leaves the likelihood unchanged; L-BFGS
+    takes no step along that flat direction, so the weights stay at the
+    scale of the naive-share start.  The solve is deterministic, so reruns
+    on the same data give identical fits.
     """
-    lo = math.log(RATE_BRACKET[0] * rate0)
-    hi = math.log(RATE_BRACKET[1] * rate0)
-    theta_warm = np.asarray(theta0, dtype=float)
-    inner_ok = True
-    evals = 0
+    x0 = np.concatenate(
+        ([math.log(naive_rate(observations))], _initial_theta(observations, ds.catalog))
+    )
 
-    cache: Dict[float, Tuple[float, np.ndarray]] = {}
+    def negative(x: np.ndarray):
+        v, g = ds.loglik_grad(x)
+        return -v, -g
 
-    def profile(log_rate: float) -> float:
-        nonlocal theta_warm, inner_ok, evals
-        if log_rate not in cache:
-            v, theta, ok = _max_weights(ds, log_rate, theta_warm)
-            theta_warm = theta
-            inner_ok = inner_ok and ok
-            evals += 1
-            cache[log_rate] = (v, theta)
-        return cache[log_rate][0]
-
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = profile(x1), profile(x2)
-    iterations = 0
-    while iterations < 200:
-        iterations += 1
-        if f1 >= f2 - tol:  # prefer the lower rate on ties
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = profile(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = profile(x2)
-        if hi - lo < 1e-7:
-            break
-    best_log_rate = x1 if f1 >= f2 else x2
-    best_value, best_theta = cache[best_log_rate]
-    x = np.concatenate(([best_log_rate], best_theta))
-    params = ds.params_of(x)
+    bounds = [(x0[0] - 30.0, x0[0] + 30.0)] + [(-30.0, 30.0)] * len(ds.catalog)
+    res = minimize(
+        negative,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-9},
+    )
+    # an abnormal line-search exit at an already-stationary point still
+    # counts as converged
+    ok = bool(res.success) or float(np.linalg.norm(res.jac, np.inf)) < 1e-4
+    params = ds.params_of(res.x)
+    includes_null = any(o.initial_assortment.includes_null for o in observations)
     return FitResult(
         params=params,
-        loglik=best_value,
-        converged=inner_ok and hi - lo < 1e-6,
-        iterations=iterations,
+        loglik=-float(res.fun),
+        converged=ok,
+        iterations=int(res.nit),
         probabilities=catalog_probabilities(params, ds.catalog, includes_null),
-        message=f"profile search: {evals} rate evaluations",
+        message=f"L-BFGS-B: {res.message} ({res.nfev} evaluations)",
     )
 
 
@@ -497,13 +449,7 @@ def fit(
     ds = compile_dataset(
         observations, granularity, truncation, saa_samples, seed, naive
     )
-    includes_null = any(o.initial_assortment.includes_null for o in observations)
-    result = _profile_fit(
-        ds,
-        naive_rate(observations),
-        _initial_theta(observations, ds.catalog),
-        includes_null,
-    )
+    result = _joint_fit(ds, observations)
     result.saa_samples = saa_samples
     result.seed = seed if saa_samples is not None else None
     return result
@@ -511,27 +457,20 @@ def fit(
 
 def fit_complete(observations: Sequence[CompletePath]) -> FitResult:
     """Complete data: the rate MLE is arrivals per unit time, in closed
-    form; weights then maximize the choice part alone.
+    form.  Each visit contributes a single term, so the weight score does
+    not depend on the rate and the joint solve's weights stay optimal when
+    its rate is replaced by the closed form.
     """
     if not observations:
         raise InvalidObservation("empty dataset")
     rate = sum(o.arrivals for o in observations) / sum(o.horizon for o in observations)
     rate = max(rate, 1e-8)
     ds = compile_dataset(observations, "complete")
-    value, theta, ok = _max_weights(
-        ds, math.log(rate), _initial_theta(observations, ds.catalog)
-    )
-    x = np.concatenate(([math.log(rate)], theta))
-    params = ds.params_of(x)
-    includes_null = any(o.initial_assortment.includes_null for o in observations)
-    return FitResult(
-        params=params,
-        loglik=value,
-        converged=ok,
-        iterations=1,
-        probabilities=catalog_probabilities(params, ds.catalog, includes_null),
-        message="closed-form rate, one weight optimization",
-    )
+    result = _joint_fit(ds, observations)
+    result.params = ModelParams(rate=rate, weights=result.params.weights)
+    x = np.log([rate] + [result.params.weights[a] for a in ds.catalog])
+    result.loglik = ds.loglik_grad(x)[0]
+    return result
 
 
 def fit_naive(

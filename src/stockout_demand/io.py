@@ -10,6 +10,7 @@ is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -277,6 +278,11 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
         raise DataFormatError(f"malformed visit record: {exc}", line)
     if set(stocks) != set(products):
         raise DataFormatError("stocks must cover exactly the assortment", line)
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise DataFormatError(f"T must be finite and positive, got {horizon}", line)
+    for a in products:
+        if stocks[a] < 1:
+            raise DataFormatError(f"offered product {a} has stock {stocks[a]}", line)
     return obs, granularity
 
 

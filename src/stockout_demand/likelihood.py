@@ -99,6 +99,11 @@ class TruncationPolicy:
     m: Optional[int] = None
     epsilon: float = 1e-10
 
+    def __post_init__(self) -> None:
+        # the tail mass underflows to zero, so a zero epsilon never stops
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"truncation epsilon must be positive, got {self.epsilon}")
+
     def resolve(self, horizon: float, rate_cap: float, observed: int) -> int:
         if self.m is not None:
             if self.m < observed:
@@ -871,18 +876,20 @@ class TimedSegmentTable:
         if self.impossible:
             return NEG_INF, np.zeros(dim)
         beta = self._beta(params)
-        denom = 1.0 + self.membership @ beta
+        # weight sums F_j, so that D_j = 1 + F_j; log1p(F) and F / (1 + F)
+        # keep their precision when F is tiny and the rate is huge
+        weight_sum = self.membership @ beta
+        denom = 1.0 + weight_sum
         rate = params.rate
+        purchase_time = float((self.durations * weight_sum / denom).sum())
         value = float(
             self.sales @ np.log(beta)
             + self.n_purchases * math.log(rate)
-            - self.exponents @ np.log(denom)
-            - rate * (self.durations * (denom - 1.0) / denom).sum()
+            - self.exponents @ np.log1p(weight_sum)
+            - rate * purchase_time
         )
         grad = np.empty(dim)
-        grad[0] = self.n_purchases - rate * float(
-            (self.durations * (denom - 1.0) / denom).sum()
-        )
+        grad[0] = self.n_purchases - rate * purchase_time
         share = self.membership * beta[None, :] / denom[:, None]
         grad[1:] = (
             self.sales

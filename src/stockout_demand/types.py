@@ -12,6 +12,7 @@ granularities of the same visit are modelled here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -84,11 +85,15 @@ class ModelParams:
     weights: Mapping[ProductId, float]
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise InvalidObservation(f"arrival rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise InvalidObservation(
+                f"arrival rate must be positive and finite, got {self.rate}"
+            )
         for a, w in self.weights.items():
-            if not w > 0:
-                raise InvalidObservation(f"weight for product {a} must be positive")
+            if not 0 < w < math.inf:
+                raise InvalidObservation(
+                    f"weight for product {a} must be positive and finite"
+                )
 
 
 @dataclass(frozen=True)

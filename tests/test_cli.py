@@ -45,6 +45,15 @@ class TestExitCodes:
         assert run("estimate", "--data", str(f)) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_zero_stock_visit_is_data_error(self, tmp_path, capsys):
+        f = tmp_path / "bad.jsonl"
+        good = '{"T": 1.0, "assortment": [0], "stocks": {"0": 2}, '
+        bad = '{"T": 1.0, "assortment": [0], "stocks": {"0": 0}, '
+        tail = '"granularity": "sales", "data": {"0": 0}}\n'
+        f.write_text(good + tail + bad + tail)
+        assert run("estimate", "--data", str(f)) == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_visits_and_reports_summary(self, tmp_path, capsys):

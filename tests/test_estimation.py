@@ -1,6 +1,7 @@
-"""Fitting: closed forms, dataset compilation, profile search, naive baseline."""
+"""Fitting: closed forms, dataset compilation, joint fit, naive baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stockout_demand import (
     InvalidObservation,
     ModelParams,
     NULL,
+    SECTION7_PRESET,
     TruncationPolicy,
     catalog_probabilities,
     compile_dataset,
@@ -216,6 +218,30 @@ class TestGranularities:
         result = fit(summaries, "sales-no-null")
         assert result.converged
         assert math.isfinite(result.loglik)
+
+
+class TestWalkAway:
+    def test_high_walk_away_rate_is_not_clamped(self):
+        # 91 % of arrivals walk away, so the arrival rate is far above the
+        # purchase rate the fit starts from
+        preset = SECTION7_PRESET
+        config = replace(
+            preset,
+            weights={a: 0.1 * w for a, w in preset.weights.items()},
+            rate=20.0,
+            stock_level=1,
+            include_null=True,
+        ).visit_config()
+        paths = simulate_dataset(config, 1500, seed=3)
+        records = [project_transactions(p, True) for p in paths]
+        result = fit(records, "transactions-timed")
+        truth = catalog_probabilities(config.params, preset.catalog, True)
+        assert result.converged
+        assert abs(result.probabilities[None] - truth[None]) < 0.03
+        ds = compile_dataset(records, "transactions-timed")
+        x = np.log([result.params.rate] + [result.params.weights[a] for a in ds.catalog])
+        _, grad = ds.loglik_grad(x)
+        assert np.max(np.abs(grad)) <= 1e-3 * len(records)
 
 
 class TestNaiveBaseline:

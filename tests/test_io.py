@@ -1,6 +1,7 @@
 """File formats: JSONL visits, run configs, canonical round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -109,6 +110,29 @@ class TestVisitValidation:
         }
         with pytest.raises(DataFormatError):
             parse_visit(json.dumps(record), 1)
+
+    def test_offered_product_without_stock_rejected(self):
+        record = {
+            "T": 1.0,
+            "assortment": [0, 1],
+            "stocks": {"0": 0, "1": 2},
+            "granularity": "sales",
+            "data": {"0": 0, "1": 1},
+        }
+        with pytest.raises(DataFormatError, match="line 4.*stock"):
+            parse_visit(json.dumps(record), 4)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        record = {
+            "T": horizon,
+            "assortment": [0],
+            "stocks": {"0": 1},
+            "granularity": "transactions-timed",
+            "data": [],
+        }
+        with pytest.raises(DataFormatError, match="line 6.*T must"):
+            parse_visit(json.dumps(record), 6)
 
     def test_mixed_granularities_rejected(self, tmp_path):
         paths = simulate_dataset(small_config(), 2, seed=5)

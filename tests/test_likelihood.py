@@ -74,6 +74,12 @@ class TestTruncationPolicy:
         assert poisson.sf(m, 4.0) < 1e-10
         assert poisson.sf(m - 1, 4.0) >= 1e-10
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-10, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_epsilon_rejected(self, epsilon):
+        # resolve() would never stop: the tail mass underflows to zero
+        with pytest.raises(ValueError, match="epsilon"):
+            TruncationPolicy(epsilon=epsilon)
+
 
 class TestCompleteData:
     def test_l1_manual_value(self):
@@ -157,6 +163,24 @@ class TestTimedTransactions:
             assert table.loglik(params) == pytest.approx(
                 l3_transactions_timed(record, params), rel=1e-12, abs=1e-12
             )
+
+    def test_huge_rate_keeps_independent_poisson_limit(self):
+        # with f = r / rate and rate -> inf, purchases of product a become
+        # Poisson with rate r_a while offered: the value tends to
+        # sum_a z_a log r_a - sum_j t_j R_j at an O(1 / rate) distance
+        record = TransactionRecord(
+            horizon=1.0,
+            initial_assortment=Assortment((0, 1), True),
+            stocks={0: 1, 1: 3},
+            transactions=((0.2, 1), (0.3, 0), (0.7, 1)),
+            timestamps_present=True,
+        )
+        r = {0: 0.7, 1: 2.3}
+        rate = 1e12
+        params = ModelParams(rate=rate, weights={a: v / rate for a, v in r.items()})
+        limit = 2 * math.log(r[1]) + math.log(r[0]) - 0.3 * (r[0] + r[1]) - 0.7 * r[1]
+        value = table_timed_transactions(record).loglik(params)
+        assert value == pytest.approx(limit, rel=0, abs=1e-9)
 
     def test_requires_timestamps(self):
         record = random_transaction_record(random.Random(0))

@@ -1,5 +1,7 @@
 """Domain types: validation, projections, segmentation."""
 
+import math
+
 import pytest
 
 from stockout_demand import (
@@ -48,6 +50,13 @@ class TestModelParams:
             ModelParams(rate=0.0, weights={0: 1.0})
         with pytest.raises(InvalidObservation):
             ModelParams(rate=1.0, weights={0: 0.0})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_nonfinite_rate_and_weights(self, value):
+        with pytest.raises(InvalidObservation):
+            ModelParams(rate=value, weights={0: 1.0})
+        with pytest.raises(InvalidObservation):
+            ModelParams(rate=1.0, weights={0: 1.0, 1: value})
 
 
 class TestValidation:
