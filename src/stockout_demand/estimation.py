@@ -2,7 +2,10 @@
 
 A dataset is compiled once into flat arrays: identical visits are grouped
 with multiplicities, every visit's likelihood terms are concatenated, and
-assortment denominators are shared through a global registry.  Each
+assortment denominators are shared through a global registry.  Timed
+transactions compile further, to sufficient statistics per assortment
+(exponent and exposure-time totals, plus the sales), so their part of
+every evaluation costs the same whatever the number of visits.  Each
 optimizer step is then a handful of vectorized array operations with
 analytic gradients in ``(log rate, log weights)``.
 
@@ -25,6 +28,7 @@ from .likelihood import (
     TermTable,
     TimedSegmentTable,
     TruncationPolicy,
+    membership_matrix,
     table_complete,
     table_naive_sales,
     table_sales_attraction,
@@ -32,6 +36,7 @@ from .likelihood import (
     table_sales_saa,
     table_timed_transactions,
     table_transactions,
+    timed_loglik_grad,
 )
 from .types import (
     CompletePath,
@@ -151,21 +156,8 @@ class CompiledDataset:
         self.catalog = catalog
         self._timed = list(timed)
         a_of = {a: i for i, a in enumerate(catalog)}
-        # global assortment registry
+        # global assortment registry: key -> row of ``membership``
         reg: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-        mem_rows: List[np.ndarray] = []
-        null_rows: List[float] = []
-
-        def register(key: Tuple[Tuple[int, ...], bool]) -> int:
-            if key not in reg:
-                reg[key] = len(reg)
-                row = np.zeros(len(catalog))
-                for a in key[0]:
-                    row[a_of[a]] = 1.0
-                mem_rows.append(row)
-                null_rows.append(1.0 if key[1] else 0.0)
-            return reg[key]
-
         width = max((t.seg_idx.shape[1] for t, _ in tables), default=1)
         n_parts, coef_parts, idx_parts, exp_parts = [], [], [], []
         bounds = [0]
@@ -174,7 +166,9 @@ class CompiledDataset:
         for table, count in tables:
             if table.impossible or table.n.size == 0:
                 raise InvalidObservation("dataset contains an impossible observation")
-            remap = np.array([register(key) for key in table.assortments])
+            remap = np.array(
+                [reg.setdefault(key, len(reg)) for key in table.assortments]
+            )
             nt = table.n.size
             n_parts.append(table.n)
             coef_parts.append(table.coef)
@@ -194,11 +188,6 @@ class CompiledDataset:
                 z[a_of[a]] = table.sales[j]
             Z_rows.append(z)
             T_g.append(table.horizon)
-        self.n_assort = len(reg)
-        self.membership = (
-            np.vstack(mem_rows) if mem_rows else np.zeros((1, len(catalog)))
-        )
-        self.nulls = np.asarray(null_rows) if null_rows else np.zeros(1)
         self.n = np.concatenate(n_parts) if n_parts else np.zeros(0, dtype=np.int64)
         self.coef = np.concatenate(coef_parts) if coef_parts else np.zeros(0)
         self.seg_idx = (
@@ -214,11 +203,28 @@ class CompiledDataset:
         self.logT = np.log(self.T_g)[self.group_of] if total else np.zeros(0)
         self.T_term = self.T_g[self.group_of] if total else np.zeros(0)
         self.visits = int(self.counts.sum()) + sum(c for _, c in self._timed)
-        # timed tables: per-table column map into the global catalog
+        # timed tables: per-table column map into the global catalog, and
+        # their sufficient statistics summed per assortment
         self._timed_cols = [
             np.array([a_of[a] for a in t.catalog], dtype=np.int64)
             for t, _ in self._timed
         ]
+        self.timed_sales = np.zeros(len(catalog))
+        seg_rows: List[int] = []
+        seg_exp: List[float] = []
+        seg_dur: List[float] = []
+        for (table, count), cols in zip(self._timed, self._timed_cols):
+            self.timed_sales[cols] += count * table.sales
+            seg_rows += [reg.setdefault(key, len(reg)) for key in table.assortments]
+            seg_exp.extend(count * table.exponents)
+            seg_dur.extend(count * table.durations)
+        self.n_assort = len(reg)
+        keys = list(reg) or [((), False)]
+        self.membership = membership_matrix(catalog, keys)
+        self.nulls = np.array([float(has_null) for _, has_null in keys])
+        rows = np.asarray(seg_rows, dtype=np.int64)
+        self.timed_exponents = np.bincount(rows, np.asarray(seg_exp), self.n_assort)
+        self.timed_durations = np.bincount(rows, np.asarray(seg_dur), self.n_assort)
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -258,15 +264,26 @@ class CompiledDataset:
             )
             share = self.membership * beta[None, :] / safe[:, None]
             grad[1:] += self.counts @ self.Z - bucket @ share
-        for (table, count), cols in zip(self._timed, self._timed_cols):
-            params = ModelParams(
-                rate=rate, weights={a: float(beta[c]) for a, c in zip(table.catalog, cols)}
+        if self._timed:
+            v, g = timed_loglik_grad(
+                rate,
+                beta,
+                self.membership,
+                self.timed_exponents,
+                self.timed_durations,
+                self.timed_sales,
             )
-            v, g = table.loglik_grad(params)
-            value += count * v
-            grad[0] += count * g[0]
-            grad[1 + cols] += count * g[1:]
+            value += v
+            grad += g
         return value, grad
+
+
+def _sums_latent_arrivals(obs: Observation, granularity: str, naive: bool) -> bool:
+    """Whether the visit's table sums over arrival counts up to ``m``.  A
+    sales visit without a null option has as many arrivals as sales."""
+    if naive or granularity in ("sales", "sales-no-null"):
+        return obs.initial_assortment.includes_null
+    return granularity == "transactions"
 
 
 def _build_table(
@@ -312,6 +329,12 @@ def compile_dataset(
 
     SAA sample streams are keyed by visit content, so duplicate visits
     share one draw (common random numbers) and grouping stays effective.
+
+    ``truncation`` caps the sum over latent arrival counts, which only
+    untimed transactions and null-inclusive sales visits (exact, SAA or
+    naive) have.  Complete data, timed transactions and no-null sales
+    ignore it, so for them a fixed ``m`` below a visit's observed count is
+    not an error.
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
@@ -331,10 +354,12 @@ def compile_dataset(
     sizes: Dict[Tuple[float, int], int] = {}
     for key, members in groups.items():
         obs = observations[members[0]]
-        size_key = (obs.horizon, _observed_count(obs))
-        if size_key not in sizes:
-            sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, size_key[1])
-        m = sizes[size_key]
+        m = 0
+        if _sums_latent_arrivals(obs, granularity, naive):
+            size_key = (obs.horizon, _observed_count(obs))
+            if size_key not in sizes:
+                sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, size_key[1])
+            m = sizes[size_key]
         # ints/floats hash deterministically, so this key is stable per run
         table = _build_table(
             obs, granularity, m, saa_samples, seed, hash(key) & 0x7FFFFFFF, naive

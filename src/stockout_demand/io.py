@@ -139,6 +139,9 @@ class RunConfig:
             raise DataFormatError(f"malformed config value: {exc}") from exc
         if set(weights) != set(catalog):
             raise DataFormatError("weights must cover exactly the catalog")
+        for a, stock in kwargs.get("stocks", {}).items():
+            if stock < 1:
+                raise DataFormatError(f"product {a} has stock {stock}")
         return RunConfig(**kwargs)
 
     @staticmethod

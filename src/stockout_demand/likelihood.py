@@ -80,6 +80,7 @@ __all__ = [
     "table_sales_no_null",
     "table_naive_sales",
     "table_timed_transactions",
+    "timed_loglik_grad",
 ]
 
 NEG_INF = float("-inf")
@@ -182,10 +183,12 @@ def l2_choice_sequence(
 # transactions with timestamps
 
 
-def _timed_segment_durations(record: TransactionRecord) -> Tuple[float, ...]:
-    _, _, _, stockout_idx = transaction_segments(
-        record.initial_assortment, record.stocks, record.products
-    )
+def _timed_segment_durations(
+    record: TransactionRecord, stockout_idx: Sequence[int]
+) -> Tuple[float, ...]:
+    """Lengths of the constant-assortment stretches, split at the times of
+    the stock-out purchases (``stockout_idx`` from
+    :func:`transaction_segments`)."""
     boundaries = [0.0]
     for i in stockout_idx:
         t = record.transactions[i - 1][0]
@@ -208,10 +211,10 @@ def l3_transactions_timed(
         raise InvalidObservation("l3 needs transaction timestamps")
     if not record.initial_assortment.includes_null:
         raise InvalidObservation("l3 is defined for the null-inclusive regime")
-    _, _, assortments, _ = transaction_segments(
+    _, _, assortments, stockout_idx = transaction_segments(
         record.initial_assortment, record.stocks, record.products
     )
-    durations = _timed_segment_durations(record)
+    durations = _timed_segment_durations(record, stockout_idx)
     value = record.total * math.log(params.rate)
     current = record.initial_assortment
     remaining = dict(record.stocks)
@@ -484,6 +487,19 @@ def _layouts(stocks_in_order: Sequence[int], n: int) -> Iterator[Tuple[int, ...]
     yield from rec(0, 0, ())
 
 
+def membership_matrix(
+    catalog: Sequence[int], assortments: Sequence[Tuple[Tuple[int, ...], bool]]
+) -> np.ndarray:
+    """0/1 matrix whose row ``d`` marks the catalog products offered in
+    assortment ``d``, so that ``membership @ weights`` gives the weight sums."""
+    a_of = {a: i for i, a in enumerate(catalog)}
+    rows = np.zeros((len(assortments), len(catalog)))
+    for d, (products, _) in enumerate(assortments):
+        for a in products:
+            rows[d, a_of[a]] = 1.0
+    return rows
+
+
 class _TableBuilder:
     """Accumulates log-sum-exp terms with per-assortment denominator powers."""
 
@@ -554,13 +570,8 @@ class TermTable:
     impossible: bool = False
 
     def __post_init__(self) -> None:
-        a_of = {a: i for i, a in enumerate(self.catalog)}
-        self.membership = np.zeros((len(self.assortments), len(self.catalog)))
-        self.nulls = np.zeros(len(self.assortments))
-        for d, (products, has_null) in enumerate(self.assortments):
-            self.nulls[d] = 1.0 if has_null else 0.0
-            for a in products:
-                self.membership[d, a_of[a]] = 1.0
+        self.membership = membership_matrix(self.catalog, self.assortments)
+        self.nulls = np.array([float(has_null) for _, has_null in self.assortments])
 
     def _beta(self, params: ModelParams) -> np.ndarray:
         return np.array([params.weights[a] for a in self.catalog], dtype=float)
@@ -825,78 +836,86 @@ def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
     sales: Dict[int, int] = {}
     for p in record.products:
         sales[p] = sales.get(p, 0) + 1
-    stockout_order, seg_counts, assortments, _ = transaction_segments(
+    stockout_order, seg_counts, assortments, stockout_idx = transaction_segments(
         record.initial_assortment, record.stocks, record.products
     )
-    durations = _timed_segment_durations(record)
     k = len(stockout_order)
-    a_of = {a: i for i, a in enumerate(catalog)}
-    membership = np.zeros((k + 1, len(catalog)))
-    for d, assort in enumerate(assortments):
-        for a in assort.products:
-            membership[d, a_of[a]] = 1.0
     return TimedSegmentTable(
         horizon=record.horizon,
         catalog=catalog,
         sales=np.array([sales.get(a, 0) for a in catalog], dtype=float),
-        n_purchases=record.total,
-        membership=membership,
+        assortments=[(a.products, a.includes_null) for a in assortments],
         exponents=np.array(
             [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
         ),
-        durations=np.asarray(durations, dtype=float),
+        durations=np.asarray(_timed_segment_durations(record, stockout_idx), dtype=float),
     )
+
+
+def timed_loglik_grad(
+    rate: float,
+    beta: np.ndarray,
+    membership: np.ndarray,
+    exponents: np.ndarray,
+    durations: np.ndarray,
+    sales: np.ndarray,
+) -> Tuple[float, np.ndarray]:
+    """Timed-transaction log-likelihood and its gradient in
+    ``(log rate, log weights)``, from per-assortment totals.
+
+    Row ``d`` of ``membership`` is a null-inclusive assortment with weight
+    sum ``F_d`` and denominator ``D_d = 1 + F_d``; ``exponents`` and
+    ``durations`` hold its total purchase-density exponent ``E_d`` and
+    exposure time ``tau_d``; ``sales`` are the purchase counts ``Z`` per
+    product, ``N`` their total.  The value is
+    ``Z . log f + N log lambda - E . log D - lambda tau . (F / D)``; the
+    thinned rate ``lambda F / D`` is linear in the visits, so one visit and
+    a whole dataset summed per assortment evaluate alike.  ``log1p(F)``
+    and ``F / (1 + F)`` keep their precision when ``F`` is tiny and the
+    rate is huge.
+    """
+    purchases = float(sales.sum())
+    weight_sum = membership @ beta
+    denom = 1.0 + weight_sum
+    purchase_time = float(durations @ (weight_sum / denom))
+    value = float(
+        sales @ np.log(beta)
+        + purchases * math.log(rate)
+        - exponents @ np.log1p(weight_sum)
+        - rate * purchase_time
+    )
+    grad = np.empty(1 + beta.size)
+    grad[0] = purchases - rate * purchase_time
+    share = membership * beta[None, :] / denom[:, None]
+    grad[1:] = sales - (exponents + rate * durations / denom) @ share
+    return value, grad
 
 
 @dataclass
 class TimedSegmentTable:
-    """Timestamped-transaction likelihood compiled per segment:
-    ``sum_a z_a log f_a + n log lambda - sum_j e_j log D_j
-    - lambda sum_j t_j (D_j - 1)/D_j`` with null-inclusive denominators.
+    """Timestamped-transaction likelihood of one visit, one row per
+    constant-assortment segment ``j``: purchase-density exponent ``e_j``
+    and duration ``t_j``, evaluated by :func:`timed_loglik_grad`.
     """
 
     horizon: float
     catalog: Tuple[int, ...]
     sales: np.ndarray
-    n_purchases: int
-    membership: np.ndarray
+    assortments: List[Tuple[Tuple[int, ...], bool]]
     exponents: np.ndarray
     durations: np.ndarray
 
-    impossible: bool = False
-
-    def _beta(self, params: ModelParams) -> np.ndarray:
-        return np.array([params.weights[a] for a in self.catalog], dtype=float)
+    def __post_init__(self) -> None:
+        self.membership = membership_matrix(self.catalog, self.assortments)
 
     def loglik(self, params: ModelParams) -> float:
         return self.loglik_grad(params)[0]
 
     def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
-        dim = 1 + len(self.catalog)
-        if self.impossible:
-            return NEG_INF, np.zeros(dim)
-        beta = self._beta(params)
-        # weight sums F_j, so that D_j = 1 + F_j; log1p(F) and F / (1 + F)
-        # keep their precision when F is tiny and the rate is huge
-        weight_sum = self.membership @ beta
-        denom = 1.0 + weight_sum
-        rate = params.rate
-        purchase_time = float((self.durations * weight_sum / denom).sum())
-        value = float(
-            self.sales @ np.log(beta)
-            + self.n_purchases * math.log(rate)
-            - self.exponents @ np.log1p(weight_sum)
-            - rate * purchase_time
+        beta = np.array([params.weights[a] for a in self.catalog], dtype=float)
+        return timed_loglik_grad(
+            params.rate, beta, self.membership, self.exponents, self.durations, self.sales
         )
-        grad = np.empty(dim)
-        grad[0] = self.n_purchases - rate * purchase_time
-        share = self.membership * beta[None, :] / denom[:, None]
-        grad[1:] = (
-            self.sales
-            - self.exponents @ share
-            - rate * ((self.durations / denom)[:, None] * share).sum(axis=0)
-        )
-        return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class VisitConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.offer_probability <= 1.0:
             raise ValueError("offer_probability must be in [0, 1]")
-        if self.stock_level < 1:
+        if self.stock_level < 1 or any(s < 1 for s in self.stock_overrides.values()):
             raise ValueError("stock levels must be >= 1")
 
     def stock_of(self, product: ProductId) -> int:

@@ -82,6 +82,24 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_zero_stock_override_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "catalog": [0, 1],
+                    "weights": {"0": 1.0, "1": 0.5},
+                    "rate": 2.0,
+                    "stocks": {"0": 0},
+                    "visits": 5,
+                }
+            )
+        )
+        out = tmp_path / "visits.jsonl"
+        assert run("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert "stock 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_estimates_preset_data(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Fitting: closed forms, dataset compilation, joint fit, naive baseline."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -21,11 +22,20 @@ from stockout_demand import (
     fit,
     fit_complete,
     fit_naive,
+    l3_transactions_timed,
     naive_rate,
     simulate_dataset,
 )
+from stockout_demand.likelihood import table_timed_transactions
 from stockout_demand.simulate import VisitConfig
-from stockout_demand.types import project_sales, project_transactions
+from stockout_demand.types import (
+    TransactionRecord,
+    project_sales,
+    project_transactions,
+    transaction_segments,
+)
+
+from conftest import random_params, random_transaction_record
 
 
 def make_path(choices, stocks, horizon=1.0, includes_null=True):
@@ -110,6 +120,137 @@ class TestDatasetLikelihood:
     def test_empty_dataset_compilation_rejected(self):
         with pytest.raises(InvalidObservation):
             compile_dataset([], "sales")
+
+
+def random_timed_records(seed, visits=40, duplicates=10):
+    """Timestamped records over catalogs of two to four products, the
+    first ``duplicates`` of them repeated."""
+    rnd = random.Random(seed)
+    records = [
+        random_transaction_record(rnd, max_products=4, max_stockouts=3, timestamps=True)
+        for _ in range(visits)
+    ]
+    return records + records[:duplicates]
+
+
+def log_point(params, catalog):
+    return np.log([params.rate] + [params.weights[a] for a in catalog])
+
+
+class TestTimedDataset:
+    def test_matches_per_visit_sum(self):
+        records = random_timed_records(31)
+        stockouts = [
+            len(transaction_segments(r.initial_assortment, r.stocks, r.products)[0])
+            for r in records
+        ]
+        assert max(stockouts) >= 2
+        ds = compile_dataset(records, "transactions-timed")
+        rnd = random.Random(32)
+        for _ in range(5):
+            params = random_params(rnd, ds.catalog)
+            value, grad = ds.loglik_grad(log_point(params, ds.catalog))
+            expected = sum(l3_transactions_timed(r, params) for r in records)
+            assert value == pytest.approx(expected, rel=1e-12)
+            per_visit = np.zeros(1 + len(ds.catalog))
+            for r in records:
+                g = table_timed_transactions(r).loglik_grad(params)[1]
+                per_visit[0] += g[0]
+                cols = 1 + np.searchsorted(ds.catalog, r.initial_assortment.products)
+                per_visit[cols] += g[1:]
+            np.testing.assert_allclose(grad, per_visit, rtol=1e-10, atol=1e-10)
+
+    def test_gradient_matches_finite_differences(self):
+        # the relative error measure and tolerance of criterion 09
+        ds = compile_dataset(random_timed_records(33), "transactions-timed")
+        rnd = random.Random(34)
+        step = 1e-6
+        worst = 0.0
+        for _ in range(10):
+            x = np.array(
+                [rnd.uniform(-0.5, 1.2)] + [rnd.uniform(-1.0, 1.0) for _ in ds.catalog]
+            )
+            _, grad = ds.loglik_grad(x)
+            for i in range(len(x)):
+                up, dn = x.copy(), x.copy()
+                up[i] += step
+                dn[i] -= step
+                fd = (ds.loglik_grad(up)[0] - ds.loglik_grad(dn)[0]) / (2 * step)
+                worst = max(worst, abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), 1e-6))
+        assert worst <= 1e-4, worst
+
+    def test_huge_rate_keeps_independent_poisson_limit(self):
+        # with f = r / rate and rate -> inf, purchases of product a become
+        # Poisson with rate r_a while offered; each visit tends to
+        # sum_a z_a log r_a - sum_j t_j R_j
+        first = TransactionRecord(
+            horizon=1.0,
+            initial_assortment=Assortment((0, 1), True),
+            stocks={0: 1, 1: 3},
+            transactions=((0.2, 1), (0.3, 0), (0.7, 1)),
+            timestamps_present=True,
+        )
+        second = TransactionRecord(
+            horizon=2.0,
+            initial_assortment=Assortment((0, 1, 2), True),
+            stocks={0: 1, 1: 1, 2: 5},
+            transactions=((0.5, 0), (0.9, 2), (1.5, 1)),
+            timestamps_present=True,
+        )
+        r = {0: 0.7, 1: 2.3, 2: 1.1}
+        limit_first = 2 * math.log(r[1]) + math.log(r[0]) - 0.3 * (r[0] + r[1]) - 0.7 * r[1]
+        limit_second = (
+            math.log(r[0] * r[1] * r[2])
+            - 0.5 * (r[0] + r[1] + r[2])
+            - 1.0 * (r[1] + r[2])
+            - 0.5 * r[2]
+        )
+        rate = 1e12
+        params = ModelParams(rate=rate, weights={a: v / rate for a, v in r.items()})
+        ds = compile_dataset([first, second, first], "transactions-timed")
+        value, _ = ds.loglik_grad(log_point(params, ds.catalog))
+        assert value == pytest.approx(2 * limit_first + limit_second, rel=0, abs=1e-9)
+
+
+class TestTruncationSizing:
+    @pytest.fixture
+    def resolve_calls(self, monkeypatch):
+        calls = []
+        resolve = TruncationPolicy.resolve
+
+        def counted(policy, *args):
+            calls.append(args)
+            return resolve(policy, *args)
+
+        monkeypatch.setattr(TruncationPolicy, "resolve", counted)
+        return calls
+
+    def test_timed_fit_never_sizes_truncation(self, resolve_calls):
+        paths = simulate_dataset(two_product_config(), 60, seed=12)
+        records = [project_transactions(p, True) for p in paths]
+        default = fit(records, "transactions-timed")
+        # m = 0 lies below most observed counts; timed data never use it
+        fixed = fit(records, "transactions-timed", TruncationPolicy(m=0))
+        assert resolve_calls == []
+        assert fixed.params.rate == default.params.rate
+        assert fixed.params.weights == default.params.weights
+        assert fixed.loglik == default.loglik
+        compile_dataset([project_transactions(p, False) for p in paths], "transactions")
+        assert resolve_calls
+
+    def test_no_null_sales_never_size_truncation(self, resolve_calls):
+        # arrivals equal sales without a null option, so SAA and the naive
+        # baseline have no arrival count to truncate either
+        paths = simulate_dataset(two_product_config(include_null=False), 30, seed=13)
+        summaries = [project_sales(p) for p in paths]
+        for options in ({}, {"saa_samples": 2}, {"naive": True}):
+            default = fit(summaries, "sales-no-null", **options)
+            fixed = fit(summaries, "sales-no-null", TruncationPolicy(m=0), **options)
+            assert fixed.loglik == default.loglik
+        assert resolve_calls == []
+        with_null = simulate_dataset(two_product_config(), 5, seed=13)
+        compile_dataset([project_sales(p) for p in with_null], "sales")
+        assert resolve_calls
 
 
 class TestCompleteFit:

@@ -193,6 +193,12 @@ class TestRunConfig:
                 {"catalog": [0, 1], "weights": {"0": 1.0}, "rate": 1.0}
             )
 
+    def test_stock_override_below_one_rejected(self):
+        with pytest.raises(DataFormatError, match="stock 0"):
+            RunConfig.from_dict(
+                {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, "stocks": {"0": 0}}
+            )
+
 
 class TestFitResultJson:
     def test_contains_expected_keys(self):

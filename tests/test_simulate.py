@@ -29,6 +29,17 @@ def simple_config(include_null=True, rate=2.0, stock=2):
     )
 
 
+def test_stock_override_below_one_rejected():
+    with pytest.raises(ValueError):
+        VisitConfig(
+            horizon=1.0,
+            params=ModelParams(rate=2.0, weights={0: 1.0}),
+            always_available=(),
+            optional_products=(0,),
+            stock_overrides={0: 0},
+        )
+
+
 def test_paths_are_valid():
     paths = simulate_dataset(simple_config(), 200, seed=1)
     for p in paths:
