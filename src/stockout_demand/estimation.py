@@ -24,7 +24,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .likelihood import (
-    NEG_INF,
     TermTable,
     TimedSegmentTable,
     TruncationPolicy,
@@ -36,6 +35,7 @@ from .likelihood import (
     table_sales_saa,
     table_timed_transactions,
     table_transactions,
+    term_loglik_grad,
     timed_loglik_grad,
 )
 from .types import (
@@ -164,7 +164,7 @@ class CompiledDataset:
         counts, Z_rows, T_g = [], [], []
         total = 0
         for table, count in tables:
-            if table.impossible or table.n.size == 0:
+            if table.n.size == 0:
                 raise InvalidObservation("dataset contains an impossible observation")
             remap = np.array(
                 [reg.setdefault(key, len(reg)) for key in table.assortments]
@@ -198,10 +198,6 @@ class CompiledDataset:
         self.counts = np.asarray(counts, dtype=float)
         self.Z = np.vstack(Z_rows) if Z_rows else np.zeros((0, len(catalog)))
         self.T_g = np.asarray(T_g)
-        group_sizes = np.diff(np.append(self.bounds, total))
-        self.group_of = np.repeat(np.arange(len(counts)), group_sizes)
-        self.logT = np.log(self.T_g)[self.group_of] if total else np.zeros(0)
-        self.T_term = self.T_g[self.group_of] if total else np.zeros(0)
         self.visits = int(self.counts.sum()) + sum(c for _, c in self._timed)
         # timed tables: per-table column map into the global catalog, and
         # their sufficient statistics summed per assortment
@@ -233,48 +229,33 @@ class CompiledDataset:
         )
 
     def loglik_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        log_rate = x[0]
-        theta = np.asarray(x[1:], dtype=float)
-        beta = np.exp(theta)
-        rate = math.exp(log_rate)
-        dim = 1 + len(self.catalog)
-        value = 0.0
-        grad = np.zeros(dim)
-        if self.n.size:
-            denom = self.nulls + self.membership @ beta
-            # the empty no-null assortment has a zero denominator but only
-            # ever appears with exponent zero; keep 0 * log(0) out
-            safe = np.where(denom > 0, denom, 1.0)
-            log_denom = np.where(denom > 0, np.log(safe), 0.0)
-            t = (
-                self.coef
-                + self.n * (log_rate + self.logT)
-                - self.T_term * rate
-                - (self.seg_exp * log_denom[self.seg_idx]).sum(axis=1)
+        # each kernel costs tens of microseconds even on empty arrays, so a
+        # part the dataset does not have is skipped
+        value, grad = 0.0, np.zeros(x.size)
+        if self.counts.size:
+            value, grad = term_loglik_grad(
+                x,
+                self.membership,
+                self.nulls,
+                self.coef,
+                self.n,
+                self.seg_idx,
+                self.seg_exp,
+                self.bounds,
+                self.counts,
+                self.T_g,
+                self.Z,
             )
-            mx = np.maximum.reduceat(t, self.bounds)
-            lse = mx + np.log(np.add.reduceat(np.exp(t - mx[self.group_of]), self.bounds))
-            value += float(self.counts @ (lse + self.Z @ theta))
-            w = np.exp(t - lse[self.group_of]) * self.counts[self.group_of]
-            grad[0] += float(w @ self.n) - rate * float(self.counts @ self.T_g)
-            bucket = np.bincount(
-                self.seg_idx.ravel(),
-                weights=(w[:, None] * self.seg_exp).ravel(),
-                minlength=self.n_assort,
-            )
-            share = self.membership * beta[None, :] / safe[:, None]
-            grad[1:] += self.counts @ self.Z - bucket @ share
         if self._timed:
-            v, g = timed_loglik_grad(
-                rate,
-                beta,
+            timed_value, timed_grad = timed_loglik_grad(
+                math.exp(x[0]),
+                np.exp(np.asarray(x[1:], dtype=float)),
                 self.membership,
                 self.timed_exponents,
                 self.timed_durations,
                 self.timed_sales,
             )
-            value += v
-            grad += g
+            value, grad = value + timed_value, grad + timed_grad
         return value, grad
 
 

@@ -286,6 +286,19 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
     for a in products:
         if stocks[a] < 1:
             raise DataFormatError(f"offered product {a} has stock {stocks[a]}", line)
+    if granularity == "transactions-timed":
+        # equal timestamps (possible after rounding) are allowed
+        prev = 0.0
+        for i, (t, _) in enumerate(obs.transactions, start=1):
+            if not (math.isfinite(t) and 0.0 <= t <= horizon):
+                raise DataFormatError(
+                    f"transaction {i}: time {t} outside [0, {horizon}]", line
+                )
+            if t < prev:
+                raise DataFormatError(
+                    f"transaction {i}: time {t} decreases from {prev}", line
+                )
+            prev = t
     return obs, granularity
 
 

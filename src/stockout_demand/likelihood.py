@@ -13,8 +13,10 @@ Six likelihoods cover the data regimes:
 
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
 sum over stock-out index vectors; those fast paths are expressed as
-parameter-independent "term tables" that evaluate (with gradients) as a
-single log-sum-exp, which is also what dataset fitting compiles to.
+parameter-independent "term tables".  One kernel, :func:`term_loglik_grad`,
+evaluates their grouped log-sum-exp with its gradient, for one table (one
+group) and for a compiled dataset alike; timed transactions reduce to
+per-assortment totals evaluated by :func:`timed_loglik_grad`.
 
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iter_product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -80,6 +82,7 @@ __all__ = [
     "table_sales_no_null",
     "table_naive_sales",
     "table_timed_transactions",
+    "term_loglik_grad",
     "timed_loglik_grad",
 ]
 
@@ -142,6 +145,30 @@ def _compositions_exact(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _log_choice_sequence(
+    obs: Union[CompletePath, TransactionRecord],
+    choices: Iterable[Optional[int]],
+    params: ModelParams,
+    model: ChoiceModel,
+) -> float:
+    """``sum log P(c | current assortment)`` over ``choices``, replayed from
+    the visit's initial assortment and stocks.
+
+    A purchase that exhausts a product's stock removes the product from the
+    assortment the next arrivals face; a ``NULL`` choice depletes nothing.
+    """
+    value = 0.0
+    remaining = dict(obs.stocks)
+    current = obs.initial_assortment
+    for c in choices:
+        value += math.log(model.prob(params, c, current))
+        if c is not NULL:
+            remaining[c] -= 1
+            if remaining[c] == 0:
+                current = current.without(c)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # complete data
 
@@ -152,16 +179,11 @@ def l1_complete(
     """Density of a fully observed path: ``lambda^n e^{-T lambda} prod P``."""
     if not validate_complete_path(path).ok:
         return NEG_INF
-    value = path.arrivals * math.log(params.rate) - path.horizon * params.rate
-    remaining = dict(path.stocks)
-    current = path.initial_assortment
-    for _, c in path.events:
-        value += math.log(model.prob(params, c, current))
-        if c is not NULL:
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                current = current.without(c)
-    return value
+    return (
+        path.arrivals * math.log(params.rate)
+        - path.horizon * params.rate
+        + _log_choice_sequence(path, path.choices, params, model)
+    )
 
 
 def l2_choice_sequence(
@@ -216,13 +238,7 @@ def l3_transactions_timed(
     )
     durations = _timed_segment_durations(record, stockout_idx)
     value = record.total * math.log(params.rate)
-    current = record.initial_assortment
-    remaining = dict(record.stocks)
-    for _, p in record.transactions:
-        value += math.log(model.prob(params, p, current))
-        remaining[p] -= 1
-        if remaining[p] == 0:
-            current = current.without(p)
+    value += _log_choice_sequence(record, record.products, params, model)
     for seg_assort, duration in zip(assortments, durations):
         p_null = model.prob(params, NULL, seg_assort)
         value -= (1.0 - p_null) * duration * params.rate
@@ -251,17 +267,8 @@ def l4_transactions(
     )
     k = len(assortments) - 1
     mu = record.horizon * params.rate
-    log_purchases = 0.0
-    current = record.initial_assortment
-    remaining = dict(record.stocks)
-    for _, p in record.transactions:
-        log_purchases += math.log(model.prob(params, p, current))
-        remaining[p] -= 1
-        if remaining[p] == 0:
-            current = current.without(p)
+    log_purchases = _log_choice_sequence(record, record.products, params, model)
     log_p_null = [math.log(model.prob(params, NULL, a)) for a in assortments]
-    seg_total = [c + (1 if j < k else 0) for j, c in enumerate(seg_counts)]
-    seg_total[-1] = seg_counts[-1]
     terms = []
     for n_o in _compositions_at_most(m - n_purch, k + 1):
         n = n_purch + sum(n_o)
@@ -318,14 +325,7 @@ def l4_integral(
     )
     mu = record.horizon * params.rate
     n_purch = record.total
-    log_purchases = 0.0
-    current = record.initial_assortment
-    remaining = dict(record.stocks)
-    for _, p in record.transactions:
-        log_purchases += math.log(model.prob(params, p, current))
-        remaining[p] -= 1
-        if remaining[p] == 0:
-            current = current.without(p)
+    log_purchases = _log_choice_sequence(record, record.products, params, model)
     coeffs = np.array(
         [mu * model.prob(params, NULL, a) for a in assortments]
     )
@@ -354,14 +354,7 @@ def l4_lauricella(
     mu = record.horizon * params.rate
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
-    log_purchases = 0.0
-    current = record.initial_assortment
-    remaining = dict(record.stocks)
-    for _, p in record.transactions:
-        log_purchases += math.log(model.prob(params, p, current))
-        remaining[p] -= 1
-        if remaining[p] == 0:
-            current = current.without(p)
+    log_purchases = _log_choice_sequence(record, record.products, params, model)
     thetas = [mu * model.prob(params, NULL, a) for a in assortments]
     series = lauricella_mgf(seg_counts, thetas, m - n_purch)
     return log_purchases + _poisson_logpmf(n_purch, mu) + math.log(series)
@@ -371,16 +364,60 @@ def l4_lauricella(
 # sales data, generic choice model
 
 
-def _stocked_out(summary: SalesSummary) -> Tuple[int, ...]:
-    return summary.stocked_out
-
-
 def _sales_valid(summary: SalesSummary) -> bool:
     try:
         summary.validate()
     except InvalidObservation:
         return False
     return True
+
+
+def _sales_splits(
+    summary: SalesSummary, params: ModelParams, model: ChoiceModel
+) -> Iterator[Tuple[List[Assortment], Iterator]]:
+    """Latent layouts of a sales summary under any choice model.
+
+    For each stock-out order, yields the assortments its ``k + 1``
+    segments face and an iterator over the splits of every product's sales
+    across the segments in which it is still offered (a stock-out
+    product's closing purchase ends its last segment).  Each split comes as
+    the per-segment sales counts, in catalog order, and the log-probability
+    of the product choices it implies.  Only product probabilities are
+    evaluated, so a no-null summary never asks for ``P(NULL)``.
+    """
+    products = summary.initial_assortment.products
+    stocked = summary.stocked_out
+    k = len(stocked)
+
+    def splits(order, log_p, per_product):
+        for combo in iter_product(*per_product):
+            seg_counts = [tuple(split[j] for split in combo) for j in range(k + 1)]
+            log_choice = 0.0
+            for j in range(k + 1):
+                for a, c in zip(products, seg_counts[j]):
+                    e = c + (1 if j < k and order[j] == a else 0)
+                    if e:
+                        log_choice += e * log_p[j][a]
+            yield seg_counts, log_choice
+
+    for order in permutations(stocked):
+        # segment j faces everything minus the earlier stock-outs
+        seg_assort = [
+            summary.initial_assortment.without(*order[:j]) for j in range(k + 1)
+        ]
+        log_p = [
+            {a: math.log(model.prob(params, a, seg)) for a in seg.products}
+            for seg in seg_assort
+        ]
+        position = {a: j for j, a in enumerate(order, start=1)}
+        per_product = []
+        for a in products:
+            q = summary.sales.get(a, 0) - (1 if a in position else 0)
+            allowed = position.get(a, k + 1)
+            per_product.append(
+                [split + (0,) * (k + 1 - allowed) for split in _compositions_exact(q, allowed)]
+            )
+        yield seg_assort, splits(order, log_p, per_product)
 
 
 def l5_sales(
@@ -400,53 +437,18 @@ def l5_sales(
         raise InvalidObservation("l5 is the null-inclusive sales likelihood")
     if not _sales_valid(summary):
         return NEG_INF
-    products = summary.initial_assortment.products
-    stocked = _stocked_out(summary)
     n_sales = summary.total_sales
     m = trunc.resolve(summary.horizon, params.rate, n_sales)
     mu = summary.horizon * params.rate
-    k = len(stocked)
     terms: List[float] = []
-    for order in permutations(stocked):
-        # assortment facing segment j (1-based): everything minus earlier
-        # stock-outs
-        seg_assort = [
-            summary.initial_assortment.without(*order[:j]) for j in range(k + 1)
-        ]
-        log_p = [
-            {a: math.log(model.prob(params, a, seg_assort[j])) for a in seg_assort[j].products}
-            for j in range(k + 1)
-        ]
-        log_p_null = [math.log(model.prob(params, NULL, seg_assort[j])) for j in range(k + 1)]
-        # allowed segments per product: a stock-out product only sells while
-        # it is still offered
-        position = {a: j for j, a in enumerate(order, start=1)}
-        per_product_splits = []
-        for a in products:
-            q = summary.sales.get(a, 0) - (1 if a in position else 0)
-            allowed = position.get(a, k + 1)
-            splits = [
-                split + (0,) * (k + 1 - allowed)
-                for split in _compositions_exact(q, allowed)
-            ]
-            per_product_splits.append(splits)
-        for combo in iter_product(*per_product_splits):
-            split_of = dict(zip(products, combo))
-            # per segment: sales counts, their log-factorials, and the
-            # probability numerators (the closing stock-out purchase adds
-            # one exponent in its own segment)
-            seg_sales = []
-            base_j = []
-            for j in range(k + 1):
-                counts = [split_of[a][j] for a in products]
-                seg_sales.append(sum(counts))
-                b = -sum(math.lgamma(c + 1) for c in counts)
-                for a in products:
-                    e = split_of[a][j] + (1 if j < k and order[j] == a else 0)
-                    if e:
-                        b += e * log_p[j][a]
-                base_j.append(b)
-            base = sum(base_j)
+    for seg_assort, splits in _sales_splits(summary, params, model):
+        k = len(seg_assort) - 1
+        log_p_null = [math.log(model.prob(params, NULL, seg)) for seg in seg_assort]
+        for seg_counts, log_choice in splits:
+            seg_sales = [sum(counts) for counts in seg_counts]
+            base = log_choice - sum(
+                math.lgamma(c + 1) for counts in seg_counts for c in counts
+            )
             # sequence count within segment j: interleavings of its sales
             # and n_o_j null arrivals, (n_o_j + seg_sales_j)!/(n_o_j! prod n_a_j!)
             for n_o in _compositions_at_most(m - n_sales, k + 1):
@@ -526,7 +528,7 @@ class _TableBuilder:
         self._coef.append(coef)
         self._rows.append([(d, e) for d, e in segs if e != 0.0])
 
-    def build(self, sales: Dict[int, int], impossible: bool = False) -> "TermTable":
+    def build(self, sales: Dict[int, int]) -> "TermTable":
         width = max((len(r) for r in self._rows), default=0) or 1
         nt = len(self._n)
         seg_idx = np.zeros((nt, width), dtype=np.int64)
@@ -546,7 +548,6 @@ class _TableBuilder:
             coef=np.asarray(self._coef, dtype=float),
             seg_idx=seg_idx,
             seg_exp=seg_exp,
-            impossible=impossible,
         )
 
 
@@ -555,8 +556,10 @@ class TermTable:
     """A likelihood compiled to ``sum_a z_a log f_a + LSE_i(term_i)`` where
     ``term_i = coef_i + n_i log(T lambda) - T lambda - sum_d E_id log D_d``
     and ``D_d`` are assortment denominators.  Parameter-independent, so one
-    build serves every evaluation during optimization; evaluation and
-    gradients are plain array ops.
+    build serves every evaluation during optimization.  The table is a
+    one-group dataset: :meth:`loglik_grad` passes its arrays to
+    :func:`term_loglik_grad`, the kernel every compiled dataset uses too.
+    A table without terms is an impossible observation, of value ``-inf``.
     """
 
     horizon: float
@@ -567,60 +570,32 @@ class TermTable:
     coef: np.ndarray
     seg_idx: np.ndarray
     seg_exp: np.ndarray
-    impossible: bool = False
 
     def __post_init__(self) -> None:
         self.membership = membership_matrix(self.catalog, self.assortments)
         self.nulls = np.array([float(has_null) for _, has_null in self.assortments])
 
-    def _beta(self, params: ModelParams) -> np.ndarray:
-        return np.array([params.weights[a] for a in self.catalog], dtype=float)
-
-    def _terms(self, params: ModelParams, beta: np.ndarray) -> np.ndarray:
-        denom = self.nulls + self.membership @ beta
-        # a zero denominator is the empty no-null assortment, which only
-        # ever appears with exponent zero (nobody can choose from it);
-        # keep 0 * log(0) out of the sum
-        log_denom = np.where(denom > 0, np.log(np.where(denom > 0, denom, 1.0)), 0.0)
-        mu = self.horizon * params.rate
-        return (
-            self.coef
-            + self.n * math.log(mu)
-            - mu
-            - (self.seg_exp * log_denom[self.seg_idx]).sum(axis=1)
-        )
-
     def loglik(self, params: ModelParams) -> float:
-        if self.impossible or self.n.size == 0:
-            return NEG_INF
-        beta = self._beta(params)
-        t = self._terms(params, beta)
-        return float(self.sales @ np.log(beta) + logsumexp(t))
+        return self.loglik_grad(params)[0]
 
     def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
         """Value and gradient in ``(log rate, log weight_a for a in catalog)``."""
-        dim = 1 + len(self.catalog)
-        if self.impossible or self.n.size == 0:
-            return NEG_INF, np.zeros(dim)
-        beta = self._beta(params)
-        denom = self.nulls + self.membership @ beta
-        t = self._terms(params, beta)
-        lse = logsumexp(t)
-        w = np.exp(t - lse)
-        mu = self.horizon * params.rate
-        grad = np.empty(dim)
-        grad[0] = float(w @ self.n) - mu
-        bucket = np.bincount(
-            self.seg_idx.ravel(),
-            weights=(w[:, None] * self.seg_exp).ravel(),
-            minlength=len(self.assortments),
+        x = np.log([params.rate] + [params.weights[a] for a in self.catalog])
+        if self.n.size == 0:
+            return NEG_INF, np.zeros(x.size)
+        return term_loglik_grad(
+            x,
+            self.membership,
+            self.nulls,
+            self.coef,
+            self.n,
+            self.seg_idx,
+            self.seg_exp,
+            np.zeros(1, dtype=np.int64),
+            np.ones(1),
+            np.array([self.horizon]),
+            self.sales[None, :],
         )
-        # zero-denominator assortments carry zero bucket weight; avoid nan
-        safe = np.where(denom > 0, denom, 1.0)
-        share = self.membership * beta[None, :] / safe[:, None]
-        grad[1:] = self.sales - bucket @ share
-        value = float(self.sales @ np.log(beta) + lse)
-        return value, grad
 
 
 def table_complete(path: CompletePath) -> TermTable:
@@ -629,7 +604,7 @@ def table_complete(path: CompletePath) -> TermTable:
     b = _TableBuilder(path.horizon, catalog)
     sales: Dict[int, int] = {}
     if not validate_complete_path(path).ok:
-        return b.build(sales, impossible=True)
+        return b.build(sales)
     exponents: Dict[int, float] = {}
     remaining = dict(path.stocks)
     current = path.initial_assortment
@@ -658,7 +633,7 @@ def table_transactions(record: TransactionRecord, m: int) -> TermTable:
             record.initial_assortment, record.stocks, record.products
         )
     except InvalidObservation:
-        return b.build(sales, impossible=True)
+        return b.build(sales)
     k = len(assortments) - 1
     n_purch = record.total
     d_of = [b.assort(a) for a in assortments]
@@ -682,14 +657,15 @@ def _sales_table(
 
     For each total arrival count ``n``, terms range over feasible
     (stock-out order, segment sizes) layouts; ``sampler(n)`` may replace
-    full enumeration by ``(layouts, log_weight)`` for an SAA estimate.
+    full enumeration by ``(layouts, log_weight)`` for an SAA estimate, or
+    return ``None`` to keep it.
     """
     assortment = summary.initial_assortment
     catalog = assortment.products
     b = _TableBuilder(summary.horizon, catalog)
     sales = {a: summary.sales.get(a, 0) for a in catalog}
     if not _sales_valid(summary):
-        return b.build(sales, impossible=True)
+        return b.build(sales)
     stocked = summary.stocked_out
     stocks_of = {a: summary.stocks[a] for a in stocked}
     non_stocked = [a for a in catalog if a not in stocked]
@@ -709,7 +685,8 @@ def _sales_table(
             continue
         free_counts = [n_o] + [sales[a] for a in non_stocked]
         log_free = log_multinomial(free_counts)
-        if sampler is None:
+        drawn = None if sampler is None else sampler(n)
+        if drawn is None:
             layouts = (
                 (order, sizes)
                 for order in permutations(stocked)
@@ -717,7 +694,7 @@ def _sales_table(
             )
             log_weight = 0.0
         else:
-            layouts, log_weight = sampler(n)
+            layouts, log_weight = drawn
         for order, sizes in layouts:
             k = len(order)
             coef = -math.lgamma(n + 1) + log_free + log_weight
@@ -778,14 +755,7 @@ def table_sales_saa(
             return [], 0.0
         take = min(samples_per_n, count)
         if take == count:
-            layouts = [
-                (order, sizes)
-                for order in permutations(stocked)
-                for sizes in _layouts(
-                    [summary.stocks[a] for a in order], n
-                )
-            ]
-            return layouts, 0.0
+            return None  # full coverage: the exact enumeration
         draw_seed = int(
             np.random.SeedSequence((seed, key, n)).generate_state(1)[0]
         )
@@ -812,7 +782,7 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
     b = _TableBuilder(summary.horizon, catalog)
     sales = {a: summary.sales.get(a, 0) for a in catalog}
     if not _sales_valid(summary):
-        return b.build(sales, impossible=True)
+        return b.build(sales)
     n_sales = summary.total_sales
     d_full = b.assort(assortment)
     counts = [sales[a] for a in catalog]
@@ -850,6 +820,62 @@ def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
         ),
         durations=np.asarray(_timed_segment_durations(record, stockout_idx), dtype=float),
     )
+
+
+def term_loglik_grad(
+    x: np.ndarray,
+    membership: np.ndarray,
+    nulls: np.ndarray,
+    coef: np.ndarray,
+    n: np.ndarray,
+    seg_idx: np.ndarray,
+    seg_exp: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    horizons: np.ndarray,
+    sales: np.ndarray,
+) -> Tuple[float, np.ndarray]:
+    """Grouped term-table log-likelihood and its gradient in
+    ``x = (log rate, log weights)``.
+
+    Group ``g`` owns the terms from ``starts[g]`` up to the next start; it
+    has multiplicity ``counts[g]``, horizon ``T_g = horizons[g]`` and
+    per-product sales ``z_g = sales[g]``, and contributes
+    ``z_g . log f + LSE_i(coef_i + n_i log(T_g lambda) - T_g lambda -
+    sum_d E_id log D_d)``.  Row ``d`` of ``membership`` and ``nulls[d]``
+    give the denominator ``D_d = null_d + F_d``; ``seg_idx``/``seg_exp``
+    hold each term's assortment indices and exponents ``E_id``, padded with
+    zero exponents.  Every group must own at least one term.
+    """
+    log_rate = x[0]
+    theta = np.asarray(x[1:], dtype=float)
+    beta = np.exp(theta)
+    rate = math.exp(log_rate)
+    group_of = np.repeat(np.arange(starts.size), np.diff(np.append(starts, n.size)))
+    denom = nulls + membership @ beta
+    # the empty no-null assortment has a zero denominator but only ever
+    # appears with exponent zero (nobody can choose from it); keep 0 * log(0)
+    # out of the sum
+    safe = np.where(denom > 0, denom, 1.0)
+    log_denom = np.where(denom > 0, np.log(safe), 0.0)
+    t = (
+        coef
+        + n * (log_rate + np.log(horizons)[group_of])
+        - horizons[group_of] * rate
+        - (seg_exp * log_denom[seg_idx]).sum(axis=1)
+    )
+    mx = np.maximum.reduceat(t, starts)
+    lse = mx + np.log(np.add.reduceat(np.exp(t - mx[group_of]), starts))
+    value = float(counts @ (lse + sales @ theta))
+    w = np.exp(t - lse[group_of]) * counts[group_of]
+    grad = np.empty(x.size)
+    grad[0] = float(w @ n) - rate * float(counts @ horizons)
+    bucket = np.bincount(
+        seg_idx.ravel(), weights=(w[:, None] * seg_exp).ravel(), minlength=denom.size
+    )
+    share = membership * beta[None, :] / safe[:, None]
+    grad[1:] = counts @ sales - bucket @ share
+    return value, grad
 
 
 def timed_loglik_grad(
@@ -953,42 +979,11 @@ def l6_choice_part(
     """
     if not _sales_valid(summary):
         return NEG_INF
-    products = summary.initial_assortment.products
-    stocked = summary.stocked_out
-    k = len(stocked)
-    terms: List[float] = []
-    for order in permutations(stocked):
-        seg_assort = [
-            summary.initial_assortment.without(*order[:j]) for j in range(k + 1)
-        ]
-        log_p = [
-            {
-                a: math.log(model.prob(params, a, seg_assort[j]))
-                for a in seg_assort[j].products
-            }
-            for j in range(k + 1)
-        ]
-        position = {a: j for j, a in enumerate(order, start=1)}
-        per_product_splits = []
-        for a in products:
-            q = summary.sales.get(a, 0) - (1 if a in position else 0)
-            allowed = position.get(a, k + 1)
-            splits = [
-                split + (0,) * (k + 1 - allowed)
-                for split in _compositions_exact(q, allowed)
-            ]
-            per_product_splits.append(splits)
-        for combo in iter_product(*per_product_splits):
-            split_of = dict(zip(products, combo))
-            t = 0.0
-            for j in range(k + 1):
-                counts = [split_of[a][j] for a in products]
-                t += log_multinomial(counts)
-                for a in products:
-                    e = split_of[a][j] + (1 if j < k and order[j] == a else 0)
-                    if e:
-                        t += e * log_p[j][a]
-            terms.append(t)
+    terms = [
+        log_choice + sum(log_multinomial(counts) for counts in seg_counts)
+        for _, splits in _sales_splits(summary, params, model)
+        for seg_counts, log_choice in splits
+    ]
     if not terms:
         return NEG_INF
     return float(logsumexp(terms))

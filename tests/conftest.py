@@ -7,7 +7,9 @@ import pytest
 
 from stockout_demand import (
     Assortment,
+    CompletePath,
     ModelParams,
+    NULL,
     SalesSummary,
     TransactionRecord,
 )
@@ -94,3 +96,21 @@ def random_transaction_record(
         transactions=txns,
         timestamps_present=timestamps,
     )
+
+
+def infeasible_observations():
+    """An infeasible visit of each observation kind: product 0 sold twice
+    from a stock of one."""
+    both = Assortment((0, 1), True)
+    return {
+        "complete": CompletePath(
+            1.0, both, {0: 1, 1: 1}, ((0.2, 0), (0.5, NULL), (0.7, 0))
+        ),
+        "transactions": TransactionRecord(
+            1.0, both, {0: 1, 1: 1}, ((None, 0), (None, 1), (None, 0)), False
+        ),
+        "sales": SalesSummary(1.0, both, {0: 1, 1: 1}, {0: 2, 1: 0}),
+        "sales-no-null": SalesSummary(
+            1.0, Assortment((0, 1), False), {0: 1, 1: 2}, {0: 2, 1: 1}
+        ),
+    }

@@ -54,6 +54,16 @@ class TestExitCodes:
         assert run("estimate", "--data", str(f)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_timestamp_past_horizon_is_data_error(self, tmp_path, capsys):
+        # the stock-out purchase of product 0 at t = 2.5 > T would give the
+        # second segment a negative exposure
+        f = tmp_path / "bad.jsonl"
+        head = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, '
+        head += '"granularity": "transactions-timed", "data": '
+        f.write_text(head + "[[0.3, 1]]}\n" + head + "[[0.2, 1], [2.5, 0], [0.1, 1]]}\n")
+        assert run("estimate", "--data", str(f)) == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_visits_and_reports_summary(self, tmp_path, capsys):

@@ -26,7 +26,17 @@ from stockout_demand import (
     naive_rate,
     simulate_dataset,
 )
-from stockout_demand.likelihood import table_timed_transactions
+from stockout_demand.estimation import _group_key
+from stockout_demand.io import project_path
+from stockout_demand.likelihood import (
+    table_complete,
+    table_naive_sales,
+    table_sales_attraction,
+    table_sales_no_null,
+    table_sales_saa,
+    table_timed_transactions,
+    table_transactions,
+)
 from stockout_demand.simulate import VisitConfig
 from stockout_demand.types import (
     TransactionRecord,
@@ -35,7 +45,7 @@ from stockout_demand.types import (
     transaction_segments,
 )
 
-from conftest import random_params, random_transaction_record
+from conftest import infeasible_observations, random_params, random_transaction_record
 
 
 def make_path(choices, stocks, horizon=1.0, includes_null=True):
@@ -210,6 +220,81 @@ class TestTimedDataset:
         ds = compile_dataset([first, second, first], "transactions-timed")
         value, _ = ds.loglik_grad(log_point(params, ds.catalog))
         assert value == pytest.approx(2 * limit_first + limit_second, rel=0, abs=1e-9)
+
+
+# table kind -> (granularity, null option, compile_dataset options, table
+# builder from the visit and the fixed truncation m)
+SINGLE_VISIT_KINDS = {
+    "complete": ("complete", True, {}, lambda obs, m: table_complete(obs)),
+    "transactions": ("transactions", True, {}, table_transactions),
+    "timed": (
+        "transactions-timed",
+        True,
+        {},
+        lambda obs, m: table_timed_transactions(obs),
+    ),
+    "sales": ("sales", True, {}, table_sales_attraction),
+    "saa": (
+        "sales",
+        True,
+        {"saa_samples": 2, "seed": 4},
+        lambda obs, m: table_sales_saa(
+            obs, m, 2, 4, hash(_group_key(obs, "sales")) & 0x7FFFFFFF
+        ),
+    ),
+    "no-null": (
+        "sales-no-null",
+        False,
+        {},
+        lambda obs, m: table_sales_no_null(obs),
+    ),
+    "naive": ("sales", True, {"naive": True}, table_naive_sales),
+}
+
+
+class TestSingleVisitIsOneGroupDataset:
+    @pytest.mark.parametrize("kind", sorted(SINGLE_VISIT_KINDS))
+    def test_table_equals_compiled_one_visit_dataset(self, kind):
+        granularity, include_null, options, build = SINGLE_VISIT_KINDS[kind]
+        paths = simulate_dataset(
+            two_product_config(include_null=include_null, stock=1), 6, seed=21
+        )
+        # layouts with one and with two stock-outs
+        assert {1, 2} <= {project_sales(p).stockout_count for p in paths}
+        rnd = random.Random(22)
+        m = 8  # at least every visit's purchase count
+        for path in paths:
+            obs = project_path(path, granularity)
+            table = build(obs, m)
+            ds = compile_dataset([obs], granularity, TruncationPolicy(m=m), **options)
+            for _ in range(3):
+                params = random_params(rnd, ds.catalog)
+                value, grad = ds.loglik_grad(log_point(params, ds.catalog))
+                expected, expected_grad = table.loglik_grad(params)
+                assert value == pytest.approx(expected, rel=1e-12, abs=0)
+                np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=0)
+
+
+class TestInfeasibleVisit:
+    @pytest.mark.parametrize(
+        "kind, granularity, options",
+        [
+            ("complete", "complete", {}),
+            ("transactions", "transactions", {}),
+            ("sales", "sales", {}),
+            ("sales", "sales", {"saa_samples": 2}),
+            ("sales", "sales", {"naive": True}),
+            ("sales-no-null", "sales-no-null", {}),
+        ],
+    )
+    def test_compile_rejects_dataset_holding_one(self, kind, granularity, options):
+        bad = infeasible_observations()[kind]
+        paths = simulate_dataset(
+            two_product_config(include_null=kind != "sales-no-null"), 3, seed=23
+        )
+        good = [project_path(p, granularity) for p in paths]
+        with pytest.raises(InvalidObservation, match="impossible"):
+            compile_dataset(good + [bad], granularity, TruncationPolicy(m=8), **options)
 
 
 class TestTruncationSizing:

@@ -134,6 +134,39 @@ class TestVisitValidation:
         with pytest.raises(DataFormatError, match="line 6.*T must"):
             parse_visit(json.dumps(record), 6)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([[0.2, 1], [2.5, 0], [0.1, 1]], "time 2.5 outside"),
+            ([[-0.1, 1]], "time -0.1 outside"),
+            ([[0.2, 1], [math.inf, 0]], "time inf outside"),
+            ([[math.nan, 1]], "time nan outside"),
+            ([[0.5, 1], [0.3, 0]], "time 0.3 decreases from 0.5"),
+        ],
+    )
+    def test_timed_transactions_need_ordered_times_within_horizon(self, data, message):
+        # a time past T or out of order gives a segment a negative exposure
+        record = {
+            "T": 1.0,
+            "assortment": [0, 1],
+            "stocks": {"0": 1, "1": 3},
+            "granularity": "transactions-timed",
+            "data": data,
+        }
+        with pytest.raises(DataFormatError, match=f"line 7.*{message}"):
+            parse_visit(json.dumps(record), 7)
+
+    def test_timed_transactions_accept_equal_and_boundary_times(self):
+        record = {
+            "T": 1.0,
+            "assortment": [0, 1],
+            "stocks": {"0": 1, "1": 3},
+            "granularity": "transactions-timed",
+            "data": [[0.0, 1], [0.4, 1], [0.4, 0], [1.0, 1]],
+        }
+        obs, _ = parse_visit(json.dumps(record), 1)
+        assert [t for t, _ in obs.transactions] == [0.0, 0.4, 0.4, 1.0]
+
     def test_mixed_granularities_rejected(self, tmp_path):
         paths = simulate_dataset(small_config(), 2, seed=5)
         lines = [

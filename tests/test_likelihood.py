@@ -37,6 +37,7 @@ from stockout_demand import (
 )
 from stockout_demand.likelihood import (
     table_complete,
+    table_naive_sales,
     table_sales_attraction,
     table_sales_no_null,
     table_sales_saa,
@@ -45,7 +46,12 @@ from stockout_demand.likelihood import (
 )
 from stockout_demand.types import InvalidObservation
 
-from conftest import random_params, random_sales_summary, random_transaction_record
+from conftest import (
+    infeasible_observations,
+    random_params,
+    random_sales_summary,
+    random_transaction_record,
+)
 
 MODEL = AttractionModel()
 
@@ -310,6 +316,38 @@ class TestSalesNoNull:
         )
         expected = float(poisson.logpmf(3, 5.0)) + l6_choice_part(summary, params)
         assert l6_generic(summary, params) == pytest.approx(expected, rel=1e-12)
+
+
+class TestInfeasibleTables:
+    """A fast-path table of an infeasible visit holds no terms and
+    evaluates to ``-inf`` with a zero gradient."""
+
+    params = ModelParams(rate=1.5, weights={0: 0.7, 1: 1.2})
+
+    @pytest.mark.parametrize(
+        "kind, build",
+        [
+            ("complete", table_complete),
+            ("transactions", lambda obs: table_transactions(obs, 6)),
+            ("sales", lambda obs: table_sales_attraction(obs, 6)),
+            ("sales", lambda obs: table_naive_sales(obs, 6)),
+            ("sales-no-null", table_sales_no_null),
+            ("sales-no-null", lambda obs: table_naive_sales(obs, 6)),
+        ],
+    )
+    def test_table_minus_infinity(self, kind, build):
+        table = build(infeasible_observations()[kind])
+        assert table.n.size == 0
+        value, grad = table.loglik_grad(self.params)
+        assert value == float("-inf")
+        assert table.loglik(self.params) == float("-inf")
+        assert not grad.any()
+
+    def test_fast_path_wrappers_minus_infinity(self):
+        observations = infeasible_observations()
+        policy = TruncationPolicy(m=6)
+        assert l5_sales_attraction(observations["sales"], self.params, policy) == float("-inf")
+        assert l6_sales_no_null(observations["sales-no-null"], self.params) == float("-inf")
 
 
 class TestSampleAverageApproximation:
