@@ -1,8 +1,9 @@
 """Maximum-likelihood fitting across observation granularities.
 
 A dataset is compiled once into flat arrays: identical visits are grouped
-with multiplicities, every visit's likelihood terms are concatenated, and
-assortment denominators are shared through a global registry.  Timed
+with multiplicities, each group's term table is filled once, and
+:func:`~stockout_demand.likelihood.stack_tables` stacks the tables into one
+set of arrays whose assortment denominators share one registry.  Timed
 transactions compile further, to sufficient statistics per assortment
 (exponent and exposure-time totals, plus the sales), so their part of
 every evaluation costs the same whatever the number of visits.  Each
@@ -28,6 +29,7 @@ from .likelihood import (
     TimedSegmentTable,
     TruncationPolicy,
     membership_matrix,
+    stack_tables,
     table_complete,
     table_naive_sales,
     table_sales_attraction,
@@ -39,6 +41,7 @@ from .likelihood import (
     timed_loglik_grad,
 )
 from .types import (
+    Assortment,
     CompletePath,
     InvalidObservation,
     ModelParams,
@@ -155,72 +158,41 @@ class CompiledDataset:
     ) -> None:
         self.catalog = catalog
         self._timed = list(timed)
-        a_of = {a: i for i, a in enumerate(catalog)}
-        # global assortment registry: key -> row of ``membership``
-        reg: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-        width = max((t.seg_idx.shape[1] for t, _ in tables), default=1)
-        n_parts, coef_parts, idx_parts, exp_parts = [], [], [], []
-        bounds = [0]
-        counts, Z_rows, T_g = [], [], []
-        total = 0
-        for table, count in tables:
-            if table.n.size == 0:
-                raise InvalidObservation("dataset contains an impossible observation")
-            remap = np.array(
-                [reg.setdefault(key, len(reg)) for key in table.assortments]
-            )
-            nt = table.n.size
-            n_parts.append(table.n)
-            coef_parts.append(table.coef)
-            idx = np.zeros((nt, width), dtype=np.int64)
-            ex = np.zeros((nt, width))
-            idx[:, : table.seg_idx.shape[1]] = remap[table.seg_idx]
-            ex[:, : table.seg_exp.shape[1]] = table.seg_exp
-            # padded entries may alias assortment 0 after remapping; their
-            # exponents are zero so they contribute nothing
-            idx_parts.append(idx)
-            exp_parts.append(ex)
-            total += nt
-            bounds.append(total)
-            counts.append(count)
-            z = np.zeros(len(catalog))
-            for j, a in enumerate(table.catalog):
-                z[a_of[a]] = table.sales[j]
-            Z_rows.append(z)
-            T_g.append(table.horizon)
-        self.n = np.concatenate(n_parts) if n_parts else np.zeros(0, dtype=np.int64)
-        self.coef = np.concatenate(coef_parts) if coef_parts else np.zeros(0)
-        self.seg_idx = (
-            np.vstack(idx_parts) if idx_parts else np.zeros((0, width), dtype=np.int64)
-        )
-        self.seg_exp = np.vstack(exp_parts) if exp_parts else np.zeros((0, width))
-        self.bounds = np.asarray(bounds[:-1], dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=float)
-        self.Z = np.vstack(Z_rows) if Z_rows else np.zeros((0, len(catalog)))
-        self.T_g = np.asarray(T_g)
+        (
+            self.membership,
+            self.nulls,
+            self.coef,
+            self.n,
+            self.seg_idx,
+            self.seg_exp,
+            self.bounds,
+            self.counts,
+            self.T_g,
+            self.Z,
+        ) = stack_tables(catalog, tables)
         self.visits = int(self.counts.sum()) + sum(c for _, c in self._timed)
         # timed tables: per-table column map into the global catalog, and
         # their sufficient statistics summed per assortment
+        a_of = {a: i for i, a in enumerate(catalog)}
         self._timed_cols = [
             np.array([a_of[a] for a in t.catalog], dtype=np.int64)
             for t, _ in self._timed
         ]
         self.timed_sales = np.zeros(len(catalog))
+        reg: Dict[Assortment, int] = {}
         seg_rows: List[int] = []
         seg_exp: List[float] = []
         seg_dur: List[float] = []
         for (table, count), cols in zip(self._timed, self._timed_cols):
             self.timed_sales[cols] += count * table.sales
-            seg_rows += [reg.setdefault(key, len(reg)) for key in table.assortments]
+            seg_rows += [reg.setdefault(a, len(reg)) for a in table.assortments]
             seg_exp.extend(count * table.exponents)
             seg_dur.extend(count * table.durations)
-        self.n_assort = len(reg)
-        keys = list(reg) or [((), False)]
-        self.membership = membership_matrix(catalog, keys)
-        self.nulls = np.array([float(has_null) for _, has_null in keys])
+        self.n_assort = self.nulls.size + len(reg)
+        self.timed_membership = membership_matrix(catalog, list(reg))
         rows = np.asarray(seg_rows, dtype=np.int64)
-        self.timed_exponents = np.bincount(rows, np.asarray(seg_exp), self.n_assort)
-        self.timed_durations = np.bincount(rows, np.asarray(seg_dur), self.n_assort)
+        self.timed_exponents = np.bincount(rows, np.asarray(seg_exp), len(reg))
+        self.timed_durations = np.bincount(rows, np.asarray(seg_dur), len(reg))
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -250,7 +222,7 @@ class CompiledDataset:
             timed_value, timed_grad = timed_loglik_grad(
                 math.exp(x[0]),
                 np.exp(np.asarray(x[1:], dtype=float)),
-                self.membership,
+                self.timed_membership,
                 self.timed_exponents,
                 self.timed_durations,
                 self.timed_sales,

@@ -23,6 +23,7 @@ from .types import (
     ModelParams,
     SalesSummary,
     TransactionRecord,
+    validate_complete_path,
 )
 
 __all__ = [
@@ -62,8 +63,6 @@ _CONFIG_KEYS = {
     "include_null",
     "visits",
     "seed",
-    "truncation",
-    "saa_samples",
 }
 
 
@@ -82,8 +81,6 @@ class RunConfig:
     include_null: bool = True
     visits: int = 1000
     seed: int = 0
-    truncation: Optional[int] = None
-    saa_samples: Optional[int] = None
 
     def params(self) -> ModelParams:
         return ModelParams(rate=self.rate, weights=dict(self.weights))
@@ -132,9 +129,6 @@ class RunConfig:
                 kwargs["always_available"] = tuple(int(a) for a in raw["always_available"])
             if "stocks" in raw:
                 kwargs["stocks"] = {int(a): int(s) for a, s in raw["stocks"].items()}
-            for key in ("truncation", "saa_samples"):
-                if key in raw and raw[key] is not None:
-                    kwargs[key] = int(raw[key])
         except (TypeError, ValueError, AttributeError) as exc:
             raise DataFormatError(f"malformed config value: {exc}") from exc
         if set(weights) != set(catalog):
@@ -299,7 +293,33 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
                     f"transaction {i}: time {t} decreases from {prev}", line
                 )
             prev = t
+    _check_feasible(obs, line)
     return obs, granularity
+
+
+def _check_feasible(obs: Observation, line: int) -> None:
+    """Reject a visit that breaks its own stocks or, for a complete path,
+    its own horizon."""
+    if isinstance(obs, TransactionRecord):
+        left = dict(obs.stocks)
+        for i, (_, p) in enumerate(obs.transactions, start=1):
+            left[p] = left.get(p, 0) - 1
+            if left[p] < 0:
+                raise DataFormatError(
+                    f"transaction {i}: product {p} bought beyond its stock of "
+                    f"{obs.stocks.get(p, 0)}",
+                    line,
+                )
+    elif isinstance(obs, SalesSummary):
+        try:
+            obs.validate()
+        except InvalidObservation as exc:
+            raise DataFormatError(str(exc), line)
+    else:
+        report = validate_complete_path(obs)
+        if not report.ok:
+            index, message = report.violations[0]
+            raise DataFormatError(f"event {index}: {message}", line)
 
 
 def write_visits(path: str, observations: Iterable[Observation], granularity: str) -> int:

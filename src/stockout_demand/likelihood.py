@@ -13,10 +13,12 @@ Six likelihoods cover the data regimes:
 
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
 sum over stock-out index vectors; those fast paths are expressed as
-parameter-independent "term tables".  One kernel, :func:`term_loglik_grad`,
-evaluates their grouped log-sum-exp with its gradient, for one table (one
-group) and for a compiled dataset alike; timed transactions reduce to
-per-assortment totals evaluated by :func:`timed_loglik_grad`.
+parameter-independent "term tables", which the ``table_*`` functions fill
+in place.  :func:`stack_tables` stacks any list of tables into flat arrays
+once, and one kernel, :func:`term_loglik_grad`, evaluates their grouped
+log-sum-exp with its gradient, for one table (stacked alone) and for a
+compiled dataset alike; timed transactions reduce to per-assortment totals
+evaluated by :func:`timed_loglik_grad`.
 
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product as iter_product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -82,6 +84,7 @@ __all__ = [
     "table_sales_no_null",
     "table_naive_sales",
     "table_timed_transactions",
+    "stack_tables",
     "term_loglik_grad",
     "timed_loglik_grad",
 ]
@@ -489,91 +492,52 @@ def _layouts(stocks_in_order: Sequence[int], n: int) -> Iterator[Tuple[int, ...]
     yield from rec(0, 0, ())
 
 
-def membership_matrix(
-    catalog: Sequence[int], assortments: Sequence[Tuple[Tuple[int, ...], bool]]
-) -> np.ndarray:
+def membership_matrix(catalog: Sequence[int], assortments: Sequence[Assortment]) -> np.ndarray:
     """0/1 matrix whose row ``d`` marks the catalog products offered in
     assortment ``d``, so that ``membership @ weights`` gives the weight sums."""
     a_of = {a: i for i, a in enumerate(catalog)}
     rows = np.zeros((len(assortments), len(catalog)))
-    for d, (products, _) in enumerate(assortments):
-        for a in products:
+    for d, assortment in enumerate(assortments):
+        for a in assortment.products:
             rows[d, a_of[a]] = 1.0
     return rows
 
 
-class _TableBuilder:
-    """Accumulates log-sum-exp terms with per-assortment denominator powers."""
-
-    def __init__(self, horizon: float, catalog: Sequence[int]) -> None:
-        self.horizon = horizon
-        self.catalog = tuple(catalog)
-        self.assortments: List[Tuple[Tuple[int, ...], bool]] = []
-        self._index: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-        self._n: List[int] = []
-        self._coef: List[float] = []
-        self._rows: List[List[Tuple[int, float]]] = []
-
-    def assort(self, assortment: Assortment) -> int:
-        key = (assortment.products, assortment.includes_null)
-        if key not in self._index:
-            self._index[key] = len(self.assortments)
-            self.assortments.append(key)
-        return self._index[key]
-
-    def add_term(self, n: int, coef: float, segs: Sequence[Tuple[int, float]]) -> None:
-        if coef == NEG_INF:
-            return
-        self._n.append(n)
-        self._coef.append(coef)
-        self._rows.append([(d, e) for d, e in segs if e != 0.0])
-
-    def build(self, sales: Dict[int, int]) -> "TermTable":
-        width = max((len(r) for r in self._rows), default=0) or 1
-        nt = len(self._n)
-        seg_idx = np.zeros((nt, width), dtype=np.int64)
-        seg_exp = np.zeros((nt, width), dtype=float)
-        for i, row in enumerate(self._rows):
-            for j, (d, e) in enumerate(row):
-                seg_idx[i, j] = d
-                seg_exp[i, j] = e
-        if not self.assortments:
-            self.assortments.append(((), True))
-        return TermTable(
-            horizon=self.horizon,
-            catalog=self.catalog,
-            sales=np.array([sales.get(a, 0) for a in self.catalog], dtype=float),
-            assortments=list(self.assortments),
-            n=np.asarray(self._n, dtype=np.int64),
-            coef=np.asarray(self._coef, dtype=float),
-            seg_idx=seg_idx,
-            seg_exp=seg_exp,
-        )
-
-
-@dataclass
 class TermTable:
     """A likelihood compiled to ``sum_a z_a log f_a + LSE_i(term_i)`` where
     ``term_i = coef_i + n_i log(T lambda) - T lambda - sum_d E_id log D_d``
-    and ``D_d`` are assortment denominators.  Parameter-independent, so one
-    build serves every evaluation during optimization.  The table is a
-    one-group dataset: :meth:`loglik_grad` passes its arrays to
-    :func:`term_loglik_grad`, the kernel every compiled dataset uses too.
-    A table without terms is an impossible observation, of value ``-inf``.
+    and ``D_d`` are assortment denominators.
+
+    The ``table_*`` functions fill a table in place, one :meth:`add_term`
+    per layout; it depends on no parameter, so one fill serves every
+    evaluation during optimization.  The table holds only its terms:
+    :func:`stack_tables` turns any list of tables into the flat arrays of
+    :func:`term_loglik_grad`, and :meth:`loglik_grad` evaluates the table
+    as the one-group dataset ``[(table, 1)]``.  A table without terms is an
+    impossible observation, of value ``-inf``.
     """
 
-    horizon: float
-    catalog: Tuple[int, ...]
-    sales: np.ndarray
-    assortments: List[Tuple[Tuple[int, ...], bool]]
-    n: np.ndarray
-    coef: np.ndarray
-    seg_idx: np.ndarray
-    seg_exp: np.ndarray
+    def __init__(
+        self, horizon: float, catalog: Sequence[int], sales: Mapping[int, int]
+    ) -> None:
+        self.horizon = horizon
+        self.catalog = tuple(catalog)
+        self.sales = np.array([sales.get(a, 0) for a in self.catalog], dtype=float)
+        self.terms: List[Tuple[int, float, Sequence[Tuple[Assortment, float]]]] = []
 
-    def __post_init__(self) -> None:
-        self.membership = membership_matrix(self.catalog, self.assortments)
-        self.nulls = np.array([float(has_null) for _, has_null in self.assortments])
+    @property
+    def n(self) -> np.ndarray:
+        """Arrival count of every term."""
+        return np.array([n for n, _, _ in self.terms], dtype=np.int64)
+
+    def add_term(
+        self, n: int, coef: float, segs: Sequence[Tuple[Assortment, float]]
+    ) -> None:
+        """Add ``coef + n log(T lambda) - T lambda - sum E log D_a`` over the
+        ``(assortment a, exponent E)`` pairs ``segs``; a term of
+        coefficient ``-inf`` is dropped."""
+        if coef != NEG_INF:
+            self.terms.append((n, coef, segs))
 
     def loglik(self, params: ModelParams) -> float:
         return self.loglik_grad(params)[0]
@@ -581,101 +545,153 @@ class TermTable:
     def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
         """Value and gradient in ``(log rate, log weight_a for a in catalog)``."""
         x = np.log([params.rate] + [params.weights[a] for a in self.catalog])
-        if self.n.size == 0:
+        if not self.terms:
             return NEG_INF, np.zeros(x.size)
-        return term_loglik_grad(
-            x,
-            self.membership,
-            self.nulls,
-            self.coef,
-            self.n,
-            self.seg_idx,
-            self.seg_exp,
-            np.zeros(1, dtype=np.int64),
-            np.ones(1),
-            np.array([self.horizon]),
-            self.sales[None, :],
-        )
+        return term_loglik_grad(x, *stack_tables(self.catalog, [(self, 1)]))
+
+
+def stack_tables(
+    catalog: Sequence[int], tables: Sequence[Tuple[TermTable, float]]
+) -> Tuple[np.ndarray, ...]:
+    """The arrays :func:`term_loglik_grad` takes after ``x``, for the
+    groups ``(table, count)`` over the products ``catalog``.
+
+    One registry numbers every assortment the terms face, in order of first
+    appearance; each term's nonzero exponents fill one row of ``seg_idx`` /
+    ``seg_exp``, padded with zero exponents to the longest row.  Raises
+    :class:`InvalidObservation` for a table without terms.
+    """
+    col = {a: i for i, a in enumerate(catalog)}
+    registry: Dict[Assortment, int] = {}
+    n: List[int] = []
+    coef: List[float] = []
+    starts: List[int] = []
+    # one entry per nonzero exponent: its term, assortment and value
+    rows: List[int] = []
+    idx: List[int] = []
+    exps: List[float] = []
+    sales = np.zeros((len(tables), len(catalog)))
+    for g, (table, _) in enumerate(tables):
+        if not table.terms:
+            raise InvalidObservation("dataset contains an impossible observation")
+        starts.append(len(n))
+        sales[g, [col[a] for a in table.catalog]] = table.sales
+        for term_n, term_coef, segs in table.terms:
+            for a, e in segs:
+                d = registry.setdefault(a, len(registry))
+                if e != 0.0:
+                    rows.append(len(n))
+                    idx.append(d)
+                    exps.append(e)
+            n.append(term_n)
+            coef.append(term_coef)
+    term_of = np.asarray(rows, dtype=np.int64)
+    slot = np.arange(term_of.size) - np.searchsorted(term_of, term_of)
+    width = int(slot.max()) + 1 if slot.size else 0
+    seg_idx = np.zeros((len(n), width), dtype=np.int64)
+    seg_exp = np.zeros((len(n), width))
+    seg_idx[term_of, slot] = idx
+    seg_exp[term_of, slot] = exps
+    return (
+        membership_matrix(catalog, list(registry)),
+        np.array([float(a.includes_null) for a in registry]),
+        np.asarray(coef, dtype=float),
+        np.asarray(n, dtype=np.int64),
+        seg_idx,
+        seg_exp,
+        np.asarray(starts, dtype=np.int64),
+        np.array([count for _, count in tables], dtype=float),
+        np.array([table.horizon for table, _ in tables], dtype=float),
+        sales,
+    )
+
+
+def _purchase_counts(choices: Iterable[Optional[int]]) -> Dict[int, int]:
+    """Units bought of every product among ``choices``."""
+    counts: Dict[int, int] = {}
+    for c in choices:
+        if c is not NULL:
+            counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def _segment_exponents(seg_counts: Sequence[int]) -> List[float]:
+    """Choices made from each segment's assortment: its counted choices,
+    plus the stock-out purchase that closes every segment but the last."""
+    k = len(seg_counts) - 1
+    return [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
 
 
 def table_complete(path: CompletePath) -> TermTable:
     """Choice-sequence probability (``l2``) as a one-term table."""
-    catalog = path.initial_assortment.products
-    b = _TableBuilder(path.horizon, catalog)
-    sales: Dict[int, int] = {}
+    table = TermTable(
+        path.horizon, path.initial_assortment.products, _purchase_counts(path.choices)
+    )
     if not validate_complete_path(path).ok:
-        return b.build(sales)
-    exponents: Dict[int, float] = {}
-    remaining = dict(path.stocks)
-    current = path.initial_assortment
-    for _, c in path.events:
-        d = b.assort(current)
-        exponents[d] = exponents.get(d, 0.0) + 1.0
-        if c is not NULL:
-            sales[c] = sales.get(c, 0) + 1
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                current = current.without(c)
+        return table
+    _, seg_counts, assortments, _ = transaction_segments(
+        path.initial_assortment, path.stocks, path.choices
+    )
     n = path.arrivals
-    b.add_term(n, -math.lgamma(n + 1), list(exponents.items()))
-    return b.build(sales)
+    table.add_term(
+        n, -math.lgamma(n + 1), list(zip(assortments, _segment_exponents(seg_counts)))
+    )
+    return table
 
 
 def table_transactions(record: TransactionRecord, m: int) -> TermTable:
     """Timestamp-free transaction likelihood (``l4``) as a term table."""
-    catalog = record.initial_assortment.products
-    b = _TableBuilder(record.horizon, catalog)
-    sales: Dict[int, int] = {}
-    for p in record.products:
-        sales[p] = sales.get(p, 0) + 1
+    table = TermTable(
+        record.horizon, record.initial_assortment.products, _purchase_counts(record.products)
+    )
     try:
         _, seg_counts, assortments, _ = transaction_segments(
             record.initial_assortment, record.stocks, record.products
         )
     except InvalidObservation:
-        return b.build(sales)
-    k = len(assortments) - 1
+        return table
+    exponents = _segment_exponents(seg_counts)
     n_purch = record.total
-    d_of = [b.assort(a) for a in assortments]
-    for n_o in _compositions_at_most(m - n_purch, k + 1):
+    for n_o in _compositions_at_most(m - n_purch, len(assortments)):
         n = n_purch + sum(n_o)
         coef = -math.lgamma(n + 1)
         segs = []
-        for j in range(k + 1):
+        for j, a in enumerate(assortments):
             coef += log_binomial(n_o[j] + seg_counts[j], n_o[j])
-            segs.append((d_of[j], seg_counts[j] + n_o[j] + (1.0 if j < k else 0.0)))
-        b.add_term(n, coef, segs)
-    return b.build(sales)
+            segs.append((a, exponents[j] + n_o[j]))
+        table.add_term(n, coef, segs)
+    return table
 
 
 def _sales_table(
     summary: SalesSummary,
     n_values: Sequence[int],
+    stocked: Sequence[int],
     sampler=None,
 ) -> TermTable:
     """Shared stock-out-vector expansion behind the sales fast paths.
 
-    For each total arrival count ``n``, terms range over feasible
-    (stock-out order, segment sizes) layouts; ``sampler(n)`` may replace
-    full enumeration by ``(layouts, log_weight)`` for an SAA estimate, or
-    return ``None`` to keep it.
+    For each total arrival count ``n``, terms range over the (stock-out
+    order, segment sizes) layouts of the products ``stocked``, which sell
+    out; every other product's sales fall freely among the arrivals.  With
+    ``stocked`` empty, every arrival faces the whole assortment.
+    ``sampler(n)`` may replace full enumeration by ``(layouts,
+    log_weight)`` for an SAA estimate, or return ``None`` to keep it.
     """
     assortment = summary.initial_assortment
     catalog = assortment.products
-    b = _TableBuilder(summary.horizon, catalog)
-    sales = {a: summary.sales.get(a, 0) for a in catalog}
+    table = TermTable(summary.horizon, catalog, summary.sales)
     if not _sales_valid(summary):
-        return b.build(sales)
-    stocked = summary.stocked_out
+        return table
     stocks_of = {a: summary.stocks[a] for a in stocked}
-    non_stocked = [a for a in catalog if a not in stocked]
+    free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocks_of]
     n_sales = summary.total_sales
-    d_cache: Dict[Tuple[int, ...], int] = {}
+    after: Dict[Tuple[int, ...], Assortment] = {(): assortment}
 
-    def assort_idx(order_prefix: Tuple[int, ...]) -> int:
-        if order_prefix not in d_cache:
-            d_cache[order_prefix] = b.assort(assortment.without(*order_prefix))
-        return d_cache[order_prefix]
+    def faced(order_prefix: Tuple[int, ...]) -> Assortment:
+        if order_prefix not in after:
+            after[order_prefix] = assortment.without(*order_prefix)
+        return after[order_prefix]
 
     for n in n_values:
         n_o = n - n_sales
@@ -683,8 +699,7 @@ def _sales_table(
             continue
         if not assortment.includes_null and n_o != 0:
             continue
-        free_counts = [n_o] + [sales[a] for a in non_stocked]
-        log_free = log_multinomial(free_counts)
+        log_free = log_multinomial([n_o] + free_sales)
         drawn = None if sampler is None else sampler(n)
         if drawn is None:
             layouts = (
@@ -699,38 +714,39 @@ def _sales_table(
             k = len(order)
             coef = -math.lgamma(n + 1) + log_free + log_weight
             prev_slots = 0
-            ok = True
             for j in range(k):
                 s_j = stocks_of[order[j]]
                 slots = sizes[j] + prev_slots
-                lb = log_binomial(slots, s_j - 1)
-                if lb == NEG_INF:
-                    ok = False
-                    break
-                coef += lb
+                coef += log_binomial(slots, s_j - 1)
                 prev_slots = slots + 1 - s_j
-            if not ok:
-                continue
             segs = [
-                (assort_idx(order[:j]), sizes[j] + (1.0 if j < k else 0.0))
+                (faced(order[:j]), sizes[j] + (1.0 if j < k else 0.0))
                 for j in range(k + 1)
             ]
-            b.add_term(n, coef, segs)
-    return b.build(sales)
+            table.add_term(n, coef, segs)
+    return table
+
+
+def _arrival_counts(summary: SalesSummary, m: int) -> Sequence[int]:
+    """Total arrival counts a sales table sums over: the sales up to ``m``,
+    or exactly the sales without a null option."""
+    if summary.initial_assortment.includes_null:
+        return range(summary.total_sales, m + 1)
+    return [summary.total_sales]
 
 
 def table_sales_attraction(summary: SalesSummary, m: int) -> TermTable:
     """Exact sales likelihood (``l5``) under the attraction model."""
     if not summary.initial_assortment.includes_null:
         raise InvalidObservation("l5 is the null-inclusive sales likelihood")
-    return _sales_table(summary, range(summary.total_sales, m + 1))
+    return _sales_table(summary, range(summary.total_sales, m + 1), summary.stocked_out)
 
 
 def table_sales_no_null(summary: SalesSummary) -> TermTable:
     """Sales likelihood with no null option (``l6``): arrivals = sales."""
     if summary.initial_assortment.includes_null:
         raise InvalidObservation("l6 is the no-null sales likelihood")
-    return _sales_table(summary, [summary.total_sales])
+    return _sales_table(summary, [summary.total_sales], summary.stocked_out)
 
 
 def table_sales_saa(
@@ -766,58 +782,30 @@ def table_sales_saa(
             layouts.append((seg.stockout_order, seg.segment_sizes))
         return layouts, math.log(count) - math.log(take)
 
-    if summary.initial_assortment.includes_null:
-        n_values: Sequence[int] = range(summary.total_sales, m + 1)
-    else:
-        n_values = [summary.total_sales]
-    return _sales_table(summary, n_values, sampler=sampler)
+    return _sales_table(summary, _arrival_counts(summary, m), stocked, sampler=sampler)
 
 
 def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
-    """Baseline that ignores stock-outs: every product is treated as
-    available to every arrival.  Biased whenever anything sells out.
+    """Baseline that ignores stock-outs: the sales table with no product
+    selling out, so every arrival faces the whole initial assortment.
+    Biased whenever anything sells out.
     """
-    assortment = summary.initial_assortment
-    catalog = assortment.products
-    b = _TableBuilder(summary.horizon, catalog)
-    sales = {a: summary.sales.get(a, 0) for a in catalog}
-    if not _sales_valid(summary):
-        return b.build(sales)
-    n_sales = summary.total_sales
-    d_full = b.assort(assortment)
-    counts = [sales[a] for a in catalog]
-    if assortment.includes_null:
-        for n_o in range(0, m - n_sales + 1):
-            n = n_sales + n_o
-            coef = -math.lgamma(n + 1) + log_multinomial([n_o] + counts)
-            b.add_term(n, coef, [(d_full, float(n))])
-    else:
-        b.add_term(
-            n_sales,
-            -math.lgamma(n_sales + 1) + log_multinomial(counts),
-            [(d_full, float(n_sales))],
-        )
-    return b.build(sales)
+    return _sales_table(summary, _arrival_counts(summary, m), ())
 
 
 def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
     """Compiled form of :func:`l3_transactions_timed` with gradients."""
     catalog = record.initial_assortment.products
-    sales: Dict[int, int] = {}
-    for p in record.products:
-        sales[p] = sales.get(p, 0) + 1
-    stockout_order, seg_counts, assortments, stockout_idx = transaction_segments(
+    sales = _purchase_counts(record.products)
+    _, seg_counts, assortments, stockout_idx = transaction_segments(
         record.initial_assortment, record.stocks, record.products
     )
-    k = len(stockout_order)
     return TimedSegmentTable(
         horizon=record.horizon,
         catalog=catalog,
         sales=np.array([sales.get(a, 0) for a in catalog], dtype=float),
-        assortments=[(a.products, a.includes_null) for a in assortments],
-        exponents=np.array(
-            [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
-        ),
+        assortments=list(assortments),
+        exponents=np.array(_segment_exponents(seg_counts)),
         durations=np.asarray(_timed_segment_durations(record, stockout_idx), dtype=float),
     )
 
@@ -927,7 +915,7 @@ class TimedSegmentTable:
     horizon: float
     catalog: Tuple[int, ...]
     sales: np.ndarray
-    assortments: List[Tuple[Tuple[int, ...], bool]]
+    assortments: List[Assortment]
     exponents: np.ndarray
     durations: np.ndarray
 

@@ -222,7 +222,7 @@ def validate_complete_path(
     remaining = {a: stocks[a] for a in assortment.products}
     prev_time = 0.0
     for i, (t, c) in enumerate(path.events, start=1):
-        if t < 0 or t > path.horizon:
+        if not 0 <= t <= path.horizon:
             report.add(i, f"time {t} outside [0, {path.horizon}]")
         if t < prev_time:
             report.add(i, f"time {t} decreases from {prev_time}")
@@ -305,29 +305,20 @@ def assortment_after(
     prefix: Sequence[Choice],
 ) -> Assortment:
     """Products still in stock after the given choice prefix."""
-    remaining = {a: stocks[a] for a in initial.products}
-    for i, c in enumerate(prefix, start=1):
-        if c is NULL:
-            continue
-        if c not in remaining or remaining[c] <= 0:
-            raise InvalidObservation(f"infeasible prefix at index {i}: product {c}")
-        remaining[c] -= 1
-    return Assortment(
-        tuple(a for a in initial.products if remaining[a] > 0),
-        initial.includes_null,
-    )
+    return transaction_segments(initial, stocks, prefix)[2][-1]
 
 
 def transaction_segments(
     initial: Assortment,
     stocks: Mapping[ProductId, int],
-    products: Sequence[ProductId],
+    choices: Sequence[Choice],
 ) -> Tuple[Tuple[ProductId, ...], Tuple[int, ...], Tuple[Assortment, ...], Tuple[int, ...]]:
-    """Replay a purchase sequence and split it at stock-outs.
+    """Replay a choice sequence and split it at stock-outs.
 
-    Returns ``(stockout_order, per-segment purchase counts excluding the
-    stock-out purchase, per-segment assortments, 1-based purchase indices
-    of the stock-outs)``.
+    Returns ``(stockout_order, per-segment choice counts excluding the
+    stock-out purchase, per-segment assortments, 1-based choice indices of
+    the stock-outs)``.  A ``NULL`` choice depletes nothing and counts in
+    the current segment.
     """
     remaining = {a: stocks[a] for a in initial.products}
     current = initial
@@ -336,16 +327,19 @@ def transaction_segments(
     assortments: list = [current]
     stockout_indices: list = []
     count = 0
-    for i, p in enumerate(products, start=1):
-        if p not in remaining or remaining[p] <= 0:
-            raise InvalidObservation(f"infeasible purchase of {p} at index {i}")
-        remaining[p] -= 1
-        if remaining[p] == 0:
-            stockout_order.append(p)
+    for i, c in enumerate(choices, start=1):
+        if c is NULL:
+            count += 1
+            continue
+        if c not in remaining or remaining[c] <= 0:
+            raise InvalidObservation(f"infeasible purchase of {c} at index {i}")
+        remaining[c] -= 1
+        if remaining[c] == 0:
+            stockout_order.append(c)
             seg_counts.append(count)
             stockout_indices.append(i)
             count = 0
-            current = current.without(p)
+            current = current.without(c)
             assortments.append(current)
         else:
             count += 1
@@ -363,18 +357,7 @@ def segment_decomposition(path: CompletePath) -> SegmentDecomposition:
     report = validate_complete_path(path)
     if not report.ok:
         raise InvalidObservation(f"invalid path: {report.violations}")
-    remaining = {a: path.stocks[a] for a in path.initial_assortment.products}
-    order: list = []
-    sizes: list = []
-    count = 0
-    for _, c in path.events:
-        if c is not NULL:
-            remaining[c] -= 1
-        if c is not NULL and remaining[c] == 0:
-            order.append(c)
-            sizes.append(count)
-            count = 0
-        else:
-            count += 1
-    sizes.append(count)
-    return SegmentDecomposition(tuple(order), tuple(sizes))
+    order, sizes, _, _ = transaction_segments(
+        path.initial_assortment, path.stocks, path.choices
+    )
+    return SegmentDecomposition(order, sizes)

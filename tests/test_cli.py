@@ -64,6 +64,31 @@ class TestExitCodes:
         assert run("estimate", "--data", str(f)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "granularity, data",
+        [
+            ("complete", "[[0.2, 1], [2.5, 0]]"),
+            ("transactions", "[0, 0]"),
+            ("sales", '{"0": 2, "1": 0}'),
+        ],
+    )
+    def test_infeasible_visit_is_data_error_on_its_line(
+        self, tmp_path, capsys, granularity, data
+    ):
+        # product 0 has one unit; the second visit buys it twice, or buys it
+        # after the horizon ends
+        f = tmp_path / "bad.jsonl"
+        head = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, '
+        head += f'"granularity": "{granularity}", "data": '
+        good = {
+            "complete": "[[0.3, 1]]",
+            "transactions": "[1]",
+            "sales": '{"0": 0, "1": 1}',
+        }
+        f.write_text(head + good[granularity] + "}\n" + head + data + "}\n")
+        assert run("estimate", "--data", str(f)) == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_visits_and_reports_summary(self, tmp_path, capsys):

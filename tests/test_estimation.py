@@ -274,6 +274,40 @@ class TestSingleVisitIsOneGroupDataset:
                 assert value == pytest.approx(expected, rel=1e-12, abs=0)
                 np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("kind", sorted(SINGLE_VISIT_KINDS))
+    def test_dataset_is_count_weighted_sum_of_tables(self, kind):
+        granularity, include_null, options, build = SINGLE_VISIT_KINDS[kind]
+        # the section7 catalog offers a random subset of products per visit;
+        # with a null option, the rate of the null-sales benchmark workload
+        # makes products sell out
+        config = replace(SECTION7_PRESET, include_null=include_null)
+        if include_null:
+            config = replace(config, rate=10.0)
+        paths = simulate_dataset(config.visit_config(), 10, seed=26)
+        assert {1, 2} <= {project_sales(p).stockout_count for p in paths}
+        m = 2 + max(sum(c is not NULL for c in p.choices) for p in paths)
+        groups = [(project_path(p, granularity), 1 + i % 3) for i, p in enumerate(paths)]
+        assert len({obs.initial_assortment.products for obs, _ in groups}) > 1
+        ds = compile_dataset(
+            [obs for obs, count in groups for _ in range(count)],
+            granularity,
+            TruncationPolicy(m=m),
+            **options,
+        )
+        column = {a: 1 + i for i, a in enumerate(ds.catalog)}
+        rnd = random.Random(26)
+        for _ in range(3):
+            params = random_params(rnd, ds.catalog)
+            value, grad = ds.loglik_grad(log_point(params, ds.catalog))
+            expected, expected_grad = 0.0, np.zeros(grad.size)
+            for obs, count in groups:
+                table = build(obs, m)
+                v, g = table.loglik_grad(params)
+                expected += count * v
+                expected_grad[[0] + [column[a] for a in table.catalog]] += count * g
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+            np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=0)
+
 
 class TestInfeasibleVisit:
     @pytest.mark.parametrize(

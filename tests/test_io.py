@@ -167,6 +167,32 @@ class TestVisitValidation:
         obs, _ = parse_visit(json.dumps(record), 1)
         assert [t for t, _ in obs.transactions] == [0.0, 0.4, 0.4, 1.0]
 
+    @pytest.mark.parametrize(
+        "granularity, data, message",
+        [
+            ("complete", [[0.2, 0], [0.5, None], [0.7, 0]], "event 3: .* after it stocked"),
+            ("complete", [[0.2, 1], [2.5, 0]], "event 2: time 2.5 outside"),
+            ("complete", [[math.nan, 1]], "event 1: time nan outside"),
+            ("transactions-timed", [[0.2, 0], [0.7, 0]], "transaction 2: product 0 bought"),
+            ("transactions", [0, 1, 0], "transaction 3: product 0 bought beyond its stock of 1"),
+            ("transactions", [1, 5], "transaction 2: product 5 bought beyond its stock of 0"),
+            ("sales", {"0": 2, "1": 0}, "sales 2 of product 0 outside"),
+            ("sales-no-null", {"0": 0, "1": 4}, "sales 4 of product 1 outside"),
+        ],
+    )
+    def test_infeasible_visit_rejected_with_line_number(self, granularity, data, message):
+        # each visit breaks its own stocks (one unit of product 0, three of
+        # product 1, none of product 5) or its horizon
+        record = {
+            "T": 1.0,
+            "assortment": [0, 1],
+            "stocks": {"0": 1, "1": 3},
+            "granularity": granularity,
+            "data": data,
+        }
+        with pytest.raises(DataFormatError, match=f"line 9: {message}"):
+            parse_visit(json.dumps(record), 9)
+
     def test_mixed_granularities_rejected(self, tmp_path):
         paths = simulate_dataset(small_config(), 2, seed=5)
         lines = [
@@ -215,6 +241,14 @@ class TestRunConfig:
             RunConfig.from_dict(
                 {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, "typo": 1}
             )
+
+    @pytest.mark.parametrize("key", ["truncation", "saa_samples"])
+    def test_estimation_settings_are_unknown_keys(self, key):
+        # estimation takes these from the command line only, so a config
+        # naming them is refused rather than silently ignored
+        raw = {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, key: 5}
+        with pytest.raises(DataFormatError, match=f"unknown config fields \\['{key}'\\]"):
+            RunConfig.from_dict(raw)
 
     def test_missing_key_rejected(self):
         with pytest.raises(DataFormatError, match="missing"):

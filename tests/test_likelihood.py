@@ -318,6 +318,32 @@ class TestSalesNoNull:
         assert l6_generic(summary, params) == pytest.approx(expected, rel=1e-12)
 
 
+class TestNaiveSales:
+    @pytest.mark.parametrize("includes_null", [True, False])
+    def test_is_the_sales_table_with_nothing_sold_out(self, rng, includes_null):
+        # with every stock above its sales nothing sells out, so the exact
+        # table faces the whole assortment just as the naive one does
+        for _ in range(20):
+            summary = random_sales_summary(rng, includes_null=includes_null)
+            products = summary.initial_assortment.products
+            raised = SalesSummary(
+                summary.horizon,
+                summary.initial_assortment,
+                {a: summary.sales[a] + 1 for a in products},
+                summary.sales,
+            )
+            m = summary.total_sales + 3
+            if includes_null:
+                exact = table_sales_attraction(raised, m)
+            else:
+                exact = table_sales_no_null(raised)
+            params = random_params(rng, products)
+            value, grad = table_naive_sales(summary, m).loglik_grad(params)
+            expected, expected_grad = exact.loglik_grad(params)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+            np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12)
+
+
 class TestInfeasibleTables:
     """A fast-path table of an infeasible visit holds no terms and
     evaluates to ``-inf`` with a zero gradient."""

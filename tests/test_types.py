@@ -152,6 +152,38 @@ class TestSegments:
         assert seg.segment_sizes == (1, 0, 1)
         assert seg.total_arrivals == path.arrivals
 
+    def test_null_choice_counts_in_its_segment_without_depleting(self):
+        initial = Assortment((0, 1), True)
+        order, counts, assorts, idx = transaction_segments(
+            initial, {0: 1, 1: 2}, (NULL, 0, NULL, NULL, 1)
+        )
+        assert order == (0,)
+        assert counts == (1, 3)
+        assert [a.products for a in assorts] == [(0, 1), (1,)]
+        assert idx == (2,)
+
+    def test_segment_decomposition_is_the_choice_replay(self, rng):
+        products = (0, 1, 2)
+        stocks = {0: 1, 1: 2, 2: 1}
+        for _ in range(30):
+            remaining = dict(stocks)
+            choices = []
+            for _ in range(rng.randint(0, 6)):
+                c = rng.choice([NULL] + [a for a in products if remaining[a] > 0])
+                choices.append(c)
+                if c is not NULL:
+                    remaining[c] -= 1
+            n = len(choices)
+            path = make_path(
+                [((i + 1) / (n + 1), c) for i, c in enumerate(choices)], products, stocks
+            )
+            seg = segment_decomposition(path)
+            order, counts, _, _ = transaction_segments(
+                path.initial_assortment, stocks, path.choices
+            )
+            assert (seg.stockout_order, seg.segment_sizes) == (order, counts)
+            assert seg.total_arrivals == n
+
 
 class TestHideProduct:
     def test_hidden_sales_become_null(self):
