@@ -6,7 +6,9 @@ hits zero form a "stock-out vector".  These vectors index the inner sums
 of the sales likelihoods; this module provides the closed-form count, a
 brute-force enumerator used as an oracle, uniform sampling without
 replacement via a linear congruential generator with rejection, and the
-bijection onto segment decompositions.
+bijection onto segment decompositions.  The generator's states are
+computed a numpy block at a time by affine jump-ahead, so rejecting
+out-of-range states costs no Python step per state.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import random
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .types import ProductId, SegmentDecomposition
 
@@ -125,6 +129,26 @@ def _lcg_params(modulus: int, rng: random.Random) -> Tuple[int, int, int]:
 # modulus with cycle-walking keeps the draw exact and well mixed.
 _MIN_MODULUS_BITS = 16
 
+# LCG states computed per numpy block.  A power of two no larger than the
+# minimum modulus, so whole blocks tile every period exactly.
+_BLOCK = 1 << 12
+
+
+def _jump_ahead(a: int, c: int, mask: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """``A_i = a^(i+1)`` and ``C_i = c(1 + a + ... + a^i)`` modulo ``mask + 1``
+    for ``i < _BLOCK``, so that ``state_{t+i+1} = A_i state_t + C_i``.
+
+    Built by doubling: ``A_{h+j} = A_j A_{h-1}``, ``C_{h+j} = A_j C_{h-1} + C_j``.
+    """
+    A = np.array([a], dtype=dtype)
+    C = np.array([c], dtype=dtype)
+    while len(A) < _BLOCK:
+        A, C = (
+            np.concatenate([A, (A * A[-1]) & mask]),
+            np.concatenate([C, (A * C[-1] + C) & mask]),
+        )
+    return A, C
+
 
 def _decompose(x: int, n: int, k: int) -> Tuple[int, ...]:
     """Base-``n`` remainders of ``x``, each shifted to 1-based indices."""
@@ -145,9 +169,15 @@ def raw_stockout_draws(
 
     Each full LCG period visits every integer in ``[0, n^k)`` exactly once
     (out-of-range states are skipped); successive periods re-key the
-    generator from the seed.
+    generator from the seed.  The period's states are computed a block at
+    a time as ``(A state + C) mod 2^bits`` from :func:`_jump_ahead`, which
+    gives the same stream as stepping the generator one state at a time.
+    Arithmetic is ``uint64``, which wraps exactly for moduli up to 2^64;
+    larger ranges use Python integers through the same expression.
     """
     k = len(stocks)
+    if k and n < 1:
+        raise ValueError(f"no candidate vectors for {k} products at n = {n}")
     stocks = tuple(stocks)
     if products is None:
         products = tuple(range(k))
@@ -155,15 +185,18 @@ def raw_stockout_draws(
     total = n**k
     bits = max(total.bit_length(), _MIN_MODULUS_BITS)
     modulus = 1 << bits
+    mask = modulus - 1
+    dtype = np.uint64 if bits <= 64 else object
     cycle = 0
     while True:
         a, c, state = _lcg_params(modulus, random.Random(f"{seed}:{cycle}"))
-        for _ in range(modulus):
-            state = (a * state + c) % modulus
-            if state >= total:
-                continue
-            v = StockoutVector(products, stocks, _decompose(state, n, k), n)
-            yield v, is_feasible(v)
+        A, C = _jump_ahead(a, c, mask, dtype)
+        for _ in range(modulus // _BLOCK):
+            block = (A * state + C) & mask
+            state = block[-1]
+            for x in block[block < total].tolist():
+                v = StockoutVector(products, stocks, _decompose(x, n, k), n)
+                yield v, is_feasible(v)
         cycle += 1
 
 

@@ -3,7 +3,7 @@
 import math
 import random
 from collections import Counter
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 import pytest
 
@@ -17,11 +17,35 @@ from stockout_demand import (
     to_segments,
 )
 from stockout_demand.combinatorics import (
+    _MIN_MODULUS_BITS,
+    _lcg_params,
     log_binomial,
     log_multinomial,
     multinomial_exact,
     raw_stockout_draws,
 )
+
+
+def reference_draws(stocks, n, seed):
+    """The sampler's stream stepped one LCG state at a time: each period
+    walks every state mod ``2^bits`` and keeps those below ``n^k``."""
+    k = len(stocks)
+    total = n**k
+    modulus = 1 << max(total.bit_length(), _MIN_MODULUS_BITS)
+    cycle = 0
+    while True:
+        a, c, state = _lcg_params(modulus, random.Random(f"{seed}:{cycle}"))
+        for _ in range(modulus):
+            state = (a * state + c) % modulus
+            if state >= total:
+                continue
+            x, indices = state, []
+            for _ in range(k):
+                x, rem = divmod(x, n)
+                indices.append(rem + 1)
+            v = StockoutVector(tuple(range(k)), tuple(stocks), tuple(indices), n)
+            yield v.indices, is_feasible(v)
+        cycle += 1
 
 
 class TestFeasibility:
@@ -121,6 +145,28 @@ class TestSampling:
             seen.append(v.indices)
         # one full period visits every candidate exactly once
         assert len(set(seen)) == total
+
+    @pytest.mark.parametrize(
+        "stocks, n, draws",
+        [
+            ((3, 3), 10, 300),  # the 2^16 modulus floor, three periods
+            ((1, 1, 1), 100, 3000),  # a 20-bit modulus
+            ((1,) * 4, 65535, 3000),  # exactly 64 bits
+            ((1,) * 4, 70000, 3000),  # 65 bits: past uint64
+            ((2,), 3, 4 * 3),  # four periods of three candidates
+        ],
+    )
+    def test_raw_draws_match_the_stepwise_generator(self, stocks, n, draws):
+        for seed in (0, 5):
+            got = [
+                (v.indices, ok) for v, ok in islice(raw_stockout_draws(stocks, n, seed), draws)
+            ]
+            assert got == list(islice(reference_draws(stocks, n, seed), draws))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_candidate_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            next(raw_stockout_draws((3,), n, seed=1))
 
 
 class TestSegmentBijection:
