@@ -85,14 +85,15 @@ def count_stockout_vectors(stocks: Sequence[int], n: int) -> int:
 
     ``f = (n+1)!/(n+1-h)! - n!/(n+1-h)! * sum(stocks)`` for ``h`` products,
     or 0 when fewer arrivals than total units (no feasible sequence).
-    Exact big-integer arithmetic throughout.
+    Exact big-integer arithmetic throughout; the falling factorial
+    ``n!/(n+1-h)!`` has only ``h - 1`` factors.
     """
     h = len(stocks)
     if h == 0:
         return 1
     if n < sum(stocks) or n + 1 - h < 1:
         return 0
-    falling = math.factorial(n) // math.factorial(n + 1 - h)
+    falling = math.perm(n, h - 1)
     return (n + 1) * falling - falling * sum(stocks)
 
 

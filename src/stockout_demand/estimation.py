@@ -258,13 +258,11 @@ def _build_table(
         return table_timed_transactions(obs)
     if granularity == "transactions":
         return table_transactions(obs, m)
+    if saa_samples is not None and granularity in ("sales", "sales-no-null"):
+        return table_sales_saa(obs, m, saa_samples, seed, key)
     if granularity == "sales":
-        if saa_samples is not None:
-            return table_sales_saa(obs, m, saa_samples, seed, key)
         return table_sales_attraction(obs, m)
     if granularity == "sales-no-null":
-        if saa_samples is not None:
-            return table_sales_saa(obs, m, saa_samples, seed, key)
         return table_sales_no_null(obs)
     raise ValueError(f"unknown granularity {granularity!r}")
 
@@ -276,7 +274,6 @@ def compile_dataset(
     saa_samples: Optional[int] = None,
     seed: int = 0,
     naive: bool = False,
-    catalog: Optional[Sequence[int]] = None,
 ) -> CompiledDataset:
     """Group identical visits, build their term tables once, concatenate.
 
@@ -293,10 +290,7 @@ def compile_dataset(
         raise ValueError(f"unknown granularity {granularity!r}")
     if not observations:
         raise InvalidObservation("empty dataset")
-    if catalog is None:
-        catalog = sorted(
-            {a for o in observations for a in o.initial_assortment.products}
-        )
+    catalog = sorted({a for o in observations for a in o.initial_assortment.products})
     rate_cap = RATE_CAP_FACTOR * naive_rate(observations)
     groups: Dict[object, List[int]] = {}
     for i, obs in enumerate(observations):

@@ -10,7 +10,6 @@ is byte-identical.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -23,7 +22,6 @@ from .types import (
     ModelParams,
     SalesSummary,
     TransactionRecord,
-    validate_complete_path,
 )
 
 __all__ = [
@@ -269,57 +267,13 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
                 stocks,
                 {int(a): int(z) for a, z in data.items()},
             )
-    except DataFormatError:
-        raise
     except (TypeError, ValueError, KeyError, InvalidObservation) as exc:
         raise DataFormatError(f"malformed visit record: {exc}", line)
-    if set(stocks) != set(products):
-        raise DataFormatError("stocks must cover exactly the assortment", line)
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise DataFormatError(f"T must be finite and positive, got {horizon}", line)
-    for a in products:
-        if stocks[a] < 1:
-            raise DataFormatError(f"offered product {a} has stock {stocks[a]}", line)
-    if granularity == "transactions-timed":
-        # equal timestamps (possible after rounding) are allowed
-        prev = 0.0
-        for i, (t, _) in enumerate(obs.transactions, start=1):
-            if not (math.isfinite(t) and 0.0 <= t <= horizon):
-                raise DataFormatError(
-                    f"transaction {i}: time {t} outside [0, {horizon}]", line
-                )
-            if t < prev:
-                raise DataFormatError(
-                    f"transaction {i}: time {t} decreases from {prev}", line
-                )
-            prev = t
-    _check_feasible(obs, line)
+    try:
+        obs.validate()
+    except InvalidObservation as exc:
+        raise DataFormatError(str(exc), line)
     return obs, granularity
-
-
-def _check_feasible(obs: Observation, line: int) -> None:
-    """Reject a visit that breaks its own stocks or, for a complete path,
-    its own horizon."""
-    if isinstance(obs, TransactionRecord):
-        left = dict(obs.stocks)
-        for i, (_, p) in enumerate(obs.transactions, start=1):
-            left[p] = left.get(p, 0) - 1
-            if left[p] < 0:
-                raise DataFormatError(
-                    f"transaction {i}: product {p} bought beyond its stock of "
-                    f"{obs.stocks.get(p, 0)}",
-                    line,
-                )
-    elif isinstance(obs, SalesSummary):
-        try:
-            obs.validate()
-        except InvalidObservation as exc:
-            raise DataFormatError(str(exc), line)
-    else:
-        report = validate_complete_path(obs)
-        if not report.ok:
-            index, message = report.violations[0]
-            raise DataFormatError(f"event {index}: {message}", line)
 
 
 def write_visits(path: str, observations: Iterable[Observation], granularity: str) -> int:

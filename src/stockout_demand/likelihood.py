@@ -54,8 +54,6 @@ from .types import (
     NULL,
     SalesSummary,
     TransactionRecord,
-    transaction_segments,
-    validate_complete_path,
 )
 
 __all__ = [
@@ -129,6 +127,16 @@ def _poisson_logpmf(n: int, mu: float) -> float:
     return n * math.log(mu) - mu - math.lgamma(n + 1) if mu > 0 else (0.0 if n == 0 else NEG_INF)
 
 
+def _possible(obs: Union[CompletePath, TransactionRecord, SalesSummary]) -> bool:
+    """Whether the process could have produced ``obs``: its own
+    ``validate()`` passes."""
+    try:
+        obs.validate()
+    except InvalidObservation:
+        return False
+    return True
+
+
 def _compositions_at_most(limit: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """All tuples of ``parts`` non-negative ints summing to at most ``limit``."""
     if parts == 0:
@@ -180,7 +188,7 @@ def l1_complete(
     path: CompletePath, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
 ) -> float:
     """Density of a fully observed path: ``lambda^n e^{-T lambda} prod P``."""
-    if not validate_complete_path(path).ok:
+    if not _possible(path):
         return NEG_INF
     return (
         path.arrivals * math.log(params.rate)
@@ -212,8 +220,8 @@ def _timed_segment_durations(
     record: TransactionRecord, stockout_idx: Sequence[int]
 ) -> Tuple[float, ...]:
     """Lengths of the constant-assortment stretches, split at the times of
-    the stock-out purchases (``stockout_idx`` from
-    :func:`transaction_segments`)."""
+    the stock-out purchases (``stockout_idx`` from the record's
+    ``segments()``)."""
     boundaries = [0.0]
     for i in stockout_idx:
         t = record.transactions[i - 1][0]
@@ -230,15 +238,15 @@ def l3_transactions_timed(
 
     Transactions form a Poisson stream thinned by the no-purchase
     probability of the current assortment, so the exponent integrates the
-    thinned rate over each constant-assortment stretch.
+    thinned rate over each constant-assortment stretch.  An impossible
+    record raises :class:`InvalidObservation`.
     """
     if not record.timestamps_present:
         raise InvalidObservation("l3 needs transaction timestamps")
     if not record.initial_assortment.includes_null:
         raise InvalidObservation("l3 is defined for the null-inclusive regime")
-    _, _, assortments, stockout_idx = transaction_segments(
-        record.initial_assortment, record.stocks, record.products
-    )
+    record.validate()
+    _, _, assortments, stockout_idx = record.segments()
     durations = _timed_segment_durations(record, stockout_idx)
     value = record.total * math.log(params.rate)
     value += _log_choice_sequence(record, record.products, params, model)
@@ -265,9 +273,7 @@ def l4_transactions(
     """
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
-    _, seg_counts, assortments, _ = transaction_segments(
-        record.initial_assortment, record.stocks, record.products
-    )
+    _, seg_counts, assortments, _ = record.segments()
     k = len(assortments) - 1
     mu = record.horizon * params.rate
     log_purchases = _log_choice_sequence(record, record.products, params, model)
@@ -323,9 +329,7 @@ def l4_integral(
     segment-length fractions ``q``.  Returns ``(log estimate, standard
     error of the log estimate)``.
     """
-    _, seg_counts, assortments, _ = transaction_segments(
-        record.initial_assortment, record.stocks, record.products
-    )
+    _, seg_counts, assortments, _ = record.segments()
     mu = record.horizon * params.rate
     n_purch = record.total
     log_purchases = _log_choice_sequence(record, record.products, params, model)
@@ -351,9 +355,7 @@ def l4_lauricella(
     moment-generating-function form; agrees with :func:`l4_transactions`
     at the same truncation up to round-off.
     """
-    _, seg_counts, assortments, _ = transaction_segments(
-        record.initial_assortment, record.stocks, record.products
-    )
+    _, seg_counts, assortments, _ = record.segments()
     mu = record.horizon * params.rate
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
@@ -365,14 +367,6 @@ def l4_lauricella(
 
 # ---------------------------------------------------------------------------
 # sales data, generic choice model
-
-
-def _sales_valid(summary: SalesSummary) -> bool:
-    try:
-        summary.validate()
-    except InvalidObservation:
-        return False
-    return True
 
 
 def _sales_splits(
@@ -438,7 +432,7 @@ def l5_sales(
     """
     if not summary.initial_assortment.includes_null:
         raise InvalidObservation("l5 is the null-inclusive sales likelihood")
-    if not _sales_valid(summary):
+    if not _possible(summary):
         return NEG_INF
     n_sales = summary.total_sales
     m = trunc.resolve(summary.horizon, params.rate, n_sales)
@@ -627,11 +621,9 @@ def table_complete(path: CompletePath) -> TermTable:
     table = TermTable(
         path.horizon, path.initial_assortment.products, _purchase_counts(path.choices)
     )
-    if not validate_complete_path(path).ok:
+    if not _possible(path):
         return table
-    _, seg_counts, assortments, _ = transaction_segments(
-        path.initial_assortment, path.stocks, path.choices
-    )
+    _, seg_counts, assortments, _ = path.segments()
     n = path.arrivals
     table.add_term(
         n, -math.lgamma(n + 1), list(zip(assortments, _segment_exponents(seg_counts)))
@@ -644,12 +636,9 @@ def table_transactions(record: TransactionRecord, m: int) -> TermTable:
     table = TermTable(
         record.horizon, record.initial_assortment.products, _purchase_counts(record.products)
     )
-    try:
-        _, seg_counts, assortments, _ = transaction_segments(
-            record.initial_assortment, record.stocks, record.products
-        )
-    except InvalidObservation:
+    if not _possible(record):
         return table
+    _, seg_counts, assortments, _ = record.segments()
     exponents = _segment_exponents(seg_counts)
     n_purch = record.total
     for n_o in _compositions_at_most(m - n_purch, len(assortments)):
@@ -681,7 +670,7 @@ def _sales_table(
     assortment = summary.initial_assortment
     catalog = assortment.products
     table = TermTable(summary.horizon, catalog, summary.sales)
-    if not _sales_valid(summary):
+    if not _possible(summary):
         return table
     stocks_of = {a: summary.stocks[a] for a in stocked}
     free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocks_of]
@@ -696,8 +685,6 @@ def _sales_table(
     for n in n_values:
         n_o = n - n_sales
         if n_o < 0:
-            continue
-        if not assortment.includes_null and n_o != 0:
             continue
         log_free = log_multinomial([n_o] + free_sales)
         drawn = None if sampler is None else sampler(n)
@@ -794,12 +781,12 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
 
 
 def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
-    """Compiled form of :func:`l3_transactions_timed` with gradients."""
+    """Compiled form of :func:`l3_transactions_timed` with gradients; an
+    impossible record raises :class:`InvalidObservation`."""
+    record.validate()
     catalog = record.initial_assortment.products
     sales = _purchase_counts(record.products)
-    _, seg_counts, assortments, stockout_idx = transaction_segments(
-        record.initial_assortment, record.stocks, record.products
-    )
+    _, seg_counts, assortments, stockout_idx = record.segments()
     return TimedSegmentTable(
         horizon=record.horizon,
         catalog=catalog,
@@ -919,16 +906,14 @@ class TimedSegmentTable:
     exponents: np.ndarray
     durations: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.membership = membership_matrix(self.catalog, self.assortments)
-
     def loglik(self, params: ModelParams) -> float:
         return self.loglik_grad(params)[0]
 
     def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
         beta = np.array([params.weights[a] for a in self.catalog], dtype=float)
+        membership = membership_matrix(self.catalog, self.assortments)
         return timed_loglik_grad(
-            params.rate, beta, self.membership, self.exponents, self.durations, self.sales
+            params.rate, beta, membership, self.exponents, self.durations, self.sales
         )
 
 
@@ -965,7 +950,7 @@ def l6_choice_part(
     """Log-probability of the sales vector given the arrival count; sums to
     one over feasible sales vectors with the same total.
     """
-    if not _sales_valid(summary):
+    if not _possible(summary):
         return NEG_INF
     terms = [
         log_choice + sum(log_multinomial(counts) for counts in seg_counts)
@@ -985,7 +970,7 @@ def l6_generic(
     """
     if summary.initial_assortment.includes_null:
         raise InvalidObservation("l6 is the no-null sales likelihood")
-    if not _sales_valid(summary):
+    if not _possible(summary):
         return NEG_INF
     mu = summary.horizon * params.rate
     return _poisson_logpmf(summary.total_sales, mu) + l6_choice_part(

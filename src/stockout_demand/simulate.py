@@ -14,7 +14,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .choice import AttractionModel
 from .types import (
     Assortment,
     Choice,
@@ -78,8 +77,9 @@ def simulate_visit(
 ) -> CompletePath:
     """Draw one complete path.  In the no-null regime, arrivals that find
     every product sold out are discarded (no feasible choice exists).
+    Each choice is the draw of ``rng.choice(options, p=...)``, spelled out
+    so that the cumulative probabilities are rebuilt only at a stock-out.
     """
-    model = AttractionModel()
     if assortment is None:
         assortment = _draw_offered(config, rng)
     stocks: Dict[ProductId, int] = {a: config.stock_of(a) for a in assortment.products}
@@ -87,20 +87,23 @@ def simulate_visit(
     times = np.sort(rng.uniform(0.0, config.horizon, size=n))
     remaining = dict(stocks)
     events: List[Tuple[float, Choice]] = []
+
+    def law() -> Tuple[List[Choice], np.ndarray]:
+        options: List[Choice] = [NULL] if config.include_null else []
+        options += [a for a in assortment.products if remaining[a] > 0]
+        weights = [1.0 if c is NULL else config.params.weights[c] for c in options]
+        cdf = (np.asarray(weights) / sum(weights)).cumsum()
+        return options, cdf / cdf[-1] if options else cdf
+
+    options, cdf = law()
     for t in times:
-        available = [a for a in assortment.products if remaining[a] > 0]
-        weights = [model.weight(config.params, a) for a in available]
-        if config.include_null:
-            options: List[Choice] = [NULL] + available
-            weights = [1.0] + weights
-        else:
-            if not available:
-                continue
-            options = list(available)
-        total = sum(weights)
-        pick = options[rng.choice(len(options), p=np.asarray(weights) / total)]
+        if not options:
+            continue
+        pick = options[cdf.searchsorted(rng.random(), side="right")]
         if pick is not NULL:
             remaining[pick] -= 1
+            if remaining[pick] == 0:
+                options, cdf = law()
         events.append((float(t), pick))
     return CompletePath(
         horizon=config.horizon,

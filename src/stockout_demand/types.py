@@ -8,6 +8,13 @@ granularities of the same visit are modelled here:
 * :class:`CompletePath` -- every arrival, with time and choice;
 * :class:`TransactionRecord` -- purchases only, timestamps optional;
 * :class:`SalesSummary` -- cumulative per-product sales.
+
+Each observation decides for itself whether the process could have
+produced it: ``validate()`` raises :class:`InvalidObservation` naming the
+first rule it breaks (horizon, stocks, the stock replay, and the times of
+a timed record or a complete path), and parsing, the likelihoods and
+fitting all ask it.  A complete path and a transaction record also split
+themselves at their stock-outs with ``segments()``.
 """
 
 from __future__ import annotations
@@ -96,6 +103,24 @@ class ModelParams:
                 )
 
 
+Segments = Tuple[
+    Tuple[ProductId, ...], Tuple[int, ...], Tuple[Assortment, ...], Tuple[int, ...]
+]
+
+
+def _check_visit(visit: CompletePath | TransactionRecord | SalesSummary) -> None:
+    """The rules every visit kind shares: a finite positive horizon, and
+    stocks of at least one unit for exactly the offered products."""
+    products, stocks = visit.initial_assortment.products, visit.stocks
+    if stocks.keys() != set(products):
+        raise InvalidObservation("stocks must cover exactly the assortment")
+    if not (math.isfinite(visit.horizon) and visit.horizon > 0):
+        raise InvalidObservation(f"T must be finite and positive, got {visit.horizon}")
+    for a in products:
+        if stocks[a] < 1:
+            raise InvalidObservation(f"offered product {a} has stock {stocks[a]}")
+
+
 @dataclass(frozen=True)
 class CompletePath:
     """One visit's full outcome: every arrival's time and choice."""
@@ -112,6 +137,20 @@ class CompletePath:
     @property
     def choices(self) -> Tuple[Choice, ...]:
         return tuple(c for _, c in self.events)
+
+    def validate(self) -> None:
+        """Raise :class:`InvalidObservation` at the first broken rule: the
+        horizon and stocks, then the first event :func:`validate_complete_path`
+        flags."""
+        _check_visit(self)
+        report = validate_complete_path(self)
+        if not report.ok:
+            index, message = report.violations[0]
+            raise InvalidObservation(f"event {index}: {message}")
+
+    def segments(self) -> Segments:
+        """:func:`transaction_segments` of the path's choices."""
+        return transaction_segments(self.initial_assortment, self.stocks, self.choices)
 
 
 @dataclass(frozen=True)
@@ -132,6 +171,37 @@ class TransactionRecord:
     def total(self) -> int:
         return len(self.transactions)
 
+    def validate(self) -> None:
+        """Raise :class:`InvalidObservation` at the first broken rule: the
+        horizon and stocks, then a purchase beyond its stock, or a time
+        outside ``[0, T]`` or before the previous one (equal times, possible
+        after rounding, are fine)."""
+        _check_visit(self)
+        left = dict(self.stocks)
+        prev = 0.0
+        for i, (t, p) in enumerate(self.transactions, start=1):
+            if self.timestamps_present:
+                # a NaN fails both comparisons
+                if not 0.0 <= t <= self.horizon:
+                    raise InvalidObservation(
+                        f"transaction {i}: time {t} outside [0, {self.horizon}]"
+                    )
+                if t < prev:
+                    raise InvalidObservation(
+                        f"transaction {i}: time {t} decreases from {prev}"
+                    )
+                prev = t
+            left[p] = left.get(p, 0) - 1
+            if left[p] < 0:
+                raise InvalidObservation(
+                    f"transaction {i}: product {p} bought beyond its stock of "
+                    f"{self.stocks.get(p, 0)}"
+                )
+
+    def segments(self) -> Segments:
+        """:func:`transaction_segments` of the purchases."""
+        return transaction_segments(self.initial_assortment, self.stocks, self.products)
+
 
 @dataclass(frozen=True)
 class SalesSummary:
@@ -151,7 +221,7 @@ class SalesSummary:
         return tuple(
             a
             for a in self.initial_assortment.products
-            if self.sales.get(a, 0) == self.stocks[a]
+            if self.sales.get(a, 0) == self.stocks.get(a)
         )
 
     @property
@@ -159,6 +229,10 @@ class SalesSummary:
         return len(self.stocked_out)
 
     def validate(self) -> None:
+        """Raise :class:`InvalidObservation` at the first broken rule: the
+        horizon and stocks, then sales outside ``[0, stock]`` or of a
+        product not offered."""
+        _check_visit(self)
         for a in self.initial_assortment.products:
             n_a = self.sales.get(a, 0)
             if not 0 <= n_a <= self.stocks[a]:
@@ -205,21 +279,16 @@ class ValidationReport:
         self.violations.append((index, message))
 
 
-def validate_complete_path(
-    path: CompletePath,
-    assortment: Optional[Assortment] = None,
-    stocks: Optional[Mapping[ProductId, int]] = None,
-) -> ValidationReport:
+def validate_complete_path(path: CompletePath) -> ValidationReport:
     """Report every invariant violated by ``path``: inventory overruns,
     choices of unavailable products, and time ordering.
 
     Sequence order, not timestamps, drives feasibility; equal timestamps
     (possible after rounding) are allowed.
     """
-    assortment = assortment if assortment is not None else path.initial_assortment
-    stocks = stocks if stocks is not None else path.stocks
+    assortment = path.initial_assortment
     report = ValidationReport()
-    remaining = {a: stocks[a] for a in assortment.products}
+    remaining = {a: path.stocks[a] for a in assortment.products}
     prev_time = 0.0
     for i, (t, c) in enumerate(path.events, start=1):
         if not 0 <= t <= path.horizon:
@@ -242,9 +311,7 @@ def validate_complete_path(
 
 def project_transactions(path: CompletePath, keep_times: bool) -> TransactionRecord:
     """Drop null choices, keeping purchases in order (times iff requested)."""
-    report = validate_complete_path(path)
-    if not report.ok:
-        raise InvalidObservation(f"invalid path: {report.violations}")
+    path.validate()
     txns = tuple(
         (t if keep_times else None, c) for t, c in path.events if c is not NULL
     )
@@ -259,9 +326,7 @@ def project_transactions(path: CompletePath, keep_times: bool) -> TransactionRec
 
 def project_sales(path: CompletePath) -> SalesSummary:
     """Collapse a path to per-product cumulative sales."""
-    report = validate_complete_path(path)
-    if not report.ok:
-        raise InvalidObservation(f"invalid path: {report.violations}")
+    path.validate()
     sales = {a: 0 for a in path.initial_assortment.products}
     for _, c in path.events:
         if c is not NULL:
@@ -312,7 +377,7 @@ def transaction_segments(
     initial: Assortment,
     stocks: Mapping[ProductId, int],
     choices: Sequence[Choice],
-) -> Tuple[Tuple[ProductId, ...], Tuple[int, ...], Tuple[Assortment, ...], Tuple[int, ...]]:
+) -> Segments:
     """Replay a choice sequence and split it at stock-outs.
 
     Returns ``(stockout_order, per-segment choice counts excluding the
@@ -354,10 +419,6 @@ def transaction_segments(
 
 def segment_decomposition(path: CompletePath) -> SegmentDecomposition:
     """Segment a complete path at its stock-out arrivals."""
-    report = validate_complete_path(path)
-    if not report.ok:
-        raise InvalidObservation(f"invalid path: {report.violations}")
-    order, sizes, _, _ = transaction_segments(
-        path.initial_assortment, path.stocks, path.choices
-    )
+    path.validate()
+    order, sizes, _, _ = path.segments()
     return SegmentDecomposition(order, sizes)

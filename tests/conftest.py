@@ -114,3 +114,31 @@ def infeasible_observations():
             1.0, Assortment((0, 1), False), {0: 1, 1: 2}, {0: 2, 1: 1}
         ),
     }
+
+
+def badly_timed_records():
+    """Timed records the process cannot produce, by the time of their
+    second purchase (the stock-out of product 0): past ``T``, ``NaN``, and
+    before the first purchase."""
+    both = Assortment((0, 1), True)
+    return {
+        case: TransactionRecord(1.0, both, {0: 1, 1: 3}, ((first, 1), (second, 0)), True)
+        for case, (first, second) in {
+            "time 2.5 outside": (0.2, 2.5),
+            "time nan outside": (0.2, math.nan),
+            "time 0.3 decreases from 0.5": (0.5, 0.3),
+        }.items()
+    }
+
+
+#: changes that make a visit over products 0 and 1 (stocks 1 and 2)
+#: impossible whatever it records, with the rule each breaks: a horizon
+#: that is not positive, an offered product without stock, and stocks that
+#: miss or add a product
+IMPOSSIBLE_VISIT_CHANGES = [
+    ({"horizon": 0.0}, "T must be finite and positive, got 0.0"),
+    ({"horizon": -1.0}, "T must be finite and positive, got -1.0"),
+    ({"stocks": {0: 0, 1: 2}}, "offered product 0 has stock 0"),
+    ({"stocks": {1: 2}}, "stocks must cover exactly the assortment"),
+    ({"stocks": {0: 1, 1: 2, 2: 1}}, "stocks must cover exactly the assortment"),
+]

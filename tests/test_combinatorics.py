@@ -93,6 +93,24 @@ class TestCount:
                     assert count_stockout_vectors(stocks, n) == expected, (stocks, n)
 
 
+    def test_equals_factorial_formula(self):
+        def by_factorials(stocks, n):
+            h = len(stocks)
+            if n < sum(stocks) or n + 1 - h < 1:
+                return 0
+            falling = math.factorial(n) // math.factorial(n + 1 - h)
+            return (n + 1) * falling - falling * sum(stocks)
+
+        cases = [((1,) * 4, 70000)] + [
+            (stocks, n)
+            for k in range(1, 4)
+            for stocks in iter_product((1, 2, 3), repeat=k)
+            for n in range(0, 13)
+        ]
+        for stocks, n in cases:
+            assert count_stockout_vectors(stocks, n) == by_factorials(stocks, n), (stocks, n)
+
+
 class TestSampling:
     def test_without_replacement_and_exhaustive_coverage(self):
         stocks, n = (2, 1), 6

@@ -45,7 +45,12 @@ from stockout_demand.types import (
     transaction_segments,
 )
 
-from conftest import infeasible_observations, random_params, random_transaction_record
+from conftest import (
+    badly_timed_records,
+    infeasible_observations,
+    random_params,
+    random_transaction_record,
+)
 
 
 def make_path(choices, stocks, horizon=1.0, includes_null=True):
@@ -329,6 +334,19 @@ class TestInfeasibleVisit:
         good = [project_path(p, granularity) for p in paths]
         with pytest.raises(InvalidObservation, match="impossible"):
             compile_dataset(good + [bad], granularity, TruncationPolicy(m=8), **options)
+
+
+    @pytest.mark.parametrize("message", list(badly_timed_records()))
+    def test_badly_timed_record_rejected(self, message):
+        # in memory, not parsed: fitting used to build a segment of
+        # negative or NaN exposure and report a converged fit
+        paths = simulate_dataset(two_product_config(), 20, seed=29)
+        data = [project_path(p, "transactions-timed") for p in paths]
+        data.append(badly_timed_records()[message])
+        with pytest.raises(InvalidObservation, match=message):
+            compile_dataset(data, "transactions-timed")
+        with pytest.raises(InvalidObservation, match=message):
+            fit(data, "transactions-timed")
 
 
 class TestTruncationSizing:

@@ -3,6 +3,7 @@ sample-average approximation, and the conditional-demand counter-example."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -47,6 +48,8 @@ from stockout_demand.likelihood import (
 from stockout_demand.types import InvalidObservation
 
 from conftest import (
+    IMPOSSIBLE_VISIT_CHANGES,
+    badly_timed_records,
     infeasible_observations,
     random_params,
     random_sales_summary,
@@ -187,6 +190,17 @@ class TestTimedTransactions:
         limit = 2 * math.log(r[1]) + math.log(r[0]) - 0.3 * (r[0] + r[1]) - 0.7 * r[1]
         value = table_timed_transactions(record).loglik(params)
         assert value == pytest.approx(limit, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("message", list(badly_timed_records()))
+    def test_badly_timed_record_rejected(self, message):
+        # a stock-out past T or out of order gives a segment a negative or
+        # NaN exposure
+        record = badly_timed_records()[message]
+        params = ModelParams(rate=2.0, weights={0: 0.5, 1: 1.5})
+        with pytest.raises(InvalidObservation, match=f"transaction 2: {message}"):
+            table_timed_transactions(record)
+        with pytest.raises(InvalidObservation, match=message):
+            l3_transactions_timed(record, params)
 
     def test_requires_timestamps(self):
         record = random_transaction_record(random.Random(0))
@@ -374,6 +388,43 @@ class TestInfeasibleTables:
         policy = TruncationPolicy(m=6)
         assert l5_sales_attraction(observations["sales"], self.params, policy) == float("-inf")
         assert l6_sales_no_null(observations["sales-no-null"], self.params) == float("-inf")
+
+
+class TestImpossibleVisitRules:
+    """A visit whose horizon or stocks no visit can have is impossible:
+    ``-inf``, whatever it records, never ``nan`` or a finite value."""
+
+    params = ModelParams(rate=2.0, weights={0: 0.7, 1: 1.2})
+
+    @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
+    @pytest.mark.parametrize(
+        "includes_null, build",
+        [
+            (True, lambda obs: table_sales_attraction(obs, 6)),
+            (True, lambda obs: table_naive_sales(obs, 6)),
+            (False, table_sales_no_null),
+        ],
+    )
+    def test_sales_table_minus_infinity(self, change, rule, includes_null, build):
+        summary = SalesSummary(
+            1.0, Assortment((0, 1), includes_null), {0: 1, 1: 2}, {0: 0, 1: 1}
+        )
+        assert build(summary).loglik(self.params) > float("-inf")
+        bad = replace(summary, **change)
+        with pytest.raises(InvalidObservation, match=rule):
+            bad.validate()
+        assert build(bad).loglik(self.params) == float("-inf")
+
+    @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
+    def test_complete_path_minus_infinity(self, change, rule):
+        # no arrivals at all, so only the horizon and the stocks are wrong
+        path = CompletePath(1.0, Assortment((0, 1), True), {0: 1, 1: 2}, ())
+        assert l1_complete(path, self.params) == -2.0
+        bad = replace(path, **change)
+        with pytest.raises(InvalidObservation, match=rule):
+            bad.validate()
+        assert l1_complete(bad, self.params) == float("-inf")
+        assert table_complete(bad).loglik(self.params) == float("-inf")
 
 
 class TestSampleAverageApproximation:

@@ -1,6 +1,8 @@
 """Simulator: arrival law, depletion, offer draws, reproducibility."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from stockout_demand import (
     simulate_visit,
     visit_rng,
 )
+from stockout_demand.io import serialize_visit
 from stockout_demand.simulate import VisitConfig
 from stockout_demand.types import validate_complete_path
 
@@ -110,3 +113,27 @@ def test_times_sorted_within_horizon():
         times = [t for t, _ in p.events]
         assert times == sorted(times)
         assert all(0.0 <= t <= p.horizon for t in times)
+
+
+@pytest.mark.parametrize(
+    "config, seed, digest",
+    [
+        (
+            SECTION7_PRESET,
+            1,
+            "3969e9de2475017d93c0b2735edd8e6dcfac7268a4e4848303fc22c2ba2befc2",
+        ),
+        (
+            replace(SECTION7_PRESET, include_null=True, rate=10.0),
+            3,
+            "52f96e0283139dd6d83d7bcc5dfaa07abc055ad3b16baa4d04cfba985cd153cf",
+        ),
+    ],
+)
+def test_datasets_pinned(config, seed, digest):
+    # the same visits, draw for draw, as one rng.choice(p=...) per arrival
+    # gave: no-null section7 visits, and null visits where up to four
+    # products sell out
+    paths = simulate_dataset(config.visit_config(), 200, seed)
+    text = "\n".join(serialize_visit(p, "complete") for p in paths)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Domain types: validation, projections, segmentation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from stockout_demand import (
     ModelParams,
     NULL,
     SalesSummary,
+    TransactionRecord,
     hide_product,
     project_sales,
     project_transactions,
@@ -18,6 +20,8 @@ from stockout_demand import (
     validate_complete_path,
 )
 from stockout_demand.types import assortment_after, transaction_segments
+
+from conftest import IMPOSSIBLE_VISIT_CHANGES, badly_timed_records
 
 
 def make_path(events, products=(0, 1), stocks=None, includes_null=True, horizon=1.0):
@@ -85,6 +89,74 @@ class TestValidation:
     def test_equal_timestamps_allowed(self):
         path = make_path([(0.5, NULL), (0.5, 0)])
         assert validate_complete_path(path).ok
+
+
+def one_of_each(includes_null=True):
+    """A possible visit of each kind over products 0 and 1 (stocks 1 and 2)
+    in which product 0 sells out (and product 1 too, in the path)."""
+    assortment = Assortment((0, 1), includes_null)
+    stocks = {0: 1, 1: 2}
+    return [
+        CompletePath(1.0, assortment, stocks, ((0.2, 1), (0.4, 0), (0.9, 1))),
+        TransactionRecord(1.0, assortment, stocks, ((0.2, 1), (0.4, 0)), True),
+        TransactionRecord(1.0, assortment, stocks, ((None, 1), (None, 0)), False),
+        SalesSummary(1.0, assortment, stocks, {0: 1, 1: 2}),
+    ]
+
+
+class TestValidate:
+    @pytest.mark.parametrize("includes_null", [True, False])
+    def test_possible_visits_pass(self, includes_null):
+        for obs in one_of_each(includes_null):
+            obs.validate()
+
+    @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
+    def test_horizon_and_stock_rules_hold_for_every_kind(self, change, rule):
+        for obs in one_of_each():
+            with pytest.raises(InvalidObservation, match=rule):
+                replace(obs, **change).validate()
+
+    @pytest.mark.parametrize(
+        "obs, message",
+        [
+            (
+                make_path([(0.1, 0), (0.5, NULL), (0.7, 0)]),
+                "event 3: choice of product 0 after it stocked out",
+            ),
+            (make_path([(0.2, 1), (2.5, 0)]), "event 2: time 2.5 outside"),
+            (
+                TransactionRecord(
+                    1.0, Assortment((0, 1)), {0: 1, 1: 3}, ((None, 0), (None, 1), (None, 0)), False
+                ),
+                "transaction 3: product 0 bought beyond its stock of 1",
+            ),
+            (
+                SalesSummary(1.0, Assortment((0, 1)), {0: 1, 1: 3}, {0: 2, 1: 0}),
+                "sales 2 of product 0 outside",
+            ),
+        ],
+    )
+    def test_first_broken_rule_named_with_its_index(self, obs, message):
+        with pytest.raises(InvalidObservation, match=message):
+            obs.validate()
+
+    @pytest.mark.parametrize("message", list(badly_timed_records()))
+    def test_timed_record_times_checked(self, message):
+        with pytest.raises(InvalidObservation, match=f"transaction 2: {message}"):
+            badly_timed_records()[message].validate()
+
+    def test_untimed_record_has_no_time_rule(self):
+        record = badly_timed_records()["time 2.5 outside"]
+        replace(record, timestamps_present=False).validate()
+
+    def test_segments_replay_own_choices(self):
+        path, timed, untimed, _ = one_of_each()
+        expected = transaction_segments(path.initial_assortment, path.stocks, (1, 0, 1))
+        assert path.segments() == expected
+        assert timed.segments() == untimed.segments() == transaction_segments(
+            path.initial_assortment, path.stocks, (1, 0)
+        )
+        assert expected[0] == (0, 1) and expected[3] == (2, 3)
 
 
 class TestProjections:
