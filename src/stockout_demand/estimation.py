@@ -3,12 +3,13 @@
 A dataset is compiled once into flat arrays: identical visits are grouped
 with multiplicities, each group's term table is filled once, and
 :func:`~stockout_demand.likelihood.stack_tables` stacks the tables into one
-set of arrays whose assortment denominators share one registry.  Timed
-transactions compile further, to sufficient statistics per assortment
-(exponent and exposure-time totals, plus the sales), so their part of
-every evaluation costs the same whatever the number of visits.  Each
-optimizer step is then a handful of vectorized array operations with
-analytic gradients in ``(log rate, log weights)``.
+set of arrays whose assortment denominators share one registry.  Sales
+tables sharing a stock-out layout shape share its enumeration within one
+compile.  Timed transactions compile further, to sufficient statistics
+per assortment (exponent and exposure-time totals, plus the sales), so
+their part of every evaluation costs the same whatever the number of
+visits.  Each optimizer step is then a handful of vectorized array
+operations with analytic gradients in ``(log rate, log weights)``.
 
 Fitting runs one joint L-BFGS-B over (log rate, log weights); complete
 data keeps its closed-form rate.  The "naive" fit ignores stock-outs

@@ -13,12 +13,16 @@ Six likelihoods cover the data regimes:
 
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
 sum over stock-out index vectors; those fast paths are expressed as
-parameter-independent "term tables", which the ``table_*`` functions fill
-in place.  :func:`stack_tables` stacks any list of tables into flat arrays
-once, and one kernel, :func:`term_loglik_grad`, evaluates their grouped
-log-sum-exp with its gradient, for one table (stacked alone) and for a
-compiled dataset alike; timed transactions reduce to per-assortment totals
-evaluated by :func:`timed_loglik_grad`.
+parameter-independent "term tables", which the ``table_*`` functions fill.
+A sales table records, per arrival count, only the layout shape (the
+stocks of the products that sell out, and ``n``) and a base coefficient;
+complete and transaction tables list explicit terms.
+:func:`stack_tables` stacks any list of tables into flat arrays once,
+enumerating each distinct shape once in numpy, and one kernel,
+:func:`term_loglik_grad`, evaluates their grouped log-sum-exp with its
+gradient, for one table (stacked alone) and for a compiled dataset alike;
+timed transactions reduce to per-assortment totals evaluated by
+:func:`timed_loglik_grad`.
 
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product as iter_product
+from itertools import chain, combinations, permutations, product as iter_product
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -269,8 +273,11 @@ def l4_transactions(
     """Purchase-sequence probability with times unobserved.
 
     Sums over the latent null-arrival counts per segment, truncated so the
-    total arrival count stays at or below the policy's ``m``.
+    total arrival count stays at or below the policy's ``m``.  An
+    impossible record gives ``-inf``.
     """
+    if not _possible(record):
+        return NEG_INF
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
     _, seg_counts, assortments, _ = record.segments()
@@ -327,8 +334,11 @@ def l4_integral(
 
     Averages ``exp(T lambda * sum_j P_o^[j] q_j)`` over Dirichlet-distributed
     segment-length fractions ``q``.  Returns ``(log estimate, standard
-    error of the log estimate)``.
+    error of the log estimate)``; ``(-inf, 0.0)`` for an impossible
+    record.
     """
+    if not _possible(record):
+        return NEG_INF, 0.0
     _, seg_counts, assortments, _ = record.segments()
     mu = record.horizon * params.rate
     n_purch = record.total
@@ -353,8 +363,11 @@ def l4_lauricella(
 ) -> float:
     """``l4`` evaluated by plugging the Lauricella series into the Dirichlet
     moment-generating-function form; agrees with :func:`l4_transactions`
-    at the same truncation up to round-off.
+    at the same truncation up to round-off; an impossible record gives
+    ``-inf``.
     """
+    if not _possible(record):
+        return NEG_INF
     _, seg_counts, assortments, _ = record.segments()
     mu = record.horizon * params.rate
     n_purch = record.total
@@ -463,29 +476,6 @@ def l5_sales(
     return float(logsumexp(terms))
 
 
-def _layouts(stocks_in_order: Sequence[int], n: int) -> Iterator[Tuple[int, ...]]:
-    """Segment sizes (stock-out arrivals excluded) for a fixed stock-out order.
-
-    Yields every ``k+1``-tuple whose implied stock-out indices are feasible:
-    the ``j``-th index must leave room for all units sold out so far.
-    """
-    k = len(stocks_in_order)
-    cums = [0]
-    for s in stocks_in_order:
-        cums.append(cums[-1] + s)
-
-    def rec(j: int, prev_r: int, acc: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if j == k:
-            yield acc + (n - prev_r,)
-            return
-        lo = max(0, cums[j + 1] - prev_r - 1)
-        hi = n - (k - j - 1) - prev_r - 1
-        for size in range(lo, hi + 1):
-            yield from rec(j + 1, prev_r + size + 1, acc + (size,))
-
-    yield from rec(0, 0, ())
-
-
 def membership_matrix(catalog: Sequence[int], assortments: Sequence[Assortment]) -> np.ndarray:
     """0/1 matrix whose row ``d`` marks the catalog products offered in
     assortment ``d``, so that ``membership @ weights`` gives the weight sums."""
@@ -502,9 +492,23 @@ class TermTable:
     ``term_i = coef_i + n_i log(T lambda) - T lambda - sum_d E_id log D_d``
     and ``D_d`` are assortment denominators.
 
-    The ``table_*`` functions fill a table in place, one :meth:`add_term`
-    per layout; it depends on no parameter, so one fill serves every
-    evaluation during optimization.  The table holds only its terms:
+    The table names the assortments its terms can face, ``assortments``,
+    and lists its terms in two parameter-free forms, so one fill serves
+    every evaluation during optimization:
+
+    * ``layouts``: sales blocks ``(stocks, n, base, drawn)``.  ``stocks``
+      are those of the products that sell out, in assortment order; the
+      block's terms are the stock-out layouts of that shape at ``n``
+      arrivals, each with coefficient ``base`` plus its log-binomials.
+      ``drawn`` is ``None`` for every layout of the shape, whose segment
+      ``j`` faces ``assortments[mask]``, ``mask`` marking the positions
+      already sold out; or a list of sampled ``(order positions, segment
+      sizes, candidates)`` layouts, whose segment ``j`` faces
+      ``assortments[candidates[j]]``.
+    * explicit terms ``explicit_n`` / ``explicit_coef`` /
+      ``explicit_exp``, whose segment ``j`` faces ``assortments[j]`` with
+      exponent ``explicit_exp[i][j]``.
+
     :func:`stack_tables` turns any list of tables into the flat arrays of
     :func:`term_loglik_grad`, and :meth:`loglik_grad` evaluates the table
     as the one-group dataset ``[(table, 1)]``.  A table without terms is an
@@ -516,22 +520,23 @@ class TermTable:
     ) -> None:
         self.horizon = horizon
         self.catalog = tuple(catalog)
-        self.sales = np.array([sales.get(a, 0) for a in self.catalog], dtype=float)
-        self.terms: List[Tuple[int, float, Sequence[Tuple[Assortment, float]]]] = []
+        self.sales = [sales.get(a, 0) for a in self.catalog]
+        self.assortments: Sequence[Assortment] = []
+        self.layouts: List[Tuple[Tuple[int, ...], int, float, Optional[list]]] = []
+        self.explicit_n: List[int] = []
+        self.explicit_coef: List[float] = []
+        self.explicit_exp: List[Sequence[float]] = []
+
+    @property
+    def has_terms(self) -> bool:
+        return bool(self.layouts or self.explicit_n)
 
     @property
     def n(self) -> np.ndarray:
         """Arrival count of every term."""
-        return np.array([n for n, _, _ in self.terms], dtype=np.int64)
-
-    def add_term(
-        self, n: int, coef: float, segs: Sequence[Tuple[Assortment, float]]
-    ) -> None:
-        """Add ``coef + n log(T lambda) - T lambda - sum E log D_a`` over the
-        ``(assortment a, exponent E)`` pairs ``segs``; a term of
-        coefficient ``-inf`` is dropped."""
-        if coef != NEG_INF:
-            self.terms.append((n, coef, segs))
+        if not self.has_terms:
+            return np.zeros(0, dtype=np.int64)
+        return stack_tables(self.catalog, [(self, 1)])[3]
 
     def loglik(self, params: ModelParams) -> float:
         return self.loglik_grad(params)[0]
@@ -539,9 +544,95 @@ class TermTable:
     def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
         """Value and gradient in ``(log rate, log weight_a for a in catalog)``."""
         x = np.log([params.rate] + [params.weights[a] for a in self.catalog])
-        if not self.terms:
+        if not self.has_terms:
             return NEG_INF, np.zeros(x.size)
         return term_loglik_grad(x, *stack_tables(self.catalog, [(self, 1)]))
+
+
+def _shape_layouts(
+    shapes: Sequence[Tuple[Tuple[int, ...], int]], k: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every layout of each sales shape ``(stocks, n)`` in ``shapes``, all
+    with ``k`` products selling out: the shape, the stock-out order (as
+    positions into ``stocks``) and the segment sizes (stock-out arrivals
+    excluded) of every layout.
+
+    Layouts come shape by shape, then order by order in
+    :func:`permutations` order, then by the stock-out arrival indices
+    ``r_1 < ... < r_k`` in lexicographic order.  An order keeps the indices
+    that fall within ``n`` and leave room for every unit sold out so far,
+    ``r_j >= s_1 + ... + s_j``; the sizes are ``r_1 - 1, r_j - r_{j-1} -
+    1, ..., n - r_k``.
+    """
+    top = max(n for _, n in shapes)
+    count = math.comb(top, k)
+    indices = np.fromiter(
+        chain.from_iterable(combinations(range(1, top + 1), k)), np.int64, count * k
+    ).reshape(count, k)
+    orders = np.array(list(permutations(range(k))), dtype=np.int64)
+    orders = orders.reshape(math.factorial(k), k)
+    stocks = np.array([s for s, _ in shapes], dtype=np.int64).reshape(len(shapes), k)
+    n = np.array([n for _, n in shapes], dtype=np.int64)
+    need = np.cumsum(stocks[:, orders], axis=2)[:, :, None, :]
+    fits = ((indices >= need) & (indices <= n[:, None, None, None])).all(axis=3)
+    shape_of, order_of, index_of = np.nonzero(fits)
+    r = indices[index_of]
+    ends = np.concatenate([r, n[shape_of, None] + 1], axis=1)
+    starts = np.concatenate([np.zeros((r.shape[0], 1), dtype=np.int64), r], axis=1)
+    return shape_of, orders[order_of], ends - starts - 1
+
+
+def _layout_arrays(
+    stocks: np.ndarray, orders: np.ndarray, sizes: np.ndarray, log_fact: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns of the sales terms of the layouts ``(orders[i], sizes[i])``
+    of products with stocks ``stocks[i]``.
+
+    Returns the log-binomial of every stock-out (the ways to place the
+    product's earlier units among the slots before it that no earlier
+    stock-out product took) and every segment's exponent (its size, plus
+    the closing stock-out purchase for all but the last).  ``log_fact[x]``
+    is ``log x!``.
+    """
+    k = orders.shape[1]
+    s = np.take_along_axis(stocks, orders, axis=1)
+    # the j-th stock-out arrives at index sum_{i<=j} (size_i + 1)
+    slots = np.cumsum(sizes[:, :k] + 1, axis=1) - 1 - (np.cumsum(s, axis=1) - s)
+    binom = log_fact[slots] - log_fact[s - 1] - log_fact[slots - s + 1]
+    exps = sizes.astype(float)
+    exps[:, :k] += 1.0
+    return binom, exps
+
+
+def _pack_segments(
+    cand: np.ndarray,
+    exps: np.ndarray,
+    uid: np.ndarray,
+    fields: Sequence[Tuple[Tuple[int, ...], bool]],
+) -> Tuple[List[Assortment], np.ndarray, np.ndarray]:
+    """The assortment registry and the ``seg_idx`` / ``seg_exp`` arrays of
+    terms whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past
+    the last segment) with exponent ``exps[i, j]``.
+
+    Candidate ``c`` is the distinct assortment ``uid[c]``, of fields
+    ``fields[uid[c]]``.  The registry holds the distinct assortments in
+    order of first appearance, term by term and segment by segment, zero
+    exponents included; each term's nonzero exponents fill one row, in
+    segment order, padded with zero exponents to the longest row.
+    """
+    first_uid, first_at = np.unique(uid[cand[cand >= 0]], return_index=True)
+    registered = first_uid[np.argsort(first_at)]
+    rank = np.zeros(len(fields), dtype=np.int64)
+    rank[registered] = np.arange(registered.size)
+    nonzero = exps != 0.0
+    slot = np.cumsum(nonzero, axis=1) - 1
+    term_of, seg = np.nonzero(nonzero)
+    width = int(nonzero.sum(axis=1).max(initial=0))
+    seg_idx = np.zeros((cand.shape[0], width), dtype=np.int64)
+    seg_exp = np.zeros((cand.shape[0], width))
+    seg_idx[term_of, slot[term_of, seg]] = rank[uid[cand[term_of, seg]]]
+    seg_exp[term_of, slot[term_of, seg]] = exps[term_of, seg]
+    return [Assortment(*fields[u]) for u in registered], seg_idx, seg_exp
 
 
 def stack_tables(
@@ -550,50 +641,142 @@ def stack_tables(
     """The arrays :func:`term_loglik_grad` takes after ``x``, for the
     groups ``(table, count)`` over the products ``catalog``.
 
-    One registry numbers every assortment the terms face, in order of first
-    appearance; each term's nonzero exponents fill one row of ``seg_idx`` /
-    ``seg_exp``, padded with zero exponents to the longest row.  Raises
-    :class:`InvalidObservation` for a table without terms.
+    Terms come table by table, and within a table block by block (arrival
+    count, then layout).  Every block's terms are rows of one row set:
+    the layouts of all shapes with ``k`` stock-outs, enumerated once each;
+    the drawn layouts with ``k`` stock-outs; or the explicit terms of
+    width ``w``.  Each row set is built in one pass, and one gather per row
+    set puts the terms in place: the block's base coefficient plus the
+    row's log-binomials, and the row's candidates (a full block's masks,
+    a drawn layout's listed candidates) offset into the table's.  :func:`_pack_segments` then numbers the
+    assortments the terms face.  Raises :class:`InvalidObservation` for a
+    table without terms.
     """
     col = {a: i for i, a in enumerate(catalog)}
-    registry: Dict[Assortment, int] = {}
-    n: List[int] = []
-    coef: List[float] = []
-    starts: List[int] = []
-    # one entry per nonzero exponent: its term, assortment and value
-    rows: List[int] = []
-    idx: List[int] = []
-    exps: List[float] = []
-    sales = np.zeros((len(tables), len(catalog)))
+    # distinct candidate assortments, keyed by their fields, which hash
+    # faster than the dataclass
+    distinct: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+    uid: List[int] = []  # distinct-assortment id of every candidate
+    # per block: table, first candidate, arrival count, first row in its
+    # row set and term count; then its base coefficient
+    blocks: List[Tuple[int, int, int, int, int]] = []
+    bases: List[float] = []
+    # blocks by row set: by stock-out count and shape, and, with their rows,
+    # by stock-out count (drawn layouts) or width (explicit terms)
+    shapes: Dict[int, Dict[Tuple[Tuple[int, ...], int], List[int]]] = {}
+    drawn: Dict[int, Tuple[list, list, list, list, list]] = {}
+    explicit: Dict[int, Tuple[list, list]] = {}
     for g, (table, _) in enumerate(tables):
-        if not table.terms:
-            raise InvalidObservation("dataset contains an impossible observation")
-        starts.append(len(n))
-        sales[g, [col[a] for a in table.catalog]] = table.sales
-        for term_n, term_coef, segs in table.terms:
-            for a, e in segs:
-                d = registry.setdefault(a, len(registry))
-                if e != 0.0:
-                    rows.append(len(n))
-                    idx.append(d)
-                    exps.append(e)
-            n.append(term_n)
-            coef.append(term_coef)
-    term_of = np.asarray(rows, dtype=np.int64)
-    slot = np.arange(term_of.size) - np.searchsorted(term_of, term_of)
-    width = int(slot.max()) + 1 if slot.size else 0
-    seg_idx = np.zeros((len(n), width), dtype=np.int64)
-    seg_exp = np.zeros((len(n), width))
-    seg_idx[term_of, slot] = idx
-    seg_exp[term_of, slot] = exps
+        offset = len(uid)
+        uid += [
+            distinct.setdefault((a.products, a.includes_null), len(distinct))
+            for a in table.assortments
+        ]
+        if table.explicit_n:
+            # one block per explicit term, its coefficient the base
+            seqs, exps = explicit.setdefault(len(table.assortments), ([], []))
+            seqs += range(len(blocks), len(blocks) + len(table.explicit_n))
+            blocks += [
+                (g, offset, n, len(exps) + i, 1) for i, n in enumerate(table.explicit_n)
+            ]
+            bases += table.explicit_coef
+            exps += table.explicit_exp
+        for stocks, n, base, layouts in table.layouts:
+            k = len(stocks)
+            if layouts is None:
+                shapes.setdefault(k, {}).setdefault((stocks, n), []).append(len(blocks))
+                blocks.append((g, offset, n, 0, 0))  # rows set once enumerated
+            else:
+                seqs, orders, sizes, faced, stocks_of = drawn.setdefault(
+                    k, ([], [], [], [], [])
+                )
+                seqs.append(len(blocks))
+                blocks.append((g, offset, n, len(orders), len(layouts)))
+                orders += [order for order, _, _ in layouts]
+                sizes += [layout for _, layout, _ in layouts]
+                faced += [candidates for _, _, candidates in layouts]
+                stocks_of += [stocks] * len(layouts)
+            bases.append(base)
+    block = np.array(blocks, dtype=np.int64).reshape(len(blocks), 5)
+    base_of = np.array(bases, dtype=float)
+    log_fact = np.array(
+        [math.lgamma(x + 1) for x in range(int(block[:, 2].max(initial=0)) + 1)]
+    )
+
+    # every row set: its blocks, and per row the log-binomials, candidates
+    # and exponents
+    row_sets: List[Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]] = []
+    for k, by_shape in shapes.items():
+        keys = list(by_shape)
+        shape_of, orders, sizes = _shape_layouts(keys, k)
+        lens = np.bincount(shape_of, minlength=len(keys))
+        which = np.repeat(np.arange(len(keys)), [len(by_shape[key]) for key in keys])
+        seqs = [seq for key in keys for seq in by_shape[key]]
+        block[seqs, 3] = (np.cumsum(lens) - lens)[which]
+        block[seqs, 4] = lens[which]
+        stocks = np.array([s for s, _ in keys], dtype=np.int64).reshape(len(keys), k)
+        binom, exps = _layout_arrays(stocks[shape_of], orders, sizes, log_fact)
+        masks = np.zeros(sizes.shape, dtype=np.int64)
+        masks[:, 1:] = np.cumsum(1 << orders, axis=1)
+        row_sets.append((seqs, binom, masks, exps))
+    for k, (seqs, orders, sizes, faced, stocks) in drawn.items():
+        binom, exps = _layout_arrays(
+            np.array(stocks, dtype=np.int64).reshape(len(stocks), k),
+            np.array(orders, dtype=np.int64).reshape(len(orders), k),
+            np.array(sizes, dtype=np.int64),
+            log_fact,
+        )
+        row_sets.append((seqs, binom, np.array(faced, dtype=np.int64), exps))
+    for width, (seqs, exps) in explicit.items():
+        exps = np.array(exps, dtype=float).reshape(len(exps), width)
+        masks = np.broadcast_to(np.arange(width), exps.shape)
+        row_sets.append((seqs, np.zeros((exps.shape[0], 0)), masks, exps))
+
+    # place every block's terms: blocks in order, each its rows in order
+    first = np.cumsum(block[:, 4]) - block[:, 4]
+    total = int(block[:, 4].sum())
+    width = max((masks.shape[1] for _, _, masks, _ in row_sets), default=0)
+    n = np.zeros(total, dtype=np.int64)
+    coef = np.zeros(total)
+    cand = np.full((total, width), -1, dtype=np.int64)
+    exps = np.zeros((total, width))
+    for seqs, binom, masks, row_exps in row_sets:
+        seqs = np.array(seqs, dtype=np.int64)
+        lens = block[seqs, 4]
+        owner = np.repeat(seqs, lens)
+        within = np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        row = block[owner, 3] + within
+        at = first[owner] + within
+        # the base first, then each stock-out's log-binomial in order
+        term_coef = base_of[owner]
+        for j in range(binom.shape[1]):
+            term_coef = term_coef + binom[row, j]
+        n[at] = block[owner, 2]
+        coef[at] = term_coef
+        cand[at, : masks.shape[1]] = block[owner, 1][:, None] + masks[row]
+        exps[at, : masks.shape[1]] = row_exps[row]
+
+    terms = np.bincount(block[:, 0], weights=block[:, 4], minlength=len(tables))
+    terms = terms.astype(np.int64)
+    if (terms == 0).any():
+        raise InvalidObservation("dataset contains an impossible observation")
+    registry, seg_idx, seg_exp = _pack_segments(
+        cand, exps, np.array(uid, dtype=np.int64), list(distinct)
+    )
+
+    sales = np.zeros((len(tables), len(catalog)))
+    sales[
+        [g for g, (table, _) in enumerate(tables) for _ in table.catalog],
+        [col[a] for table, _ in tables for a in table.catalog],
+    ] = [z for table, _ in tables for z in table.sales]
     return (
-        membership_matrix(catalog, list(registry)),
+        membership_matrix(catalog, registry),
         np.array([float(a.includes_null) for a in registry]),
-        np.asarray(coef, dtype=float),
-        np.asarray(n, dtype=np.int64),
+        coef,
+        n,
         seg_idx,
         seg_exp,
-        np.asarray(starts, dtype=np.int64),
+        np.cumsum(terms) - terms,
         np.array([count for _, count in tables], dtype=float),
         np.array([table.horizon for table, _ in tables], dtype=float),
         sales,
@@ -623,11 +806,11 @@ def table_complete(path: CompletePath) -> TermTable:
     )
     if not _possible(path):
         return table
-    _, seg_counts, assortments, _ = path.segments()
+    _, seg_counts, table.assortments, _ = path.segments()
     n = path.arrivals
-    table.add_term(
-        n, -math.lgamma(n + 1), list(zip(assortments, _segment_exponents(seg_counts)))
-    )
+    table.explicit_n.append(n)
+    table.explicit_coef.append(-math.lgamma(n + 1))
+    table.explicit_exp.append(_segment_exponents(seg_counts))
     return table
 
 
@@ -638,17 +821,17 @@ def table_transactions(record: TransactionRecord, m: int) -> TermTable:
     )
     if not _possible(record):
         return table
-    _, seg_counts, assortments, _ = record.segments()
+    _, seg_counts, table.assortments, _ = record.segments()
     exponents = _segment_exponents(seg_counts)
     n_purch = record.total
-    for n_o in _compositions_at_most(m - n_purch, len(assortments)):
+    for n_o in _compositions_at_most(m - n_purch, len(exponents)):
         n = n_purch + sum(n_o)
         coef = -math.lgamma(n + 1)
-        segs = []
-        for j, a in enumerate(assortments):
-            coef += log_binomial(n_o[j] + seg_counts[j], n_o[j])
-            segs.append((a, exponents[j] + n_o[j]))
-        table.add_term(n, coef, segs)
+        for j, extra in enumerate(n_o):
+            coef += log_binomial(extra + seg_counts[j], extra)
+        table.explicit_n.append(n)
+        table.explicit_coef.append(coef)
+        table.explicit_exp.append([e + extra for e, extra in zip(exponents, n_o)])
     return table
 
 
@@ -663,54 +846,62 @@ def _sales_table(
     For each total arrival count ``n``, terms range over the (stock-out
     order, segment sizes) layouts of the products ``stocked``, which sell
     out; every other product's sales fall freely among the arrivals.  With
-    ``stocked`` empty, every arrival faces the whole assortment.
-    ``sampler(n)`` may replace full enumeration by ``(layouts,
-    log_weight)`` for an SAA estimate, or return ``None`` to keep it.
+    ``stocked`` empty, every arrival faces the whole assortment.  The table
+    records one layout block per ``n``: the shape and its base coefficient
+    ``-log n! + log_free(n)``.  ``sampler(n)`` may replace full enumeration
+    by ``(layouts, log_weight)`` for an SAA estimate, or return ``None`` to
+    keep it.  A table with a full block faces one assortment per sold-out
+    subset of ``stocked``; a table of drawn blocks only, the subsets its
+    drawn layouts reach.
     """
     assortment = summary.initial_assortment
     catalog = assortment.products
     table = TermTable(summary.horizon, catalog, summary.sales)
     if not _possible(summary):
         return table
-    stocks_of = {a: summary.stocks[a] for a in stocked}
-    free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocks_of]
+    stocks = tuple(summary.stocks[a] for a in stocked)
+    free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocked]
     n_sales = summary.total_sales
-    after: Dict[Tuple[int, ...], Assortment] = {(): assortment}
-
-    def faced(order_prefix: Tuple[int, ...]) -> Assortment:
-        if order_prefix not in after:
-            after[order_prefix] = assortment.without(*order_prefix)
-        return after[order_prefix]
-
     for n in n_values:
         n_o = n - n_sales
         if n_o < 0:
             continue
         log_free = log_multinomial([n_o] + free_sales)
         drawn = None if sampler is None else sampler(n)
+        log_weight = 0.0
+        if drawn is not None:
+            drawn, log_weight = drawn
+            if not drawn:
+                continue
+        table.layouts.append(
+            (stocks, n, -math.lgamma(n + 1) + log_free + log_weight, drawn)
+        )
+
+    # a sold-out subset is the mask whose bit i marks stocked[i]
+    if any(drawn is None for *_, drawn in table.layouts):
+        index = None  # every subset, candidate i the one of mask i
+        table.assortments = [assortment]
+        for a in stocked:
+            table.assortments += [faced.without(a) for faced in table.assortments]
+    else:
+        index = {}
+    for b, (stocks, n, base, drawn) in enumerate(table.layouts):
         if drawn is None:
-            layouts = (
-                (order, sizes)
-                for order in permutations(stocked)
-                for sizes in _layouts([stocks_of[a] for a in order], n)
-            )
-            log_weight = 0.0
-        else:
-            layouts, log_weight = drawn
-        for order, sizes in layouts:
-            k = len(order)
-            coef = -math.lgamma(n + 1) + log_free + log_weight
-            prev_slots = 0
-            for j in range(k):
-                s_j = stocks_of[order[j]]
-                slots = sizes[j] + prev_slots
-                coef += log_binomial(slots, s_j - 1)
-                prev_slots = slots + 1 - s_j
-            segs = [
-                (faced(order[:j]), sizes[j] + (1.0 if j < k else 0.0))
-                for j in range(k + 1)
-            ]
-            table.add_term(n, coef, segs)
+            continue
+        faced = []
+        for order, sizes in drawn:
+            masks = [0]
+            for i in order:
+                masks.append(masks[-1] | 1 << i)
+            if index is not None:
+                masks = [index.setdefault(mask, len(index)) for mask in masks]
+            faced.append((order, sizes, masks))
+        table.layouts[b] = (stocks, n, base, faced)
+    if index is not None:
+        table.assortments = [
+            assortment.without(*(a for i, a in enumerate(stocked) if mask >> i & 1))
+            for mask in index
+        ]
     return table
 
 
@@ -742,7 +933,8 @@ def table_sales_saa(
     """Sample-average approximation of ``l5``: for each arrival count the
     stock-out-vector sum is replaced by a uniform without-replacement
     sample, scaled by ``count / sample_size``.  Deterministic in
-    ``(seed, key)``; ``key`` separates visits sharing a master seed.
+    ``(seed, key)``; ``key`` separates visits sharing a master seed.  A
+    sample that would cover every vector keeps the exact layout block.
 
     Also applies in the no-null regime, where the arrival count is fixed
     at the total sales and only that count's vector sum is sampled.
@@ -750,7 +942,8 @@ def table_sales_saa(
     if samples_per_n < 1:
         raise ValueError("samples_per_n must be >= 1")
     stocked = summary.stocked_out
-    stocks = [summary.stocks[a] for a in stocked]
+    stocks = tuple(summary.stocks[a] for a in stocked)
+    position = {a: i for i, a in enumerate(stocked)}
 
     def sampler(n: int):
         count = count_stockout_vectors(stocks, n)
@@ -766,7 +959,8 @@ def table_sales_saa(
         layouts = []
         for v in vectors:
             seg = to_segments(v)
-            layouts.append((seg.stockout_order, seg.segment_sizes))
+            order = tuple(position[a] for a in seg.stockout_order)
+            layouts.append((order, seg.segment_sizes))
         return layouts, math.log(count) - math.log(take)
 
     return _sales_table(summary, _arrival_counts(summary, m), stocked, sampler=sampler)
@@ -782,7 +976,9 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
 
 def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
     """Compiled form of :func:`l3_transactions_timed` with gradients; an
-    impossible record raises :class:`InvalidObservation`."""
+    impossible or untimed record raises :class:`InvalidObservation`."""
+    if not record.timestamps_present:
+        raise InvalidObservation("timed transactions need transaction timestamps")
     record.validate()
     catalog = record.initial_assortment.products
     sales = _purchase_counts(record.products)

@@ -349,6 +349,15 @@ class TestInfeasibleVisit:
             fit(data, "transactions-timed")
 
 
+    def test_untimed_record_rejected_at_timed_granularity(self):
+        # the stock-out purchase has no time, so no segment boundary
+        record = TransactionRecord(
+            1.0, Assortment((0, 1)), {0: 1, 1: 3}, ((None, 1), (None, 0)), False
+        )
+        with pytest.raises(InvalidObservation, match="timestamps"):
+            compile_dataset([record], "transactions-timed")
+
+
 class TestTruncationSizing:
     @pytest.fixture
     def resolve_calls(self, monkeypatch):

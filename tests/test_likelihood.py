@@ -208,6 +208,14 @@ class TestTimedTransactions:
         with pytest.raises(InvalidObservation):
             l3_transactions_timed(record, params)
 
+    def test_table_requires_timestamps(self):
+        # an untimed stock-out has no time to split the segments at
+        record = TransactionRecord(
+            1.0, Assortment((0, 1)), {0: 1, 1: 3}, ((None, 1), (None, 0)), False
+        )
+        with pytest.raises(InvalidObservation, match="timestamps"):
+            table_timed_transactions(record)
+
 
 class TestUntimedTransactions:
     def test_three_representations_agree(self, rng):
@@ -245,6 +253,26 @@ class TestUntimedTransactions:
             total += math.exp(l4_transactions(record, params, TruncationPolicy(m=m)))
         assert 1.0 - 1e-6 <= total <= 1.0 + 1e-12
         assert total == pytest.approx(float(poisson.cdf(m, 1.0)), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "horizon, transactions",
+        [
+            (0.0, ()),
+            (-1.0, ()),
+            (1.0, ((None, 0), (None, 1), (None, 0))),  # product 0 has stock 1
+        ],
+        ids=["T=0", "T=-1", "beyond stock"],
+    )
+    def test_impossible_record_minus_infinity(self, horizon, transactions):
+        record = TransactionRecord(
+            horizon, Assortment((0, 1), True), {0: 1, 1: 2}, transactions, False
+        )
+        params = ModelParams(rate=2.0, weights={0: 0.7, 1: 1.2})
+        policy = TruncationPolicy(m=6)
+        assert l4_transactions(record, params, policy) == float("-inf")
+        assert l4_lauricella(record, params, policy) == float("-inf")
+        assert l4_integral(record, params, mc_samples=50, seed=0) == (float("-inf"), 0.0)
+        assert table_transactions(record, 6).loglik(params) == float("-inf")
 
     def test_lauricella_single_segment_is_truncated_exponential(self):
         # one segment of size s: the series collapses to sum theta^e / e!

@@ -1,0 +1,406 @@
+"""Term-table stacking against a per-term reference.
+
+The reference below is the earlier per-term stacker: each table holds one
+``(n, coef, [(assortment, exponent), ...])`` tuple per term, filled layout
+by layout, and the stacker walks every term and segment in Python.
+:func:`stack_tables` must return exactly its arrays, element for element.
+"""
+
+import math
+from dataclasses import replace
+from itertools import permutations
+
+import numpy as np
+import pytest
+
+from stockout_demand import io as sd_io
+from stockout_demand import simulate
+from stockout_demand.combinatorics import (
+    count_stockout_vectors,
+    log_binomial,
+    log_multinomial,
+    sample_stockout_vectors,
+    to_segments,
+)
+from stockout_demand.likelihood import (
+    _possible,
+    membership_matrix,
+    stack_tables,
+    table_complete,
+    table_naive_sales,
+    table_sales_attraction,
+    table_sales_no_null,
+    table_sales_saa,
+    table_transactions,
+)
+from stockout_demand.types import Assortment, InvalidObservation, SalesSummary
+
+from conftest import random_transaction_record
+
+NEG_INF = float("-inf")
+
+
+class ReferenceTable:
+    def __init__(self, horizon, catalog, sales):
+        self.horizon = horizon
+        self.catalog = tuple(catalog)
+        self.sales = np.array([sales.get(a, 0) for a in self.catalog], dtype=float)
+        self.terms = []
+
+    def add_term(self, n, coef, segs):
+        if coef != NEG_INF:
+            self.terms.append((n, coef, segs))
+
+
+def reference_layouts(stocks_in_order, n):
+    k = len(stocks_in_order)
+    cums = [0]
+    for s in stocks_in_order:
+        cums.append(cums[-1] + s)
+
+    def rec(j, prev_r, acc):
+        if j == k:
+            yield acc + (n - prev_r,)
+            return
+        lo = max(0, cums[j + 1] - prev_r - 1)
+        hi = n - (k - j - 1) - prev_r - 1
+        for size in range(lo, hi + 1):
+            yield from rec(j + 1, prev_r + size + 1, acc + (size,))
+
+    yield from rec(0, 0, ())
+
+
+def reference_sales_table(summary, n_values, stocked, sampler=None):
+    assortment = summary.initial_assortment
+    catalog = assortment.products
+    table = ReferenceTable(summary.horizon, catalog, summary.sales)
+    if not _possible(summary):
+        return table
+    stocks_of = {a: summary.stocks[a] for a in stocked}
+    free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocks_of]
+    n_sales = summary.total_sales
+    for n in n_values:
+        n_o = n - n_sales
+        if n_o < 0:
+            continue
+        log_free = log_multinomial([n_o] + free_sales)
+        drawn = None if sampler is None else sampler(n)
+        if drawn is None:
+            layouts = (
+                (order, sizes)
+                for order in permutations(stocked)
+                for sizes in reference_layouts([stocks_of[a] for a in order], n)
+            )
+            log_weight = 0.0
+        else:
+            layouts, log_weight = drawn
+        for order, sizes in layouts:
+            k = len(order)
+            coef = -math.lgamma(n + 1) + log_free + log_weight
+            prev_slots = 0
+            for j in range(k):
+                s_j = stocks_of[order[j]]
+                slots = sizes[j] + prev_slots
+                coef += log_binomial(slots, s_j - 1)
+                prev_slots = slots + 1 - s_j
+            segs = [
+                (assortment.without(*order[:j]), sizes[j] + (1.0 if j < k else 0.0))
+                for j in range(k + 1)
+            ]
+            table.add_term(n, coef, segs)
+    return table
+
+
+def arrival_counts(summary, m):
+    if summary.initial_assortment.includes_null:
+        return range(summary.total_sales, m + 1)
+    return [summary.total_sales]
+
+
+def reference_exact(summary, m):
+    return reference_sales_table(summary, arrival_counts(summary, m), summary.stocked_out)
+
+
+def reference_naive(summary, m):
+    return reference_sales_table(summary, arrival_counts(summary, m), ())
+
+
+def reference_saa(summary, m, samples_per_n, seed, key=0):
+    stocked = summary.stocked_out
+    stocks = [summary.stocks[a] for a in stocked]
+
+    def sampler(n):
+        count = count_stockout_vectors(stocks, n)
+        if count == 0:
+            return [], 0.0
+        take = min(samples_per_n, count)
+        if take == count:
+            return None
+        draw_seed = int(np.random.SeedSequence((seed, key, n)).generate_state(1)[0])
+        vectors = sample_stockout_vectors(stocks, n, take, draw_seed, products=stocked)
+        layouts = []
+        for v in vectors:
+            seg = to_segments(v)
+            layouts.append((seg.stockout_order, seg.segment_sizes))
+        return layouts, math.log(count) - math.log(take)
+
+    return reference_sales_table(summary, arrival_counts(summary, m), stocked, sampler)
+
+
+def reference_transactions(record, m):
+    counts = {}
+    for a in record.products:
+        counts[a] = counts.get(a, 0) + 1
+    table = ReferenceTable(record.horizon, record.initial_assortment.products, counts)
+    _, seg_counts, assortments, _ = record.segments()
+    k = len(seg_counts) - 1
+    exponents = [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
+    n_purch = record.total
+
+    def compositions(limit, parts):
+        if parts == 0:
+            yield ()
+            return
+        for first in range(limit + 1):
+            for rest in compositions(limit - first, parts - 1):
+                yield (first,) + rest
+
+    for n_o in compositions(m - n_purch, len(assortments)):
+        n = n_purch + sum(n_o)
+        coef = -math.lgamma(n + 1)
+        segs = []
+        for j, a in enumerate(assortments):
+            coef += log_binomial(n_o[j] + seg_counts[j], n_o[j])
+            segs.append((a, exponents[j] + n_o[j]))
+        table.add_term(n, coef, segs)
+    return table
+
+
+def reference_complete(path):
+    counts = {}
+    for c in path.choices:
+        if c is not None:
+            counts[c] = counts.get(c, 0) + 1
+    table = ReferenceTable(path.horizon, path.initial_assortment.products, counts)
+    _, seg_counts, assortments, _ = path.segments()
+    k = len(seg_counts) - 1
+    exponents = [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
+    n = path.arrivals
+    table.add_term(n, -math.lgamma(n + 1), list(zip(assortments, exponents)))
+    return table
+
+
+def reference_stack(catalog, tables):
+    col = {a: i for i, a in enumerate(catalog)}
+    registry = {}
+    n, coef, starts, rows, idx, exps = [], [], [], [], [], []
+    sales = np.zeros((len(tables), len(catalog)))
+    for g, (table, _) in enumerate(tables):
+        if not table.terms:
+            raise InvalidObservation("dataset contains an impossible observation")
+        starts.append(len(n))
+        sales[g, [col[a] for a in table.catalog]] = table.sales
+        for term_n, term_coef, segs in table.terms:
+            for a, e in segs:
+                d = registry.setdefault(a, len(registry))
+                if e != 0.0:
+                    rows.append(len(n))
+                    idx.append(d)
+                    exps.append(e)
+            n.append(term_n)
+            coef.append(term_coef)
+    term_of = np.asarray(rows, dtype=np.int64)
+    slot = np.arange(term_of.size) - np.searchsorted(term_of, term_of)
+    width = int(slot.max()) + 1 if slot.size else 0
+    seg_idx = np.zeros((len(n), width), dtype=np.int64)
+    seg_exp = np.zeros((len(n), width))
+    seg_idx[term_of, slot] = idx
+    seg_exp[term_of, slot] = exps
+    return (
+        membership_matrix(catalog, list(registry)),
+        np.array([float(a.includes_null) for a in registry]),
+        np.asarray(coef, dtype=float),
+        np.asarray(n, dtype=np.int64),
+        seg_idx,
+        seg_exp,
+        np.asarray(starts, dtype=np.int64),
+        np.array([count for _, count in tables], dtype=float),
+        np.array([table.horizon for table, _ in tables], dtype=float),
+        sales,
+    )
+
+
+NAMES = (
+    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp",
+    "starts", "counts", "horizons", "sales",
+)
+
+
+def assert_same_stack(observations, build, reference, counts=None):
+    """``stack_tables`` of ``build(obs)`` equals the reference stack of
+    ``reference(obs)``, array for array, dtype and shape included."""
+    catalog = sorted({a for o in observations for a in o.initial_assortment.products})
+    counts = counts or [1] * len(observations)
+    got = stack_tables(catalog, [(build(o), c) for o, c in zip(observations, counts)])
+    want = reference_stack(catalog, [(reference(o), c) for o, c in zip(observations, counts)])
+    assert got[2].size > 0
+    for name, g, w in zip(NAMES, got, want):
+        assert g.dtype == w.dtype, name
+        assert g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+
+
+def simulated_sales(config, visits, seed, granularity):
+    paths = simulate.simulate_dataset(config.visit_config(), visits, seed)
+    return [sd_io.project_path(p, granularity) for p in paths]
+
+
+@pytest.fixture(scope="module")
+def section7_sales():
+    return simulated_sales(sd_io.SECTION7_PRESET, 300, 123, "sales-no-null")
+
+
+@pytest.fixture(scope="module")
+def null_sales():
+    """W2-style null-inclusive sales (the preset with a null option at rate
+    10) with 0-3 stock-outs: simulated visits for 0-2, which is all the
+    simulation gives at this size, and two built visits for 3."""
+    config = replace(sd_io.SECTION7_PRESET, include_null=True, rate=10.0)
+    by_count = {}
+    for summary in simulated_sales(config, 400, 5, "sales"):
+        by_count.setdefault(summary.stockout_count, []).append(summary)
+    assortment = Assortment((0, 1, 2, 3, 4), True)
+    stocks = {a: 3 for a in assortment.products}
+    by_count[3] = [
+        SalesSummary(1.0, assortment, stocks, {0: 3, 1: 3, 2: 3, 3: 1, 4: 0}),
+        SalesSummary(1.0, assortment, stocks, {0: 0, 1: 2, 2: 3, 3: 3, 4: 3}),
+    ]
+    summaries = [s for k in range(4) for s in by_count[k][:3]]
+    assert sorted({s.stockout_count for s in summaries}) == [0, 1, 2, 3]
+    return summaries
+
+
+class TestStackMatchesReference:
+    def test_section7_exact(self, section7_sales):
+        assert_same_stack(section7_sales, table_sales_no_null, lambda s: reference_exact(s, 0))
+
+    def test_section7_naive(self, section7_sales):
+        assert_same_stack(
+            section7_sales, lambda s: table_naive_sales(s, 0), lambda s: reference_naive(s, 0)
+        )
+
+    def test_section7_saa(self, section7_sales):
+        # one SAA stream per visit
+        key = {id(s): i for i, s in enumerate(section7_sales)}
+        assert_same_stack(
+            section7_sales,
+            lambda s: table_sales_saa(s, 0, 16, 0, key[id(s)]),
+            lambda s: reference_saa(s, 0, 16, 0, key[id(s)]),
+        )
+        assert any(  # some visits sample
+            drawn is not None
+            for s in section7_sales
+            for *_, drawn in table_sales_saa(s, 0, 16, 0, key[id(s)]).layouts
+        )
+
+    @pytest.mark.parametrize(
+        "build, reference",
+        [
+            (
+                lambda s: table_sales_attraction(s, s.total_sales + 4),
+                lambda s: reference_exact(s, s.total_sales + 4),
+            ),
+            (
+                lambda s: table_naive_sales(s, s.total_sales + 4),
+                lambda s: reference_naive(s, s.total_sales + 4),
+            ),
+            (
+                lambda s: table_sales_saa(s, s.total_sales + 4, 4, 3, s.total_sales),
+                lambda s: reference_saa(s, s.total_sales + 4, 4, 3, s.total_sales),
+            ),
+        ],
+        ids=["exact", "naive", "saa"],
+    )
+    def test_null_sales_fixed_m(self, null_sales, build, reference):
+        assert_same_stack(null_sales, build, reference, counts=[1, 2, 3] * 3 + [1, 2])
+
+    @pytest.mark.parametrize("includes_null", [True, False])
+    def test_same_shape_different_products(self, includes_null):
+        # products 0, 1 sell out in one visit and 1, 2 in the other, both
+        # with stocks (2, 3) in assortment order: one shape, two tables
+        catalog = Assortment((0, 1, 2), includes_null)
+        first = SalesSummary(1.0, catalog, {0: 2, 1: 3, 2: 4}, {0: 2, 1: 3, 2: 1})
+        second = SalesSummary(1.0, catalog, {0: 4, 1: 2, 2: 3}, {0: 1, 1: 2, 2: 3})
+        observations = [first, second]
+        if includes_null:
+            assert_same_stack(
+                observations,
+                lambda s: table_sales_attraction(s, 9),
+                lambda s: reference_exact(s, 9),
+            )
+        else:
+            assert_same_stack(observations, table_sales_no_null, lambda s: reference_exact(s, 0))
+
+    def test_every_offered_product_sells_out(self):
+        # no null option: the last segment faces the empty assortment with
+        # exponent zero, which still enters the registry
+        empty_after = SalesSummary(
+            1.0, Assortment((0, 1), False), {0: 2, 1: 1}, {0: 2, 1: 1}
+        )
+        other = SalesSummary(1.0, Assortment((1, 2), False), {1: 2, 2: 2}, {1: 1, 2: 2})
+        assert_same_stack(
+            [empty_after, other], table_sales_no_null, lambda s: reference_exact(s, 0)
+        )
+
+    def test_saa_sample_covering_every_vector(self):
+        # at n = 5 there are 5 vectors, so 5 samples cover them (the exact
+        # block); at n = 6 and 7 a sample of 5 is drawn
+        summary = SalesSummary(1.0, Assortment((0, 1), True), {0: 3, 1: 2}, {0: 3, 1: 2})
+        table = table_sales_saa(summary, 7, 5, 1, 2)
+        assert [(n, drawn is None) for _, n, _, drawn in table.layouts] == [
+            (5, True), (6, False), (7, False)
+        ]
+        assert_same_stack(
+            [summary], lambda s: table, lambda s: reference_saa(s, 7, 5, 1, 2)
+        )
+
+    @pytest.mark.parametrize("includes_null", [True, False])
+    def test_saa_many_stockouts_faces_only_drawn_subsets(self, includes_null):
+        # 20 products sell out: a table of drawn layouts only names the
+        # sold-out subsets its 4 samples reach, not all 2^20
+        k = 20
+        stocks = {a: 1 + a % 2 for a in range(k)}
+        stocks[k] = 5000
+        sales = {a: stocks[a] for a in range(k)}
+        sales[k] = 970
+        summary = SalesSummary(1.0, Assortment(tuple(range(k + 1)), includes_null), stocks, sales)
+        m = summary.total_sales + 2
+        table = table_sales_saa(summary, m, 4, 0, 1)
+        blocks = len(table.layouts)
+        assert blocks == (3 if includes_null else 1)
+        assert all(drawn is not None and len(drawn) == 4 for *_, drawn in table.layouts)
+        assert len(table.assortments) <= 1 + blocks * 4 * k
+        assert_same_stack(
+            [summary], lambda s: table, lambda s: reference_saa(s, m, 4, 0, 1)
+        )
+
+    def test_transaction_tables(self, rng):
+        records = [random_transaction_record(rng, max_products=4) for _ in range(25)]
+        assert_same_stack(
+            records,
+            lambda r: table_transactions(r, r.total + 3),
+            lambda r: reference_transactions(r, r.total + 3),
+        )
+
+    def test_complete_tables(self):
+        config = replace(sd_io.SECTION7_PRESET, include_null=True, rate=10.0)
+        paths = simulate.simulate_dataset(config.visit_config(), 60, 3)
+        assert any(len(p.segments()[2]) > 1 for p in paths)  # some stock out
+        assert_same_stack(paths, table_complete, reference_complete)
+
+    def test_table_without_terms_raises(self):
+        impossible = SalesSummary(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, {0: 2, 1: 0})
+        possible = replace(impossible, sales={0: 1, 1: 0})
+        tables = [(table_sales_attraction(o, 4), 1) for o in (possible, impossible)]
+        with pytest.raises(InvalidObservation, match="impossible observation"):
+            stack_tables((0, 1), tables)
