@@ -63,7 +63,6 @@ from .types import (
     project_sales,
     project_transactions,
     segment_decomposition,
-    validate_complete_path,
 )
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .likelihood import (
     counterexample_expectations,
 )
 from .simulate import simulate_dataset
-from .types import InvalidObservation, SalesSummary
+from .types import InvalidObservation
 
 __all__ = ["main"]
 
@@ -113,10 +113,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not observations:
         raise DataFormatError("no visits in the data file")
     trunc = TruncationPolicy(m=args.truncation)
+    # compile_dataset checks that the file's visits suit the estimator
     if args.naive:
-        for obs in observations:
-            if not isinstance(obs, SalesSummary):
-                raise DataFormatError("--naive applies to sales granularities")
         result = fit_naive(observations, trunc)
         label = "naive"
     else:

@@ -10,10 +10,13 @@ per assortment (exponent and exposure-time totals, plus the sales), so
 their part of every evaluation costs the same whatever the number of
 visits.  Each optimizer step is then a handful of vectorized array
 operations with analytic gradients in ``(log rate, log weights)``.
+Compiling also checks the estimator (each granularity fits one
+observation class; SAA and the naive baseline fit sales only) and keeps
+the fit's start point and null regime.
 
-Fitting runs one joint L-BFGS-B over (log rate, log weights); complete
-data keeps its closed-form rate.  The "naive" fit ignores stock-outs
-entirely and serves as the biased baseline.
+Fitting runs one joint L-BFGS-B over (log rate, log weights) that reads
+only the compiled dataset; complete data keeps its closed-form rate.  The
+"naive" fit ignores stock-outs entirely and serves as the biased baseline.
 """
 
 from __future__ import annotations
@@ -65,13 +68,15 @@ __all__ = [
 
 Observation = Union[CompletePath, TransactionRecord, SalesSummary]
 
-GRANULARITIES = (
-    "complete",
-    "transactions-timed",
-    "transactions",
-    "sales",
-    "sales-no-null",
-)
+#: the observation class each granularity fits
+_KINDS = {
+    "complete": CompletePath,
+    "transactions-timed": TransactionRecord,
+    "transactions": TransactionRecord,
+    "sales": SalesSummary,
+    "sales-no-null": SalesSummary,
+}
+GRANULARITIES = tuple(_KINDS)
 
 #: factor applied to the naive rate when sizing adaptive truncation
 RATE_CAP_FACTOR = 4.0
@@ -148,7 +153,10 @@ class CompiledDataset:
     """Flat-array dataset representation evaluated per optimizer step.
 
     ``x = (log rate, log weight_a for a in catalog)``; :meth:`loglik_grad`
-    returns the total log-likelihood and its gradient in ``x``.
+    returns the total log-likelihood and its gradient in ``x``.  ``start``
+    is the fit's start point: the log of ``rate`` (the naive rate) and the
+    log naive sales shares, floored at 1e-6.  ``includes_null`` tells
+    whether any compiled assortment offers the null option.
     """
 
     def __init__(
@@ -156,6 +164,7 @@ class CompiledDataset:
         catalog: Tuple[int, ...],
         tables: Sequence[Tuple[TermTable, int]],
         timed: Sequence[Tuple[TimedSegmentTable, int]],
+        rate: float,
     ) -> None:
         self.catalog = catalog
         self._timed = list(timed)
@@ -194,6 +203,11 @@ class CompiledDataset:
         rows = np.asarray(seg_rows, dtype=np.int64)
         self.timed_exponents = np.bincount(rows, np.asarray(seg_exp), len(reg))
         self.timed_durations = np.bincount(rows, np.asarray(seg_dur), len(reg))
+        # the sales are integer sums, so their order does not change them
+        sales = self.counts @ self.Z + self.timed_sales
+        shares = np.maximum(sales / max(sales.sum(), 1.0), 1e-6)
+        self.start = np.concatenate(([math.log(rate)], np.log(shares)))
+        self.includes_null = bool(self.nulls.any()) or any(a.includes_null for a in reg)
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -250,22 +264,18 @@ def _build_table(
     naive: bool,
 ):
     if naive:
-        if not isinstance(obs, SalesSummary):
-            raise InvalidObservation("the naive baseline fits sales data")
         return table_naive_sales(obs, m)
+    if saa_samples is not None:
+        return table_sales_saa(obs, m, saa_samples, seed, key)
     if granularity == "complete":
         return table_complete(obs)
     if granularity == "transactions-timed":
         return table_timed_transactions(obs)
     if granularity == "transactions":
         return table_transactions(obs, m)
-    if saa_samples is not None and granularity in ("sales", "sales-no-null"):
-        return table_sales_saa(obs, m, saa_samples, seed, key)
     if granularity == "sales":
         return table_sales_attraction(obs, m)
-    if granularity == "sales-no-null":
-        return table_sales_no_null(obs)
-    raise ValueError(f"unknown granularity {granularity!r}")
+    return table_sales_no_null(obs)
 
 
 def compile_dataset(
@@ -277,6 +287,8 @@ def compile_dataset(
     naive: bool = False,
 ) -> CompiledDataset:
     """Group identical visits, build their term tables once, concatenate.
+    A visit not of the granularity's observation class, or SAA or naive at
+    a non-sales granularity, raises :class:`InvalidObservation`.
 
     SAA sample streams are keyed by visit content, so duplicate visits
     share one draw (common random numbers) and grouping stays effective.
@@ -287,12 +299,22 @@ def compile_dataset(
     ignore it, so for them a fixed ``m`` below a visit's observed count is
     not an error.
     """
-    if granularity not in GRANULARITIES:
+    kind = _KINDS.get(granularity)
+    if kind is None:
         raise ValueError(f"unknown granularity {granularity!r}")
+    if (naive or saa_samples is not None) and kind is not SalesSummary:
+        estimator = "naive" if naive else "SAA"
+        raise InvalidObservation(f"the {estimator} estimator fits sales, not {granularity}")
     if not observations:
         raise InvalidObservation("empty dataset")
+    for i, obs in enumerate(observations, start=1):
+        if not isinstance(obs, kind):
+            raise InvalidObservation(
+                f"visit {i} is a {type(obs).__name__}; {granularity} fits {kind.__name__}"
+            )
     catalog = sorted({a for o in observations for a in o.initial_assortment.products})
-    rate_cap = RATE_CAP_FACTOR * naive_rate(observations)
+    rate = naive_rate(observations)
+    rate_cap = RATE_CAP_FACTOR * rate
     groups: Dict[object, List[int]] = {}
     for i, obs in enumerate(observations):
         groups.setdefault(_group_key(obs, granularity), []).append(i)
@@ -316,7 +338,7 @@ def compile_dataset(
             timed.append((table, len(members)))
         else:
             tables.append((table, len(members)))
-    return CompiledDataset(tuple(catalog), tables, timed)
+    return CompiledDataset(tuple(catalog), tables, timed, rate)
 
 
 def dataset_log_likelihood(
@@ -342,32 +364,11 @@ def dataset_log_likelihood(
     return ds.loglik_grad(x)[0]
 
 
-def _initial_theta(
-    observations: Sequence[Observation], catalog: Sequence[int]
-) -> np.ndarray:
-    """Log naive sales shares (floored at 1e-6) as the weight start point."""
-    counts = {a: 0.0 for a in catalog}
-    for obs in observations:
-        if isinstance(obs, SalesSummary):
-            for a, z in obs.sales.items():
-                counts[a] += z
-        elif isinstance(obs, TransactionRecord):
-            for a in obs.products:
-                counts[a] += 1
-        else:
-            for c in obs.choices:
-                if c is not None:
-                    counts[c] += 1
-    total = max(sum(counts.values()), 1.0)
-    return np.log([max(counts[a] / total, 1e-6) for a in catalog])
-
-
-def _joint_fit(
-    ds: CompiledDataset, observations: Sequence[Observation]
-) -> FitResult:
+def _joint_fit(ds: CompiledDataset) -> FitResult:
     """Maximize the log-likelihood over ``x = (log rate, log weights)`` with
-    one bounded L-BFGS-B, started from the naive rate and the log naive
-    sales shares.
+    one bounded L-BFGS-B, started from ``ds.start`` (the naive rate and the
+    log naive sales shares).  The solve reads nothing but ``ds``, so a
+    recompiled dataset refits on its own.
 
     Every coordinate is boxed to +-30 around its start (the weights around
     zero).  Without a null option the score along ``(0, 1, ..., 1)`` is
@@ -376,9 +377,7 @@ def _joint_fit(
     scale of the naive-share start.  The solve is deterministic, so reruns
     on the same data give identical fits.
     """
-    x0 = np.concatenate(
-        ([math.log(naive_rate(observations))], _initial_theta(observations, ds.catalog))
-    )
+    x0 = ds.start
 
     def negative(x: np.ndarray):
         v, g = ds.loglik_grad(x)
@@ -397,13 +396,12 @@ def _joint_fit(
     # counts as converged
     ok = bool(res.success) or float(np.linalg.norm(res.jac, np.inf)) < 1e-4
     params = ds.params_of(res.x)
-    includes_null = any(o.initial_assortment.includes_null for o in observations)
     return FitResult(
         params=params,
         loglik=-float(res.fun),
         converged=ok,
         iterations=int(res.nit),
-        probabilities=catalog_probabilities(params, ds.catalog, includes_null),
+        probabilities=catalog_probabilities(params, ds.catalog, ds.includes_null),
         message=f"L-BFGS-B: {res.message} ({res.nfev} evaluations)",
     )
 
@@ -417,12 +415,12 @@ def fit(
     naive: bool = False,
 ) -> FitResult:
     """Maximum-likelihood fit at the given observation granularity."""
-    if granularity == "complete" and not naive:
+    if granularity == "complete" and not naive and saa_samples is None:
         return fit_complete(observations)
     ds = compile_dataset(
         observations, granularity, truncation, saa_samples, seed, naive
     )
-    result = _joint_fit(ds, observations)
+    result = _joint_fit(ds)
     result.saa_samples = saa_samples
     result.seed = seed if saa_samples is not None else None
     return result
@@ -434,12 +432,9 @@ def fit_complete(observations: Sequence[CompletePath]) -> FitResult:
     not depend on the rate and the joint solve's weights stay optimal when
     its rate is replaced by the closed form.
     """
-    if not observations:
-        raise InvalidObservation("empty dataset")
-    rate = sum(o.arrivals for o in observations) / sum(o.horizon for o in observations)
-    rate = max(rate, 1e-8)
     ds = compile_dataset(observations, "complete")
-    result = _joint_fit(ds, observations)
+    rate = naive_rate(observations)  # arrivals per unit time
+    result = _joint_fit(ds)
     result.params = ModelParams(rate=rate, weights=result.params.weights)
     x = np.log([rate] + [result.params.weights[a] for a in ds.catalog])
     result.loglik = ds.loglik_grad(x)[0]

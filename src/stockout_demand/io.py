@@ -10,6 +10,7 @@ is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -134,7 +135,15 @@ class RunConfig:
         for a, stock in kwargs.get("stocks", {}).items():
             if stock < 1:
                 raise DataFormatError(f"product {a} has stock {stock}")
-        return RunConfig(**kwargs)
+        config = RunConfig(**kwargs)
+        if not (math.isfinite(config.horizon) and config.horizon > 0):
+            raise DataFormatError(f"horizon must be finite and positive, got {config.horizon}")
+        # a NaN fails both comparisons
+        if not 0.0 <= config.offer_probability <= 1.0:
+            raise DataFormatError(
+                f"offer_probability must lie in [0, 1], got {config.offer_probability}"
+            )
+        return config
 
     @staticmethod
     def load(path: str) -> "RunConfig":

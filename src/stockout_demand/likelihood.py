@@ -95,23 +95,20 @@ NEG_INF = float("-inf")
 
 _DEFAULT_MODEL = AttractionModel()
 
+#: Poisson tail mass beyond an adaptive truncation's ``m``
+TAIL_EPSILON = 1e-10
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Cap on total arrivals per visit when truncating the infinite sums.
 
     Either a fixed ``m``, or the smallest ``m`` whose Poisson tail mass at
-    rate ``T * rate_cap`` drops below ``epsilon``.  Always at least the
-    visit's observed transaction count.
+    rate ``T * rate_cap`` drops below :data:`TAIL_EPSILON`.  Always at least
+    the visit's observed transaction count.
     """
 
     m: Optional[int] = None
-    epsilon: float = 1e-10
-
-    def __post_init__(self) -> None:
-        # the tail mass underflows to zero, so a zero epsilon never stops
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"truncation epsilon must be positive, got {self.epsilon}")
 
     def resolve(self, horizon: float, rate_cap: float, observed: int) -> int:
         if self.m is not None:
@@ -122,7 +119,7 @@ class TruncationPolicy:
             return self.m
         mu = horizon * rate_cap
         m = max(observed, int(math.ceil(mu)))
-        while poisson_dist.sf(m, mu) >= self.epsilon:
+        while poisson_dist.sf(m, mu) >= TAIL_EPSILON:
             m += 1
         return m
 
@@ -815,7 +812,10 @@ def table_complete(path: CompletePath) -> TermTable:
 
 
 def table_transactions(record: TransactionRecord, m: int) -> TermTable:
-    """Timestamp-free transaction likelihood (``l4``) as a term table."""
+    """Timestamp-free transaction likelihood (``l4``) as a term table; a
+    record without a null option raises :class:`InvalidObservation`."""
+    if not record.initial_assortment.includes_null:
+        raise InvalidObservation("l4 is defined for the null-inclusive regime")
     table = TermTable(
         record.horizon, record.initial_assortment.products, _purchase_counts(record.products)
     )
@@ -871,8 +871,6 @@ def _sales_table(
         log_weight = 0.0
         if drawn is not None:
             drawn, log_weight = drawn
-            if not drawn:
-                continue
         table.layouts.append(
             (stocks, n, -math.lgamma(n + 1) + log_free + log_weight, drawn)
         )
@@ -943,24 +941,21 @@ def table_sales_saa(
         raise ValueError("samples_per_n must be >= 1")
     stocked = summary.stocked_out
     stocks = tuple(summary.stocks[a] for a in stocked)
-    position = {a: i for i, a in enumerate(stocked)}
 
     def sampler(n: int):
+        # n covers the sales, so at least every sold-out unit: count >= 1
         count = count_stockout_vectors(stocks, n)
-        if count == 0:
-            return [], 0.0
         take = min(samples_per_n, count)
         if take == count:
             return None  # full coverage: the exact enumeration
         draw_seed = int(
             np.random.SeedSequence((seed, key, n)).generate_state(1)[0]
         )
-        vectors = sample_stockout_vectors(stocks, n, take, draw_seed, products=stocked)
+        # unlabelled vectors give the stock-out order as positions in stocked
         layouts = []
-        for v in vectors:
+        for v in sample_stockout_vectors(stocks, n, take, draw_seed):
             seg = to_segments(v)
-            order = tuple(position[a] for a in seg.stockout_order)
-            layouts.append((order, seg.segment_sizes))
+            layouts.append((seg.stockout_order, seg.segment_sizes))
         return layouts, math.log(count) - math.log(take)
 
     return _sales_table(summary, _arrival_counts(summary, m), stocked, sampler=sampler)
@@ -976,9 +971,12 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
 
 def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
     """Compiled form of :func:`l3_transactions_timed` with gradients; an
-    impossible or untimed record raises :class:`InvalidObservation`."""
+    impossible or untimed record, or one without a null option, raises
+    :class:`InvalidObservation`."""
     if not record.timestamps_present:
         raise InvalidObservation("timed transactions need transaction timestamps")
+    if not record.initial_assortment.includes_null:
+        raise InvalidObservation("l3 is defined for the null-inclusive regime")
     record.validate()
     catalog = record.initial_assortment.products
     sales = _purchase_counts(record.products)

@@ -20,7 +20,7 @@ themselves at their stock-outs with ``segments()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -32,9 +32,7 @@ __all__ = [
     "TransactionRecord",
     "SalesSummary",
     "SegmentDecomposition",
-    "ValidationReport",
     "InvalidObservation",
-    "validate_complete_path",
     "hide_product",
     "project_transactions",
     "project_sales",
@@ -140,13 +138,34 @@ class CompletePath:
 
     def validate(self) -> None:
         """Raise :class:`InvalidObservation` at the first broken rule: the
-        horizon and stocks, then the first event :func:`validate_complete_path`
-        flags."""
+        horizon and stocks, then the first event with a time outside
+        ``[0, T]`` or before the previous one, a null choice in a no-null
+        visit, or a choice of a product not offered or already sold out.
+
+        Sequence order, not timestamps, drives feasibility; equal
+        timestamps (possible after rounding) are allowed.
+        """
         _check_visit(self)
-        report = validate_complete_path(self)
-        if not report.ok:
-            index, message = report.violations[0]
-            raise InvalidObservation(f"event {index}: {message}")
+        remaining = dict(self.stocks)
+        prev = 0.0
+        for i, (t, c) in enumerate(self.events, start=1):
+            # a NaN fails both comparisons
+            if not 0.0 <= t <= self.horizon:
+                raise InvalidObservation(f"event {i}: time {t} outside [0, {self.horizon}]")
+            if t < prev:
+                raise InvalidObservation(f"event {i}: time {t} decreases from {prev}")
+            prev = t
+            if c is NULL:
+                if not self.initial_assortment.includes_null:
+                    raise InvalidObservation(f"event {i}: null choice in a no-null visit")
+                continue
+            if c not in remaining:
+                raise InvalidObservation(
+                    f"event {i}: choice of product {c} not in the initial assortment"
+                )
+            if remaining[c] <= 0:
+                raise InvalidObservation(f"event {i}: choice of product {c} after it stocked out")
+            remaining[c] -= 1
 
     def segments(self) -> Segments:
         """:func:`transaction_segments` of the path's choices."""
@@ -265,48 +284,6 @@ class SegmentDecomposition:
     @property
     def total_arrivals(self) -> int:
         return sum(self.segment_sizes) + len(self.stockout_order)
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, index: int, message: str) -> None:
-        self.violations.append((index, message))
-
-
-def validate_complete_path(path: CompletePath) -> ValidationReport:
-    """Report every invariant violated by ``path``: inventory overruns,
-    choices of unavailable products, and time ordering.
-
-    Sequence order, not timestamps, drives feasibility; equal timestamps
-    (possible after rounding) are allowed.
-    """
-    assortment = path.initial_assortment
-    report = ValidationReport()
-    remaining = {a: path.stocks[a] for a in assortment.products}
-    prev_time = 0.0
-    for i, (t, c) in enumerate(path.events, start=1):
-        if not 0 <= t <= path.horizon:
-            report.add(i, f"time {t} outside [0, {path.horizon}]")
-        if t < prev_time:
-            report.add(i, f"time {t} decreases from {prev_time}")
-        prev_time = max(prev_time, t)
-        if c is NULL:
-            if not assortment.includes_null:
-                report.add(i, "null choice in a no-null visit")
-            continue
-        if c not in remaining:
-            report.add(i, f"choice of product {c} not in the initial assortment")
-        elif remaining[c] <= 0:
-            report.add(i, f"choice of product {c} after it stocked out")
-        else:
-            remaining[c] -= 1
-    return report
 
 
 def project_transactions(path: CompletePath, keep_times: bool) -> TransactionRecord:

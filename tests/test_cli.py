@@ -135,6 +135,21 @@ class TestSimulate:
         assert "stock 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", -1), ("horizon", "nan"), ("offer_probability", 1.5)],
+    )
+    def test_bad_horizon_or_offer_probability_is_data_error(
+        self, tmp_path, capsys, field, value
+    ):
+        config = tmp_path / "config.json"
+        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 2.0}
+        config.write_text(json.dumps({**raw, field: value, "visits": 5}))
+        out = tmp_path / "visits.jsonl"
+        assert run("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_estimates_preset_data(self, tmp_path, capsys):
@@ -169,6 +184,37 @@ class TestEstimate:
         assert payload["estimator"] == "saa"
         assert payload["saa_samples"] == 2
         assert payload["seed"] == 4
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--saa-samples", "4"), "the SAA estimator fits sales"),
+            (("--naive",), "visit 1 is a TransactionRecord"),
+        ],
+    )
+    def test_sales_estimator_on_timed_file_is_data_error(
+        self, tmp_path, capsys, option, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 2.0})
+        )
+        data = tmp_path / "timed.jsonl"
+        assert run(
+            "simulate",
+            "--config",
+            str(config),
+            "--visits",
+            "20",
+            "--granularity",
+            "transactions-timed",
+            "--out",
+            str(data),
+        ) == 0
+        out = tmp_path / "fit.json"
+        assert run("estimate", "--data", str(data), *option, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_run_identical_output(self, tmp_path, capsys):
         data = simulate_small(tmp_path, visits=40, seed=7)

@@ -358,6 +358,114 @@ class TestInfeasibleVisit:
             compile_dataset([record], "transactions-timed")
 
 
+#: the observation class each granularity fits
+FITTED_KIND = {
+    "complete": CompletePath,
+    "transactions-timed": TransactionRecord,
+    "transactions": TransactionRecord,
+    "sales": SalesSummary,
+    "sales-no-null": SalesSummary,
+}
+
+
+def one_visit_of_each_kind():
+    path = make_path([0, NULL, 1], {0: 1, 1: 2})
+    return {
+        CompletePath: path,
+        TransactionRecord: project_transactions(path, True),
+        SalesSummary: project_sales(path),
+    }
+
+
+def reference_start(observations, catalog):
+    """The fit's start point computed from the visits themselves: the log
+    naive rate, then the log naive sales shares floored at 1e-6."""
+    counts = {a: 0.0 for a in catalog}
+    for obs in observations:
+        if isinstance(obs, SalesSummary):
+            for a, z in obs.sales.items():
+                counts[a] += z
+        elif isinstance(obs, TransactionRecord):
+            for a in obs.products:
+                counts[a] += 1
+        else:
+            for c in obs.choices:
+                if c is not None:
+                    counts[c] += 1
+    total = max(sum(counts.values()), 1.0)
+    shares = np.log([max(counts[a] / total, 1e-6) for a in catalog])
+    return np.concatenate(([math.log(naive_rate(observations))], shares))
+
+
+class TestEstimatorChecks:
+    @pytest.mark.parametrize(
+        "granularity, kind",
+        [
+            (granularity, kind)
+            for granularity, fitted in FITTED_KIND.items()
+            for kind in (CompletePath, TransactionRecord, SalesSummary)
+            if kind is not fitted
+        ],
+    )
+    def test_visit_of_another_kind_rejected(self, granularity, kind):
+        good = one_visit_of_each_kind()[FITTED_KIND[granularity]]
+        if granularity == "sales-no-null":
+            good = replace(good, initial_assortment=Assortment((0, 1), False))
+        data = [good] * 3 + [one_visit_of_each_kind()[kind]]
+        message = f"visit 4 is a {kind.__name__}; {granularity} fits"
+        with pytest.raises(InvalidObservation, match=message):
+            compile_dataset(data, granularity)
+        with pytest.raises(InvalidObservation, match=message):
+            fit(data, granularity)
+
+    @pytest.mark.parametrize("granularity", ["complete", "transactions-timed", "transactions"])
+    @pytest.mark.parametrize(
+        "options, estimator", [({"saa_samples": 4}, "SAA"), ({"naive": True}, "naive")]
+    )
+    def test_saa_and_naive_fit_sales_only(self, granularity, options, estimator):
+        paths = simulate_dataset(two_product_config(), 5, seed=31)
+        data = [project_path(p, granularity) for p in paths]
+        message = f"the {estimator} estimator fits sales, not {granularity}"
+        with pytest.raises(InvalidObservation, match=message):
+            compile_dataset(data, granularity, **options)
+        with pytest.raises(InvalidObservation, match=message):
+            fit(data, granularity, **options)
+
+    @pytest.mark.parametrize("granularity", ["transactions-timed", "transactions"])
+    def test_no_null_transactions_rejected(self, granularity):
+        record = TransactionRecord(
+            1.0, Assortment((0, 1), False), {0: 1, 1: 3}, ((0.2, 0), (0.5, 1)), True
+        )
+        with pytest.raises(InvalidObservation, match="null-inclusive"):
+            compile_dataset([record] * 3, granularity)
+        with pytest.raises(InvalidObservation, match="null-inclusive"):
+            fit([record] * 3, granularity)
+
+    @pytest.mark.parametrize(
+        "granularity, options",
+        [
+            ("complete", {}),
+            ("transactions-timed", {}),
+            ("transactions", {}),
+            ("sales", {}),
+            ("sales", {"saa_samples": 2}),
+            ("sales", {"naive": True}),
+            ("sales-no-null", {}),
+        ],
+    )
+    def test_start_point_is_naive_rate_and_sales_shares(self, granularity, options):
+        includes_null = granularity != "sales-no-null"
+        paths = simulate_dataset(two_product_config(includes_null), 40, seed=37)
+        # product 2 is offered once and never bought: its share is floored
+        paths.append(make_path([], {2: 1}, includes_null=includes_null))
+        data = [project_path(p, granularity) for p in paths]
+        ds = compile_dataset(data, granularity, TruncationPolicy(m=12), **options)
+        start = reference_start(data, ds.catalog)
+        assert start[-1] == math.log(1e-6)
+        np.testing.assert_array_equal(ds.start, start)
+        assert ds.includes_null is includes_null
+
+
 class TestTruncationSizing:
     @pytest.fixture
     def resolve_calls(self, monkeypatch):

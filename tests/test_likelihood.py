@@ -83,12 +83,6 @@ class TestTruncationPolicy:
         assert poisson.sf(m, 4.0) < 1e-10
         assert poisson.sf(m - 1, 4.0) >= 1e-10
 
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-10, math.nan, math.inf])
-    def test_nonpositive_or_nonfinite_epsilon_rejected(self, epsilon):
-        # resolve() would never stop: the tail mass underflows to zero
-        with pytest.raises(ValueError, match="epsilon"):
-            TruncationPolicy(epsilon=epsilon)
-
 
 class TestCompleteData:
     def test_l1_manual_value(self):
@@ -215,6 +209,23 @@ class TestTimedTransactions:
         )
         with pytest.raises(InvalidObservation, match="timestamps"):
             table_timed_transactions(record)
+
+
+@pytest.mark.parametrize("timed", [True, False])
+def test_transaction_tables_refuse_no_null_regime(timed):
+    # like l3 and l4, the tables are defined with a null option only
+    record = TransactionRecord(
+        1.0,
+        Assortment((0, 1), False),
+        {0: 1, 1: 3},
+        ((0.2 if timed else None, 0), (0.5 if timed else None, 1)),
+        timed,
+    )
+    with pytest.raises(InvalidObservation, match="null-inclusive"):
+        if timed:
+            table_timed_transactions(record)
+        else:
+            table_transactions(record, 6)
 
 
 class TestUntimedTransactions:

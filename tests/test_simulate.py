@@ -17,7 +17,6 @@ from stockout_demand import (
 )
 from stockout_demand.io import serialize_visit
 from stockout_demand.simulate import VisitConfig
-from stockout_demand.types import validate_complete_path
 
 
 def simple_config(include_null=True, rate=2.0, stock=2):
@@ -46,7 +45,7 @@ def test_stock_override_below_one_rejected():
 def test_paths_are_valid():
     paths = simulate_dataset(simple_config(), 200, seed=1)
     for p in paths:
-        assert validate_complete_path(p).ok
+        p.validate()
 
 
 def test_stocks_never_oversold():

@@ -17,7 +17,6 @@ from stockout_demand import (
     project_sales,
     project_transactions,
     segment_decomposition,
-    validate_complete_path,
 )
 from stockout_demand.types import assortment_after, transaction_segments
 
@@ -65,30 +64,30 @@ class TestModelParams:
 
 class TestValidation:
     def test_valid_path_passes(self):
-        path = make_path([(0.1, 0), (0.5, NULL), (0.9, 1)])
-        assert validate_complete_path(path).ok
+        make_path([(0.1, 0), (0.5, NULL), (0.9, 1)]).validate()
 
     def test_purchase_after_stockout_flagged(self):
         path = make_path([(0.1, 0), (0.2, 0)])
-        report = validate_complete_path(path)
-        assert not report.ok
-        assert any("stocked out" in msg for _, msg in report.violations)
+        with pytest.raises(InvalidObservation, match="event 2: .* after it stocked out"):
+            path.validate()
 
     def test_unoffered_product_flagged(self):
         path = make_path([(0.1, 7)])
-        assert not validate_complete_path(path).ok
+        with pytest.raises(InvalidObservation, match="event 1: .* not in the initial"):
+            path.validate()
 
     def test_time_ordering_flagged(self):
         path = make_path([(0.5, NULL), (0.1, NULL)])
-        assert not validate_complete_path(path).ok
+        with pytest.raises(InvalidObservation, match="event 2: time 0.1 decreases"):
+            path.validate()
 
     def test_null_in_no_null_regime_flagged(self):
         path = make_path([(0.1, NULL)], includes_null=False)
-        assert not validate_complete_path(path).ok
+        with pytest.raises(InvalidObservation, match="event 1: null choice"):
+            path.validate()
 
     def test_equal_timestamps_allowed(self):
-        path = make_path([(0.5, NULL), (0.5, 0)])
-        assert validate_complete_path(path).ok
+        make_path([(0.5, NULL), (0.5, 0)]).validate()
 
 
 def one_of_each(includes_null=True):
