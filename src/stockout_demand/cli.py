@@ -244,9 +244,10 @@ def _build_parser() -> _Parser:
     p_est.add_argument("--data", required=True, help="JSONL visit file")
     p_est.add_argument("--granularity", choices=GRANULARITIES)
     p_est.add_argument("--truncation", type=int, help="fixed arrival-count cap")
-    p_est.add_argument("--saa-samples", type=int, help="stock-out vectors per count")
+    estimator = p_est.add_mutually_exclusive_group()
+    estimator.add_argument("--saa-samples", type=int, help="stock-out vectors per count")
+    estimator.add_argument("--naive", action="store_true", help="stock-out-blind baseline")
     p_est.add_argument("--seed", type=int, help="SAA sampling seed")
-    p_est.add_argument("--naive", action="store_true", help="stock-out-blind baseline")
     p_est.add_argument("--out", help="write FitResult JSON here")
     p_est.set_defaults(func=cmd_estimate)
 

@@ -5,14 +5,15 @@ with multiplicities, each group's term table is filled once, and
 :func:`~stockout_demand.likelihood.stack_tables` stacks the tables into one
 set of arrays whose assortment denominators share one registry.  Sales
 tables sharing a stock-out layout shape share its enumeration within one
-compile.  Timed transactions compile further, to sufficient statistics
-per assortment (exponent and exposure-time totals, plus the sales), so
-their part of every evaluation costs the same whatever the number of
-visits.  Each optimizer step is then a handful of vectorized array
-operations with analytic gradients in ``(log rate, log weights)``.
-Compiling also checks the estimator (each granularity fits one
-observation class; SAA and the naive baseline fit sales only) and keeps
-the fit's start point and null regime.
+compile.  Timed transactions build no table per visit: their groups fold
+straight into one table of sufficient statistics per assortment (exponent
+and exposure-time totals, plus the sales), so their part of every
+evaluation costs the same whatever the number of visits.  Each optimizer
+step is then a handful of vectorized array operations with analytic
+gradients in ``(log rate, log weights)``.  Compiling also checks the
+estimator (each granularity fits one observation class; SAA and the naive
+baseline fit sales only, and not together) and keeps the fit's start
+point and null regime.
 
 Fitting runs one joint L-BFGS-B over (log rate, log weights) that reads
 only the compiled dataset; complete data keeps its closed-form rate.  The
@@ -32,6 +33,7 @@ from .likelihood import (
     TermTable,
     TimedSegmentTable,
     TruncationPolicy,
+    fold_timed,
     membership_matrix,
     stack_tables,
     table_complete,
@@ -39,13 +41,11 @@ from .likelihood import (
     table_sales_attraction,
     table_sales_no_null,
     table_sales_saa,
-    table_timed_transactions,
     table_transactions,
     term_loglik_grad,
     timed_loglik_grad,
 )
 from .types import (
-    Assortment,
     CompletePath,
     InvalidObservation,
     ModelParams,
@@ -156,18 +156,21 @@ class CompiledDataset:
     returns the total log-likelihood and its gradient in ``x``.  ``start``
     is the fit's start point: the log of ``rate`` (the naive rate) and the
     log naive sales shares, floored at 1e-6.  ``includes_null`` tells
-    whether any compiled assortment offers the null option.
+    whether any compiled assortment offers the null option.  ``timed`` is
+    every timed visit folded into one table over the catalog (empty when
+    nothing is timed); ``visits`` is the number of visits compiled.
     """
 
     def __init__(
         self,
         catalog: Tuple[int, ...],
         tables: Sequence[Tuple[TermTable, int]],
-        timed: Sequence[Tuple[TimedSegmentTable, int]],
+        timed: TimedSegmentTable,
         rate: float,
+        visits: int,
     ) -> None:
         self.catalog = catalog
-        self._timed = list(timed)
+        self.visits = visits
         (
             self.membership,
             self.nulls,
@@ -180,34 +183,22 @@ class CompiledDataset:
             self.T_g,
             self.Z,
         ) = stack_tables(catalog, tables)
-        self.visits = int(self.counts.sum()) + sum(c for _, c in self._timed)
-        # timed tables: per-table column map into the global catalog, and
-        # their sufficient statistics summed per assortment
-        a_of = {a: i for i, a in enumerate(catalog)}
-        self._timed_cols = [
-            np.array([a_of[a] for a in t.catalog], dtype=np.int64)
-            for t, _ in self._timed
-        ]
-        self.timed_sales = np.zeros(len(catalog))
-        reg: Dict[Assortment, int] = {}
-        seg_rows: List[int] = []
-        seg_exp: List[float] = []
-        seg_dur: List[float] = []
-        for (table, count), cols in zip(self._timed, self._timed_cols):
-            self.timed_sales[cols] += count * table.sales
-            seg_rows += [reg.setdefault(a, len(reg)) for a in table.assortments]
-            seg_exp.extend(count * table.exponents)
-            seg_dur.extend(count * table.durations)
-        self.n_assort = self.nulls.size + len(reg)
-        self.timed_membership = membership_matrix(catalog, list(reg))
-        rows = np.asarray(seg_rows, dtype=np.int64)
-        self.timed_exponents = np.bincount(rows, np.asarray(seg_exp), len(reg))
-        self.timed_durations = np.bincount(rows, np.asarray(seg_dur), len(reg))
+        # the folded table as (table, count) pairs with the columns of its
+        # catalog, the form perfbench/tracing.compiled_stats reads
+        self._timed = [(timed, 1)] if timed.assortments else []
+        self._timed_cols = [np.arange(len(catalog)) for _ in self._timed]
+        self.timed_sales = timed.sales
+        self.timed_membership = membership_matrix(catalog, timed.assortments)
+        self.timed_exponents = timed.exponents
+        self.timed_durations = timed.durations
+        self.n_assort = self.nulls.size + len(timed.assortments)
         # the sales are integer sums, so their order does not change them
         sales = self.counts @ self.Z + self.timed_sales
         shares = np.maximum(sales / max(sales.sum(), 1.0), 1e-6)
         self.start = np.concatenate(([math.log(rate)], np.log(shares)))
-        self.includes_null = bool(self.nulls.any()) or any(a.includes_null for a in reg)
+        self.includes_null = bool(self.nulls.any()) or any(
+            a.includes_null for a in timed.assortments
+        )
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -269,8 +260,6 @@ def _build_table(
         return table_sales_saa(obs, m, saa_samples, seed, key)
     if granularity == "complete":
         return table_complete(obs)
-    if granularity == "transactions-timed":
-        return table_timed_transactions(obs)
     if granularity == "transactions":
         return table_transactions(obs, m)
     if granularity == "sales":
@@ -286,9 +275,11 @@ def compile_dataset(
     seed: int = 0,
     naive: bool = False,
 ) -> CompiledDataset:
-    """Group identical visits, build their term tables once, concatenate.
-    A visit not of the granularity's observation class, or SAA or naive at
-    a non-sales granularity, raises :class:`InvalidObservation`.
+    """Group identical visits, build their term tables once, concatenate;
+    timed visits fold instead into one table of per-assortment totals.  A
+    visit not of the granularity's observation class, SAA or naive at a
+    non-sales granularity, or SAA and naive together, raises
+    :class:`InvalidObservation`.
 
     SAA sample streams are keyed by visit content, so duplicate visits
     share one draw (common random numbers) and grouping stays effective.
@@ -302,6 +293,8 @@ def compile_dataset(
     kind = _KINDS.get(granularity)
     if kind is None:
         raise ValueError(f"unknown granularity {granularity!r}")
+    if naive and saa_samples is not None:
+        raise InvalidObservation("the naive and SAA estimators cannot be combined")
     if (naive or saa_samples is not None) and kind is not SalesSummary:
         estimator = "naive" if naive else "SAA"
         raise InvalidObservation(f"the {estimator} estimator fits sales, not {granularity}")
@@ -319,11 +312,14 @@ def compile_dataset(
     for i, obs in enumerate(observations):
         groups.setdefault(_group_key(obs, granularity), []).append(i)
     tables: List[Tuple[TermTable, int]] = []
-    timed: List[Tuple[TimedSegmentTable, int]] = []
+    timed: List[Tuple[TransactionRecord, int]] = []
     # m depends only on the horizon and the observed count here
     sizes: Dict[Tuple[float, int], int] = {}
     for key, members in groups.items():
         obs = observations[members[0]]
+        if granularity == "transactions-timed":
+            timed.append((obs, len(members)))
+            continue
         m = 0
         if _sums_latent_arrivals(obs, granularity, naive):
             size_key = (obs.horizon, _observed_count(obs))
@@ -334,11 +330,10 @@ def compile_dataset(
         table = _build_table(
             obs, granularity, m, saa_samples, seed, hash(key) & 0x7FFFFFFF, naive
         )
-        if isinstance(table, TimedSegmentTable):
-            timed.append((table, len(members)))
-        else:
-            tables.append((table, len(members)))
-    return CompiledDataset(tuple(catalog), tables, timed, rate)
+        tables.append((table, len(members)))
+    return CompiledDataset(
+        tuple(catalog), tables, fold_timed(timed, catalog), rate, len(observations)
+    )
 
 
 def dataset_log_likelihood(

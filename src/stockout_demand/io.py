@@ -132,10 +132,20 @@ class RunConfig:
             raise DataFormatError(f"malformed config value: {exc}") from exc
         if set(weights) != set(catalog):
             raise DataFormatError("weights must cover exactly the catalog")
+        for key in ("always_available", "stocks"):
+            outside = sorted(set(kwargs.get(key, ())) - set(catalog))
+            if outside:
+                raise DataFormatError(f"{key} names products {outside} outside the catalog")
         for a, stock in kwargs.get("stocks", {}).items():
             if stock < 1:
                 raise DataFormatError(f"product {a} has stock {stock}")
         config = RunConfig(**kwargs)
+        if config.stock_level < 1:
+            raise DataFormatError(f"stock_level must be >= 1, got {config.stock_level}")
+        for key in ("visits", "seed"):
+            value = getattr(config, key)
+            if value < 0:
+                raise DataFormatError(f"{key} must be non-negative, got {value}")
         if not (math.isfinite(config.horizon) and config.horizon > 0):
             raise DataFormatError(f"horizon must be finite and positive, got {config.horizon}")
         # a NaN fails both comparisons

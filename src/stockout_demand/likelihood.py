@@ -21,8 +21,8 @@ complete and transaction tables list explicit terms.
 enumerating each distinct shape once in numpy, and one kernel,
 :func:`term_loglik_grad`, evaluates their grouped log-sum-exp with its
 gradient, for one table (stacked alone) and for a compiled dataset alike;
-timed transactions reduce to per-assortment totals evaluated by
-:func:`timed_loglik_grad`.
+timed transactions fold into one table of per-assortment totals
+(:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
 
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
@@ -86,6 +86,7 @@ __all__ = [
     "table_sales_no_null",
     "table_naive_sales",
     "table_timed_transactions",
+    "fold_timed",
     "stack_tables",
     "term_loglik_grad",
     "timed_loglik_grad",
@@ -970,25 +971,72 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
 
 
 def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
-    """Compiled form of :func:`l3_transactions_timed` with gradients; an
-    impossible or untimed record, or one without a null option, raises
+    """Compiled form of :func:`l3_transactions_timed` with gradients: the
+    :func:`fold_timed` of the record alone over its own products, one row
+    per segment (each faces a different assortment).  An impossible or
+    untimed record, or one without a null option, raises
     :class:`InvalidObservation`."""
-    if not record.timestamps_present:
-        raise InvalidObservation("timed transactions need transaction timestamps")
-    if not record.initial_assortment.includes_null:
-        raise InvalidObservation("l3 is defined for the null-inclusive regime")
-    record.validate()
-    catalog = record.initial_assortment.products
-    sales = _purchase_counts(record.products)
-    _, seg_counts, assortments, stockout_idx = record.segments()
+    return fold_timed([(record, 1)], record.initial_assortment.products)
+
+
+def fold_timed(
+    groups: Sequence[Tuple[TransactionRecord, int]], catalog: Sequence[int]
+) -> "TimedSegmentTable":
+    """Timed records with multiplicities, folded into one table over
+    ``catalog``: the thinned purchase rate is linear in the visits, so the
+    likelihood of many visits needs only per-assortment totals.  Its rows
+    are the distinct segment assortments in order of first appearance,
+    with count-weighted exponent and duration totals; its sales are the
+    count-weighted purchases per product.  Each record is checked as
+    :func:`l3_transactions_timed` checks it, and the first impossible or
+    untimed record, or one without a null option, raises
+    :class:`InvalidObservation`."""
+    col = {a: i for i, a in enumerate(catalog)}
+    # keyed by the fields, which hash faster than the dataclass
+    rows_of: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+    assortments: List[Assortment] = []
+    rows: List[int] = []
+    exponents: List[float] = []
+    durations: List[float] = []
+    sold: List[int] = []
+    sold_counts: List[int] = []
+    for record, count in groups:
+        if not record.timestamps_present:
+            raise InvalidObservation("timed transactions need transaction timestamps")
+        if not record.initial_assortment.includes_null:
+            raise InvalidObservation("l3 is defined for the null-inclusive regime")
+        record.validate()
+        _, seg_counts, seg_assortments, stockout_idx = record.segments()
+        for assortment, e, t in zip(
+            seg_assortments,
+            _segment_exponents(seg_counts),
+            _timed_segment_durations(record, stockout_idx),
+        ):
+            key = (assortment.products, assortment.includes_null)
+            if key not in rows_of:
+                rows_of[key] = len(assortments)
+                assortments.append(assortment)
+            rows.append(rows_of[key])
+            exponents.append(count * e)
+            durations.append(count * t)
+        for _, p in record.transactions:
+            sold.append(col[p])
+            sold_counts.append(count)
     return TimedSegmentTable(
-        horizon=record.horizon,
-        catalog=catalog,
-        sales=np.array([sales.get(a, 0) for a in catalog], dtype=float),
-        assortments=list(assortments),
-        exponents=np.array(_segment_exponents(seg_counts)),
-        durations=np.asarray(_timed_segment_durations(record, stockout_idx), dtype=float),
+        catalog=tuple(catalog),
+        sales=_totals(sold, sold_counts, len(catalog)),
+        assortments=assortments,
+        exponents=_totals(rows, exponents, len(assortments)),
+        durations=_totals(rows, durations, len(assortments)),
     )
+
+
+def _totals(index: List[int], weights: Sequence[float], size: int) -> np.ndarray:
+    """``weights`` summed per ``index`` in list order, as floats even when
+    there are none (``np.bincount`` then counts in integers)."""
+    return np.bincount(
+        np.asarray(index, dtype=np.int64), np.asarray(weights, dtype=float), size
+    ).astype(float, copy=False)
 
 
 def term_loglik_grad(
@@ -1088,12 +1136,13 @@ def timed_loglik_grad(
 
 @dataclass
 class TimedSegmentTable:
-    """Timestamped-transaction likelihood of one visit, one row per
-    constant-assortment segment ``j``: purchase-density exponent ``e_j``
-    and duration ``t_j``, evaluated by :func:`timed_loglik_grad`.
+    """Timestamped-transaction likelihood of one visit or of a
+    :func:`fold_timed` of many, one row per distinct constant-assortment
+    segment ``d``: total purchase-density exponent ``E_d`` and exposure
+    time ``tau_d``, plus the purchases per ``catalog`` product, evaluated
+    by :func:`timed_loglik_grad`.
     """
 
-    horizon: float
     catalog: Tuple[int, ...]
     sales: np.ndarray
     assortments: List[Assortment]

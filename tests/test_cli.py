@@ -150,6 +150,29 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stock_level", 0),
+            ("visits", -5),
+            ("seed", -3),
+            ("always_available", [7]),
+            ("stocks", {"5": 2}),
+        ],
+    )
+    def test_bad_count_or_unknown_product_is_data_error(
+        self, tmp_path, capsys, field, value
+    ):
+        # these used to exit 1, crash with a KeyError, or (stocks outside
+        # the catalog) be ignored
+        config = tmp_path / "config.json"
+        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 2.0, "visits": 5}
+        config.write_text(json.dumps({**raw, field: value}))
+        out = tmp_path / "visits.jsonl"
+        assert run("simulate", "--config", str(config), "--out", str(out)) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_estimates_preset_data(self, tmp_path, capsys):
@@ -184,6 +207,17 @@ class TestEstimate:
         assert payload["estimator"] == "saa"
         assert payload["saa_samples"] == 2
         assert payload["seed"] == 4
+
+    def test_naive_with_saa_is_usage_error(self, tmp_path, capsys):
+        # the SAA request used to be dropped and a naive fit written
+        data = simulate_small(tmp_path, visits=30, seed=3)
+        out = tmp_path / "fit.json"
+        code = run(
+            "estimate", "--data", str(data), "--naive", "--saa-samples", "4", "--out", str(out)
+        )
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "option, message",

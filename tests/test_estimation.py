@@ -356,6 +356,8 @@ class TestInfeasibleVisit:
         )
         with pytest.raises(InvalidObservation, match="timestamps"):
             compile_dataset([record], "transactions-timed")
+        with pytest.raises(InvalidObservation, match="timestamps"):
+            fit([record], "transactions-timed")
 
 
 #: the observation class each granularity fits
@@ -430,6 +432,17 @@ class TestEstimatorChecks:
             compile_dataset(data, granularity, **options)
         with pytest.raises(InvalidObservation, match=message):
             fit(data, granularity, **options)
+
+    def test_naive_and_saa_together_rejected(self):
+        # the naive fit used to run and be labelled with the SAA options
+        paths = simulate_dataset(two_product_config(), 5, seed=31)
+        data = [project_sales(p) for p in paths]
+        options = {"naive": True, "saa_samples": 4, "seed": 1}
+        message = "the naive and SAA estimators cannot be combined"
+        with pytest.raises(InvalidObservation, match=message):
+            compile_dataset(data, "sales", **options)
+        with pytest.raises(InvalidObservation, match=message):
+            fit(data, "sales", **options)
 
     @pytest.mark.parametrize("granularity", ["transactions-timed", "transactions"])
     def test_no_null_transactions_rejected(self, granularity):
