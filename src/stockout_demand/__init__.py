@@ -41,12 +41,9 @@ from .likelihood import (
     l4_integral,
     l4_lauricella,
     l4_transactions,
-    l5_saa,
     l5_sales,
-    l5_sales_attraction,
     l6_choice_part,
     l6_generic,
-    l6_sales_no_null,
     lauricella_mgf,
 )
 from .simulate import VisitConfig, simulate_dataset, simulate_visit, visit_rng

@@ -50,6 +50,15 @@ class DataFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # run configuration
 
+
+def _integer(value, name: str) -> int:
+    """A config count: a JSON number of integral value, not a boolean."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise DataFormatError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 _CONFIG_KEYS = {
     "catalog",
     "weights",
@@ -114,20 +123,27 @@ class RunConfig:
                 weights=weights,
                 rate=float(raw["rate"]),
             )
-            for key, cast in [
-                ("horizon", float),
-                ("offer_probability", float),
-                ("stock_level", int),
-                ("include_null", bool),
-                ("visits", int),
-                ("seed", int),
-            ]:
+            for key in ("horizon", "offer_probability"):
                 if key in raw:
-                    kwargs[key] = cast(raw[key])
+                    kwargs[key] = float(raw[key])
+            for key in ("stock_level", "visits", "seed"):
+                if key in raw:
+                    kwargs[key] = _integer(raw[key], key)
+            if "include_null" in raw:
+                if not isinstance(raw["include_null"], bool):
+                    raise DataFormatError(
+                        f"include_null must be true or false, got {raw['include_null']!r}"
+                    )
+                kwargs["include_null"] = raw["include_null"]
             if "always_available" in raw:
                 kwargs["always_available"] = tuple(int(a) for a in raw["always_available"])
             if "stocks" in raw:
-                kwargs["stocks"] = {int(a): int(s) for a, s in raw["stocks"].items()}
+                kwargs["stocks"] = {
+                    int(a): _integer(s, f"stocks of product {a}")
+                    for a, s in raw["stocks"].items()
+                }
+        except DataFormatError:
+            raise
         except (TypeError, ValueError, AttributeError) as exc:
             raise DataFormatError(f"malformed config value: {exc}") from exc
         if set(weights) != set(catalog):
@@ -136,6 +152,11 @@ class RunConfig:
             outside = sorted(set(kwargs.get(key, ())) - set(catalog))
             if outside:
                 raise DataFormatError(f"{key} names products {outside} outside the catalog")
+        unlimited = sorted(set(kwargs.get("stocks", ())) & set(kwargs.get("always_available", ())))
+        if unlimited:
+            raise DataFormatError(
+                f"stocks names always_available products {unlimited}, whose stock is unlimited"
+            )
         for a, stock in kwargs.get("stocks", {}).items():
             if stock < 1:
                 raise DataFormatError(f"product {a} has stock {stock}")

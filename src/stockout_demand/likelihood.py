@@ -12,17 +12,18 @@ Six likelihoods cover the data regimes:
 * ``l6`` -- sales with no null option (total arrivals observed exactly).
 
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
-sum over stock-out index vectors; those fast paths are expressed as
+sum over stock-out index vectors; that form is expressed as
 parameter-independent "term tables", which the ``table_*`` functions fill.
 A sales table records, per arrival count, only the layout shape (the
 stocks of the products that sell out, and ``n``) and a base coefficient;
-complete and transaction tables list explicit terms.
-:func:`stack_tables` stacks any list of tables into flat arrays once,
-enumerating each distinct shape once in numpy, and one kernel,
-:func:`term_loglik_grad`, evaluates their grouped log-sum-exp with its
-gradient, for one table (stacked alone) and for a compiled dataset alike;
-timed transactions fold into one table of per-assortment totals
-(:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
+complete and transaction tables list explicit terms.  Tables are records,
+not evaluators: :func:`stack_tables` stacks a dataset's tables into flat
+arrays once, enumerating each distinct shape once in numpy, and one
+kernel, :func:`term_loglik_grad`, evaluates their grouped log-sum-exp with
+its gradient; timed transactions fold into one table of per-assortment
+totals (:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
+``estimation.compile_dataset`` builds and stacks the tables, and is the one
+way they are evaluated; the generic ``l*`` functions are its oracles.
 
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
@@ -69,9 +70,6 @@ __all__ = [
     "l4_integral",
     "lauricella_mgf",
     "l5_sales",
-    "l5_sales_attraction",
-    "l5_saa",
-    "l6_sales_no_null",
     "l6_generic",
     "l6_choice_part",
     "counterexample_expectations",
@@ -85,7 +83,6 @@ __all__ = [
     "table_sales_saa",
     "table_sales_no_null",
     "table_naive_sales",
-    "table_timed_transactions",
     "fold_timed",
     "stack_tables",
     "term_loglik_grad",
@@ -156,6 +153,29 @@ def _compositions_exact(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions_exact(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _null_arrival_terms(
+    base: float,
+    seg_sizes: Sequence[int],
+    log_p_null: Sequence[float],
+    observed: int,
+    m: int,
+    mu: float,
+) -> Iterator[float]:
+    """Log-terms of the sum over the latent null arrivals ``n_o_j`` of each
+    segment, for every ``n_o`` whose total arrivals ``observed + |n_o|``
+    stay at or below ``m``: ``base + log Poisson(observed + |n_o|; mu) +
+    sum_j [log C(n_o_j + s_j, n_o_j) + n_o_j log P_o^[j]]``.  Segment ``j``
+    holds ``s_j = seg_sizes[j]`` observed choices (its closing stock-out
+    purchase excluded), and ``log_p_null[j]`` is its log no-purchase
+    probability; the binomial counts the interleavings of its null
+    arrivals with its choices."""
+    for n_o in _compositions_at_most(m - observed, len(seg_sizes)):
+        t = base + _poisson_logpmf(observed + sum(n_o), mu)
+        for extra, size, log_p in zip(n_o, seg_sizes, log_p_null):
+            t += log_binomial(extra + size, extra) + extra * log_p
+        yield t
 
 
 def _log_choice_sequence(
@@ -279,18 +299,12 @@ def l4_transactions(
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
     _, seg_counts, assortments, _ = record.segments()
-    k = len(assortments) - 1
-    mu = record.horizon * params.rate
     log_purchases = _log_choice_sequence(record, record.products, params, model)
     log_p_null = [math.log(model.prob(params, NULL, a)) for a in assortments]
-    terms = []
-    for n_o in _compositions_at_most(m - n_purch, k + 1):
-        n = n_purch + sum(n_o)
-        t = _poisson_logpmf(n, mu) + log_purchases
-        for j in range(k + 1):
-            t += log_binomial(n_o[j] + seg_counts[j], n_o[j]) + n_o[j] * log_p_null[j]
-        terms.append(t)
-    return float(logsumexp(terms))
+    terms = _null_arrival_terms(
+        log_purchases, seg_counts, log_p_null, n_purch, m, record.horizon * params.rate
+    )
+    return float(logsumexp(list(terms)))
 
 
 def lauricella_mgf(
@@ -438,8 +452,8 @@ def l5_sales(
 
     Sums over stock-out orderings, per-segment splits of each product's
     sales, and null counts per segment.  Exponential in the stock-out
-    count; meant for small instances and as the oracle for the attraction
-    fast path.
+    count; meant for small instances and as the oracle for the compiled
+    sales tables.
     """
     if not summary.initial_assortment.includes_null:
         raise InvalidObservation("l5 is the null-inclusive sales likelihood")
@@ -450,28 +464,54 @@ def l5_sales(
     mu = summary.horizon * params.rate
     terms: List[float] = []
     for seg_assort, splits in _sales_splits(summary, params, model):
-        k = len(seg_assort) - 1
         log_p_null = [math.log(model.prob(params, NULL, seg)) for seg in seg_assort]
         for seg_counts, log_choice in splits:
+            # orderings of each segment's sales among themselves; the null
+            # arrivals interleave with them as with a purchase sequence
+            base = log_choice + sum(log_multinomial(counts) for counts in seg_counts)
             seg_sales = [sum(counts) for counts in seg_counts]
-            base = log_choice - sum(
-                math.lgamma(c + 1) for counts in seg_counts for c in counts
-            )
-            # sequence count within segment j: interleavings of its sales
-            # and n_o_j null arrivals, (n_o_j + seg_sales_j)!/(n_o_j! prod n_a_j!)
-            for n_o in _compositions_at_most(m - n_sales, k + 1):
-                n = n_sales + sum(n_o)
-                t = base + _poisson_logpmf(n, mu)
-                for j in range(k + 1):
-                    t += (
-                        math.lgamma(n_o[j] + seg_sales[j] + 1)
-                        - math.lgamma(n_o[j] + 1)
-                        + n_o[j] * log_p_null[j]
-                    )
-                terms.append(t)
+            terms += _null_arrival_terms(base, seg_sales, log_p_null, n_sales, m, mu)
     if not terms:
         return NEG_INF
     return float(logsumexp(terms))
+
+
+def l6_choice_part(
+    summary: SalesSummary, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
+) -> float:
+    """Log-probability of the sales vector given the arrival count; sums to
+    one over feasible sales vectors with the same total.
+    """
+    if not _possible(summary):
+        return NEG_INF
+    terms = [
+        log_choice + sum(log_multinomial(counts) for counts in seg_counts)
+        for _, splits in _sales_splits(summary, params, model)
+        for seg_counts, log_choice in splits
+    ]
+    if not terms:
+        return NEG_INF
+    return float(logsumexp(terms))
+
+
+def l6_generic(
+    summary: SalesSummary, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
+) -> float:
+    """No-null sales likelihood for any choice model: the arrival count is
+    the total sales, so the Poisson factor separates from the choice part.
+    """
+    if summary.initial_assortment.includes_null:
+        raise InvalidObservation("l6 is the no-null sales likelihood")
+    if not _possible(summary):
+        return NEG_INF
+    mu = summary.horizon * params.rate
+    return _poisson_logpmf(summary.total_sales, mu) + l6_choice_part(
+        summary, params, model
+    )
+
+
+# ---------------------------------------------------------------------------
+# term tables under the attraction model
 
 
 def membership_matrix(catalog: Sequence[int], assortments: Sequence[Assortment]) -> np.ndarray:
@@ -507,10 +547,11 @@ class TermTable:
       ``explicit_exp``, whose segment ``j`` faces ``assortments[j]`` with
       exponent ``explicit_exp[i][j]``.
 
-    :func:`stack_tables` turns any list of tables into the flat arrays of
-    :func:`term_loglik_grad`, and :meth:`loglik_grad` evaluates the table
-    as the one-group dataset ``[(table, 1)]``.  A table without terms is an
-    impossible observation, of value ``-inf``.
+    A table is a plain record: :func:`stack_tables` turns a dataset's
+    tables into the flat arrays of :func:`term_loglik_grad`, which
+    ``estimation.compile_dataset`` holds.  The table of an impossible
+    visit lists no terms, and stacking it raises
+    :class:`InvalidObservation`.
     """
 
     def __init__(
@@ -524,27 +565,6 @@ class TermTable:
         self.explicit_n: List[int] = []
         self.explicit_coef: List[float] = []
         self.explicit_exp: List[Sequence[float]] = []
-
-    @property
-    def has_terms(self) -> bool:
-        return bool(self.layouts or self.explicit_n)
-
-    @property
-    def n(self) -> np.ndarray:
-        """Arrival count of every term."""
-        if not self.has_terms:
-            return np.zeros(0, dtype=np.int64)
-        return stack_tables(self.catalog, [(self, 1)])[3]
-
-    def loglik(self, params: ModelParams) -> float:
-        return self.loglik_grad(params)[0]
-
-    def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
-        """Value and gradient in ``(log rate, log weight_a for a in catalog)``."""
-        x = np.log([params.rate] + [params.weights[a] for a in self.catalog])
-        if not self.has_terms:
-            return NEG_INF, np.zeros(x.size)
-        return term_loglik_grad(x, *stack_tables(self.catalog, [(self, 1)]))
 
 
 def _shape_layouts(
@@ -970,15 +990,6 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
     return _sales_table(summary, _arrival_counts(summary, m), ())
 
 
-def table_timed_transactions(record: TransactionRecord) -> "TimedSegmentTable":
-    """Compiled form of :func:`l3_transactions_timed` with gradients: the
-    :func:`fold_timed` of the record alone over its own products, one row
-    per segment (each faces a different assortment).  An impossible or
-    untimed record, or one without a null option, raises
-    :class:`InvalidObservation`."""
-    return fold_timed([(record, 1)], record.initial_assortment.products)
-
-
 def fold_timed(
     groups: Sequence[Tuple[TransactionRecord, int]], catalog: Sequence[int]
 ) -> "TimedSegmentTable":
@@ -1136,11 +1147,11 @@ def timed_loglik_grad(
 
 @dataclass
 class TimedSegmentTable:
-    """Timestamped-transaction likelihood of one visit or of a
-    :func:`fold_timed` of many, one row per distinct constant-assortment
+    """Timestamped-transaction likelihood of the visits a
+    :func:`fold_timed` folds, one row per distinct constant-assortment
     segment ``d``: total purchase-density exponent ``E_d`` and exposure
-    time ``tau_d``, plus the purchases per ``catalog`` product, evaluated
-    by :func:`timed_loglik_grad`.
+    time ``tau_d``, plus the purchases per ``catalog`` product; a plain
+    record whose arrays :func:`timed_loglik_grad` evaluates.
     """
 
     catalog: Tuple[int, ...]
@@ -1148,77 +1159,6 @@ class TimedSegmentTable:
     assortments: List[Assortment]
     exponents: np.ndarray
     durations: np.ndarray
-
-    def loglik(self, params: ModelParams) -> float:
-        return self.loglik_grad(params)[0]
-
-    def loglik_grad(self, params: ModelParams) -> Tuple[float, np.ndarray]:
-        beta = np.array([params.weights[a] for a in self.catalog], dtype=float)
-        membership = membership_matrix(self.catalog, self.assortments)
-        return timed_loglik_grad(
-            params.rate, beta, membership, self.exponents, self.durations, self.sales
-        )
-
-
-# ---------------------------------------------------------------------------
-# attraction fast-path wrappers
-
-
-def l5_sales_attraction(
-    summary: SalesSummary, params: ModelParams, trunc: TruncationPolicy
-) -> float:
-    m = trunc.resolve(summary.horizon, params.rate, summary.total_sales)
-    return table_sales_attraction(summary, m).loglik(params)
-
-
-def l5_saa(
-    summary: SalesSummary,
-    params: ModelParams,
-    trunc: TruncationPolicy,
-    samples_per_n: int,
-    seed: int,
-    key: int = 0,
-) -> float:
-    m = trunc.resolve(summary.horizon, params.rate, summary.total_sales)
-    return table_sales_saa(summary, m, samples_per_n, seed, key).loglik(params)
-
-
-def l6_sales_no_null(summary: SalesSummary, params: ModelParams) -> float:
-    return table_sales_no_null(summary).loglik(params)
-
-
-def l6_choice_part(
-    summary: SalesSummary, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
-    """Log-probability of the sales vector given the arrival count; sums to
-    one over feasible sales vectors with the same total.
-    """
-    if not _possible(summary):
-        return NEG_INF
-    terms = [
-        log_choice + sum(log_multinomial(counts) for counts in seg_counts)
-        for _, splits in _sales_splits(summary, params, model)
-        for seg_counts, log_choice in splits
-    ]
-    if not terms:
-        return NEG_INF
-    return float(logsumexp(terms))
-
-
-def l6_generic(
-    summary: SalesSummary, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
-    """No-null sales likelihood for any choice model: the arrival count is
-    the total sales, so the Poisson factor separates from the choice part.
-    """
-    if summary.initial_assortment.includes_null:
-        raise InvalidObservation("l6 is the no-null sales likelihood")
-    if not _possible(summary):
-        return NEG_INF
-    mu = summary.horizon * params.rate
-    return _poisson_logpmf(summary.total_sales, mu) + l6_choice_part(
-        summary, params, model
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,8 @@ class VisitConfig:
             raise ValueError("offer_probability must be in [0, 1]")
         if self.stock_level < 1 or any(s < 1 for s in self.stock_overrides.values()):
             raise ValueError("stock levels must be >= 1")
+        if set(self.stock_overrides) & set(self.always_available):
+            raise ValueError("always-available products have unlimited stock")
 
     def stock_of(self, product: ProductId) -> int:
         if product in self.always_available:

@@ -31,6 +31,7 @@ from stockout_demand import (
     count_stockout_vectors,
     counterexample_bruteforce,
     counterexample_expectations,
+    dataset_log_likelihood,
     enumerate_stockout_vectors,
     fit,
     fit_naive,
@@ -39,20 +40,10 @@ from stockout_demand import (
     l4_lauricella,
     l4_transactions,
     l5_sales,
-    l5_sales_attraction,
     l6_choice_part,
     simulate_dataset,
 )
 from stockout_demand.combinatorics import raw_stockout_draws
-from stockout_demand.likelihood import (
-    table_complete,
-    table_naive_sales,
-    table_sales_attraction,
-    table_sales_no_null,
-    table_sales_saa,
-    table_timed_transactions,
-    table_transactions,
-)
 from stockout_demand.cli import main as cli_main
 from stockout_demand.types import CompletePath, project_sales
 
@@ -166,8 +157,8 @@ def test_criterion_06_attraction_reduction_equals_generic():
         params = random_params(rnd, summary.initial_assortment.products)
         policy = TruncationPolicy(m=summary.total_sales + 5)
         generic = l5_sales(summary, params, policy)
-        fast = l5_sales_attraction(summary, params, policy)
-        assert abs(fast - generic) <= 1e-8 * abs(generic), i
+        compiled = dataset_log_likelihood([summary], params, "sales", policy)
+        assert abs(compiled - generic) <= 1e-8 * abs(generic), i
 
 
 def test_criterion_07_sampler_acceptance_ratio_and_uniformity():
@@ -276,36 +267,25 @@ def test_criterion_09_gradients_match_finite_differences():
                 worst = max(worst, rel)
         assert worst <= 1e-4, worst
 
-    def table_evaluator(table):
-        catalog = table.catalog
-
-        def evaluate(x):
-            params = ModelParams(
-                rate=math.exp(x[0]),
-                weights={a: math.exp(x[1 + i]) for i, a in enumerate(catalog)},
-            )
-            return table.loglik_grad(params)
-
-        return evaluate, catalog
-
-    # every compiled-likelihood gradient implementation
+    # the compiled likelihood of one visit, for every granularity and
+    # estimator: the evaluator the optimizer runs
     path = _random_complete_path(rnd)
     rec = random_transaction_record(rnd, max_purchases=5)
     rec_timed = random_transaction_record(rnd, max_purchases=5, timestamps=True)
     sales_null = random_sales_summary(rnd)
     sales_no_null = random_sales_summary(rnd, includes_null=False)
-    tables = [
-        table_complete(path),
-        table_transactions(rec, rec.total + 6),
-        table_timed_transactions(rec_timed),
-        table_sales_attraction(sales_null, sales_null.total_sales + 5),
-        table_sales_saa(sales_null, sales_null.total_sales + 5, 1, seed=2),
-        table_sales_no_null(sales_no_null),
-        table_naive_sales(sales_null, sales_null.total_sales + 5),
+    m_sales = TruncationPolicy(m=sales_null.total_sales + 5)
+    one_visit = [
+        compile_dataset([path], "complete"),
+        compile_dataset([rec], "transactions", TruncationPolicy(m=rec.total + 6)),
+        compile_dataset([rec_timed], "transactions-timed"),
+        compile_dataset([sales_null], "sales", m_sales),
+        compile_dataset([sales_null], "sales", m_sales, saa_samples=1, seed=2),
+        compile_dataset([sales_no_null], "sales-no-null"),
+        compile_dataset([sales_null], "sales", m_sales, naive=True),
     ]
-    for table in tables:
-        evaluator, catalog = table_evaluator(table)
-        check(evaluator, catalog)
+    for ds in one_visit:
+        check(ds.loglik_grad, ds.catalog)
 
     # the whole-dataset evaluator used by the optimizer
     config_paths = simulate_dataset(

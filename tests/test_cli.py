@@ -158,15 +158,29 @@ class TestSimulate:
             ("seed", -3),
             ("always_available", [7]),
             ("stocks", {"5": 2}),
+            ("include_null", "false"),
+            ("stock_level", 1.9),
+            ("visits", 2.5),
+            ("seed", 1.5),
+            ("stocks", {"1": 2.5}),
+            ("stocks", {"0": 2}),  # product 0 is always available
         ],
     )
     def test_bad_count_or_unknown_product_is_data_error(
         self, tmp_path, capsys, field, value
     ):
-        # these used to exit 1, crash with a KeyError, or (stocks outside
-        # the catalog) be ignored
+        # these used to exit 1, crash with a KeyError, or load as something
+        # else: stocks outside the catalog or of an always-available product
+        # ignored, "false" read as a null option, 1.9 units as 1 and 2.5
+        # visits as 2
         config = tmp_path / "config.json"
-        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 2.0, "visits": 5}
+        raw = {
+            "catalog": [0, 1],
+            "weights": {"0": 1.0, "1": 0.5},
+            "rate": 2.0,
+            "always_available": [0],
+            "visits": 5,
+        }
         config.write_text(json.dumps({**raw, field: value}))
         out = tmp_path / "visits.jsonl"
         assert run("simulate", "--config", str(config), "--out", str(out)) == 2

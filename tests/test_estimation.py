@@ -22,21 +22,15 @@ from stockout_demand import (
     fit,
     fit_complete,
     fit_naive,
+    l2_choice_sequence,
     l3_transactions_timed,
+    l4_transactions,
+    l5_sales,
+    l6_generic,
     naive_rate,
     simulate_dataset,
 )
-from stockout_demand.estimation import _group_key
 from stockout_demand.io import project_path
-from stockout_demand.likelihood import (
-    table_complete,
-    table_naive_sales,
-    table_sales_attraction,
-    table_sales_no_null,
-    table_sales_saa,
-    table_timed_transactions,
-    table_transactions,
-)
 from stockout_demand.simulate import VisitConfig
 from stockout_demand.types import (
     TransactionRecord,
@@ -108,14 +102,12 @@ class TestDatasetLikelihood:
         assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_matches_per_visit_sum(self):
-        from stockout_demand import l5_sales_attraction
-
         paths = simulate_dataset(two_product_config(), 20, seed=2)
         summaries = [project_sales(p) for p in paths]
         params = ModelParams(rate=2.5, weights={0: 0.8, 1: 0.7})
         policy = TruncationPolicy(m=25)
         total = dataset_log_likelihood(summaries, params, "sales", policy)
-        expected = sum(l5_sales_attraction(s, params, policy) for s in summaries)
+        expected = sum(l5_sales(s, params, policy) for s in summaries)
         assert total == pytest.approx(expected, rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
@@ -169,9 +161,10 @@ class TestTimedDataset:
             assert value == pytest.approx(expected, rel=1e-12)
             per_visit = np.zeros(1 + len(ds.catalog))
             for r in records:
-                g = table_timed_transactions(r).loglik_grad(params)[1]
+                one = compile_dataset([r], "transactions-timed")
+                g = one.loglik_grad(log_point(params, one.catalog))[1]
                 per_visit[0] += g[0]
-                cols = 1 + np.searchsorted(ds.catalog, r.initial_assortment.products)
+                cols = 1 + np.searchsorted(ds.catalog, one.catalog)
                 per_visit[cols] += g[1:]
             np.testing.assert_allclose(grad, per_visit, rtol=1e-10, atol=1e-10)
 
@@ -227,61 +220,71 @@ class TestTimedDataset:
         assert value == pytest.approx(2 * limit_first + limit_second, rel=0, abs=1e-9)
 
 
-# table kind -> (granularity, null option, compile_dataset options, table
-# builder from the visit and the fixed truncation m)
+def nothing_sold_out(summary):
+    """The summary with every stock one above its sales."""
+    stocks = {a: summary.sales[a] + 1 for a in summary.initial_assortment.products}
+    return replace(summary, stocks=stocks)
+
+
+# visit kind -> (granularity, null option, compile_dataset options, generic
+# oracle of one visit at a fixed truncation policy; SAA draws have none)
 SINGLE_VISIT_KINDS = {
-    "complete": ("complete", True, {}, lambda obs, m: table_complete(obs)),
-    "transactions": ("transactions", True, {}, table_transactions),
+    "complete": (
+        "complete",
+        True,
+        {},
+        lambda obs, params, policy: l2_choice_sequence(obs, params),
+    ),
+    "transactions": ("transactions", True, {}, l4_transactions),
     "timed": (
         "transactions-timed",
         True,
         {},
-        lambda obs, m: table_timed_transactions(obs),
+        lambda obs, params, policy: l3_transactions_timed(obs, params),
     ),
-    "sales": ("sales", True, {}, table_sales_attraction),
-    "saa": (
-        "sales",
-        True,
-        {"saa_samples": 2, "seed": 4},
-        lambda obs, m: table_sales_saa(
-            obs, m, 2, 4, hash(_group_key(obs, "sales")) & 0x7FFFFFFF
-        ),
-    ),
+    "sales": ("sales", True, {}, l5_sales),
+    "saa": ("sales", True, {"saa_samples": 2, "seed": 4}, None),
     "no-null": (
         "sales-no-null",
         False,
         {},
-        lambda obs, m: table_sales_no_null(obs),
+        lambda obs, params, policy: l6_generic(obs, params),
     ),
-    "naive": ("sales", True, {"naive": True}, table_naive_sales),
+    # the stock-out-blind baseline is the sales likelihood with nothing sold out
+    "naive": (
+        "sales",
+        True,
+        {"naive": True},
+        lambda obs, params, policy: l5_sales(nothing_sold_out(obs), params, policy),
+    ),
 }
 
 
 class TestSingleVisitIsOneGroupDataset:
-    @pytest.mark.parametrize("kind", sorted(SINGLE_VISIT_KINDS))
-    def test_table_equals_compiled_one_visit_dataset(self, kind):
-        granularity, include_null, options, build = SINGLE_VISIT_KINDS[kind]
+    @pytest.mark.parametrize(
+        "kind", sorted(k for k, row in SINGLE_VISIT_KINDS.items() if row[3] is not None)
+    )
+    def test_one_visit_dataset_equals_oracle(self, kind):
+        granularity, include_null, options, oracle = SINGLE_VISIT_KINDS[kind]
         paths = simulate_dataset(
             two_product_config(include_null=include_null, stock=1), 6, seed=21
         )
         # layouts with one and with two stock-outs
         assert {1, 2} <= {project_sales(p).stockout_count for p in paths}
         rnd = random.Random(22)
-        m = 8  # at least every visit's purchase count
+        policy = TruncationPolicy(m=8)  # at least every visit's purchase count
         for path in paths:
             obs = project_path(path, granularity)
-            table = build(obs, m)
-            ds = compile_dataset([obs], granularity, TruncationPolicy(m=m), **options)
+            ds = compile_dataset([obs], granularity, policy, **options)
             for _ in range(3):
                 params = random_params(rnd, ds.catalog)
-                value, grad = ds.loglik_grad(log_point(params, ds.catalog))
-                expected, expected_grad = table.loglik_grad(params)
-                assert value == pytest.approx(expected, rel=1e-12, abs=0)
-                np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=0)
+                value, _ = ds.loglik_grad(log_point(params, ds.catalog))
+                expected = oracle(obs, params, policy)
+                assert value == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("kind", sorted(SINGLE_VISIT_KINDS))
-    def test_dataset_is_count_weighted_sum_of_tables(self, kind):
-        granularity, include_null, options, build = SINGLE_VISIT_KINDS[kind]
+    def test_dataset_is_count_weighted_sum_of_one_visit_datasets(self, kind):
+        granularity, include_null, options, _ = SINGLE_VISIT_KINDS[kind]
         # the section7 catalog offers a random subset of products per visit;
         # with a null option, the rate of the null-sales benchmark workload
         # makes products sell out
@@ -291,25 +294,31 @@ class TestSingleVisitIsOneGroupDataset:
         paths = simulate_dataset(config.visit_config(), 10, seed=26)
         assert {1, 2} <= {project_sales(p).stockout_count for p in paths}
         m = 2 + max(sum(c is not NULL for c in p.choices) for p in paths)
+        policy = TruncationPolicy(m=m)
         groups = [(project_path(p, granularity), 1 + i % 3) for i, p in enumerate(paths)]
         assert len({obs.initial_assortment.products for obs, _ in groups}) > 1
         ds = compile_dataset(
             [obs for obs, count in groups for _ in range(count)],
             granularity,
-            TruncationPolicy(m=m),
+            policy,
             **options,
         )
         column = {a: 1 + i for i, a in enumerate(ds.catalog)}
+        # SAA draws are keyed by visit content, so a visit compiled alone
+        # draws what it draws within the dataset
+        singles = [
+            (compile_dataset([obs], granularity, policy, **options), count)
+            for obs, count in groups
+        ]
         rnd = random.Random(26)
         for _ in range(3):
             params = random_params(rnd, ds.catalog)
             value, grad = ds.loglik_grad(log_point(params, ds.catalog))
             expected, expected_grad = 0.0, np.zeros(grad.size)
-            for obs, count in groups:
-                table = build(obs, m)
-                v, g = table.loglik_grad(params)
+            for one, count in singles:
+                v, g = one.loglik_grad(log_point(params, one.catalog))
                 expected += count * v
-                expected_grad[[0] + [column[a] for a in table.catalog]] += count * g
+                expected_grad[[0] + [column[a] for a in one.catalog]] += count * g
             assert value == pytest.approx(expected, rel=1e-12, abs=0)
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=0)
 

@@ -266,6 +266,52 @@ class TestRunConfig:
                 {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, "stocks": {"0": 0}}
             )
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_include_null_must_be_a_json_boolean(self, value):
+        # bool("false") is True, so a cast would read it as a null option
+        raw = {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, "include_null": value}
+        with pytest.raises(DataFormatError, match="include_null must be true or false"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stock_level", 1.9),
+            ("visits", 2.5),
+            ("seed", "3"),
+            ("visits", True),
+            ("stocks", {"0": 1.5}),
+            ("stocks", {"0": "2"}),
+        ],
+    )
+    def test_counts_must_be_integral(self, field, value):
+        # int() used to truncate 2.5 visits to 2 and 1.9 units to 1
+        raw = {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, field: value}
+        with pytest.raises(DataFormatError, match=f"{field}.* must be an integer"):
+            RunConfig.from_dict(raw)
+
+    def test_integral_float_counts_accepted(self):
+        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 1.0}
+        config = RunConfig.from_dict(
+            {**raw, "stock_level": 2.0, "visits": 7.0, "seed": 0.0, "stocks": {"1": 3.0}}
+        )
+        assert (config.stock_level, config.visits, config.seed) == (2, 7, 0)
+        assert config.stocks == {1: 3}
+        assert all(type(v) is int for v in (config.stock_level, config.visits, config.seed))
+
+    def test_stock_of_always_available_product_rejected(self):
+        # an always-available product has unlimited stock, so the entry
+        # used to be ignored
+        raw = {
+            "catalog": [0, 1],
+            "weights": {"0": 1.0, "1": 0.5},
+            "rate": 1.0,
+            "always_available": [0],
+            "stocks": {"0": 2, "1": 2},
+        }
+        with pytest.raises(DataFormatError, match=r"stocks names always_available products \[0\]"):
+            RunConfig.from_dict(raw)
+
 
 class TestFitResultJson:
     def test_contains_expected_keys(self):

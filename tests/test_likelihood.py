@@ -20,29 +20,29 @@ from stockout_demand import (
     SalesSummary,
     TransactionRecord,
     TruncationPolicy,
+    compile_dataset,
     counterexample_bruteforce,
     counterexample_expectations,
+    dataset_log_likelihood,
     l1_complete,
     l2_choice_sequence,
     l3_transactions_timed,
     l4_integral,
     l4_lauricella,
     l4_transactions,
-    l5_saa,
     l5_sales,
-    l5_sales_attraction,
     l6_choice_part,
     l6_generic,
-    l6_sales_no_null,
     lauricella_mgf,
 )
 from stockout_demand.likelihood import (
+    fold_timed,
+    stack_tables,
     table_complete,
     table_naive_sales,
     table_sales_attraction,
     table_sales_no_null,
     table_sales_saa,
-    table_timed_transactions,
     table_transactions,
 )
 from stockout_demand.types import InvalidObservation
@@ -109,7 +109,7 @@ class TestCompleteData:
         path = path_with_choices([0, 0], {0: 1, 1: 1})
         assert l1_complete(path, params) == float("-inf")
 
-    def test_table_matches_direct(self, rng):
+    def test_compiled_matches_direct(self, rng):
         for _ in range(25):
             stocks = {0: rng.randint(1, 2), 1: rng.randint(1, 2)}
             params = random_params(rng, (0, 1))
@@ -122,8 +122,8 @@ class TestCompleteData:
                     remaining[c] -= 1
                 choices.append(c)
             path = path_with_choices(choices, stocks)
-            table = table_complete(path)
-            assert table.loglik(params) == pytest.approx(
+            value = dataset_log_likelihood([path], params, "complete")
+            assert value == pytest.approx(
                 l2_choice_sequence(path, params), rel=1e-12, abs=1e-12
             )
 
@@ -158,12 +158,12 @@ class TestTimedTransactions:
             -3.0 * 2.0 * p_buy, rel=1e-12
         )
 
-    def test_table_matches_direct(self, rng):
+    def test_compiled_matches_direct(self, rng):
         for _ in range(25):
             record = random_transaction_record(rng, timestamps=True)
             params = random_params(rng, record.initial_assortment.products)
-            table = table_timed_transactions(record)
-            assert table.loglik(params) == pytest.approx(
+            value = dataset_log_likelihood([record], params, "transactions-timed")
+            assert value == pytest.approx(
                 l3_transactions_timed(record, params), rel=1e-12, abs=1e-12
             )
 
@@ -182,7 +182,7 @@ class TestTimedTransactions:
         rate = 1e12
         params = ModelParams(rate=rate, weights={a: v / rate for a, v in r.items()})
         limit = 2 * math.log(r[1]) + math.log(r[0]) - 0.3 * (r[0] + r[1]) - 0.7 * r[1]
-        value = table_timed_transactions(record).loglik(params)
+        value = dataset_log_likelihood([record], params, "transactions-timed")
         assert value == pytest.approx(limit, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("message", list(badly_timed_records()))
@@ -192,7 +192,7 @@ class TestTimedTransactions:
         record = badly_timed_records()[message]
         params = ModelParams(rate=2.0, weights={0: 0.5, 1: 1.5})
         with pytest.raises(InvalidObservation, match=f"transaction 2: {message}"):
-            table_timed_transactions(record)
+            compile_dataset([record], "transactions-timed")
         with pytest.raises(InvalidObservation, match=message):
             l3_transactions_timed(record, params)
 
@@ -202,13 +202,13 @@ class TestTimedTransactions:
         with pytest.raises(InvalidObservation):
             l3_transactions_timed(record, params)
 
-    def test_table_requires_timestamps(self):
+    def test_fold_requires_timestamps(self):
         # an untimed stock-out has no time to split the segments at
         record = TransactionRecord(
             1.0, Assortment((0, 1)), {0: 1, 1: 3}, ((None, 1), (None, 0)), False
         )
         with pytest.raises(InvalidObservation, match="timestamps"):
-            table_timed_transactions(record)
+            fold_timed([(record, 1)], record.initial_assortment.products)
 
 
 @pytest.mark.parametrize("timed", [True, False])
@@ -223,7 +223,7 @@ def test_transaction_tables_refuse_no_null_regime(timed):
     )
     with pytest.raises(InvalidObservation, match="null-inclusive"):
         if timed:
-            table_timed_transactions(record)
+            fold_timed([(record, 1)], record.initial_assortment.products)
         else:
             table_transactions(record, 6)
 
@@ -238,9 +238,9 @@ class TestUntimedTransactions:
             policy = TruncationPolicy(m=m)
             direct = l4_transactions(record, params, policy)
             series = l4_lauricella(record, params, policy)
-            table = table_transactions(record, m).loglik(params)
+            compiled = dataset_log_likelihood([record], params, "transactions", policy)
             assert series == pytest.approx(direct, rel=1e-10, abs=1e-10)
-            assert table == pytest.approx(direct, rel=1e-10, abs=1e-10)
+            assert compiled == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
     def test_monte_carlo_integral_within_three_sigma(self, rng):
         record = random_transaction_record(rng, max_purchases=4)
@@ -283,7 +283,9 @@ class TestUntimedTransactions:
         assert l4_transactions(record, params, policy) == float("-inf")
         assert l4_lauricella(record, params, policy) == float("-inf")
         assert l4_integral(record, params, mc_samples=50, seed=0) == (float("-inf"), 0.0)
-        assert table_transactions(record, 6).loglik(params) == float("-inf")
+        assert table_transactions(record, 6).explicit_n == []
+        with pytest.raises(InvalidObservation):
+            compile_dataset([record], "transactions", policy)
 
     def test_lauricella_single_segment_is_truncated_exponential(self):
         # one segment of size s: the series collapses to sum theta^e / e!
@@ -295,14 +297,14 @@ class TestUntimedTransactions:
 
 
 class TestSales:
-    def test_attraction_fast_path_equals_generic(self, rng):
+    def test_compiled_equals_generic(self, rng):
         for _ in range(40):
             summary = random_sales_summary(rng)
             params = random_params(rng, summary.initial_assortment.products)
             policy = TruncationPolicy(m=summary.total_sales + 5)
             generic = l5_sales(summary, params, policy)
-            fast = l5_sales_attraction(summary, params, policy)
-            assert fast == pytest.approx(generic, rel=1e-10, abs=1e-10)
+            compiled = dataset_log_likelihood([summary], params, "sales", policy)
+            assert compiled == pytest.approx(generic, rel=1e-10, abs=1e-10)
 
     def test_no_stockouts_reduces_to_independent_thinning(self):
         # nothing sells out, so per-product sales are independent Poissons
@@ -314,7 +316,7 @@ class TestSales:
         p0 = MODEL.prob(params, 0, summary.initial_assortment)
         p1 = MODEL.prob(params, 1, summary.initial_assortment)
         expected = poisson.logpmf(1, 2.0 * p0) + poisson.logpmf(2, 2.0 * p1)
-        value = l5_sales_attraction(summary, params, TruncationPolicy())
+        value = dataset_log_likelihood([summary], params, "sales")
         assert value == pytest.approx(float(expected), rel=1e-8)
 
     def test_normalization(self):
@@ -338,13 +340,13 @@ class TestSales:
 
 
 class TestSalesNoNull:
-    def test_table_matches_generic(self, rng):
+    def test_compiled_matches_generic(self, rng):
         for _ in range(40):
             summary = random_sales_summary(rng, includes_null=False)
             params = random_params(rng, summary.initial_assortment.products)
             generic = l6_generic(summary, params)
-            fast = l6_sales_no_null(summary, params)
-            assert fast == pytest.approx(generic, rel=1e-10, abs=1e-10)
+            compiled = dataset_log_likelihood([summary], params, "sales-no-null")
+            assert compiled == pytest.approx(generic, rel=1e-10, abs=1e-10)
 
     def test_choice_part_sums_to_one(self):
         params = ModelParams(rate=3.0, weights={0: 1.0, 1: 0.4})
@@ -373,9 +375,10 @@ class TestSalesNoNull:
 
 class TestNaiveSales:
     @pytest.mark.parametrize("includes_null", [True, False])
-    def test_is_the_sales_table_with_nothing_sold_out(self, rng, includes_null):
+    def test_is_the_sales_fit_with_nothing_sold_out(self, rng, includes_null):
         # with every stock above its sales nothing sells out, so the exact
-        # table faces the whole assortment just as the naive one does
+        # compile faces the whole assortment just as the naive one does
+        granularity = "sales" if includes_null else "sales-no-null"
         for _ in range(20):
             summary = random_sales_summary(rng, includes_null=includes_null)
             products = summary.initial_assortment.products
@@ -385,53 +388,53 @@ class TestNaiveSales:
                 {a: summary.sales[a] + 1 for a in products},
                 summary.sales,
             )
-            m = summary.total_sales + 3
-            if includes_null:
-                exact = table_sales_attraction(raised, m)
-            else:
-                exact = table_sales_no_null(raised)
+            policy = TruncationPolicy(m=summary.total_sales + 3)
+            exact = compile_dataset([raised], granularity, policy)
+            naive = compile_dataset([summary], granularity, policy, naive=True)
             params = random_params(rng, products)
-            value, grad = table_naive_sales(summary, m).loglik_grad(params)
-            expected, expected_grad = exact.loglik_grad(params)
+            x = np.log([params.rate] + [params.weights[a] for a in products])
+            value, grad = naive.loglik_grad(x)
+            expected, expected_grad = exact.loglik_grad(x)
             assert value == pytest.approx(expected, rel=1e-12, abs=0)
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12)
 
 
 class TestInfeasibleTables:
-    """A fast-path table of an infeasible visit holds no terms and
-    evaluates to ``-inf`` with a zero gradient."""
+    """The table of an infeasible visit lists no terms, so compiling the
+    visit raises :class:`InvalidObservation`; the generic oracles give
+    ``-inf``."""
 
     params = ModelParams(rate=1.5, weights={0: 0.7, 1: 1.2})
 
     @pytest.mark.parametrize(
-        "kind, build",
+        "kind, options, build",
         [
-            ("complete", table_complete),
-            ("transactions", lambda obs: table_transactions(obs, 6)),
-            ("sales", lambda obs: table_sales_attraction(obs, 6)),
-            ("sales", lambda obs: table_naive_sales(obs, 6)),
-            ("sales-no-null", table_sales_no_null),
-            ("sales-no-null", lambda obs: table_naive_sales(obs, 6)),
+            ("complete", {}, table_complete),
+            ("transactions", {}, lambda obs: table_transactions(obs, 6)),
+            ("sales", {}, lambda obs: table_sales_attraction(obs, 6)),
+            ("sales", {"naive": True}, lambda obs: table_naive_sales(obs, 6)),
+            ("sales-no-null", {}, table_sales_no_null),
+            ("sales-no-null", {"naive": True}, lambda obs: table_naive_sales(obs, 6)),
         ],
     )
-    def test_table_minus_infinity(self, kind, build):
-        table = build(infeasible_observations()[kind])
-        assert table.n.size == 0
-        value, grad = table.loglik_grad(self.params)
-        assert value == float("-inf")
-        assert table.loglik(self.params) == float("-inf")
-        assert not grad.any()
+    def test_table_without_terms_refused(self, kind, options, build):
+        obs = infeasible_observations()[kind]
+        table = build(obs)
+        assert table.layouts == [] and table.explicit_n == []
+        with pytest.raises(InvalidObservation, match="impossible"):
+            compile_dataset([obs], kind, TruncationPolicy(m=6), **options)
 
-    def test_fast_path_wrappers_minus_infinity(self):
+    def test_oracles_minus_infinity(self):
         observations = infeasible_observations()
         policy = TruncationPolicy(m=6)
-        assert l5_sales_attraction(observations["sales"], self.params, policy) == float("-inf")
-        assert l6_sales_no_null(observations["sales-no-null"], self.params) == float("-inf")
+        assert l5_sales(observations["sales"], self.params, policy) == float("-inf")
+        assert l6_generic(observations["sales-no-null"], self.params) == float("-inf")
 
 
 class TestImpossibleVisitRules:
     """A visit whose horizon or stocks no visit can have is impossible:
-    ``-inf``, whatever it records, never ``nan`` or a finite value."""
+    its table lists no terms and its oracle gives ``-inf``, whatever it
+    records, never ``nan`` or a finite value."""
 
     params = ModelParams(rate=2.0, weights={0: 0.7, 1: 1.2})
 
@@ -444,15 +447,23 @@ class TestImpossibleVisitRules:
             (False, table_sales_no_null),
         ],
     )
-    def test_sales_table_minus_infinity(self, change, rule, includes_null, build):
+    def test_sales_table_without_terms(self, change, rule, includes_null, build):
         summary = SalesSummary(
             1.0, Assortment((0, 1), includes_null), {0: 1, 1: 2}, {0: 0, 1: 1}
         )
-        assert build(summary).loglik(self.params) > float("-inf")
+
+        def oracle(obs):
+            if includes_null:
+                return l5_sales(obs, self.params, TruncationPolicy(m=6))
+            return l6_generic(obs, self.params)
+
+        assert build(summary).layouts
+        assert oracle(summary) > float("-inf")
         bad = replace(summary, **change)
         with pytest.raises(InvalidObservation, match=rule):
             bad.validate()
-        assert build(bad).loglik(self.params) == float("-inf")
+        assert build(bad).layouts == []
+        assert oracle(bad) == float("-inf")
 
     @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
     def test_complete_path_minus_infinity(self, change, rule):
@@ -463,7 +474,7 @@ class TestImpossibleVisitRules:
         with pytest.raises(InvalidObservation, match=rule):
             bad.validate()
         assert l1_complete(bad, self.params) == float("-inf")
-        assert table_complete(bad).loglik(self.params) == float("-inf")
+        assert table_complete(bad).explicit_n == []
 
 
 class TestSampleAverageApproximation:
@@ -473,21 +484,28 @@ class TestSampleAverageApproximation:
             summary = random_sales_summary(rng)
             params = random_params(rng, summary.initial_assortment.products)
             policy = TruncationPolicy(m=summary.total_sales + 3)
-            exact = l5_sales_attraction(summary, params, policy)
-            approx = l5_saa(summary, params, policy, samples_per_n=10**6, seed=0)
+            exact = dataset_log_likelihood([summary], params, "sales", policy)
+            approx = dataset_log_likelihood(
+                [summary], params, "sales", policy, saa_samples=10**6, seed=0
+            )
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_deterministic_in_seed_and_key(self):
         summary = SalesSummary(
             1.0, Assortment((0, 1), True), {0: 2, 1: 2}, {0: 2, 1: 2}
         )
-        params = ModelParams(rate=4.0, weights={0: 1.0, 1: 1.0})
-        policy = TruncationPolicy(m=10)
-        a = l5_saa(summary, params, policy, samples_per_n=1, seed=3, key=7)
-        b = l5_saa(summary, params, policy, samples_per_n=1, seed=3, key=7)
-        assert a == b
-        c = l5_saa(summary, params, policy, samples_per_n=1, seed=4, key=7)
-        assert a != c
+
+        def stacked(seed, key):
+            table = table_sales_saa(summary, 10, 1, seed, key)
+            return stack_tables(summary.initial_assortment.products, [(table, 1)])
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+        a = stacked(3, 7)
+        assert same(a, stacked(3, 7))
+        assert not same(a, stacked(4, 7))
+        assert not same(a, stacked(3, 8))
 
     def test_unbiased_in_probability_space(self):
         # the scaled without-replacement sample mean is unbiased for each
@@ -497,10 +515,14 @@ class TestSampleAverageApproximation:
         )
         params = ModelParams(rate=4.0, weights={0: 1.0, 1: 0.6})
         policy = TruncationPolicy(m=12)
-        exact = math.exp(l5_sales_attraction(summary, params, policy))
+        exact = math.exp(dataset_log_likelihood([summary], params, "sales", policy))
         draws = np.array(
             [
-                math.exp(l5_saa(summary, params, policy, samples_per_n=1, seed=s))
+                math.exp(
+                    dataset_log_likelihood(
+                        [summary], params, "sales", policy, saa_samples=1, seed=s
+                    )
+                )
                 for s in range(200)
             ]
         )
@@ -512,9 +534,11 @@ class TestSampleAverageApproximation:
             1.0, Assortment((0, 1), False), {0: 2, 1: 3}, {0: 2, 1: 2}
         )
         params = ModelParams(rate=4.0, weights={0: 1.0, 1: 0.6})
-        exact = l6_sales_no_null(summary, params)
-        table = table_sales_saa(summary, m=4, samples_per_n=10**6, seed=0)
-        assert table.loglik(params) == pytest.approx(exact, rel=1e-12)
+        exact = dataset_log_likelihood([summary], params, "sales-no-null")
+        approx = dataset_log_likelihood(
+            [summary], params, "sales-no-null", saa_samples=10**6, seed=0
+        )
+        assert approx == pytest.approx(exact, rel=1e-12)
 
 
 class TestCounterexample:

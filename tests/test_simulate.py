@@ -42,6 +42,18 @@ def test_stock_override_below_one_rejected():
         )
 
 
+def test_stock_override_of_always_available_product_rejected():
+    # its stock is unlimited, so the override could only be ignored
+    with pytest.raises(ValueError, match="unlimited"):
+        VisitConfig(
+            horizon=1.0,
+            params=ModelParams(rate=2.0, weights={0: 1.0, 1: 0.5}),
+            always_available=(0,),
+            optional_products=(1,),
+            stock_overrides={0: 2},
+        )
+
+
 def test_paths_are_valid():
     paths = simulate_dataset(simple_config(), 200, seed=1)
     for p in paths:

@@ -15,7 +15,7 @@ import pytest
 from stockout_demand import io as sd_io
 from stockout_demand import simulate
 from stockout_demand.estimation import _group_key, compile_dataset
-from stockout_demand.likelihood import membership_matrix, table_timed_transactions
+from stockout_demand.likelihood import fold_timed, membership_matrix
 
 PRESET = sd_io.SECTION7_PRESET
 
@@ -107,7 +107,7 @@ def test_compile_matches_per_table_sum(records):
 
 def test_single_visit_table_matches_reference(records):
     for record in records:
-        table = table_timed_transactions(record)
+        table = fold_timed([(record, 1)], record.initial_assortment.products)
         catalog, sales, assortments, exponents, durations = reference_table(record)
         assert table.catalog == catalog
         assert table.assortments == assortments
