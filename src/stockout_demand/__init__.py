@@ -10,7 +10,7 @@ weights by maximum likelihood, including the stock-out-vector sampling
 approximation for sales data.
 """
 
-from .choice import AttractionModel, ChoiceModel, choice_prob
+from .choice import AttractionModel, ChoiceModel
 from .combinatorics import (
     StockoutVector,
     count_stockout_vectors,

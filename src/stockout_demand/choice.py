@@ -13,13 +13,11 @@ and without it the "1 +" drops.  The multinomial logit is the special case
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from typing import Dict
 
 from .types import Assortment, Choice, InvalidObservation, ModelParams, NULL
 
-__all__ = ["ChoiceModel", "AttractionModel", "choice_prob"]
+__all__ = ["ChoiceModel", "AttractionModel"]
 
 
 class ChoiceModel(ABC):
@@ -55,28 +53,3 @@ class AttractionModel(ChoiceModel):
         if choice is NULL:
             return 1.0 / denom
         return self.weight(params, choice) / denom
-
-    def log_prob(self, params: ModelParams, choice: Choice, assortment: Assortment) -> float:
-        return math.log(self.prob(params, choice, assortment))
-
-    def log_prob_gradient(
-        self, params: ModelParams, choice: Choice, assortment: Assortment
-    ) -> Dict[int, float]:
-        """Gradient of ``log P`` with respect to each weight ``f_a``.
-
-        Products outside the assortment get exactly zero.
-        """
-        if choice not in assortment:
-            raise InvalidObservation(f"choice {choice!r} not offered by {assortment}")
-        denom = self.denominator(params, assortment)
-        grad = {a: -1.0 / denom for a in assortment.products}
-        if choice is not NULL:
-            grad[choice] += 1.0 / self.weight(params, choice)
-        return grad
-
-
-def choice_prob(
-    model: ChoiceModel, params: ModelParams, choice: Choice, assortment: Assortment
-) -> float:
-    return model.prob(params, choice, assortment)
-

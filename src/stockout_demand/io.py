@@ -52,11 +52,23 @@ class DataFormatError(ValueError):
 
 
 def _integer(value, name: str) -> int:
-    """A config count: a JSON number of integral value, not a boolean."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise DataFormatError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """A count or a product id: a JSON number of integral value (``2.0``
+    is 2), not a boolean or a string."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise DataFormatError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """A time, horizon, rate, probability or weight: a JSON number, not a
+    boolean or a string.  Its range is checked where it is used."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        return float(value)
+    raise DataFormatError(f"{name} must be a number, got {value!r}")
 
 
 _CONFIG_KEYS = {
@@ -116,16 +128,18 @@ class RunConfig:
         if missing:
             raise DataFormatError(f"missing config fields {sorted(missing)}")
         try:
-            catalog = tuple(int(a) for a in raw["catalog"])
-            weights = {int(a): float(w) for a, w in raw["weights"].items()}
+            catalog = tuple(_integer(a, "catalog product") for a in raw["catalog"])
+            weights = {
+                int(a): _real(w, f"weights of product {a}") for a, w in raw["weights"].items()
+            }
             kwargs = dict(
                 catalog=catalog,
                 weights=weights,
-                rate=float(raw["rate"]),
+                rate=_real(raw["rate"], "rate"),
             )
             for key in ("horizon", "offer_probability"):
                 if key in raw:
-                    kwargs[key] = float(raw[key])
+                    kwargs[key] = _real(raw[key], key)
             for key in ("stock_level", "visits", "seed"):
                 if key in raw:
                     kwargs[key] = _integer(raw[key], key)
@@ -136,7 +150,9 @@ class RunConfig:
                     )
                 kwargs["include_null"] = raw["include_null"]
             if "always_available" in raw:
-                kwargs["always_available"] = tuple(int(a) for a in raw["always_available"])
+                kwargs["always_available"] = tuple(
+                    _integer(a, "always_available product") for a in raw["always_available"]
+                )
             if "stocks" in raw:
                 kwargs["stocks"] = {
                     int(a): _integer(s, f"stocks of product {a}")
@@ -272,16 +288,20 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
     granularity = raw["granularity"]
     if granularity not in GRANULARITIES:
         raise DataFormatError(f"unknown granularity {granularity!r}", line)
+    # values are read strictly, so a stock of 1.5 or a time of "0.5" is an
+    # error rather than 1 or 0.5; a visit the process could not produce
+    # fails its own construction, its broken rule the message
     try:
-        horizon = float(raw["T"])
-        products = tuple(int(a) for a in raw["assortment"])
-        stocks = {int(a): int(s) for a, s in raw["stocks"].items()}
+        horizon = _real(raw["T"], "T")
+        products = tuple(_integer(a, "product id") for a in raw["assortment"])
+        stocks = {int(a): _integer(s, "stock") for a, s in raw["stocks"].items()}
         assortment = Assortment(products, granularity != "sales-no-null")
         data = raw["data"]
         obs: Observation
         if granularity == "complete":
             events = tuple(
-                (float(t), None if c is None else int(c)) for t, c in data
+                (_real(t, "time"), None if c is None else _integer(c, "choice"))
+                for t, c in data
             )
             obs = CompletePath(horizon, assortment, stocks, events)
         elif granularity == "transactions-timed":
@@ -289,7 +309,7 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
                 horizon,
                 assortment,
                 stocks,
-                tuple((float(t), int(p)) for t, p in data),
+                tuple((_real(t, "time"), _integer(p, "product id")) for t, p in data),
                 timestamps_present=True,
             )
         elif granularity == "transactions":
@@ -297,7 +317,7 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
                 horizon,
                 assortment,
                 stocks,
-                tuple((None, int(p)) for p in data),
+                tuple((None, _integer(p, "product id")) for p in data),
                 timestamps_present=False,
             )
         else:
@@ -305,14 +325,12 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
                 horizon,
                 assortment,
                 stocks,
-                {int(a): int(z) for a, z in data.items()},
+                {int(a): _integer(z, "sales") for a, z in data.items()},
             )
-    except (TypeError, ValueError, KeyError, InvalidObservation) as exc:
-        raise DataFormatError(f"malformed visit record: {exc}", line)
-    try:
-        obs.validate()
     except InvalidObservation as exc:
         raise DataFormatError(str(exc), line)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(f"malformed visit record: {exc}", line)
     return obs, granularity
 
 

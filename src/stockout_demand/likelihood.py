@@ -25,6 +25,13 @@ totals (:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
 ``estimation.compile_dataset`` builds and stacks the tables, and is the one
 way they are evaluated; the generic ``l*`` functions are its oracles.
 
+Every function here takes visits as built, and a visit checks itself when
+it is built (see :mod:`~stockout_demand.types`), so none of them checks
+again whether the process could have produced it: every visit has a
+finite log-likelihood and fills at least one term.  What they do check is
+whether the visit fits the likelihood asked for: its null regime, and
+timestamps for the timed likelihood.
+
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
 :class:`TruncationPolicy`.
@@ -126,16 +133,6 @@ def _poisson_logpmf(n: int, mu: float) -> float:
     return n * math.log(mu) - mu - math.lgamma(n + 1) if mu > 0 else (0.0 if n == 0 else NEG_INF)
 
 
-def _possible(obs: Union[CompletePath, TransactionRecord, SalesSummary]) -> bool:
-    """Whether the process could have produced ``obs``: its own
-    ``validate()`` passes."""
-    try:
-        obs.validate()
-    except InvalidObservation:
-        return False
-    return True
-
-
 def _compositions_at_most(limit: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """All tuples of ``parts`` non-negative ints summing to at most ``limit``."""
     if parts == 0:
@@ -210,8 +207,6 @@ def l1_complete(
     path: CompletePath, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
 ) -> float:
     """Density of a fully observed path: ``lambda^n e^{-T lambda} prod P``."""
-    if not _possible(path):
-        return NEG_INF
     return (
         path.arrivals * math.log(params.rate)
         - path.horizon * params.rate
@@ -227,11 +222,8 @@ def l2_choice_sequence(
     Differs from :func:`l1_complete` by exactly ``log(n! / T^n)``: given the
     counts and choices, the times carry no extra information.
     """
-    v1 = l1_complete(path, params, model)
-    if v1 == NEG_INF:
-        return NEG_INF
     n = path.arrivals
-    return v1 + n * math.log(path.horizon) - math.lgamma(n + 1)
+    return l1_complete(path, params, model) + n * math.log(path.horizon) - math.lgamma(n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +252,13 @@ def l3_transactions_timed(
 
     Transactions form a Poisson stream thinned by the no-purchase
     probability of the current assortment, so the exponent integrates the
-    thinned rate over each constant-assortment stretch.  An impossible
-    record raises :class:`InvalidObservation`.
+    thinned rate over each constant-assortment stretch.  An untimed record,
+    or one without a null option, raises :class:`InvalidObservation`.
     """
     if not record.timestamps_present:
         raise InvalidObservation("l3 needs transaction timestamps")
     if not record.initial_assortment.includes_null:
         raise InvalidObservation("l3 is defined for the null-inclusive regime")
-    record.validate()
     _, _, assortments, stockout_idx = record.segments()
     durations = _timed_segment_durations(record, stockout_idx)
     value = record.total * math.log(params.rate)
@@ -291,11 +282,8 @@ def l4_transactions(
     """Purchase-sequence probability with times unobserved.
 
     Sums over the latent null-arrival counts per segment, truncated so the
-    total arrival count stays at or below the policy's ``m``.  An
-    impossible record gives ``-inf``.
+    total arrival count stays at or below the policy's ``m``.
     """
-    if not _possible(record):
-        return NEG_INF
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
     _, seg_counts, assortments, _ = record.segments()
@@ -346,11 +334,8 @@ def l4_integral(
 
     Averages ``exp(T lambda * sum_j P_o^[j] q_j)`` over Dirichlet-distributed
     segment-length fractions ``q``.  Returns ``(log estimate, standard
-    error of the log estimate)``; ``(-inf, 0.0)`` for an impossible
-    record.
+    error of the log estimate)``.
     """
-    if not _possible(record):
-        return NEG_INF, 0.0
     _, seg_counts, assortments, _ = record.segments()
     mu = record.horizon * params.rate
     n_purch = record.total
@@ -375,11 +360,8 @@ def l4_lauricella(
 ) -> float:
     """``l4`` evaluated by plugging the Lauricella series into the Dirichlet
     moment-generating-function form; agrees with :func:`l4_transactions`
-    at the same truncation up to round-off; an impossible record gives
-    ``-inf``.
+    at the same truncation up to round-off.
     """
-    if not _possible(record):
-        return NEG_INF
     _, seg_counts, assortments, _ = record.segments()
     mu = record.horizon * params.rate
     n_purch = record.total
@@ -457,8 +439,6 @@ def l5_sales(
     """
     if not summary.initial_assortment.includes_null:
         raise InvalidObservation("l5 is the null-inclusive sales likelihood")
-    if not _possible(summary):
-        return NEG_INF
     n_sales = summary.total_sales
     m = trunc.resolve(summary.horizon, params.rate, n_sales)
     mu = summary.horizon * params.rate
@@ -471,8 +451,6 @@ def l5_sales(
             base = log_choice + sum(log_multinomial(counts) for counts in seg_counts)
             seg_sales = [sum(counts) for counts in seg_counts]
             terms += _null_arrival_terms(base, seg_sales, log_p_null, n_sales, m, mu)
-    if not terms:
-        return NEG_INF
     return float(logsumexp(terms))
 
 
@@ -482,15 +460,11 @@ def l6_choice_part(
     """Log-probability of the sales vector given the arrival count; sums to
     one over feasible sales vectors with the same total.
     """
-    if not _possible(summary):
-        return NEG_INF
     terms = [
         log_choice + sum(log_multinomial(counts) for counts in seg_counts)
         for _, splits in _sales_splits(summary, params, model)
         for seg_counts, log_choice in splits
     ]
-    if not terms:
-        return NEG_INF
     return float(logsumexp(terms))
 
 
@@ -502,8 +476,6 @@ def l6_generic(
     """
     if summary.initial_assortment.includes_null:
         raise InvalidObservation("l6 is the no-null sales likelihood")
-    if not _possible(summary):
-        return NEG_INF
     mu = summary.horizon * params.rate
     return _poisson_logpmf(summary.total_sales, mu) + l6_choice_part(
         summary, params, model
@@ -549,8 +521,8 @@ class TermTable:
 
     A table is a plain record: :func:`stack_tables` turns a dataset's
     tables into the flat arrays of :func:`term_loglik_grad`, which
-    ``estimation.compile_dataset`` holds.  The table of an impossible
-    visit lists no terms, and stacking it raises
+    ``estimation.compile_dataset`` holds.  Every visit, being possible,
+    fills at least one term; stacking a table without terms raises
     :class:`InvalidObservation`.
     """
 
@@ -668,7 +640,7 @@ def stack_tables(
     row's log-binomials, and the row's candidates (a full block's masks,
     a drawn layout's listed candidates) offset into the table's.  :func:`_pack_segments` then numbers the
     assortments the terms face.  Raises :class:`InvalidObservation` for a
-    table without terms.
+    hand-built table without terms.
     """
     col = {a: i for i, a in enumerate(catalog)}
     # distinct candidate assortments, keyed by their fields, which hash
@@ -776,8 +748,11 @@ def stack_tables(
 
     terms = np.bincount(block[:, 0], weights=block[:, 4], minlength=len(tables))
     terms = terms.astype(np.int64)
-    if (terms == 0).any():
-        raise InvalidObservation("dataset contains an impossible observation")
+    # a group without terms would make the kernel's reduceat read the next
+    # group's first term; no visit fills such a table
+    empty = np.flatnonzero(terms == 0)
+    if empty.size:
+        raise InvalidObservation(f"term table {empty[0]} lists no terms")
     registry, seg_idx, seg_exp = _pack_segments(
         cand, exps, np.array(uid, dtype=np.int64), list(distinct)
     )
@@ -822,8 +797,6 @@ def table_complete(path: CompletePath) -> TermTable:
     table = TermTable(
         path.horizon, path.initial_assortment.products, _purchase_counts(path.choices)
     )
-    if not _possible(path):
-        return table
     _, seg_counts, table.assortments, _ = path.segments()
     n = path.arrivals
     table.explicit_n.append(n)
@@ -840,8 +813,6 @@ def table_transactions(record: TransactionRecord, m: int) -> TermTable:
     table = TermTable(
         record.horizon, record.initial_assortment.products, _purchase_counts(record.products)
     )
-    if not _possible(record):
-        return table
     _, seg_counts, table.assortments, _ = record.segments()
     exponents = _segment_exponents(seg_counts)
     n_purch = record.total
@@ -864,9 +835,10 @@ def _sales_table(
 ) -> TermTable:
     """Shared stock-out-vector expansion behind the sales fast paths.
 
-    For each total arrival count ``n``, terms range over the (stock-out
-    order, segment sizes) layouts of the products ``stocked``, which sell
-    out; every other product's sales fall freely among the arrivals.  With
+    For each total arrival count ``n`` (none below the sales), terms range
+    over the (stock-out order, segment sizes) layouts of the products
+    ``stocked``, which sell out; every other product's sales fall freely
+    among the arrivals.  With
     ``stocked`` empty, every arrival faces the whole assortment.  The table
     records one layout block per ``n``: the shape and its base coefficient
     ``-log n! + log_free(n)``.  ``sampler(n)`` may replace full enumeration
@@ -878,16 +850,11 @@ def _sales_table(
     assortment = summary.initial_assortment
     catalog = assortment.products
     table = TermTable(summary.horizon, catalog, summary.sales)
-    if not _possible(summary):
-        return table
     stocks = tuple(summary.stocks[a] for a in stocked)
     free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocked]
     n_sales = summary.total_sales
     for n in n_values:
-        n_o = n - n_sales
-        if n_o < 0:
-            continue
-        log_free = log_multinomial([n_o] + free_sales)
+        log_free = log_multinomial([n - n_sales] + free_sales)
         drawn = None if sampler is None else sampler(n)
         log_weight = 0.0
         if drawn is not None:
@@ -998,10 +965,9 @@ def fold_timed(
     likelihood of many visits needs only per-assortment totals.  Its rows
     are the distinct segment assortments in order of first appearance,
     with count-weighted exponent and duration totals; its sales are the
-    count-weighted purchases per product.  Each record is checked as
-    :func:`l3_transactions_timed` checks it, and the first impossible or
-    untimed record, or one without a null option, raises
-    :class:`InvalidObservation`."""
+    count-weighted purchases per product.  The first untimed record, or
+    one without a null option, raises :class:`InvalidObservation`, as in
+    :func:`l3_transactions_timed`."""
     col = {a: i for i, a in enumerate(catalog)}
     # keyed by the fields, which hash faster than the dataclass
     rows_of: Dict[Tuple[Tuple[int, ...], bool], int] = {}
@@ -1016,7 +982,6 @@ def fold_timed(
             raise InvalidObservation("timed transactions need transaction timestamps")
         if not record.initial_assortment.includes_null:
             raise InvalidObservation("l3 is defined for the null-inclusive regime")
-        record.validate()
         _, seg_counts, seg_assortments, stockout_idx = record.segments()
         for assortment, e, t in zip(
             seg_assortments,

@@ -12,8 +12,9 @@ granularities of the same visit are modelled here:
 Each observation decides for itself whether the process could have
 produced it: ``validate()`` raises :class:`InvalidObservation` naming the
 first rule it breaks (horizon, stocks, the stock replay, and the times of
-a timed record or a complete path), and parsing, the likelihoods and
-fitting all ask it.  A complete path and a transaction record also split
+a timed record or a complete path).  Construction runs it, so a visit the
+process could not produce cannot be built, and nothing downstream checks
+a visit again.  A complete path and a transaction record also split
 themselves at their stock-outs with ``segments()``.
 """
 
@@ -128,6 +129,9 @@ class CompletePath:
     stocks: Mapping[ProductId, int]
     events: Tuple[Tuple[float, Choice], ...]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def arrivals(self) -> int:
         return len(self.events)
@@ -150,7 +154,7 @@ class CompletePath:
         prev = 0.0
         for i, (t, c) in enumerate(self.events, start=1):
             # a NaN fails both comparisons
-            if not 0.0 <= t <= self.horizon:
+            if t is None or not 0.0 <= t <= self.horizon:
                 raise InvalidObservation(f"event {i}: time {t} outside [0, {self.horizon}]")
             if t < prev:
                 raise InvalidObservation(f"event {i}: time {t} decreases from {prev}")
@@ -182,6 +186,9 @@ class TransactionRecord:
     transactions: Tuple[Tuple[Optional[float], ProductId], ...]
     timestamps_present: bool
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def products(self) -> Tuple[ProductId, ...]:
         return tuple(p for _, p in self.transactions)
@@ -201,7 +208,7 @@ class TransactionRecord:
         for i, (t, p) in enumerate(self.transactions, start=1):
             if self.timestamps_present:
                 # a NaN fails both comparisons
-                if not 0.0 <= t <= self.horizon:
+                if t is None or not 0.0 <= t <= self.horizon:
                     raise InvalidObservation(
                         f"transaction {i}: time {t} outside [0, {self.horizon}]"
                     )
@@ -230,6 +237,9 @@ class SalesSummary:
     initial_assortment: Assortment
     stocks: Mapping[ProductId, int]
     sales: Mapping[ProductId, int]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def total_sales(self) -> int:
@@ -288,7 +298,6 @@ class SegmentDecomposition:
 
 def project_transactions(path: CompletePath, keep_times: bool) -> TransactionRecord:
     """Drop null choices, keeping purchases in order (times iff requested)."""
-    path.validate()
     txns = tuple(
         (t if keep_times else None, c) for t, c in path.events if c is not NULL
     )
@@ -303,7 +312,6 @@ def project_transactions(path: CompletePath, keep_times: bool) -> TransactionRec
 
 def project_sales(path: CompletePath) -> SalesSummary:
     """Collapse a path to per-product cumulative sales."""
-    path.validate()
     sales = {a: 0 for a in path.initial_assortment.products}
     for _, c in path.events:
         if c is not NULL:
@@ -396,6 +404,5 @@ def transaction_segments(
 
 def segment_decomposition(path: CompletePath) -> SegmentDecomposition:
     """Segment a complete path at its stock-out arrivals."""
-    path.validate()
     order, sizes, _, _ = path.segments()
     return SegmentDecomposition(order, sizes)

@@ -98,31 +98,44 @@ def random_transaction_record(
     )
 
 
-def infeasible_observations():
-    """An infeasible visit of each observation kind: product 0 sold twice
-    from a stock of one."""
+def infeasible_visits():
+    """How to build an infeasible visit of each observation kind, and the
+    rule it breaks: product 0 sold twice from a stock of one.  Each builder
+    raises :class:`InvalidObservation` with that rule."""
     both = Assortment((0, 1), True)
     return {
-        "complete": CompletePath(
-            1.0, both, {0: 1, 1: 1}, ((0.2, 0), (0.5, NULL), (0.7, 0))
+        "complete": (
+            lambda: CompletePath(1.0, both, {0: 1, 1: 1}, ((0.2, 0), (0.5, NULL), (0.7, 0))),
+            "event 3: choice of product 0 after it stocked out",
         ),
-        "transactions": TransactionRecord(
-            1.0, both, {0: 1, 1: 1}, ((None, 0), (None, 1), (None, 0)), False
+        "transactions": (
+            lambda: TransactionRecord(
+                1.0, both, {0: 1, 1: 1}, ((None, 0), (None, 1), (None, 0)), False
+            ),
+            "transaction 3: product 0 bought beyond its stock of 1",
         ),
-        "sales": SalesSummary(1.0, both, {0: 1, 1: 1}, {0: 2, 1: 0}),
-        "sales-no-null": SalesSummary(
-            1.0, Assortment((0, 1), False), {0: 1, 1: 2}, {0: 2, 1: 1}
+        "sales": (
+            lambda: SalesSummary(1.0, both, {0: 1, 1: 1}, {0: 2, 1: 0}),
+            r"sales 2 of product 0 outside \[0, 1\]",
+        ),
+        "sales-no-null": (
+            lambda: SalesSummary(1.0, Assortment((0, 1), False), {0: 1, 1: 2}, {0: 2, 1: 1}),
+            r"sales 2 of product 0 outside \[0, 1\]",
         ),
     }
 
 
-def badly_timed_records():
-    """Timed records the process cannot produce, by the time of their
-    second purchase (the stock-out of product 0): past ``T``, ``NaN``, and
-    before the first purchase."""
-    both = Assortment((0, 1), True)
+#: the horizon, assortment and stocks of :func:`badly_timed_transactions`
+TIMED_VISIT = (1.0, Assortment((0, 1), True), {0: 1, 1: 3})
+
+
+def badly_timed_transactions():
+    """Timed purchases a :data:`TIMED_VISIT` cannot record, by the time of
+    their second purchase (the stock-out of product 0): past ``T``,
+    ``NaN``, and before the first purchase; keyed by the rule they
+    break."""
     return {
-        case: TransactionRecord(1.0, both, {0: 1, 1: 3}, ((first, 1), (second, 0)), True)
+        case: ((first, 1), (second, 0))
         for case, (first, second) in {
             "time 2.5 outside": (0.2, 2.5),
             "time nan outside": (0.2, math.nan),

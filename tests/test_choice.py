@@ -1,10 +1,8 @@
-"""Attraction choice model: probabilities, normalization, gradients."""
-
-import math
+"""Attraction choice model: probabilities and normalization."""
 
 import pytest
 
-from stockout_demand import Assortment, AttractionModel, ModelParams, NULL, choice_prob
+from stockout_demand import Assortment, AttractionModel, ModelParams, NULL
 from stockout_demand.types import InvalidObservation
 
 from conftest import random_params
@@ -50,37 +48,3 @@ def test_empty_no_null_assortment_rejected():
     params = ModelParams(rate=1.0, weights={0: 1.0})
     with pytest.raises(InvalidObservation):
         MODEL.denominator(params, Assortment((), False))
-
-
-def test_choice_prob_helper_delegates():
-    params = ModelParams(rate=1.0, weights={0: 2.0})
-    assortment = Assortment((0,), True)
-    assert choice_prob(MODEL, params, 0, assortment) == pytest.approx(2.0 / 3.0)
-
-
-def test_log_prob_gradient_matches_finite_differences(rng):
-    step = 1e-6
-    for _ in range(30):
-        catalog = tuple(range(rng.randint(2, 4)))
-        params = random_params(rng, catalog)
-        includes_null = rng.random() < 0.5
-        assortment = Assortment(catalog, includes_null)
-        choices = list(catalog) + ([NULL] if includes_null else [])
-        choice = rng.choice(choices)
-        grad = MODEL.log_prob_gradient(params, choice, assortment)
-        for a in catalog:
-            up = dict(params.weights)
-            dn = dict(params.weights)
-            up[a] += step
-            dn[a] -= step
-            fd = (
-                MODEL.log_prob(ModelParams(params.rate, up), choice, assortment)
-                - MODEL.log_prob(ModelParams(params.rate, dn), choice, assortment)
-            ) / (2 * step)
-            assert grad[a] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_gradient_zero_outside_assortment():
-    params = ModelParams(rate=1.0, weights={0: 1.0, 1: 1.0, 2: 1.0})
-    grad = MODEL.log_prob_gradient(params, 0, Assortment((0, 1), True))
-    assert 2 not in grad

@@ -89,6 +89,18 @@ class TestExitCodes:
         assert run("estimate", "--data", str(f)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_fractional_stock_is_data_error(self, tmp_path, capsys):
+        # a cast would read the stock of 1.5 as 1
+        f = tmp_path / "bad.jsonl"
+        head = '{"T": 1.0, "assortment": [0], "granularity": "sales", "data": {"0": 1}, '
+        f.write_text(head + '"stocks": {"0": 2}}\n' + head + '"stocks": {"0": 1.5}}\n')
+        out = tmp_path / "fit.json"
+        assert run("estimate", "--data", str(f), "--out", str(out)) == 2
+        assert "line 2: malformed visit record: stock must be an integer, got 1.5" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_visits_and_reports_summary(self, tmp_path, capsys):
@@ -164,6 +176,8 @@ class TestSimulate:
             ("seed", 1.5),
             ("stocks", {"1": 2.5}),
             ("stocks", {"0": 2}),  # product 0 is always available
+            ("catalog", [0.5, 1]),
+            ("rate", "3"),
         ],
     )
     def test_bad_count_or_unknown_product_is_data_error(

@@ -40,8 +40,9 @@ from stockout_demand.types import (
 )
 
 from conftest import (
-    badly_timed_records,
-    infeasible_observations,
+    TIMED_VISIT,
+    badly_timed_transactions,
+    infeasible_visits,
     random_params,
     random_transaction_record,
 )
@@ -335,27 +336,47 @@ class TestInfeasibleVisit:
             ("sales-no-null", "sales-no-null", {}),
         ],
     )
-    def test_compile_rejects_dataset_holding_one(self, kind, granularity, options):
-        bad = infeasible_observations()[kind]
+    def test_dataset_cannot_hold_one(self, kind, granularity, options):
+        # the visit fails its own construction, so no dataset holds it
+        build, rule = infeasible_visits()[kind]
         paths = simulate_dataset(
             two_product_config(include_null=kind != "sales-no-null"), 3, seed=23
         )
         good = [project_path(p, granularity) for p in paths]
-        with pytest.raises(InvalidObservation, match="impossible"):
-            compile_dataset(good + [bad], granularity, TruncationPolicy(m=8), **options)
+        with pytest.raises(InvalidObservation, match=rule):
+            compile_dataset(good + [build()], granularity, TruncationPolicy(m=8), **options)
 
-
-    @pytest.mark.parametrize("message", list(badly_timed_records()))
-    def test_badly_timed_record_rejected(self, message):
-        # in memory, not parsed: fitting used to build a segment of
-        # negative or NaN exposure and report a converged fit
+    @pytest.mark.parametrize("message", list(badly_timed_transactions()))
+    def test_badly_timed_record_cannot_be_built(self, message):
+        # in memory, not parsed: such a record would give a segment a
+        # negative or NaN exposure
         paths = simulate_dataset(two_product_config(), 20, seed=29)
         data = [project_path(p, "transactions-timed") for p in paths]
-        data.append(badly_timed_records()[message])
-        with pytest.raises(InvalidObservation, match=message):
-            compile_dataset(data, "transactions-timed")
-        with pytest.raises(InvalidObservation, match=message):
-            fit(data, "transactions-timed")
+        with pytest.raises(InvalidObservation, match=f"transaction 2: {message}"):
+            data.append(TransactionRecord(*TIMED_VISIT, badly_timed_transactions()[message], True))
+
+    def test_missing_stock_is_invalid_observation(self):
+        # grouping reads the stock of every offered product, so a visit
+        # missing one must be refused before any dataset holds it
+        with pytest.raises(InvalidObservation, match="stocks must cover exactly the assortment"):
+            compile_dataset(
+                [SalesSummary(1.0, Assortment((0, 1), True), {1: 2}, {0: 0, 1: 1})], "sales"
+            )
+
+    @pytest.mark.parametrize(
+        "change, rule",
+        [
+            ({"sales": {0: 0, 1: 1, 2: 0}}, "sales recorded for unoffered product 2"),
+            ({"stocks": {0: 1, 1: 2, 2: 1}}, "stocks must cover exactly the assortment"),
+        ],
+    )
+    def test_visit_order_cannot_decide_acceptance(self, change, rule):
+        # B is A plus an entry for unoffered product 2; grouping keys on the
+        # offered products only, so A and B would share one group, and
+        # whether [A, B] compiles would depend on which comes first
+        a = SalesSummary(1.0, Assortment((0, 1), True), {0: 1, 1: 2}, {0: 0, 1: 1})
+        with pytest.raises(InvalidObservation, match=rule):
+            compile_dataset([a, replace(a, **change)], "sales")
 
 
     def test_untimed_record_rejected_at_timed_granularity(self):

@@ -193,6 +193,49 @@ class TestVisitValidation:
         with pytest.raises(DataFormatError, match=f"line 9: {message}"):
             parse_visit(json.dumps(record), 9)
 
+    @pytest.mark.parametrize(
+        "granularity, change, message",
+        [
+            ("sales", {"stocks": {"0": 1.5, "1": 3}}, "stock must be an integer, got 1.5"),
+            ("sales", {"data": {"0": 1, "1": 2.7}}, "sales must be an integer, got 2.7"),
+            ("sales", {"assortment": [0, 1.9]}, "product id must be an integer, got 1.9"),
+            ("sales", {"T": True}, "T must be a number, got True"),
+            ("sales", {"T": "1"}, "T must be a number, got '1'"),
+            ("transactions", {"data": [1, True]}, "product id must be an integer, got True"),
+            ("transactions-timed", {"data": [["0.5", 1]]}, "time must be a number, got '0.5'"),
+            ("transactions-timed", {"data": [[None, 1]]}, "time must be a number, got None"),
+            ("complete", {"data": [[0.5, 1.5]]}, "choice must be an integer, got 1.5"),
+            ("complete", {"stocks": [1, 3]}, "'list' object has no attribute 'items'"),
+        ],
+    )
+    def test_values_read_strictly(self, granularity, change, message):
+        # a cast would read a stock of 1.5 as 1, T = "1" as 1.0 and a time
+        # of "0.5" as 0.5; stocks given as a list are malformed, not a crash
+        record = {
+            "T": 1.0,
+            "assortment": [0, 1],
+            "stocks": {"0": 1, "1": 3},
+            "granularity": granularity,
+            "data": {"sales": {"0": 0, "1": 1}, "transactions": [1]}.get(granularity, []),
+            **change,
+        }
+        with pytest.raises(DataFormatError, match=f"line 5: malformed visit record: {message}"):
+            parse_visit(json.dumps(record), 5)
+
+    def test_integral_floats_read_as_integers(self):
+        record = {
+            "T": 1,
+            "assortment": [0.0, 1],
+            "stocks": {"0": 1.0, "1": 3},
+            "granularity": "sales",
+            "data": {"0": 1.0, "1": 2},
+        }
+        obs, _ = parse_visit(json.dumps(record), 1)
+        assert obs.horizon == 1.0 and type(obs.horizon) is float
+        assert obs.initial_assortment.products == (0, 1)
+        assert obs.stocks == {0: 1, 1: 3} and obs.sales == {0: 1, 1: 2}
+        assert all(type(v) is int for v in (*obs.stocks.values(), *obs.sales.values()))
+
     def test_mixed_granularities_rejected(self, tmp_path):
         paths = simulate_dataset(small_config(), 2, seed=5)
         lines = [
@@ -282,12 +325,30 @@ class TestRunConfig:
             ("visits", True),
             ("stocks", {"0": 1.5}),
             ("stocks", {"0": "2"}),
+            ("catalog", [0.5, 1]),
+            ("always_available", [1.9]),
         ],
     )
     def test_counts_must_be_integral(self, field, value):
         # int() used to truncate 2.5 visits to 2 and 1.9 units to 1
         raw = {"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0, field: value}
         with pytest.raises(DataFormatError, match=f"{field}.* must be an integer"):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("horizon", True, "horizon must be a number, got True"),
+            ("rate", True, "rate must be a number, got True"),
+            ("rate", "3", "rate must be a number, got '3'"),
+            ("offer_probability", "0.5", "offer_probability must be a number, got '0.5'"),
+            ("weights", {"0": True, "1": 0.5}, "weights of product 0 must be a number, got True"),
+        ],
+    )
+    def test_values_must_be_json_numbers(self, field, value, message):
+        # a cast would read true as 1.0 and "3" as 3.0
+        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 1.0, field: value}
+        with pytest.raises(DataFormatError, match=message):
             RunConfig.from_dict(raw)
 
     def test_integral_float_counts_accepted(self):

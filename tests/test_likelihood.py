@@ -38,7 +38,6 @@ from stockout_demand import (
 from stockout_demand.likelihood import (
     fold_timed,
     stack_tables,
-    table_complete,
     table_naive_sales,
     table_sales_attraction,
     table_sales_no_null,
@@ -49,8 +48,8 @@ from stockout_demand.types import InvalidObservation
 
 from conftest import (
     IMPOSSIBLE_VISIT_CHANGES,
-    badly_timed_records,
-    infeasible_observations,
+    TIMED_VISIT,
+    badly_timed_transactions,
     random_params,
     random_sales_summary,
     random_transaction_record,
@@ -104,10 +103,9 @@ class TestCompleteData:
         )
         assert l2_choice_sequence(path, params) == pytest.approx(expected, rel=1e-12)
 
-    def test_infeasible_path_impossible(self):
-        params = ModelParams(rate=1.0, weights={0: 1.0, 1: 1.0})
-        path = path_with_choices([0, 0], {0: 1, 1: 1})
-        assert l1_complete(path, params) == float("-inf")
+    def test_infeasible_path_cannot_be_built(self):
+        with pytest.raises(InvalidObservation, match="event 2: choice of product 0 after it"):
+            path_with_choices([0, 0], {0: 1, 1: 1})
 
     def test_compiled_matches_direct(self, rng):
         for _ in range(25):
@@ -129,17 +127,19 @@ class TestCompleteData:
 
     def test_l2_normalization(self):
         # sum of exp(L2) over every feasible choice sequence of length <= m
-        # equals the Poisson probability of at most m arrivals
+        # equals the Poisson probability of at most m arrivals; an
+        # infeasible sequence is no path
         params = ModelParams(rate=1.0, weights={0: 1.0, 1: 0.5})
         stocks = {0: 1, 1: 1}
         m = 7
         total = 0.0
         for n in range(m + 1):
             for seq in iter_product((NULL, 0, 1), repeat=n):
-                path = path_with_choices(list(seq), stocks)
-                v = l2_choice_sequence(path, params)
-                if v != float("-inf"):
-                    total += math.exp(v)
+                try:
+                    path = path_with_choices(list(seq), stocks)
+                except InvalidObservation:
+                    continue
+                total += math.exp(l2_choice_sequence(path, params))
         assert total == pytest.approx(float(poisson.cdf(m, 1.0)), abs=1e-9)
 
 
@@ -185,16 +185,13 @@ class TestTimedTransactions:
         value = dataset_log_likelihood([record], params, "transactions-timed")
         assert value == pytest.approx(limit, rel=0, abs=1e-9)
 
-    @pytest.mark.parametrize("message", list(badly_timed_records()))
-    def test_badly_timed_record_rejected(self, message):
-        # a stock-out past T or out of order gives a segment a negative or
-        # NaN exposure
-        record = badly_timed_records()[message]
-        params = ModelParams(rate=2.0, weights={0: 0.5, 1: 1.5})
+    @pytest.mark.parametrize("message", list(badly_timed_transactions()))
+    def test_badly_timed_record_cannot_be_built(self, message):
+        # a stock-out past T or out of order would give a segment a
+        # negative or NaN exposure
+        transactions = badly_timed_transactions()[message]
         with pytest.raises(InvalidObservation, match=f"transaction 2: {message}"):
-            compile_dataset([record], "transactions-timed")
-        with pytest.raises(InvalidObservation, match=message):
-            l3_transactions_timed(record, params)
+            TransactionRecord(*TIMED_VISIT, transactions, True)
 
     def test_requires_timestamps(self):
         record = random_transaction_record(random.Random(0))
@@ -266,26 +263,23 @@ class TestUntimedTransactions:
         assert total == pytest.approx(float(poisson.cdf(m, 1.0)), abs=1e-9)
 
     @pytest.mark.parametrize(
-        "horizon, transactions",
+        "horizon, transactions, rule",
         [
-            (0.0, ()),
-            (-1.0, ()),
-            (1.0, ((None, 0), (None, 1), (None, 0))),  # product 0 has stock 1
+            (0.0, (), "T must be finite and positive, got 0.0"),
+            (-1.0, (), "T must be finite and positive, got -1.0"),
+            (
+                1.0,
+                ((None, 0), (None, 1), (None, 0)),
+                "transaction 3: product 0 bought beyond its stock of 1",
+            ),
         ],
         ids=["T=0", "T=-1", "beyond stock"],
     )
-    def test_impossible_record_minus_infinity(self, horizon, transactions):
-        record = TransactionRecord(
-            horizon, Assortment((0, 1), True), {0: 1, 1: 2}, transactions, False
-        )
-        params = ModelParams(rate=2.0, weights={0: 0.7, 1: 1.2})
-        policy = TruncationPolicy(m=6)
-        assert l4_transactions(record, params, policy) == float("-inf")
-        assert l4_lauricella(record, params, policy) == float("-inf")
-        assert l4_integral(record, params, mc_samples=50, seed=0) == (float("-inf"), 0.0)
-        assert table_transactions(record, 6).explicit_n == []
-        with pytest.raises(InvalidObservation):
-            compile_dataset([record], "transactions", policy)
+    def test_impossible_record_cannot_be_built(self, horizon, transactions, rule):
+        with pytest.raises(InvalidObservation, match=rule):
+            TransactionRecord(
+                horizon, Assortment((0, 1), True), {0: 1, 1: 2}, transactions, False
+            )
 
     def test_lauricella_single_segment_is_truncated_exponential(self):
         # one segment of size s: the series collapses to sum theta^e / e!
@@ -331,12 +325,9 @@ class TestSales:
             total += math.exp(l5_sales(summary, params, TruncationPolicy(m=10)))
         assert 1.0 - 1e-6 <= total <= 1.0 + 1e-12
 
-    def test_impossible_sales_minus_infinity(self):
-        summary = SalesSummary(
-            1.0, Assortment((0, 1), True), {0: 1, 1: 1}, {0: 2, 1: 0}
-        )
-        params = ModelParams(rate=1.0, weights={0: 1.0, 1: 1.0})
-        assert l5_sales(summary, params, TruncationPolicy(m=5)) == float("-inf")
+    def test_impossible_sales_cannot_be_built(self):
+        with pytest.raises(InvalidObservation, match=r"sales 2 of product 0 outside \[0, 1\]"):
+            SalesSummary(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, {0: 2, 1: 0})
 
 
 class TestSalesNoNull:
@@ -359,9 +350,7 @@ class TestSalesNoNull:
             if not 0 <= z1 <= stocks[1]:
                 continue
             summary = SalesSummary(1.0, assortment, stocks, {0: z0, 1: z1})
-            v = l6_choice_part(summary, params)
-            if v != float("-inf"):
-                total += math.exp(v)
+            total += math.exp(l6_choice_part(summary, params))
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_poisson_factor_separates(self):
@@ -399,42 +388,10 @@ class TestNaiveSales:
             np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12)
 
 
-class TestInfeasibleTables:
-    """The table of an infeasible visit lists no terms, so compiling the
-    visit raises :class:`InvalidObservation`; the generic oracles give
-    ``-inf``."""
-
-    params = ModelParams(rate=1.5, weights={0: 0.7, 1: 1.2})
-
-    @pytest.mark.parametrize(
-        "kind, options, build",
-        [
-            ("complete", {}, table_complete),
-            ("transactions", {}, lambda obs: table_transactions(obs, 6)),
-            ("sales", {}, lambda obs: table_sales_attraction(obs, 6)),
-            ("sales", {"naive": True}, lambda obs: table_naive_sales(obs, 6)),
-            ("sales-no-null", {}, table_sales_no_null),
-            ("sales-no-null", {"naive": True}, lambda obs: table_naive_sales(obs, 6)),
-        ],
-    )
-    def test_table_without_terms_refused(self, kind, options, build):
-        obs = infeasible_observations()[kind]
-        table = build(obs)
-        assert table.layouts == [] and table.explicit_n == []
-        with pytest.raises(InvalidObservation, match="impossible"):
-            compile_dataset([obs], kind, TruncationPolicy(m=6), **options)
-
-    def test_oracles_minus_infinity(self):
-        observations = infeasible_observations()
-        policy = TruncationPolicy(m=6)
-        assert l5_sales(observations["sales"], self.params, policy) == float("-inf")
-        assert l6_generic(observations["sales-no-null"], self.params) == float("-inf")
-
-
 class TestImpossibleVisitRules:
-    """A visit whose horizon or stocks no visit can have is impossible:
-    its table lists no terms and its oracle gives ``-inf``, whatever it
-    records, never ``nan`` or a finite value."""
+    """A visit whose horizon or stocks no visit can have cannot be built,
+    whatever it records; with a possible horizon and stocks, the same
+    visit fills its table and has a finite oracle value."""
 
     params = ModelParams(rate=2.0, weights={0: 0.7, 1: 1.2})
 
@@ -447,34 +404,26 @@ class TestImpossibleVisitRules:
             (False, table_sales_no_null),
         ],
     )
-    def test_sales_table_without_terms(self, change, rule, includes_null, build):
+    def test_sales_visit_cannot_be_built(self, change, rule, includes_null, build):
         summary = SalesSummary(
             1.0, Assortment((0, 1), includes_null), {0: 1, 1: 2}, {0: 0, 1: 1}
         )
-
-        def oracle(obs):
-            if includes_null:
-                return l5_sales(obs, self.params, TruncationPolicy(m=6))
-            return l6_generic(obs, self.params)
-
+        if includes_null:
+            value = l5_sales(summary, self.params, TruncationPolicy(m=6))
+        else:
+            value = l6_generic(summary, self.params)
         assert build(summary).layouts
-        assert oracle(summary) > float("-inf")
-        bad = replace(summary, **change)
+        assert math.isfinite(value)
         with pytest.raises(InvalidObservation, match=rule):
-            bad.validate()
-        assert build(bad).layouts == []
-        assert oracle(bad) == float("-inf")
+            replace(summary, **change)
 
     @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
-    def test_complete_path_minus_infinity(self, change, rule):
+    def test_complete_path_cannot_be_built(self, change, rule):
         # no arrivals at all, so only the horizon and the stocks are wrong
         path = CompletePath(1.0, Assortment((0, 1), True), {0: 1, 1: 2}, ())
         assert l1_complete(path, self.params) == -2.0
-        bad = replace(path, **change)
         with pytest.raises(InvalidObservation, match=rule):
-            bad.validate()
-        assert l1_complete(bad, self.params) == float("-inf")
-        assert table_complete(bad).explicit_n == []
+            replace(path, **change)
 
 
 class TestSampleAverageApproximation:

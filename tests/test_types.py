@@ -20,7 +20,11 @@ from stockout_demand import (
 )
 from stockout_demand.types import assortment_after, transaction_segments
 
-from conftest import IMPOSSIBLE_VISIT_CHANGES, badly_timed_records
+from conftest import (
+    IMPOSSIBLE_VISIT_CHANGES,
+    TIMED_VISIT,
+    badly_timed_transactions,
+)
 
 
 def make_path(events, products=(0, 1), stocks=None, includes_null=True, horizon=1.0):
@@ -67,24 +71,20 @@ class TestValidation:
         make_path([(0.1, 0), (0.5, NULL), (0.9, 1)]).validate()
 
     def test_purchase_after_stockout_flagged(self):
-        path = make_path([(0.1, 0), (0.2, 0)])
         with pytest.raises(InvalidObservation, match="event 2: .* after it stocked out"):
-            path.validate()
+            make_path([(0.1, 0), (0.2, 0)])
 
     def test_unoffered_product_flagged(self):
-        path = make_path([(0.1, 7)])
         with pytest.raises(InvalidObservation, match="event 1: .* not in the initial"):
-            path.validate()
+            make_path([(0.1, 7)])
 
     def test_time_ordering_flagged(self):
-        path = make_path([(0.5, NULL), (0.1, NULL)])
         with pytest.raises(InvalidObservation, match="event 2: time 0.1 decreases"):
-            path.validate()
+            make_path([(0.5, NULL), (0.1, NULL)])
 
     def test_null_in_no_null_regime_flagged(self):
-        path = make_path([(0.1, NULL)], includes_null=False)
         with pytest.raises(InvalidObservation, match="event 1: null choice"):
-            path.validate()
+            make_path([(0.1, NULL)], includes_null=False)
 
     def test_equal_timestamps_allowed(self):
         make_path([(0.5, NULL), (0.5, 0)]).validate()
@@ -104,49 +104,60 @@ def one_of_each(includes_null=True):
 
 
 class TestValidate:
+    """A visit runs ``validate()`` when it is built, so one the process
+    could not produce cannot be built, directly or by ``replace``."""
+
     @pytest.mark.parametrize("includes_null", [True, False])
     def test_possible_visits_pass(self, includes_null):
         for obs in one_of_each(includes_null):
             obs.validate()
 
+    @pytest.mark.parametrize("includes_null", [True, False])
     @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
-    def test_horizon_and_stock_rules_hold_for_every_kind(self, change, rule):
-        for obs in one_of_each():
+    def test_horizon_and_stock_rules_hold_for_every_kind(self, change, rule, includes_null):
+        for obs in one_of_each(includes_null):
             with pytest.raises(InvalidObservation, match=rule):
-                replace(obs, **change).validate()
+                replace(obs, **change)
 
     @pytest.mark.parametrize(
-        "obs, message",
+        "build, message",
         [
             (
-                make_path([(0.1, 0), (0.5, NULL), (0.7, 0)]),
+                lambda: make_path([(0.1, 0), (0.5, NULL), (0.7, 0)]),
                 "event 3: choice of product 0 after it stocked out",
             ),
-            (make_path([(0.2, 1), (2.5, 0)]), "event 2: time 2.5 outside"),
+            (lambda: make_path([(0.2, 1), (2.5, 0)]), "event 2: time 2.5 outside"),
+            # a missing time breaks the time rule; it is no TypeError
+            (lambda: make_path([(0.1, NULL), (None, 0)]), r"event 2: time None outside \[0, 1.0\]"),
             (
-                TransactionRecord(
+                lambda: TransactionRecord(*TIMED_VISIT, ((None, 1),), True),
+                r"transaction 1: time None outside \[0, 1.0\]",
+            ),
+            (
+                lambda: TransactionRecord(
                     1.0, Assortment((0, 1)), {0: 1, 1: 3}, ((None, 0), (None, 1), (None, 0)), False
                 ),
                 "transaction 3: product 0 bought beyond its stock of 1",
             ),
             (
-                SalesSummary(1.0, Assortment((0, 1)), {0: 1, 1: 3}, {0: 2, 1: 0}),
+                lambda: SalesSummary(1.0, Assortment((0, 1)), {0: 1, 1: 3}, {0: 2, 1: 0}),
                 "sales 2 of product 0 outside",
             ),
         ],
     )
-    def test_first_broken_rule_named_with_its_index(self, obs, message):
+    def test_first_broken_rule_named_with_its_index(self, build, message):
         with pytest.raises(InvalidObservation, match=message):
-            obs.validate()
+            build()
 
-    @pytest.mark.parametrize("message", list(badly_timed_records()))
+    @pytest.mark.parametrize("message", list(badly_timed_transactions()))
     def test_timed_record_times_checked(self, message):
+        transactions = badly_timed_transactions()[message]
         with pytest.raises(InvalidObservation, match=f"transaction 2: {message}"):
-            badly_timed_records()[message].validate()
+            TransactionRecord(*TIMED_VISIT, transactions, True)
 
     def test_untimed_record_has_no_time_rule(self):
-        record = badly_timed_records()["time 2.5 outside"]
-        replace(record, timestamps_present=False).validate()
+        transactions = badly_timed_transactions()["time 2.5 outside"]
+        TransactionRecord(*TIMED_VISIT, transactions, False)
 
     def test_segments_replay_own_choices(self):
         path, timed, untimed, _ = one_of_each()
@@ -176,11 +187,6 @@ class TestProjections:
         assert summary.sales == {0: 1, 1: 2}
         assert summary.total_sales == 3
         assert summary.stocked_out == (1,)
-
-    def test_invalid_path_rejected(self):
-        path = make_path([(0.1, 0), (0.2, 0)])
-        with pytest.raises(InvalidObservation):
-            project_sales(path)
 
 
 class TestAssortmentAfter:
