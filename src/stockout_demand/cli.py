@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -217,6 +218,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# built on first use, not at import, then reused: an in-process caller
+# such as a benchmark loop would otherwise pay for it on every call
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="stockout-demand",

@@ -308,9 +308,16 @@ def compile_dataset(
     catalog = sorted({a for o in observations for a in o.initial_assortment.products})
     rate = naive_rate(observations)
     rate_cap = RATE_CAP_FACTOR * rate
+    # a visit read from a repeated line recurs as one object, so its group
+    # is looked up by id, keyed once; ids stay unique while
+    # ``observations`` holds every visit
     groups: Dict[object, List[int]] = {}
+    group_of: Dict[int, List[int]] = {}
     for i, obs in enumerate(observations):
-        groups.setdefault(_group_key(obs, granularity), []).append(i)
+        members = group_of.get(id(obs))
+        if members is None:
+            members = group_of[id(obs)] = groups.setdefault(_group_key(obs, granularity), [])
+        members.append(i)
     tables: List[Tuple[TermTable, int]] = []
     timed: List[Tuple[TransactionRecord, int]] = []
     # m depends only on the horizon and the observed count here

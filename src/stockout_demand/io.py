@@ -4,7 +4,9 @@ Visit files hold one JSON object per line with exactly the keys ``T``,
 ``assortment``, ``stocks``, ``granularity``, ``data``; unknown keys are
 rejected with the offending line number.  Serialization is canonical
 (fixed key order, shortest round-trip numbers), so parse → re-serialize
-is byte-identical.
+is byte-identical.  Coarse records repeat often (the same assortment,
+stocks and sales, or no purchase at all), so a read parses each distinct
+line once and its repeats share that one read-only visit.
 """
 
 from __future__ import annotations
@@ -347,15 +349,21 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
     """Read a JSONL visit file; returns observations and their granularity.
 
     The file must be granularity-homogeneous; if ``granularity`` is given,
-    the file must match it.
+    the file must match it.  Each distinct line is parsed once per call:
+    its repeats are the same visit object, and a bad line is reported at
+    its first occurrence.
     """
     observations: List[Observation] = []
+    parsed: Dict[str, Tuple[Observation, str]] = {}
     seen: Optional[str] = None
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            obs, g = parse_visit(line, line_no)
+            visit = parsed.get(line)
+            if visit is None:
+                visit = parsed[line] = parse_visit(line, line_no)
+            obs, g = visit
             if seen is None:
                 seen = g
             elif g != seen:

@@ -967,11 +967,19 @@ def fold_timed(
     with count-weighted exponent and duration totals; its sales are the
     count-weighted purchases per product.  The first untimed record, or
     one without a null option, raises :class:`InvalidObservation`, as in
-    :func:`l3_transactions_timed`."""
+    :func:`l3_transactions_timed`.
+
+    A record's segment structure (its segment rows, exponents, stock-out
+    indices and sold columns) depends only on its initial assortment, its
+    stocks and its purchase sequence, so it is computed once per distinct
+    ``(assortment products, stocks, purchased products)`` key (every record
+    here offers the null option); only the durations are read from each
+    record's times."""
     col = {a: i for i, a in enumerate(catalog)}
     # keyed by the fields, which hash faster than the dataclass
     rows_of: Dict[Tuple[Tuple[int, ...], bool], int] = {}
     assortments: List[Assortment] = []
+    structures: Dict[tuple, tuple] = {}
     rows: List[int] = []
     exponents: List[float] = []
     durations: List[float] = []
@@ -980,24 +988,33 @@ def fold_timed(
     for record, count in groups:
         if not record.timestamps_present:
             raise InvalidObservation("timed transactions need transaction timestamps")
-        if not record.initial_assortment.includes_null:
+        initial = record.initial_assortment
+        if not initial.includes_null:
             raise InvalidObservation("l3 is defined for the null-inclusive regime")
-        _, seg_counts, seg_assortments, stockout_idx = record.segments()
-        for assortment, e, t in zip(
-            seg_assortments,
-            _segment_exponents(seg_counts),
-            _timed_segment_durations(record, stockout_idx),
-        ):
-            key = (assortment.products, assortment.includes_null)
-            if key not in rows_of:
-                rows_of[key] = len(assortments)
-                assortments.append(assortment)
-            rows.append(rows_of[key])
-            exponents.append(count * e)
-            durations.append(count * t)
-        for _, p in record.transactions:
-            sold.append(col[p])
-            sold_counts.append(count)
+        purchases = record.products
+        key = (initial.products, tuple(record.stocks[a] for a in initial.products), purchases)
+        structure = structures.get(key)
+        if structure is None:
+            _, seg_counts, seg_assortments, stockout_idx = record.segments()
+            seg_rows = []
+            for assortment in seg_assortments:
+                row_key = (assortment.products, assortment.includes_null)
+                if row_key not in rows_of:
+                    rows_of[row_key] = len(assortments)
+                    assortments.append(assortment)
+                seg_rows.append(rows_of[row_key])
+            structure = structures[key] = (
+                seg_rows,
+                _segment_exponents(seg_counts),
+                stockout_idx,
+                [col[p] for p in purchases],
+            )
+        seg_rows, seg_exponents, stockout_idx, sold_cols = structure
+        rows.extend(seg_rows)
+        exponents.extend(count * e for e in seg_exponents)
+        durations.extend(count * t for t in _timed_segment_durations(record, stockout_idx))
+        sold.extend(sold_cols)
+        sold_counts.extend([count] * len(sold_cols))
     return TimedSegmentTable(
         catalog=tuple(catalog),
         sales=_totals(sold, sold_counts, len(catalog)),

@@ -14,14 +14,18 @@ produced it: ``validate()`` raises :class:`InvalidObservation` naming the
 first rule it breaks (horizon, stocks, the stock replay, and the times of
 a timed record or a complete path).  Construction runs it, so a visit the
 process could not produce cannot be built, and nothing downstream checks
-a visit again.  A complete path and a transaction record also split
-themselves at their stock-outs with ``segments()``.
+a visit again.  A visit's ``stocks`` (and a summary's ``sales``) are
+read-only views of private copies taken at construction, so neither the
+visit nor the caller's dicts can change what was checked, and one visit
+can be shared wherever it recurs.  A complete path and a transaction
+record also split themselves at their stock-outs with ``segments()``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -107,14 +111,27 @@ Segments = Tuple[
 ]
 
 
+def _frozen(visit: object, name: str) -> None:
+    """Replace the visit's mapping field ``name`` by a read-only view of a
+    private copy."""
+    value = getattr(visit, name)
+    # dict() of a view walks it item by item; copy() copies the dict behind
+    private = value.copy() if type(value) is MappingProxyType else dict(value)
+    object.__setattr__(visit, name, MappingProxyType(private))
+
+
 def _check_visit(visit: CompletePath | TransactionRecord | SalesSummary) -> None:
-    """The rules every visit kind shares: a finite positive horizon, and
-    stocks of at least one unit for exactly the offered products."""
+    """The rules every visit kind shares: a horizon that is a finite
+    positive real number, and stocks of at least one unit for exactly the
+    offered products."""
     products, stocks = visit.initial_assortment.products, visit.stocks
     if stocks.keys() != set(products):
         raise InvalidObservation("stocks must cover exactly the assortment")
-    if not (math.isfinite(visit.horizon) and visit.horizon > 0):
-        raise InvalidObservation(f"T must be finite and positive, got {visit.horizon}")
+    horizon = visit.horizon
+    if type(horizon) is bool or not isinstance(horizon, (int, float)):
+        raise InvalidObservation(f"T must be a real number, got {horizon!r}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise InvalidObservation(f"T must be finite and positive, got {horizon}")
     for a in products:
         if stocks[a] < 1:
             raise InvalidObservation(f"offered product {a} has stock {stocks[a]}")
@@ -130,6 +147,7 @@ class CompletePath:
     events: Tuple[Tuple[float, Choice], ...]
 
     def __post_init__(self) -> None:
+        _frozen(self, "stocks")
         self.validate()
 
     @property
@@ -150,7 +168,7 @@ class CompletePath:
         timestamps (possible after rounding) are allowed.
         """
         _check_visit(self)
-        remaining = dict(self.stocks)
+        remaining = self.stocks.copy()
         prev = 0.0
         for i, (t, c) in enumerate(self.events, start=1):
             # a NaN fails both comparisons
@@ -187,6 +205,7 @@ class TransactionRecord:
     timestamps_present: bool
 
     def __post_init__(self) -> None:
+        _frozen(self, "stocks")
         self.validate()
 
     @property
@@ -203,7 +222,7 @@ class TransactionRecord:
         outside ``[0, T]`` or before the previous one (equal times, possible
         after rounding, are fine)."""
         _check_visit(self)
-        left = dict(self.stocks)
+        left = self.stocks.copy()
         prev = 0.0
         for i, (t, p) in enumerate(self.transactions, start=1):
             if self.timestamps_present:
@@ -239,6 +258,8 @@ class SalesSummary:
     sales: Mapping[ProductId, int]
 
     def __post_init__(self) -> None:
+        _frozen(self, "stocks")
+        _frozen(self, "sales")
         self.validate()
 
     @property

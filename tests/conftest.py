@@ -146,11 +146,14 @@ def badly_timed_transactions():
 
 #: changes that make a visit over products 0 and 1 (stocks 1 and 2)
 #: impossible whatever it records, with the rule each breaks: a horizon
-#: that is not positive, an offered product without stock, and stocks that
-#: miss or add a product
+#: that is not positive or not a real number, an offered product without
+#: stock, and stocks that miss or add a product
 IMPOSSIBLE_VISIT_CHANGES = [
     ({"horizon": 0.0}, "T must be finite and positive, got 0.0"),
     ({"horizon": -1.0}, "T must be finite and positive, got -1.0"),
+    ({"horizon": None}, "T must be a real number, got None"),
+    ({"horizon": "1.0"}, "T must be a real number, got '1.0'"),
+    ({"horizon": True}, "T must be a real number, got True"),
     ({"stocks": {0: 0, 1: 2}}, "offered product 0 has stock 0"),
     ({"stocks": {1: 2}}, "stocks must cover exactly the assortment"),
     ({"stocks": {0: 1, 1: 2, 2: 1}}, "stocks must cover exactly the assortment"),

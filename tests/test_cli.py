@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stockout_demand import cli
 from stockout_demand.cli import main
 
 
@@ -32,6 +33,16 @@ def simulate_small(tmp_path, name="visits.jsonl", visits=30, seed=1):
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run("frobnicate") == 1
+
+    def test_reused_parser_still_exits_1_on_usage_errors(self, tmp_path, capsys):
+        # the parser is built once per process; a second usage error, after a
+        # good call, must still exit 1 with its own message
+        assert run("estimate") == 1
+        assert "--data" in capsys.readouterr().err
+        simulate_small(tmp_path)
+        assert run("estimate", "--data", "x.jsonl", "--truncation", "two") == 1
+        assert "invalid int value" in capsys.readouterr().err
+        assert cli._build_parser() is cli._build_parser()
 
     def test_missing_config_is_data_error(self, tmp_path, capsys):
         assert run("simulate", "--out", str(tmp_path / "x.jsonl")) == 2

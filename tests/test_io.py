@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from stockout_demand import SECTION7_PRESET, read_visits, write_visits
+from stockout_demand import SECTION7_PRESET, compile_dataset, read_visits, write_visits
 from stockout_demand.io import (
     DataFormatError,
     RunConfig,
@@ -63,6 +64,51 @@ class TestVisitRoundTrip:
         again = tmp_path / "again.jsonl"
         write_visits(str(again), loaded, g)
         assert out.read_bytes() == again.read_bytes()
+
+
+class TestSharedReads:
+    """A read parses each distinct line once: its repeats are one visit,
+    which compiles exactly as the lines parsed one by one."""
+
+    @staticmethod
+    def write_repeated(tmp_path, granularity, include_null):
+        paths = simulate_dataset(small_config(include_null), 12, seed=6)
+        lines = [serialize_visit(project_path(p, granularity), granularity) for p in paths]
+        # every line again in reverse order, after a blank line
+        text = lines + [""] + lines[::-1]
+        out = tmp_path / "repeated.jsonl"
+        out.write_text("\n".join(text) + "\n")
+        return out, lines + lines[::-1]
+
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES[1:])
+    def test_repeats_are_one_visit(self, tmp_path, granularity, include_null):
+        out, lines = self.write_repeated(tmp_path, granularity, include_null)
+        loaded, g = read_visits(str(out))
+        assert g == granularity and len(loaded) == len(lines)
+        first = {}
+        for line, obs in zip(lines, loaded):
+            assert first.setdefault(line, obs) is obs
+        assert len({id(obs) for obs in loaded}) == len(first)
+
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES[1:])
+    def test_shared_visits_compile_as_parsed_lines(self, tmp_path, granularity, include_null):
+        out, lines = self.write_repeated(tmp_path, granularity, include_null)
+        shared = compile_dataset(read_visits(str(out))[0], granularity)
+        parsed = compile_dataset([parse_visit(line)[0] for line in lines], granularity)
+        assert shared.catalog == parsed.catalog and shared.visits == parsed.visits
+        arrays = {k: v for k, v in vars(parsed).items() if isinstance(v, np.ndarray)}
+        assert "timed_durations" in arrays and "coef" in arrays
+        for name, value in arrays.items():
+            assert np.array_equal(getattr(shared, name), value), name
+
+    def test_repeated_bad_line_reported_at_first(self, tmp_path):
+        path = simulate_dataset(small_config(), 1, seed=7)[0]
+        good = serialize_visit(project_path(path, "sales"), "sales")
+        bad = good.replace('"granularity": "sales"', '"granularity": "sales", "extra": 1')
+        f = tmp_path / "bad.jsonl"
+        f.write_text("\n".join([good, bad, good, bad]) + "\n")
+        with pytest.raises(DataFormatError, match="line 2: unknown fields"):
+            read_visits(str(f))
 
 
 class TestVisitValidation:

@@ -85,8 +85,16 @@ def grouped(records):
 
 
 def test_records_cover_duplicates_and_several_stockouts(records):
-    assert len(grouped(records)) < len(records)
+    groups = grouped(records)
+    assert len(groups) < len(records)
     assert max(len(r.segments()[0]) for r in records) >= 2
+    # groups that differ only in their times share one segment structure,
+    # which fold_timed computes once
+    sequences = {
+        (r.initial_assortment.products, tuple(r.stocks.values()), r.products)
+        for r, _ in groups
+    }
+    assert len(sequences) < len(groups)
 
 
 def test_compile_matches_per_table_sum(records):

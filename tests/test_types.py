@@ -169,6 +169,34 @@ class TestValidate:
         assert expected[0] == (0, 1) and expected[3] == (2, 3)
 
 
+class TestReadOnly:
+    """A visit keeps what it was built from: its stocks and sales cannot be
+    assigned, and the caller's dicts are copied, so neither can get round
+    the checks that construction ran."""
+
+    @pytest.mark.parametrize("includes_null", [True, False])
+    def test_stocks_and_sales_cannot_be_assigned(self, includes_null):
+        visits = one_of_each(includes_null)
+        for obs in visits:
+            with pytest.raises(TypeError):
+                obs.stocks[0] = 5
+        with pytest.raises(TypeError):
+            visits[-1].sales[0] = 5
+
+    def test_caller_dicts_are_copied(self):
+        stocks, sales = {0: 1, 1: 2}, {0: 0, 1: 1}
+        assortment = Assortment((0, 1), True)
+        visits = [
+            CompletePath(1.0, assortment, stocks, ()),
+            TransactionRecord(1.0, assortment, stocks, (), True),
+            SalesSummary(1.0, assortment, stocks, sales),
+        ]
+        stocks[0], stocks[2], sales[0] = 0, 1, 5
+        for obs in visits:
+            assert dict(obs.stocks) == {0: 1, 1: 2}
+        assert dict(visits[-1].sales) == {0: 0, 1: 1}
+
+
 class TestProjections:
     def test_transactions_drop_nulls_keep_order(self):
         path = make_path([(0.1, 1), (0.2, NULL), (0.3, 0)])
