@@ -92,13 +92,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     observations = [project_path(p, granularity) for p in paths]
     count = write_visits(args.out, observations, granularity)
     arrivals = [p.arrivals for p in paths]
-    stockouts = [
-        any(
-            sum(1 for _, c in p.events if c == a) >= p.stocks[a]
-            for a in p.initial_assortment.products
-        )
-        for p in paths
-    ]
+    stockouts = [bool(p.segments()[0]) for p in paths]  # any stock-out order
     mean_arrivals = float(np.mean(arrivals)) if arrivals else 0.0
     stockout_freq = float(np.mean(stockouts)) if stockouts else 0.0
     print(

@@ -38,8 +38,7 @@ from .likelihood import (
     stack_tables,
     table_complete,
     table_naive_sales,
-    table_sales_attraction,
-    table_sales_no_null,
+    table_sales,
     table_sales_saa,
     table_transactions,
     term_loglik_grad,
@@ -237,14 +236,6 @@ class CompiledDataset:
         return value, grad
 
 
-def _sums_latent_arrivals(obs: Observation, granularity: str, naive: bool) -> bool:
-    """Whether the visit's table sums over arrival counts up to ``m``.  A
-    sales visit without a null option has as many arrivals as sales."""
-    if naive or granularity in ("sales", "sales-no-null"):
-        return obs.initial_assortment.includes_null
-    return granularity == "transactions"
-
-
 def _build_table(
     obs: Observation,
     granularity: str,
@@ -262,9 +253,7 @@ def _build_table(
         return table_complete(obs)
     if granularity == "transactions":
         return table_transactions(obs, m)
-    if granularity == "sales":
-        return table_sales_attraction(obs, m)
-    return table_sales_no_null(obs)
+    return table_sales(obs, m)
 
 
 def compile_dataset(
@@ -279,7 +268,13 @@ def compile_dataset(
     timed visits fold instead into one table of per-assortment totals.  A
     visit not of the granularity's observation class, SAA or naive at a
     non-sales granularity, or SAA and naive together, raises
-    :class:`InvalidObservation`.
+    :class:`InvalidObservation`.  Each distinct visit object is checked and
+    keyed once, at its first occurrence.
+
+    A sales visit's own null regime picks its likelihood, for the exact,
+    SAA and naive estimators alike and under either sales granularity:
+    with a null option its arrival count is latent, without one it is the
+    sales.
 
     SAA sample streams are keyed by visit content, so duplicate visits
     share one draw (common random numbers) and grouping stays effective.
@@ -300,35 +295,39 @@ def compile_dataset(
         raise InvalidObservation(f"the {estimator} estimator fits sales, not {granularity}")
     if not observations:
         raise InvalidObservation("empty dataset")
-    for i, obs in enumerate(observations, start=1):
-        if not isinstance(obs, kind):
-            raise InvalidObservation(
-                f"visit {i} is a {type(obs).__name__}; {granularity} fits {kind.__name__}"
-            )
-    catalog = sorted({a for o in observations for a in o.initial_assortment.products})
-    rate = naive_rate(observations)
-    rate_cap = RATE_CAP_FACTOR * rate
-    # a visit read from a repeated line recurs as one object, so its group
-    # is looked up by id, keyed once; ids stay unique while
-    # ``observations`` holds every visit
+    # a visit read from a repeated line recurs as one object, so it is
+    # checked and keyed once, at its first occurrence, and its group is
+    # looked up by id after that; ids stay unique while ``observations``
+    # holds every visit
     groups: Dict[object, List[int]] = {}
     group_of: Dict[int, List[int]] = {}
     for i, obs in enumerate(observations):
         members = group_of.get(id(obs))
         if members is None:
+            if not isinstance(obs, kind):
+                raise InvalidObservation(
+                    f"visit {i + 1} is a {type(obs).__name__}; "
+                    f"{granularity} fits {kind.__name__}"
+                )
             members = group_of[id(obs)] = groups.setdefault(_group_key(obs, granularity), [])
         members.append(i)
+    firsts = [observations[members[0]] for members in groups.values()]
+    catalog = sorted({a for o in firsts for a in o.initial_assortment.products})
+    # summed over every visit in order: the start point depends on it
+    rate = naive_rate(observations)
+    rate_cap = RATE_CAP_FACTOR * rate
     tables: List[Tuple[TermTable, int]] = []
     timed: List[Tuple[TransactionRecord, int]] = []
     # m depends only on the horizon and the observed count here
     sizes: Dict[Tuple[float, int], int] = {}
-    for key, members in groups.items():
-        obs = observations[members[0]]
+    for (key, members), obs in zip(groups.items(), firsts):
         if granularity == "transactions-timed":
             timed.append((obs, len(members)))
             continue
+        # only a visit with a null option has a latent arrival count, and
+        # complete data observe it
         m = 0
-        if _sums_latent_arrivals(obs, granularity, naive):
+        if obs.initial_assortment.includes_null and granularity != "complete":
             size_key = (obs.horizon, _observed_count(obs))
             if size_key not in sizes:
                 sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, size_key[1])

@@ -14,9 +14,12 @@ Six likelihoods cover the data regimes:
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
 sum over stock-out index vectors; that form is expressed as
 parameter-independent "term tables", which the ``table_*`` functions fill.
-A sales table records, per arrival count, only the layout shape (the
-stocks of the products that sell out, and ``n``) and a base coefficient;
-complete and transaction tables list explicit terms.  Tables are records,
+One exact sales table, :func:`table_sales`, serves both: the visit's null
+regime picks its arrival counts (up to ``m`` for ``l5``, the sales for
+``l6``), as it does for the SAA and naive sales tables.  A sales table
+records, per arrival count, only the layout shape (the stocks of the
+products that sell out, and ``n``) and a base coefficient; complete and
+transaction tables list explicit terms.  Tables are records,
 not evaluators: :func:`stack_tables` stacks a dataset's tables into flat
 arrays once, enumerating each distinct shape once in numpy, and one
 kernel, :func:`term_loglik_grad`, evaluates their grouped log-sum-exp with
@@ -28,9 +31,10 @@ way they are evaluated; the generic ``l*`` functions are its oracles.
 Every function here takes visits as built, and a visit checks itself when
 it is built (see :mod:`~stockout_demand.types`), so none of them checks
 again whether the process could have produced it: every visit has a
-finite log-likelihood and fills at least one term.  What they do check is
-whether the visit fits the likelihood asked for: its null regime, and
-timestamps for the timed likelihood.
+finite log-likelihood and fills at least one term.  What the oracles and
+the transaction likelihoods do check is whether the visit fits the
+likelihood asked for: its null regime, and timestamps for the timed
+likelihood.
 
 All infinite sums are truncated at a maximum arrival count ``m`` with the
 Poisson tail beyond ``m`` ignored; the tail mass is controlled by
@@ -86,9 +90,8 @@ __all__ = [
     "TimedSegmentTable",
     "table_complete",
     "table_transactions",
-    "table_sales_attraction",
+    "table_sales",
     "table_sales_saa",
-    "table_sales_no_null",
     "table_naive_sales",
     "fold_timed",
     "stack_tables",
@@ -110,10 +113,15 @@ class TruncationPolicy:
 
     Either a fixed ``m``, or the smallest ``m`` whose Poisson tail mass at
     rate ``T * rate_cap`` drops below :data:`TAIL_EPSILON`.  Always at least
-    the visit's observed transaction count.
+    the visit's observed transaction count.  A negative ``m`` raises
+    :class:`ValueError` when the policy is built.
     """
 
     m: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.m is not None and self.m < 0:
+            raise ValueError(f"truncation m must be >= 0, got {self.m}")
 
     def resolve(self, horizon: float, rate_cap: float, observed: int) -> int:
         if self.m is not None:
@@ -144,12 +152,10 @@ def _compositions_at_most(limit: int, parts: int) -> Iterator[Tuple[int, ...]]:
 
 
 def _compositions_exact(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_exact(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of ``parts >= 1`` non-negative ints summing to ``total``:
+    the last part takes what the others leave."""
+    for head in _compositions_at_most(total, parts - 1):
+        yield head + (total - sum(head),)
 
 
 def _null_arrival_terms(
@@ -829,23 +835,26 @@ def table_transactions(record: TransactionRecord, m: int) -> TermTable:
 
 def _sales_table(
     summary: SalesSummary,
-    n_values: Sequence[int],
+    m: int,
     stocked: Sequence[int],
     sampler=None,
 ) -> TermTable:
-    """Shared stock-out-vector expansion behind the sales fast paths.
+    """Stock-out-vector expansion behind every sales table (exact, SAA and
+    naive).
 
-    For each total arrival count ``n`` (none below the sales), terms range
-    over the (stock-out order, segment sizes) layouts of the products
-    ``stocked``, which sell out; every other product's sales fall freely
-    among the arrivals.  With
-    ``stocked`` empty, every arrival faces the whole assortment.  The table
-    records one layout block per ``n``: the shape and its base coefficient
-    ``-log n! + log_free(n)``.  ``sampler(n)`` may replace full enumeration
-    by ``(layouts, log_weight)`` for an SAA estimate, or return ``None`` to
-    keep it.  A table with a full block faces one assortment per sold-out
-    subset of ``stocked``; a table of drawn blocks only, the subsets its
-    drawn layouts reach.
+    The visit's null regime picks the total arrival counts ``n``: the
+    sales up to ``m`` with a null option, exactly the sales without one
+    (``m`` is then unused).  For each ``n``, terms range over the
+    (stock-out order, segment sizes) layouts of the products ``stocked``,
+    which sell out; every other product's sales fall freely among the
+    arrivals.  With ``stocked`` empty, every arrival faces the whole
+    assortment.  The table records one layout block per ``n``: the shape
+    and its base coefficient ``-log n! + log_free(n)``.  ``sampler(n)``
+    returns ``(layouts, log_weight)``, drawn layouts replacing the full
+    enumeration for an SAA estimate, or ``(None, 0.0)`` to keep it.  A
+    table with a full block faces one assortment per sold-out subset of
+    ``stocked``; a table of drawn blocks only, the subsets its drawn
+    layouts reach.
     """
     assortment = summary.initial_assortment
     catalog = assortment.products
@@ -853,12 +862,10 @@ def _sales_table(
     stocks = tuple(summary.stocks[a] for a in stocked)
     free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocked]
     n_sales = summary.total_sales
+    n_values = range(n_sales, m + 1) if assortment.includes_null else [n_sales]
     for n in n_values:
         log_free = log_multinomial([n - n_sales] + free_sales)
-        drawn = None if sampler is None else sampler(n)
-        log_weight = 0.0
-        if drawn is not None:
-            drawn, log_weight = drawn
+        drawn, log_weight = (None, 0.0) if sampler is None else sampler(n)
         table.layouts.append(
             (stocks, n, -math.lgamma(n + 1) + log_free + log_weight, drawn)
         )
@@ -891,26 +898,11 @@ def _sales_table(
     return table
 
 
-def _arrival_counts(summary: SalesSummary, m: int) -> Sequence[int]:
-    """Total arrival counts a sales table sums over: the sales up to ``m``,
-    or exactly the sales without a null option."""
-    if summary.initial_assortment.includes_null:
-        return range(summary.total_sales, m + 1)
-    return [summary.total_sales]
-
-
-def table_sales_attraction(summary: SalesSummary, m: int) -> TermTable:
-    """Exact sales likelihood (``l5``) under the attraction model."""
-    if not summary.initial_assortment.includes_null:
-        raise InvalidObservation("l5 is the null-inclusive sales likelihood")
-    return _sales_table(summary, range(summary.total_sales, m + 1), summary.stocked_out)
-
-
-def table_sales_no_null(summary: SalesSummary) -> TermTable:
-    """Sales likelihood with no null option (``l6``): arrivals = sales."""
-    if summary.initial_assortment.includes_null:
-        raise InvalidObservation("l6 is the no-null sales likelihood")
-    return _sales_table(summary, [summary.total_sales], summary.stocked_out)
+def table_sales(summary: SalesSummary, m: int) -> TermTable:
+    """Exact sales likelihood under the attraction model: ``l5`` (arrival
+    counts up to ``m``) for a visit with a null option, ``l6`` (arrivals
+    = sales, ``m`` unused) for one without."""
+    return _sales_table(summary, m, summary.stocked_out)
 
 
 def table_sales_saa(
@@ -935,7 +927,7 @@ def table_sales_saa(
         count = count_stockout_vectors(stocks, n)
         take = min(samples_per_n, count)
         if take == count:
-            return None  # full coverage: the exact enumeration
+            return None, 0.0  # full coverage: the exact enumeration
         draw_seed = int(
             np.random.SeedSequence((seed, key, n)).generate_state(1)[0]
         )
@@ -946,7 +938,7 @@ def table_sales_saa(
             layouts.append((seg.stockout_order, seg.segment_sizes))
         return layouts, math.log(count) - math.log(take)
 
-    return _sales_table(summary, _arrival_counts(summary, m), stocked, sampler=sampler)
+    return _sales_table(summary, m, stocked, sampler=sampler)
 
 
 def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
@@ -954,7 +946,7 @@ def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
     selling out, so every arrival faces the whole initial assortment.
     Biased whenever anything sells out.
     """
-    return _sales_table(summary, _arrival_counts(summary, m), ())
+    return _sales_table(summary, m, ())
 
 
 def fold_timed(
@@ -1197,8 +1189,6 @@ def counterexample_bruteforce(
     p = Fraction(p_target)
     if not 0 < p < 1:
         raise ValueError("p_target must lie strictly between 0 and 1")
-    from itertools import combinations
-
     total_slots = n_target + n_other
     num = Fraction(0)
     den = Fraction(0)

@@ -7,6 +7,7 @@ import pytest
 
 from stockout_demand import cli
 from stockout_demand.cli import main
+from stockout_demand.io import read_visits
 
 
 def run(*argv):
@@ -100,6 +101,18 @@ class TestExitCodes:
         assert run("estimate", "--data", str(f)) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_negative_truncation_is_usage_error(self, tmp_path, capsys, command):
+        # no-null sales never read m, so estimate used to fit and write
+        # "truncation": -3
+        data = simulate_small(tmp_path)
+        out = tmp_path / "out"
+        config = ("--preset", "section7") if command == "compare" else ()
+        code = run(command, "--data", str(data), *config, "--truncation", "-3", "--out", str(out))
+        assert code == 1
+        assert "truncation m must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_stock_is_data_error(self, tmp_path, capsys):
         # a cast would read the stock of 1.5 as 1
         f = tmp_path / "bad.jsonl"
@@ -120,6 +133,13 @@ class TestSimulate:
         assert len(lines) == 30
         assert json.loads(lines[0])["granularity"] == "sales-no-null"
         assert "mean arrivals" in capsys.readouterr().out
+
+    def test_stockout_frequency_is_share_of_visits_with_a_stockout(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, visits=200, seed=2)
+        visits, _ = read_visits(str(out))
+        share = sum(1 for v in visits if v.stocked_out) / len(visits)
+        assert 0 < share < 1
+        assert f"stock-out frequency {share:.3f})" in capsys.readouterr().out
 
     def test_same_seed_byte_identical(self, tmp_path, capsys):
         a = simulate_small(tmp_path, "a.jsonl", seed=5)

@@ -30,6 +30,7 @@ from stockout_demand import (
     naive_rate,
     simulate_dataset,
 )
+from stockout_demand import estimation
 from stockout_demand.io import project_path
 from stockout_demand.simulate import VisitConfig
 from stockout_demand.types import (
@@ -463,6 +464,25 @@ class TestEstimatorChecks:
         with pytest.raises(InvalidObservation, match=message):
             fit(data, granularity, **options)
 
+    def test_each_distinct_visit_is_keyed_once(self, monkeypatch):
+        paths = simulate_dataset(two_product_config(), 6, seed=41)
+        distinct = [project_sales(p) for p in paths]
+        distinct.append(replace(distinct[0]))  # equal content, another object
+        data = [distinct[i % 7] for i in range(35)]
+        keyed = []
+        group_key = estimation._group_key
+
+        def counted(obs, granularity):
+            keyed.append(obs)
+            return group_key(obs, granularity)
+
+        monkeypatch.setattr(estimation, "_group_key", counted)
+        ds = compile_dataset(data, "sales", TruncationPolicy(m=12))
+        assert len(keyed) == 7
+        assert all(a is b for a, b in zip(keyed, distinct))
+        assert ds.visits == 35
+        assert ds.counts.sum() == 35
+
     def test_naive_and_saa_together_rejected(self):
         # the naive fit used to run and be labelled with the SAA options
         paths = simulate_dataset(two_product_config(), 5, seed=31)
@@ -507,6 +527,36 @@ class TestEstimatorChecks:
         assert start[-1] == math.log(1e-6)
         np.testing.assert_array_equal(ds.start, start)
         assert ds.includes_null is includes_null
+
+
+COMPILED_ARRAYS = (
+    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp", "bounds", "counts", "T_g", "Z",
+    "start",
+)
+
+
+class TestSalesRegime:
+    """The visit's null regime, not the sales granularity's label, picks a
+    sales visit's likelihood, whichever sales estimator fits it."""
+
+    @pytest.mark.parametrize("includes_null", [True, False])
+    @pytest.mark.parametrize(
+        "options", [{}, {"saa_samples": 2, "seed": 5}, {"naive": True}],
+        ids=["exact", "saa", "naive"],
+    )
+    def test_both_sales_labels_compile_alike(self, includes_null, options):
+        paths = simulate_dataset(two_product_config(includes_null), 40, seed=43)
+        summaries = [project_sales(p) for p in paths]
+        assert any(s.stocked_out for s in summaries)
+        policy = TruncationPolicy(m=12)
+        as_sales, as_no_null = (
+            compile_dataset(summaries, granularity, policy, **options)
+            for granularity in ("sales", "sales-no-null")
+        )
+        assert as_sales.catalog == as_no_null.catalog
+        assert as_sales.includes_null is as_no_null.includes_null is includes_null
+        for name in COMPILED_ARRAYS:
+            np.testing.assert_array_equal(getattr(as_sales, name), getattr(as_no_null, name))
 
 
 class TestTruncationSizing:

@@ -36,11 +36,11 @@ from stockout_demand import (
     lauricella_mgf,
 )
 from stockout_demand.likelihood import (
+    _compositions_exact,
     fold_timed,
     stack_tables,
     table_naive_sales,
-    table_sales_attraction,
-    table_sales_no_null,
+    table_sales,
     table_sales_saa,
     table_transactions,
 )
@@ -81,6 +81,22 @@ class TestTruncationPolicy:
         assert m >= 2
         assert poisson.sf(m, 4.0) < 1e-10
         assert poisson.sf(m - 1, 4.0) >= 1e-10
+
+    def test_negative_m_cannot_be_built(self):
+        # no-null data never read m, so a negative one used to be accepted
+        with pytest.raises(ValueError, match="truncation m must be >= 0, got -1"):
+            TruncationPolicy(m=-1)
+        assert TruncationPolicy(m=0).resolve(1.0, 2.0, observed=0) == 0
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_exact_lists_every_composition_in_lexicographic_order(self, parts):
+        for total in range(9):
+            expected = [
+                c for c in iter_product(range(total + 1), repeat=parts) if sum(c) == total
+            ]
+            assert list(_compositions_exact(total, parts)) == expected
 
 
 class TestCompleteData:
@@ -399,9 +415,9 @@ class TestImpossibleVisitRules:
     @pytest.mark.parametrize(
         "includes_null, build",
         [
-            (True, lambda obs: table_sales_attraction(obs, 6)),
+            (True, lambda obs: table_sales(obs, 6)),
             (True, lambda obs: table_naive_sales(obs, 6)),
-            (False, table_sales_no_null),
+            (False, lambda obs: table_sales(obs, 0)),
         ],
     )
     def test_sales_visit_cannot_be_built(self, change, rule, includes_null, build):

@@ -28,8 +28,7 @@ from stockout_demand.likelihood import (
     stack_tables,
     table_complete,
     table_naive_sales,
-    table_sales_attraction,
-    table_sales_no_null,
+    table_sales,
     table_sales_saa,
     table_transactions,
 )
@@ -280,7 +279,9 @@ def null_sales():
 
 class TestStackMatchesReference:
     def test_section7_exact(self, section7_sales):
-        assert_same_stack(section7_sales, table_sales_no_null, lambda s: reference_exact(s, 0))
+        assert_same_stack(
+            section7_sales, lambda s: table_sales(s, 0), lambda s: reference_exact(s, 0)
+        )
 
     def test_section7_naive(self, section7_sales):
         assert_same_stack(
@@ -305,7 +306,7 @@ class TestStackMatchesReference:
         "build, reference",
         [
             (
-                lambda s: table_sales_attraction(s, s.total_sales + 4),
+                lambda s: table_sales(s, s.total_sales + 4),
                 lambda s: reference_exact(s, s.total_sales + 4),
             ),
             (
@@ -333,11 +334,13 @@ class TestStackMatchesReference:
         if includes_null:
             assert_same_stack(
                 observations,
-                lambda s: table_sales_attraction(s, 9),
+                lambda s: table_sales(s, 9),
                 lambda s: reference_exact(s, 9),
             )
         else:
-            assert_same_stack(observations, table_sales_no_null, lambda s: reference_exact(s, 0))
+            assert_same_stack(
+                observations, lambda s: table_sales(s, 0), lambda s: reference_exact(s, 0)
+            )
 
     def test_every_offered_product_sells_out(self):
         # no null option: the last segment faces the empty assortment with
@@ -347,7 +350,7 @@ class TestStackMatchesReference:
         )
         other = SalesSummary(1.0, Assortment((1, 2), False), {1: 2, 2: 2}, {1: 1, 2: 2})
         assert_same_stack(
-            [empty_after, other], table_sales_no_null, lambda s: reference_exact(s, 0)
+            [empty_after, other], lambda s: table_sales(s, 0), lambda s: reference_exact(s, 0)
         )
 
     def test_saa_sample_covering_every_vector(self):
@@ -401,6 +404,6 @@ class TestStackMatchesReference:
         # would make the kernel's reduceat read the next group's first term
         possible = SalesSummary(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, {0: 1, 1: 0})
         empty = TermTable(1.0, (0, 1), {})
-        tables = [(table_sales_attraction(possible, 4), 1), (empty, 1)]
+        tables = [(table_sales(possible, 4), 1), (empty, 1)]
         with pytest.raises(InvalidObservation, match="term table 1 lists no terms"):
             stack_tables((0, 1), tables)
