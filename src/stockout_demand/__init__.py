@@ -10,7 +10,6 @@ weights by maximum likelihood, including the stock-out-vector sampling
 approximation for sales data.
 """
 
-from .choice import AttractionModel, ChoiceModel
 from .combinatorics import (
     StockoutVector,
     count_stockout_vectors,

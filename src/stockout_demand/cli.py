@@ -104,6 +104,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.saa_samples is None:
+        raise ValueError("--seed seeds the SAA sampler and needs --saa-samples")
     observations, granularity = read_visits(args.data, args.granularity)
     if not observations:
         raise DataFormatError("no visits in the data file")
@@ -180,9 +182,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if granularity not in ("sales", "sales-no-null"):
         raise DataFormatError("compare expects a sales-granularity file")
     config = _load_config(args)
-    includes_null = granularity == "sales"
-    truth = catalog_probabilities(config.params(), config.catalog, includes_null)
     trunc = TruncationPolicy(m=args.truncation)
+    includes_null = granularity == "sales"
+    if config.include_null != includes_null:
+        raise DataFormatError(
+            f"the config's include_null is {config.include_null}, "
+            f"but the file's granularity is {granularity}"
+        )
+    # the fitted probabilities cover the products a prefix offers, the
+    # truth the config's catalog: they must be the same products
+    sizes = _prefix_sizes(len(observations), args.prefixes)
+    catalog = sorted(config.catalog)
+    for size in sizes:
+        offered = sorted(
+            {a for o in observations[:size] for a in o.initial_assortment.products}
+        )
+        if offered != catalog:
+            raise DataFormatError(
+                f"prefix {size} offers products {offered}, "
+                f"but the config's catalog is {catalog}"
+            )
+    truth = catalog_probabilities(config.params(), config.catalog, includes_null)
     estimators = {
         "correct": lambda data: fit(data, granularity, trunc),
         "naive": lambda data: fit_naive(data, trunc),
@@ -195,7 +215,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         ),
     }
     rows = []
-    for size in _prefix_sizes(len(observations), args.prefixes):
+    for size in sizes:
         prefix = observations[:size]
         for name, runner in estimators.items():
             result = runner(prefix)

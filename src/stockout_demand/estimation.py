@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.optimize import minimize
 
+from . import choice
 from .likelihood import (
     TermTable,
     TimedSegmentTable,
@@ -45,9 +46,11 @@ from .likelihood import (
     timed_loglik_grad,
 )
 from .types import (
+    Assortment,
     CompletePath,
     InvalidObservation,
     ModelParams,
+    NULL,
     SalesSummary,
     TransactionRecord,
 )
@@ -105,14 +108,9 @@ def catalog_probabilities(
     params: ModelParams, catalog: Sequence[int], includes_null: bool
 ) -> Dict[Optional[int], float]:
     """Choice probabilities if the whole catalog were offered at once."""
-    base = 1.0 if includes_null else 0.0
-    denom = base + sum(params.weights[a] for a in catalog)
-    probs: Dict[Optional[int], float] = {
-        a: params.weights[a] / denom for a in catalog
-    }
-    if includes_null:
-        probs[None] = 1.0 / denom
-    return probs
+    offered = Assortment(tuple(catalog), includes_null)
+    choices = offered.products + ((NULL,) if includes_null else ())
+    return {c: choice.prob(params, c, offered) for c in choices}
 
 
 def _observed_count(obs: Observation) -> int:

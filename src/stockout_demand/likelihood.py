@@ -26,7 +26,9 @@ kernel, :func:`term_loglik_grad`, evaluates their grouped log-sum-exp with
 its gradient; timed transactions fold into one table of per-assortment
 totals (:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
 ``estimation.compile_dataset`` builds and stacks the tables, and is the one
-way they are evaluated; the generic ``l*`` functions are its oracles.
+way they are evaluated.  Its oracles are the ``l*`` functions: the paper's
+formulas, written for a general choice law, evaluated visit by visit with
+the attraction probabilities of ``choice.prob``.
 
 Every function here takes visits as built, and a visit checks itself when
 it is built (see :mod:`~stockout_demand.types`), so none of them checks
@@ -53,7 +55,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import poisson as poisson_dist
 
-from .choice import AttractionModel, ChoiceModel
+from . import choice
 from .combinatorics import (
     StockoutVector,
     count_stockout_vectors,
@@ -101,8 +103,6 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-_DEFAULT_MODEL = AttractionModel()
-
 #: Poisson tail mass beyond an adaptive truncation's ``m``
 TAIL_EPSILON = 1e-10
 
@@ -138,7 +138,8 @@ class TruncationPolicy:
 
 
 def _poisson_logpmf(n: int, mu: float) -> float:
-    return n * math.log(mu) - mu - math.lgamma(n + 1) if mu > 0 else (0.0 if n == 0 else NEG_INF)
+    """``log Poisson(n; mu)`` for ``mu = T * rate > 0``."""
+    return n * math.log(mu) - mu - math.lgamma(n + 1)
 
 
 def _compositions_at_most(limit: int, parts: int) -> Iterator[Tuple[int, ...]]:
@@ -185,7 +186,6 @@ def _log_choice_sequence(
     obs: Union[CompletePath, TransactionRecord],
     choices: Iterable[Optional[int]],
     params: ModelParams,
-    model: ChoiceModel,
 ) -> float:
     """``sum log P(c | current assortment)`` over ``choices``, replayed from
     the visit's initial assortment and stocks.
@@ -197,7 +197,7 @@ def _log_choice_sequence(
     remaining = dict(obs.stocks)
     current = obs.initial_assortment
     for c in choices:
-        value += math.log(model.prob(params, c, current))
+        value += math.log(choice.prob(params, c, current))
         if c is not NULL:
             remaining[c] -= 1
             if remaining[c] == 0:
@@ -209,27 +209,23 @@ def _log_choice_sequence(
 # complete data
 
 
-def l1_complete(
-    path: CompletePath, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
+def l1_complete(path: CompletePath, params: ModelParams) -> float:
     """Density of a fully observed path: ``lambda^n e^{-T lambda} prod P``."""
     return (
         path.arrivals * math.log(params.rate)
         - path.horizon * params.rate
-        + _log_choice_sequence(path, path.choices, params, model)
+        + _log_choice_sequence(path, path.choices, params)
     )
 
 
-def l2_choice_sequence(
-    path: CompletePath, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
+def l2_choice_sequence(path: CompletePath, params: ModelParams) -> float:
     """Probability of the arrival count and choice sequence (times dropped).
 
     Differs from :func:`l1_complete` by exactly ``log(n! / T^n)``: given the
     counts and choices, the times carry no extra information.
     """
     n = path.arrivals
-    return l1_complete(path, params, model) + n * math.log(path.horizon) - math.lgamma(n + 1)
+    return l1_complete(path, params) + n * math.log(path.horizon) - math.lgamma(n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +247,20 @@ def _timed_segment_durations(
     return tuple(b - a for a, b in zip(boundaries, boundaries[1:]))
 
 
-def l3_transactions_timed(
-    record: TransactionRecord, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
+def _purchase_terms(
+    record: TransactionRecord, params: ModelParams
+) -> Tuple[Tuple[int, ...], float, List[float]]:
+    """What every transaction likelihood reads off a record: the choices
+    counted in each constant-assortment segment (from ``segments()``), the
+    log-probability of the purchase sequence, and each segment's
+    no-purchase probability ``P_o^[j]``."""
+    _, seg_counts, assortments, _ = record.segments()
+    log_purchases = _log_choice_sequence(record, record.products, params)
+    p_null = [choice.prob(params, NULL, a) for a in assortments]
+    return seg_counts, log_purchases, p_null
+
+
+def l3_transactions_timed(record: TransactionRecord, params: ModelParams) -> float:
     """Purchase-sequence density with timestamps.
 
     Transactions form a Poisson stream thinned by the no-purchase
@@ -265,13 +272,11 @@ def l3_transactions_timed(
         raise InvalidObservation("l3 needs transaction timestamps")
     if not record.initial_assortment.includes_null:
         raise InvalidObservation("l3 is defined for the null-inclusive regime")
-    _, _, assortments, stockout_idx = record.segments()
-    durations = _timed_segment_durations(record, stockout_idx)
-    value = record.total * math.log(params.rate)
-    value += _log_choice_sequence(record, record.products, params, model)
-    for seg_assort, duration in zip(assortments, durations):
-        p_null = model.prob(params, NULL, seg_assort)
-        value -= (1.0 - p_null) * duration * params.rate
+    _, log_purchases, p_null = _purchase_terms(record, params)
+    durations = _timed_segment_durations(record, record.segments()[3])
+    value = record.total * math.log(params.rate) + log_purchases
+    for p, duration in zip(p_null, durations):
+        value -= (1.0 - p) * duration * params.rate
     return value
 
 
@@ -280,10 +285,7 @@ def l3_transactions_timed(
 
 
 def l4_transactions(
-    record: TransactionRecord,
-    params: ModelParams,
-    trunc: TruncationPolicy,
-    model: ChoiceModel = _DEFAULT_MODEL,
+    record: TransactionRecord, params: ModelParams, trunc: TruncationPolicy
 ) -> float:
     """Purchase-sequence probability with times unobserved.
 
@@ -292,9 +294,8 @@ def l4_transactions(
     """
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
-    _, seg_counts, assortments, _ = record.segments()
-    log_purchases = _log_choice_sequence(record, record.products, params, model)
-    log_p_null = [math.log(model.prob(params, NULL, a)) for a in assortments]
+    seg_counts, log_purchases, p_null = _purchase_terms(record, params)
+    log_p_null = [math.log(p) for p in p_null]
     terms = _null_arrival_terms(
         log_purchases, seg_counts, log_p_null, n_purch, m, record.horizon * params.rate
     )
@@ -330,11 +331,7 @@ def lauricella_mgf(
 
 
 def l4_integral(
-    record: TransactionRecord,
-    params: ModelParams,
-    mc_samples: int,
-    seed: int,
-    model: ChoiceModel = _DEFAULT_MODEL,
+    record: TransactionRecord, params: ModelParams, mc_samples: int, seed: int
 ) -> Tuple[float, float]:
     """Monte-Carlo estimate of ``l4`` via its integral representation.
 
@@ -342,13 +339,10 @@ def l4_integral(
     segment-length fractions ``q``.  Returns ``(log estimate, standard
     error of the log estimate)``.
     """
-    _, seg_counts, assortments, _ = record.segments()
+    seg_counts, log_purchases, p_null = _purchase_terms(record, params)
     mu = record.horizon * params.rate
     n_purch = record.total
-    log_purchases = _log_choice_sequence(record, record.products, params, model)
-    coeffs = np.array(
-        [mu * model.prob(params, NULL, a) for a in assortments]
-    )
+    coeffs = np.array([mu * p for p in p_null])
     rng = np.random.default_rng(seed)
     q = rng.dirichlet(np.asarray(seg_counts) + 1.0, size=mc_samples)
     values = np.exp(q @ coeffs)
@@ -359,33 +353,30 @@ def l4_integral(
 
 
 def l4_lauricella(
-    record: TransactionRecord,
-    params: ModelParams,
-    trunc: TruncationPolicy,
-    model: ChoiceModel = _DEFAULT_MODEL,
+    record: TransactionRecord, params: ModelParams, trunc: TruncationPolicy
 ) -> float:
     """``l4`` evaluated by plugging the Lauricella series into the Dirichlet
     moment-generating-function form; agrees with :func:`l4_transactions`
     at the same truncation up to round-off.
     """
-    _, seg_counts, assortments, _ = record.segments()
+    seg_counts, log_purchases, p_null = _purchase_terms(record, params)
     mu = record.horizon * params.rate
     n_purch = record.total
     m = trunc.resolve(record.horizon, params.rate, n_purch)
-    log_purchases = _log_choice_sequence(record, record.products, params, model)
-    thetas = [mu * model.prob(params, NULL, a) for a in assortments]
+    thetas = [mu * p for p in p_null]
     series = lauricella_mgf(seg_counts, thetas, m - n_purch)
     return log_purchases + _poisson_logpmf(n_purch, mu) + math.log(series)
 
 
 # ---------------------------------------------------------------------------
-# sales data, generic choice model
+# sales data, the paper's general formulas
 
 
 def _sales_splits(
-    summary: SalesSummary, params: ModelParams, model: ChoiceModel
+    summary: SalesSummary, params: ModelParams
 ) -> Iterator[Tuple[List[Assortment], Iterator]]:
-    """Latent layouts of a sales summary under any choice model.
+    """Latent layouts of a sales summary, as the paper's general sales
+    formulas sum them, with choice probabilities from ``choice.prob``.
 
     For each stock-out order, yields the assortments its ``k + 1``
     segments face and an iterator over the splits of every product's sales
@@ -416,7 +407,7 @@ def _sales_splits(
             summary.initial_assortment.without(*order[:j]) for j in range(k + 1)
         ]
         log_p = [
-            {a: math.log(model.prob(params, a, seg)) for a in seg.products}
+            {a: math.log(choice.prob(params, a, seg)) for a in seg.products}
             for seg in seg_assort
         ]
         position = {a: j for j, a in enumerate(order, start=1)}
@@ -431,12 +422,10 @@ def _sales_splits(
 
 
 def l5_sales(
-    summary: SalesSummary,
-    params: ModelParams,
-    trunc: TruncationPolicy,
-    model: ChoiceModel = _DEFAULT_MODEL,
+    summary: SalesSummary, params: ModelParams, trunc: TruncationPolicy
 ) -> float:
-    """Sales likelihood under any choice model (triple latent sum).
+    """Null-inclusive sales likelihood (triple latent sum): the paper's
+    general formula, evaluated through ``choice.prob``.
 
     Sums over stock-out orderings, per-segment splits of each product's
     sales, and null counts per segment.  Exponential in the stock-out
@@ -449,8 +438,8 @@ def l5_sales(
     m = trunc.resolve(summary.horizon, params.rate, n_sales)
     mu = summary.horizon * params.rate
     terms: List[float] = []
-    for seg_assort, splits in _sales_splits(summary, params, model):
-        log_p_null = [math.log(model.prob(params, NULL, seg)) for seg in seg_assort]
+    for seg_assort, splits in _sales_splits(summary, params):
+        log_p_null = [math.log(choice.prob(params, NULL, seg)) for seg in seg_assort]
         for seg_counts, log_choice in splits:
             # orderings of each segment's sales among themselves; the null
             # arrivals interleave with them as with a purchase sequence
@@ -460,32 +449,27 @@ def l5_sales(
     return float(logsumexp(terms))
 
 
-def l6_choice_part(
-    summary: SalesSummary, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
+def l6_choice_part(summary: SalesSummary, params: ModelParams) -> float:
     """Log-probability of the sales vector given the arrival count; sums to
     one over feasible sales vectors with the same total.
     """
     terms = [
         log_choice + sum(log_multinomial(counts) for counts in seg_counts)
-        for _, splits in _sales_splits(summary, params, model)
+        for _, splits in _sales_splits(summary, params)
         for seg_counts, log_choice in splits
     ]
     return float(logsumexp(terms))
 
 
-def l6_generic(
-    summary: SalesSummary, params: ModelParams, model: ChoiceModel = _DEFAULT_MODEL
-) -> float:
-    """No-null sales likelihood for any choice model: the arrival count is
-    the total sales, so the Poisson factor separates from the choice part.
+def l6_generic(summary: SalesSummary, params: ModelParams) -> float:
+    """No-null sales likelihood: the paper's general formula, evaluated
+    through ``choice.prob``.  The arrival count is the total sales, so
+    the Poisson factor separates from the choice part.
     """
     if summary.initial_assortment.includes_null:
         raise InvalidObservation("l6 is the no-null sales likelihood")
     mu = summary.horizon * params.rate
-    return _poisson_logpmf(summary.total_sales, mu) + l6_choice_part(
-        summary, params, model
-    )
+    return _poisson_logpmf(summary.total_sales, mu) + l6_choice_part(summary, params)
 
 
 # ---------------------------------------------------------------------------

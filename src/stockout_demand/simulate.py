@@ -10,7 +10,7 @@ bit-reproducible regardless of generation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -72,18 +72,13 @@ def _draw_offered(config: VisitConfig, rng: np.random.Generator) -> Assortment:
     return Assortment(tuple(sorted(offered)), config.include_null)
 
 
-def simulate_visit(
-    config: VisitConfig,
-    rng: np.random.Generator,
-    assortment: Optional[Assortment] = None,
-) -> CompletePath:
+def simulate_visit(config: VisitConfig, rng: np.random.Generator) -> CompletePath:
     """Draw one complete path.  In the no-null regime, arrivals that find
     every product sold out are discarded (no feasible choice exists).
     Each choice is the draw of ``rng.choice(options, p=...)``, spelled out
     so that the cumulative probabilities are rebuilt only at a stock-out.
     """
-    if assortment is None:
-        assortment = _draw_offered(config, rng)
+    assortment = _draw_offered(config, rng)
     stocks: Dict[ProductId, int] = {a: config.stock_of(a) for a in assortment.products}
     n = int(rng.poisson(config.horizon * config.params.rate))
     times = np.sort(rng.uniform(0.0, config.horizon, size=n))

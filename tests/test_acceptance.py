@@ -19,7 +19,6 @@ from scipy.stats import chisquare, poisson
 
 from stockout_demand import (
     Assortment,
-    AttractionModel,
     ModelParams,
     NULL,
     SECTION7_PRESET,

@@ -1,27 +1,26 @@
-"""Attraction choice model: probabilities and normalization."""
+"""Attraction choice law: probabilities and normalization."""
 
 import pytest
 
-from stockout_demand import Assortment, AttractionModel, ModelParams, NULL
+from stockout_demand import Assortment, ModelParams, NULL, choice
 from stockout_demand.types import InvalidObservation
 
 from conftest import random_params
 
-MODEL = AttractionModel()
 PRESET_WEIGHTS = {0: 0.25, 1: 0.05, 2: 0.1, 3: 0.2, 4: 0.4}
 
 
 def test_full_catalog_no_null_probability():
     params = ModelParams(rate=6.0, weights=PRESET_WEIGHTS)
     assortment = Assortment((0, 1, 2, 3, 4), False)
-    assert MODEL.prob(params, 4, assortment) == pytest.approx(0.4, abs=1e-12)
+    assert choice.prob(params, 4, assortment) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_null_probability_small_assortment():
     params = ModelParams(rate=6.0, weights=PRESET_WEIGHTS)
     assortment = Assortment((1, 2), True)
-    assert MODEL.prob(params, NULL, assortment) == pytest.approx(1.0 / 1.15, abs=1e-12)
-    assert MODEL.prob(params, 1, assortment) == pytest.approx(0.05 / 1.15, abs=1e-12)
+    assert choice.prob(params, NULL, assortment) == pytest.approx(1.0 / 1.15, abs=1e-12)
+    assert choice.prob(params, 1, assortment) == pytest.approx(0.05 / 1.15, abs=1e-12)
 
 
 def test_probabilities_normalize(rng):
@@ -30,21 +29,21 @@ def test_probabilities_normalize(rng):
         params = random_params(rng, catalog)
         for includes_null in (True, False):
             assortment = Assortment(catalog, includes_null)
-            total = sum(MODEL.prob(params, a, assortment) for a in catalog)
+            total = sum(choice.prob(params, a, assortment) for a in catalog)
             if includes_null:
-                total += MODEL.prob(params, NULL, assortment)
+                total += choice.prob(params, NULL, assortment)
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unoffered_choice_rejected():
     params = ModelParams(rate=1.0, weights={0: 1.0, 1: 1.0})
     with pytest.raises(InvalidObservation):
-        MODEL.prob(params, 1, Assortment((0,), True))
+        choice.prob(params, 1, Assortment((0,), True))
     with pytest.raises(InvalidObservation):
-        MODEL.prob(params, NULL, Assortment((0,), False))
+        choice.prob(params, NULL, Assortment((0,), False))
 
 
 def test_empty_no_null_assortment_rejected():
     params = ModelParams(rate=1.0, weights={0: 1.0})
     with pytest.raises(InvalidObservation):
-        MODEL.denominator(params, Assortment((), False))
+        choice.denominator(params, Assortment((), False))

@@ -278,6 +278,16 @@ class TestEstimate:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_without_saa_is_usage_error(self, tmp_path, capsys):
+        # the seed used to be dropped and the fit written with "seed": null
+        data = simulate_small(tmp_path)
+        out = tmp_path / "fit.json"
+        assert run("estimate", "--data", str(data), "--seed", "3", "--out", str(out)) == 1
+        assert "--seed seeds the SAA sampler and needs --saa-samples" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "option, message",
         [
@@ -382,3 +392,52 @@ class TestCompare:
             str(tmp_path / "c.csv"),
         )
         assert code == 2
+
+    def refuse(self, tmp_path, capsys, *options):
+        data = simulate_small(tmp_path)
+        out = tmp_path / "c.csv"
+        code = run("compare", "--data", str(data), *options, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_prefix_missing_a_catalog_product_is_data_error(self, tmp_path, capsys):
+        # the first visit offers products 0, 2 and 4 only; compare used to
+        # stop with KeyError: 1 when it read the fit's probability of 1
+        err = self.refuse(tmp_path, capsys, "--preset", "section7", "--prefixes", "1,2")
+        assert "prefix 1 offers products [0, 2, 4], but the config's catalog is" in err
+
+    @pytest.mark.parametrize(
+        "catalog, include_null, message",
+        [
+            # compare used to write estimates over five products next to
+            # "truth" over four
+            (
+                [0, 1, 2, 3],
+                False,
+                "prefix 30 offers products [0, 1, 2, 3, 4], "
+                "but the config's catalog is [0, 1, 2, 3]",
+            ),
+            (
+                [0, 1, 2, 3, 4],
+                True,
+                "include_null is True, but the file's granularity is sales-no-null",
+            ),
+        ],
+    )
+    def test_config_that_does_not_describe_the_data_is_data_error(
+        self, tmp_path, capsys, catalog, include_null, message
+    ):
+        weights = {0: 0.25, 1: 0.05, 2: 0.1, 3: 0.2, 4: 0.4}
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "catalog": catalog,
+                    "weights": {str(a): weights[a] for a in catalog},
+                    "rate": 6.0,
+                    "include_null": include_null,
+                }
+            )
+        )
+        assert message in self.refuse(tmp_path, capsys, "--config", str(config))

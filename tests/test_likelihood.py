@@ -13,7 +13,6 @@ from scipy.stats import poisson
 
 from stockout_demand import (
     Assortment,
-    AttractionModel,
     CompletePath,
     ModelParams,
     NULL,
@@ -35,6 +34,7 @@ from stockout_demand import (
     l6_generic,
     lauricella_mgf,
 )
+from stockout_demand import choice
 from stockout_demand.likelihood import (
     _compositions_exact,
     fold_timed,
@@ -54,8 +54,6 @@ from conftest import (
     random_sales_summary,
     random_transaction_record,
 )
-
-MODEL = AttractionModel()
 
 
 def path_with_choices(choices, stocks, includes_null=True, horizon=1.0):
@@ -323,8 +321,8 @@ class TestSales:
         summary = SalesSummary(
             1.0, Assortment((0, 1), True), {0: 5, 1: 5}, {0: 1, 1: 2}
         )
-        p0 = MODEL.prob(params, 0, summary.initial_assortment)
-        p1 = MODEL.prob(params, 1, summary.initial_assortment)
+        p0 = choice.prob(params, 0, summary.initial_assortment)
+        p1 = choice.prob(params, 1, summary.initial_assortment)
         expected = poisson.logpmf(1, 2.0 * p0) + poisson.logpmf(2, 2.0 * p1)
         value = dataset_log_likelihood([summary], params, "sales")
         assert value == pytest.approx(float(expected), rel=1e-8)
