@@ -14,10 +14,8 @@ from .combinatorics import (
     StockoutVector,
     count_stockout_vectors,
     enumerate_stockout_vectors,
-    from_segments,
     is_feasible,
     sample_stockout_vectors,
-    to_segments,
 )
 from .estimation import (
     FitResult,
@@ -53,12 +51,9 @@ from .types import (
     ModelParams,
     NULL,
     SalesSummary,
-    SegmentDecomposition,
     TransactionRecord,
-    hide_product,
     project_sales,
     project_transactions,
-    segment_decomposition,
 )
 
 __version__ = "0.1.0"

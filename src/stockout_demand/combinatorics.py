@@ -4,11 +4,12 @@ Within a visit of ``n`` arrivals where products with stocks
 ``s_1, ..., s_k`` sell out, the latent arrival indices at which each one
 hits zero form a "stock-out vector".  These vectors index the inner sums
 of the sales likelihoods; this module provides the closed-form count, a
-brute-force enumerator used as an oracle, uniform sampling without
-replacement via a linear congruential generator with rejection, and the
-bijection onto segment decompositions.  The generator's states are
-computed a numpy block at a time by affine jump-ahead, so rejecting
-out-of-range states costs no Python step per state.
+brute-force enumerator used as an oracle, and uniform sampling without
+replacement via a linear congruential generator with rejection.  A vector
+lists its products by position, ``0, ..., k - 1``, in the order of their
+stocks.  The generator's states are computed a numpy block at a time by
+affine jump-ahead, so rejecting out-of-range states costs no Python step
+per state.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .types import ProductId, SegmentDecomposition
-
 __all__ = [
     "StockoutVector",
     "is_feasible",
@@ -30,10 +29,7 @@ __all__ = [
     "enumerate_stockout_vectors",
     "sample_stockout_vectors",
     "raw_stockout_draws",
-    "to_segments",
-    "from_segments",
     "log_multinomial",
-    "multinomial_exact",
     "log_binomial",
 ]
 
@@ -42,22 +38,16 @@ ENUMERATION_GUARD = 10**7
 
 @dataclass(frozen=True)
 class StockoutVector:
-    """Arrival indices (1-based) at which each listed product sells out."""
+    """Arrival indices (1-based) at which the products with ``stocks``
+    sell out, one per product."""
 
-    products: Tuple[ProductId, ...]
     stocks: Tuple[int, ...]
     indices: Tuple[int, ...]
     n: int
 
     def __post_init__(self) -> None:
-        if not (len(self.products) == len(self.stocks) == len(self.indices)):
-            raise ValueError("products, stocks and indices must align")
-
-    def sorted_order(self) -> Tuple[Tuple[ProductId, int, int], ...]:
-        """(product, stock, index) triples in stock-out order."""
-        return tuple(
-            sorted(zip(self.products, self.stocks, self.indices), key=lambda t: t[2])
-        )
+        if len(self.stocks) != len(self.indices):
+            raise ValueError("stocks and indices must align")
 
 
 def is_feasible(v: StockoutVector) -> bool:
@@ -73,7 +63,7 @@ def is_feasible(v: StockoutVector) -> bool:
     if any(not 1 <= x <= v.n for x in r):
         return False
     cum = 0
-    for _, s, idx in v.sorted_order():
+    for idx, s in sorted(zip(r, v.stocks)):
         cum += s
         if idx < cum:
             return False
@@ -97,22 +87,17 @@ def count_stockout_vectors(stocks: Sequence[int], n: int) -> int:
     return (n + 1) * falling - falling * sum(stocks)
 
 
-def enumerate_stockout_vectors(
-    stocks: Sequence[int], n: int, products: Sequence[ProductId] | None = None
-) -> Iterator[StockoutVector]:
+def enumerate_stockout_vectors(stocks: Sequence[int], n: int) -> Iterator[StockoutVector]:
     """Yield every feasible vector exactly once (brute force over ``n^k``)."""
     k = len(stocks)
-    if products is None:
-        products = tuple(range(k))
     if k == 0:
-        yield StockoutVector((), (), (), n)
+        yield StockoutVector((), (), n)
         return
     if n**k > ENUMERATION_GUARD:
         raise ValueError(f"refusing to enumerate {n}^{k} > {ENUMERATION_GUARD} candidates")
     stocks = tuple(stocks)
-    products = tuple(products)
     for indices in iter_product(range(1, n + 1), repeat=k):
-        v = StockoutVector(products, stocks, indices, n)
+        v = StockoutVector(stocks, indices, n)
         if is_feasible(v):
             yield v
 
@@ -161,10 +146,7 @@ def _decompose(x: int, n: int, k: int) -> Tuple[int, ...]:
 
 
 def raw_stockout_draws(
-    stocks: Sequence[int],
-    n: int,
-    seed: int,
-    products: Sequence[ProductId] | None = None,
+    stocks: Sequence[int], n: int, seed: int
 ) -> Iterator[Tuple[StockoutVector, bool]]:
     """Endless stream of raw candidate vectors with their feasibility flag.
 
@@ -180,9 +162,6 @@ def raw_stockout_draws(
     if k and n < 1:
         raise ValueError(f"no candidate vectors for {k} products at n = {n}")
     stocks = tuple(stocks)
-    if products is None:
-        products = tuple(range(k))
-    products = tuple(products)
     total = n**k
     bits = max(total.bit_length(), _MIN_MODULUS_BITS)
     modulus = 1 << bits
@@ -196,17 +175,13 @@ def raw_stockout_draws(
             block = (A * state + C) & mask
             state = block[-1]
             for x in block[block < total].tolist():
-                v = StockoutVector(products, stocks, _decompose(x, n, k), n)
+                v = StockoutVector(stocks, _decompose(x, n, k), n)
                 yield v, is_feasible(v)
         cycle += 1
 
 
 def sample_stockout_vectors(
-    stocks: Sequence[int],
-    n: int,
-    sample_size: int,
-    seed: int,
-    products: Sequence[ProductId] | None = None,
+    stocks: Sequence[int], n: int, sample_size: int, seed: int
 ) -> List[StockoutVector]:
     """Uniform sample of feasible vectors, without replacement.
 
@@ -220,7 +195,7 @@ def sample_stockout_vectors(
     out: List[StockoutVector] = []
     if sample_size == 0:
         return out
-    for v, ok in raw_stockout_draws(stocks, n, seed, products):
+    for v, ok in raw_stockout_draws(stocks, n, seed):
         if ok:
             out.append(v)
             if len(out) == sample_size:
@@ -228,56 +203,10 @@ def sample_stockout_vectors(
     raise AssertionError("unreachable: stream is endless")
 
 
-def to_segments(v: StockoutVector) -> SegmentDecomposition:
-    """Map a feasible vector to its segment decomposition.
-
-    With stock-out order ``r[1] < ... < r[k]`` the segment sizes are
-    ``r[1]-1, r[j]-r[j-1]-1, ..., n-r[k]``.
-    """
-    if not is_feasible(v):
-        raise ValueError(f"infeasible stock-out vector {v.indices}")
-    order = v.sorted_order()
-    sizes: List[int] = []
-    prev = 0
-    for _, _, idx in order:
-        sizes.append(idx - prev - 1)
-        prev = idx
-    sizes.append(v.n - prev)
-    return SegmentDecomposition(tuple(p for p, _, _ in order), tuple(sizes))
-
-
-def from_segments(
-    seg: SegmentDecomposition, stocks: Sequence[int], products: Sequence[ProductId]
-) -> StockoutVector:
-    """Inverse of :func:`to_segments`; ``stocks`` aligned with ``products``."""
-    by_product = dict(zip(products, stocks))
-    indices = {}
-    pos = 0
-    for j, a in enumerate(seg.stockout_order):
-        pos += seg.segment_sizes[j] + 1
-        indices[a] = pos
-    n = seg.total_arrivals
-    return StockoutVector(
-        tuple(products),
-        tuple(by_product[a] for a in products),
-        tuple(indices[a] for a in products),
-        n,
-    )
-
-
 def log_multinomial(counts: Sequence[int]) -> float:
     """``log[(sum counts)! / prod(counts!)]`` via log-gamma."""
     total = sum(counts)
     return math.lgamma(total + 1) - sum(math.lgamma(c + 1) for c in counts)
-
-
-def multinomial_exact(counts: Sequence[int]) -> int:
-    """Exact big-integer multinomial coefficient (test oracle)."""
-    total = sum(counts)
-    out = math.factorial(total)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
 
 
 def log_binomial(n: int, k: int) -> float:

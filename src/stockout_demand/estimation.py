@@ -28,9 +28,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import pdtrc
 
 from . import choice
 from .likelihood import (
+    TAIL_EPSILON,
     TermTable,
     TimedSegmentTable,
     TruncationPolicy,
@@ -156,6 +158,8 @@ class CompiledDataset:
     whether any compiled assortment offers the null option.  ``timed`` is
     every timed visit folded into one table over the catalog (empty when
     nothing is timed); ``visits`` is the number of visits compiled.
+    ``truncations`` are the distinct ``(horizon, m)`` pairs at which sums
+    over latent arrival counts were truncated.
     """
 
     def __init__(
@@ -165,9 +169,11 @@ class CompiledDataset:
         timed: TimedSegmentTable,
         rate: float,
         visits: int,
+        truncations: Sequence[Tuple[float, int]],
     ) -> None:
         self.catalog = catalog
         self.visits = visits
+        self.truncations = truncations
         (
             self.membership,
             self.nulls,
@@ -336,7 +342,12 @@ def compile_dataset(
         )
         tables.append((table, len(members)))
     return CompiledDataset(
-        tuple(catalog), tables, fold_timed(timed, catalog), rate, len(observations)
+        tuple(catalog),
+        tables,
+        fold_timed(timed, catalog),
+        rate,
+        len(observations),
+        sorted({(horizon, m) for (horizon, _), m in sizes.items()}),
     )
 
 
@@ -375,6 +386,11 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     takes no step along that flat direction, so the weights stay at the
     scale of the naive-share start.  The solve is deterministic, so reruns
     on the same data give identical fits.
+
+    The fit is not the MLE, and does not report convergence, when a
+    coordinate ends within 1e-6 of its box, or when the Poisson tail
+    ``P(N > m)`` at ``T * rate`` exceeds :data:`TAIL_EPSILON` for some
+    ``(T, m)`` of ``ds.truncations``; its message names the cause.
     """
     x0 = ds.start
 
@@ -395,13 +411,26 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     # counts as converged
     ok = bool(res.success) or float(np.linalg.norm(res.jac, np.inf)) < 1e-4
     params = ds.params_of(res.x)
+    causes = []
+    names = ["log rate"] + [f"log weight of product {a}" for a in ds.catalog]
+    for name, x, box in zip(names, res.x, bounds):
+        causes += [f"{name} at its bound {b:.6g}" for b in box if abs(x - b) <= 1e-6]
+    # pdtrc(m, mu) is the Poisson tail P(N > m)
+    tails = [(pdtrc(m, T * params.rate), m) for T, m in ds.truncations]
+    tail, m = max(tails, default=(0.0, 0))
+    if tail > TAIL_EPSILON:
+        causes.append(f"Poisson tail {tail:.2g} beyond m={m} at the fitted rate")
+    message = f"L-BFGS-B: {res.message} ({res.nfev} evaluations)"
+    if causes:
+        ok = False
+        message += "; not the MLE: " + ", ".join(causes)
     return FitResult(
         params=params,
         loglik=-float(res.fun),
         converged=ok,
         iterations=int(res.nit),
         probabilities=catalog_probabilities(params, ds.catalog, ds.includes_null),
-        message=f"L-BFGS-B: {res.message} ({res.nfev} evaluations)",
+        message=message,
     )
 
 

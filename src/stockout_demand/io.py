@@ -164,6 +164,11 @@ class RunConfig:
             raise
         except (TypeError, ValueError, AttributeError) as exc:
             raise DataFormatError(f"malformed config value: {exc}") from exc
+        for key in ("catalog", "always_available"):
+            products = kwargs.get(key, ())
+            repeated = sorted({a for a in products if products.count(a) > 1})
+            if repeated:
+                raise DataFormatError(f"{key} lists products {repeated} more than once")
         if set(weights) != set(catalog):
             raise DataFormatError("weights must cover exactly the catalog")
         for key in ("always_available", "stocks"):

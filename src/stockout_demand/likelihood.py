@@ -57,12 +57,10 @@ from scipy.stats import poisson as poisson_dist
 
 from . import choice
 from .combinatorics import (
-    StockoutVector,
     count_stockout_vectors,
     log_binomial,
     log_multinomial,
     sample_stockout_vectors,
-    to_segments,
 )
 from .types import (
     Assortment,
@@ -541,8 +539,7 @@ def _shape_layouts(
     :func:`permutations` order, then by the stock-out arrival indices
     ``r_1 < ... < r_k`` in lexicographic order.  An order keeps the indices
     that fall within ``n`` and leave room for every unit sold out so far,
-    ``r_j >= s_1 + ... + s_j``; the sizes are ``r_1 - 1, r_j - r_{j-1} -
-    1, ..., n - r_k``.
+    ``r_j >= s_1 + ... + s_j``; the sizes are :func:`_segment_sizes`.
     """
     top = max(n for _, n in shapes)
     count = math.comb(top, k)
@@ -556,10 +553,17 @@ def _shape_layouts(
     need = np.cumsum(stocks[:, orders], axis=2)[:, :, None, :]
     fits = ((indices >= need) & (indices <= n[:, None, None, None])).all(axis=3)
     shape_of, order_of, index_of = np.nonzero(fits)
-    r = indices[index_of]
-    ends = np.concatenate([r, n[shape_of, None] + 1], axis=1)
+    return shape_of, orders[order_of], _segment_sizes(indices[index_of], n[shape_of, None])
+
+
+def _segment_sizes(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Segment sizes of the layouts whose stock-outs arrive at the
+    increasing indices ``r`` (one layout per row) out of ``n`` arrivals (a
+    column): ``r_1 - 1, r_j - r_{j-1} - 1, ..., n - r_k``, each segment's
+    closing stock-out arrival excluded."""
+    ends = np.concatenate([r, n + 1], axis=1)
     starts = np.concatenate([np.zeros((r.shape[0], 1), dtype=np.int64), r], axis=1)
-    return shape_of, orders[order_of], ends - starts - 1
+    return ends - starts - 1
 
 
 def _layout_arrays(
@@ -897,6 +901,9 @@ def table_sales_saa(
     sample, scaled by ``count / sample_size``.  Deterministic in
     ``(seed, key)``; ``key`` separates visits sharing a master seed.  A
     sample that would cover every vector keeps the exact layout block.
+    A drawn vector's layout is its products in the order of their sorted
+    indices, with the segment sizes of :func:`_segment_sizes`, the rule
+    the exact enumeration uses.
 
     Also applies in the no-null regime, where the arrival count is fixed
     at the total sales and only that count's vector sum is sampled.
@@ -915,12 +922,17 @@ def table_sales_saa(
         draw_seed = int(
             np.random.SeedSequence((seed, key, n)).generate_state(1)[0]
         )
-        # unlabelled vectors give the stock-out order as positions in stocked
-        layouts = []
-        for v in sample_stockout_vectors(stocks, n, take, draw_seed):
-            seg = to_segments(v)
-            layouts.append((seg.stockout_order, seg.segment_sizes))
-        return layouts, math.log(count) - math.log(take)
+        # every drawn vector is feasible; sorting its indices gives the
+        # stock-out order as positions in stocked
+        indices = np.array(
+            [v.indices for v in sample_stockout_vectors(stocks, n, take, draw_seed)],
+            dtype=np.int64,
+        ).reshape(take, len(stocks))
+        order = np.argsort(indices, axis=1)
+        sizes = _segment_sizes(
+            np.take_along_axis(indices, order, axis=1), np.full((take, 1), n)
+        )
+        return list(zip(order.tolist(), sizes.tolist())), math.log(count) - math.log(take)
 
     return _sales_table(summary, m, stocked, sampler=sampler)
 

@@ -36,14 +36,10 @@ __all__ = [
     "CompletePath",
     "TransactionRecord",
     "SalesSummary",
-    "SegmentDecomposition",
     "InvalidObservation",
-    "hide_product",
     "project_transactions",
     "project_sales",
-    "assortment_after",
     "transaction_segments",
-    "segment_decomposition",
 ]
 
 # A product id is a small non-negative int; the null alternative is the
@@ -294,29 +290,6 @@ class SalesSummary:
                 raise InvalidObservation(f"sales recorded for unoffered product {a}")
 
 
-@dataclass(frozen=True)
-class SegmentDecomposition:
-    """Stock-out order and arrival counts per constant-assortment segment.
-
-    ``segment_sizes`` has ``k + 1`` entries; each excludes the arrival that
-    triggers the segment's closing stock-out.  Total arrivals are
-    ``sum(segment_sizes) + k``.
-    """
-
-    stockout_order: Tuple[ProductId, ...]
-    segment_sizes: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.segment_sizes) != len(self.stockout_order) + 1:
-            raise InvalidObservation("need k+1 segment sizes for k stock-outs")
-        if any(s < 0 for s in self.segment_sizes):
-            raise InvalidObservation("segment sizes must be non-negative")
-
-    @property
-    def total_arrivals(self) -> int:
-        return sum(self.segment_sizes) + len(self.stockout_order)
-
-
 def project_transactions(path: CompletePath, keep_times: bool) -> TransactionRecord:
     """Drop null choices, keeping purchases in order (times iff requested)."""
     txns = tuple(
@@ -343,40 +316,6 @@ def project_sales(path: CompletePath) -> SalesSummary:
         stocks=path.stocks,
         sales=sales,
     )
-
-
-def hide_product(summary: SalesSummary, product: ProductId) -> SalesSummary:
-    """Drop one product from a sales summary, treating its purchases as
-    unobserved null choices.
-
-    Only sensible for a product that can never stock out (its presence
-    then never perturbs anyone else's assortment); an always-available
-    outside option folded into the null alternative this way rescales the
-    remaining attraction weights by its own.
-    """
-    if product not in summary.initial_assortment.products:
-        raise InvalidObservation(f"product {product} not in the assortment")
-    if summary.sales.get(product, 0) >= summary.stocks[product]:
-        raise InvalidObservation(
-            f"cannot hide product {product}: it can stock out"
-        )
-    return SalesSummary(
-        horizon=summary.horizon,
-        initial_assortment=Assortment(
-            summary.initial_assortment.without(product).products, True
-        ),
-        stocks={a: s for a, s in summary.stocks.items() if a != product},
-        sales={a: s for a, s in summary.sales.items() if a != product},
-    )
-
-
-def assortment_after(
-    initial: Assortment,
-    stocks: Mapping[ProductId, int],
-    prefix: Sequence[Choice],
-) -> Assortment:
-    """Products still in stock after the given choice prefix."""
-    return transaction_segments(initial, stocks, prefix)[2][-1]
 
 
 def transaction_segments(
@@ -421,9 +360,3 @@ def transaction_segments(
         tuple(assortments),
         tuple(stockout_indices),
     )
-
-
-def segment_decomposition(path: CompletePath) -> SegmentDecomposition:
-    """Segment a complete path at its stock-out arrivals."""
-    order, sizes, _, _ = path.segments()
-    return SegmentDecomposition(order, sizes)

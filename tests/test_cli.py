@@ -233,6 +233,20 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_repeated_catalog_product_is_data_error_at_every_seed(self, tmp_path, capsys):
+        # the repeat used to surface only at a seed that offered product 1
+        # twice in one visit; other seeds wrote visits
+        config = tmp_path / "config.json"
+        raw = {"catalog": [0, 1, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 2.0}
+        config.write_text(json.dumps({**raw, "offer_probability": 0.5, "visits": 5}))
+        for seed in range(1, 5):
+            out = tmp_path / f"visits{seed}.jsonl"
+            argv = ["--config", str(config), "--seed", str(seed), "--out", str(out)]
+            assert run("simulate", *argv) == 2
+            assert "catalog lists products [1] more than once" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestEstimate:
     def test_estimates_preset_data(self, tmp_path, capsys):
         data = simulate_small(tmp_path, visits=60, seed=2)
@@ -318,6 +332,21 @@ class TestEstimate:
         assert run("estimate", "--data", str(data), *option, "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fit_short_of_the_truncation_tail_exits_3_and_is_written(self, tmp_path, capsys):
+        # m one above the largest visit total leaves Poisson mass beyond m
+        # at the fitted rate, so the fit is not the MLE
+        head = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, '
+        head += '"granularity": "sales", "data": '
+        data = tmp_path / "sales.jsonl"
+        data.write_text(
+            "".join(head + d + "}\n" for d in ('{"0": 1, "1": 2}', '{"0": 0, "1": 1}'))
+        )
+        out = tmp_path / "fit.json"
+        assert run("estimate", "--data", str(data), "--truncation", "4", "--out", str(out)) == 3
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is False
+        assert "beyond m=4" in payload["message"]
 
     def test_repeat_run_identical_output(self, tmp_path, capsys):
         data = simulate_small(tmp_path, visits=40, seed=7)

@@ -1,29 +1,39 @@
-"""Stock-out vectors: feasibility, counting, sampling, segment bijection."""
+"""Stock-out vectors: feasibility, counting, sampling, layouts."""
 
 import math
 import random
 from collections import Counter
 from itertools import islice, product as iter_product
 
+import numpy as np
 import pytest
 
 from stockout_demand import (
+    Assortment,
+    SalesSummary,
     StockoutVector,
     count_stockout_vectors,
     enumerate_stockout_vectors,
-    from_segments,
     is_feasible,
+    likelihood,
     sample_stockout_vectors,
-    to_segments,
 )
 from stockout_demand.combinatorics import (
     _MIN_MODULUS_BITS,
     _lcg_params,
     log_binomial,
     log_multinomial,
-    multinomial_exact,
     raw_stockout_draws,
 )
+
+
+def multinomial_exact(counts):
+    """Exact big-integer multinomial coefficient."""
+    total = sum(counts)
+    out = math.factorial(total)
+    for c in counts:
+        out //= math.factorial(c)
+    return out
 
 
 def reference_draws(stocks, n, seed):
@@ -43,26 +53,26 @@ def reference_draws(stocks, n, seed):
             for _ in range(k):
                 x, rem = divmod(x, n)
                 indices.append(rem + 1)
-            v = StockoutVector(tuple(range(k)), tuple(stocks), tuple(indices), n)
+            v = StockoutVector(tuple(stocks), tuple(indices), n)
             yield v.indices, is_feasible(v)
         cycle += 1
 
 
 class TestFeasibility:
     def test_duplicate_indices_infeasible(self):
-        v = StockoutVector((0, 1), (1, 1), (3, 3), 5)
+        v = StockoutVector((1, 1), (3, 3), 5)
         assert not is_feasible(v)
 
     def test_out_of_range_infeasible(self):
-        assert not is_feasible(StockoutVector((0,), (2,), (0,), 5))
-        assert not is_feasible(StockoutVector((0,), (2,), (6,), 5))
+        assert not is_feasible(StockoutVector((2,), (0,), 5))
+        assert not is_feasible(StockoutVector((2,), (6,), 5))
 
     def test_cumulative_room_rule(self):
         # product 0 (stock 2) out at arrival 2 is fine alone, but product 1
         # (stock 2) cannot also be out by arrival 3: 3 < 2 + 2
-        assert is_feasible(StockoutVector((0,), (2,), (2,), 5))
-        assert not is_feasible(StockoutVector((0, 1), (2, 2), (2, 3), 5))
-        assert is_feasible(StockoutVector((0, 1), (2, 2), (2, 4), 5))
+        assert is_feasible(StockoutVector((2,), (2,), 5))
+        assert not is_feasible(StockoutVector((2, 2), (2, 3), 5))
+        assert is_feasible(StockoutVector((2, 2), (2, 4), 5))
 
 
 class TestCount:
@@ -187,24 +197,39 @@ class TestSampling:
             next(raw_stockout_draws((3,), n, seed=1))
 
 
-class TestSegmentBijection:
-    def test_round_trip_identity(self, rng):
-        for _ in range(300):
-            k = rng.randint(1, 3)
-            stocks = tuple(rng.randint(1, 3) for _ in range(k))
-            n = rng.randint(sum(stocks), sum(stocks) + 6)
-            vectors = list(enumerate_stockout_vectors(stocks, n))
-            if not vectors:
-                continue
-            v = rng.choice(vectors)
-            seg = to_segments(v)
-            assert seg.total_arrivals == n
-            back = from_segments(seg, stocks, v.products)
-            assert back.indices == v.indices
-
-    def test_infeasible_vector_rejected(self):
-        with pytest.raises(ValueError):
-            to_segments(StockoutVector((0,), (2,), (1,), 4))
+class TestDrawnLayouts:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sampler_layouts_are_the_enumerated_layouts(self, k, monkeypatch):
+        # the SAA table draws every vector of a no-null shape: its layouts
+        # must be exactly the enumeration's rows of that shape
+        for stocks in iter_product((1, 2, 3) if k < 3 else (1, 2), repeat=k):
+            for n in range(sum(stocks), sum(stocks) + 4):
+                vectors = list(enumerate_stockout_vectors(stocks, n))
+                count = len(vectors)
+                # a sample of every vector, still taken as a draw
+                monkeypatch.setattr(likelihood, "count_stockout_vectors", lambda s, n: count + 1)
+                monkeypatch.setattr(
+                    likelihood, "sample_stockout_vectors", lambda s, n, take, seed: vectors
+                )
+                free = n - sum(stocks)
+                summary = SalesSummary(
+                    1.0,
+                    Assortment(tuple(range(k + 1)), False),
+                    {**dict(enumerate(stocks)), k: free + 1},
+                    {**dict(enumerate(stocks)), k: free},
+                )
+                table = likelihood.table_sales_saa(summary, 0, count, seed=0)
+                ((_, _, _, drawn),) = table.layouts
+                got = [(tuple(order), tuple(sizes)) for order, sizes, _ in drawn]
+                _, orders, sizes = likelihood._shape_layouts([(stocks, n)], k)
+                expected = list(zip(map(tuple, orders.tolist()), map(tuple, sizes.tolist())))
+                assert sorted(got) == sorted(expected), (stocks, n)
+                for v, (order, seg_sizes) in zip(vectors, got):
+                    ends = np.cumsum(np.array(seg_sizes[:k]) + 1)
+                    indices = [0] * k
+                    for j, position in enumerate(order):
+                        indices[position] = int(ends[j])
+                    assert tuple(indices) == v.indices
 
 
 class TestLogHelpers:

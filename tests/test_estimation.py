@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import poisson as poisson_dist
 
 from stockout_demand import (
     Assortment,
@@ -32,6 +33,7 @@ from stockout_demand import (
 )
 from stockout_demand import estimation
 from stockout_demand.io import project_path
+from stockout_demand.likelihood import TAIL_EPSILON
 from stockout_demand.simulate import VisitConfig
 from stockout_demand.types import (
     TransactionRecord,
@@ -708,28 +710,71 @@ class TestGranularities:
         assert math.isfinite(result.loglik)
 
 
+def walkaway_config():
+    """The preset at a tenth of its weights and rate 20: 91 % of arrivals
+    walk away, so the arrival rate is far above the purchase rate."""
+    preset = SECTION7_PRESET
+    return replace(
+        preset,
+        weights={a: 0.1 * w for a, w in preset.weights.items()},
+        rate=20.0,
+        stock_level=1,
+        include_null=True,
+    ).visit_config()
+
+
 class TestWalkAway:
     def test_high_walk_away_rate_is_not_clamped(self):
-        # 91 % of arrivals walk away, so the arrival rate is far above the
-        # purchase rate the fit starts from
-        preset = SECTION7_PRESET
-        config = replace(
-            preset,
-            weights={a: 0.1 * w for a, w in preset.weights.items()},
-            rate=20.0,
-            stock_level=1,
-            include_null=True,
-        ).visit_config()
+        # the fit starts from the purchase rate, far below the arrival rate
+        config = walkaway_config()
         paths = simulate_dataset(config, 1500, seed=3)
         records = [project_transactions(p, True) for p in paths]
         result = fit(records, "transactions-timed")
-        truth = catalog_probabilities(config.params, preset.catalog, True)
+        truth = catalog_probabilities(config.params, SECTION7_PRESET.catalog, True)
         assert result.converged
         assert abs(result.probabilities[None] - truth[None]) < 0.03
         ds = compile_dataset(records, "transactions-timed")
         x = np.log([result.params.rate] + [result.params.weights[a] for a in ds.catalog])
         _, grad = ds.loglik_grad(x)
         assert np.max(np.abs(grad)) <= 1e-3 * len(records)
+
+
+class TestNotTheMLE:
+    """A fit with a coordinate at its box, or whose truncated arrival sums
+    miss Poisson mass at the fitted rate, is not the MLE: it keeps its
+    estimates but does not report convergence."""
+
+    @pytest.fixture(scope="class")
+    def walkaway_records(self):
+        paths = simulate_dataset(walkaway_config(), 200, seed=6)
+        return [project_transactions(p, False) for p in paths]
+
+    def test_adaptive_truncation_too_small_for_the_fitted_rate(self, walkaway_records):
+        # m is sized from 4 x the purchase rate, far below the arrival rate
+        result = fit(walkaway_records, "transactions")
+        ((horizon, m),) = compile_dataset(walkaway_records, "transactions").truncations
+        tail = poisson_dist.sf(m, horizon * result.params.rate)
+        assert tail > TAIL_EPSILON
+        assert not result.converged
+        assert f"Poisson tail {tail:.2g} beyond m={m}" in result.message
+        assert result.message.startswith("L-BFGS-B: ")
+
+    def test_fixed_truncation_just_above_the_observed_counts(self, walkaway_records):
+        m = max(r.total for r in walkaway_records) + 1
+        result = fit(walkaway_records, "transactions", TruncationPolicy(m=m))
+        assert not result.converged
+        assert f"beyond m={m}" in result.message
+
+    def test_never_sold_product_at_the_lower_bound(self):
+        # product 2 is offered at every visit and never bought
+        paths = [
+            replace(p, initial_assortment=Assortment((0, 1, 2)), stocks={**p.stocks, 2: 3})
+            for p in simulate_dataset(two_product_config(rate=6.0), 20, seed=3)
+        ]
+        result = fit([project_transactions(p, True) for p in paths], "transactions-timed")
+        assert result.params.weights[2] == math.exp(-30.0)
+        assert not result.converged
+        assert result.message.endswith("not the MLE: log weight of product 2 at its bound -30")
 
 
 class TestNaiveBaseline:

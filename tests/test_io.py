@@ -397,6 +397,18 @@ class TestRunConfig:
         with pytest.raises(DataFormatError, match=message):
             RunConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("catalog", [0, 1, 1], r"catalog lists products \[1\] more than once"),
+            ("always_available", [0, 0], r"always_available lists products \[0\] more than once"),
+        ],
+    )
+    def test_repeated_product_rejected(self, field, value, message):
+        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 1.0, field: value}
+        with pytest.raises(DataFormatError, match=message):
+            RunConfig.from_dict(raw)
+
     def test_integral_float_counts_accepted(self):
         raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 1.0}
         config = RunConfig.from_dict(

@@ -20,7 +20,6 @@ from stockout_demand.combinatorics import (
     log_binomial,
     log_multinomial,
     sample_stockout_vectors,
-    to_segments,
 )
 from stockout_demand.likelihood import (
     TermTable,
@@ -134,11 +133,13 @@ def reference_saa(summary, m, samples_per_n, seed, key=0):
         if take == count:
             return None
         draw_seed = int(np.random.SeedSequence((seed, key, n)).generate_state(1)[0])
-        vectors = sample_stockout_vectors(stocks, n, take, draw_seed, products=stocked)
         layouts = []
-        for v in vectors:
-            seg = to_segments(v)
-            layouts.append((seg.stockout_order, seg.segment_sizes))
+        for v in sample_stockout_vectors(stocks, n, take, draw_seed):
+            # the products in stock-out order; each segment's arrivals up to
+            # the next stock-out, that stock-out's arrival excluded
+            r, order = zip(*sorted(zip(v.indices, stocked)))
+            sizes = [b - a - 1 for a, b in zip((0,) + r, r + (n + 1,))]
+            layouts.append((order, sizes))
         return layouts, math.log(count) - math.log(take)
 
     return reference_sales_table(summary, arrival_counts(summary, m), stocked, sampler)

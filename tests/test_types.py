@@ -13,12 +13,10 @@ from stockout_demand import (
     NULL,
     SalesSummary,
     TransactionRecord,
-    hide_product,
     project_sales,
     project_transactions,
-    segment_decomposition,
 )
-from stockout_demand.types import assortment_after, transaction_segments
+from stockout_demand.types import transaction_segments
 
 from conftest import (
     IMPOSSIBLE_VISIT_CHANGES,
@@ -217,8 +215,8 @@ class TestProjections:
         assert summary.stocked_out == (1,)
 
 
-class TestAssortmentAfter:
-    def test_incremental_matches_batch_recount(self, rng):
+class TestLastSegment:
+    def test_last_assortment_matches_batch_recount(self, rng):
         products = (0, 1, 2)
         stocks = {0: 2, 1: 1, 2: 3}
         initial = Assortment(products, True)
@@ -232,7 +230,8 @@ class TestAssortmentAfter:
                 if c is not NULL:
                     remaining[c] -= 1
                 expected = tuple(a for a in products if remaining[a] > 0)
-                assert assortment_after(initial, stocks, prefix).products == expected
+                last = transaction_segments(initial, stocks, prefix)[2][-1]
+                assert last.products == expected
 
 
 class TestSegments:
@@ -247,15 +246,15 @@ class TestSegments:
         assert [a.products for a in assorts] == [(0, 1, 2), (1, 2), (2,)]
         assert idx == (2, 5)
 
-    def test_segment_decomposition_total(self):
+    def test_path_segments_total(self):
         path = make_path(
             [(0.1, NULL), (0.2, 0), (0.3, 1), (0.4, NULL)],
             stocks={0: 1, 1: 1},
         )
-        seg = segment_decomposition(path)
-        assert seg.stockout_order == (0, 1)
-        assert seg.segment_sizes == (1, 0, 1)
-        assert seg.total_arrivals == path.arrivals
+        order, sizes, _, _ = path.segments()
+        assert order == (0, 1)
+        assert sizes == (1, 0, 1)
+        assert sum(sizes) + len(order) == path.arrivals
 
     def test_null_choice_counts_in_its_segment_without_depleting(self):
         initial = Assortment((0, 1), True)
@@ -266,49 +265,3 @@ class TestSegments:
         assert counts == (1, 3)
         assert [a.products for a in assorts] == [(0, 1), (1,)]
         assert idx == (2,)
-
-    def test_segment_decomposition_is_the_choice_replay(self, rng):
-        products = (0, 1, 2)
-        stocks = {0: 1, 1: 2, 2: 1}
-        for _ in range(30):
-            remaining = dict(stocks)
-            choices = []
-            for _ in range(rng.randint(0, 6)):
-                c = rng.choice([NULL] + [a for a in products if remaining[a] > 0])
-                choices.append(c)
-                if c is not NULL:
-                    remaining[c] -= 1
-            n = len(choices)
-            path = make_path(
-                [((i + 1) / (n + 1), c) for i, c in enumerate(choices)], products, stocks
-            )
-            seg = segment_decomposition(path)
-            order, counts, _, _ = transaction_segments(
-                path.initial_assortment, stocks, path.choices
-            )
-            assert (seg.stockout_order, seg.segment_sizes) == (order, counts)
-            assert seg.total_arrivals == n
-
-
-class TestHideProduct:
-    def test_hidden_sales_become_null(self):
-        summary = SalesSummary(
-            horizon=1.0,
-            initial_assortment=Assortment((0, 1), False),
-            stocks={0: 100, 1: 2},
-            sales={0: 3, 1: 2},
-        )
-        hidden = hide_product(summary, 0)
-        assert hidden.initial_assortment.products == (1,)
-        assert hidden.initial_assortment.includes_null
-        assert hidden.sales == {1: 2}
-
-    def test_refuses_stockoutable_product(self):
-        summary = SalesSummary(
-            horizon=1.0,
-            initial_assortment=Assortment((0, 1), False),
-            stocks={0: 2, 1: 2},
-            sales={0: 2, 1: 0},
-        )
-        with pytest.raises(InvalidObservation):
-            hide_product(summary, 0)
