@@ -1,11 +1,13 @@
 """Maximum-likelihood fitting across observation granularities.
 
 A dataset is compiled once into flat arrays: identical visits are grouped
-with multiplicities, each group's term table is filled once, and
-:func:`~stockout_demand.likelihood.stack_tables` stacks the tables into one
-set of arrays whose assortment denominators share one registry.  Sales
-tables sharing a stock-out layout shape share its enumeration within one
-compile.  Timed transactions build no table per visit: their groups fold
+with multiplicities, and the groups are stacked into one set of arrays
+whose assortment denominators share one registry.  Sales groups build no
+table: :func:`~stockout_demand.likelihood.table_sales` stacks them all in
+one pass, each stock-out layout shape enumerated once.  Complete-data and
+untimed-transaction groups fill one term table each, which
+:func:`~stockout_demand.likelihood.stack_tables` stacks.  Timed
+transactions build no table per visit: their groups fold
 straight into one table of sufficient statistics per assortment (exponent
 and exposure-time totals, plus the sales), so their part of every
 evaluation costs the same whatever the number of visits.  Each optimizer
@@ -38,11 +40,10 @@ from .likelihood import (
     TruncationPolicy,
     fold_timed,
     membership_matrix,
+    sales_key,
     stack_tables,
     table_complete,
-    table_naive_sales,
     table_sales,
-    table_sales_saa,
     table_transactions,
     term_loglik_grad,
     timed_loglik_grad,
@@ -133,19 +134,14 @@ def naive_rate(observations: Sequence[Observation]) -> float:
 
 
 def _group_key(obs: Observation, granularity: str):
+    if isinstance(obs, SalesSummary):
+        return sales_key(obs)
     assort = (obs.initial_assortment.products, obs.initial_assortment.includes_null)
     stocks = tuple(obs.stocks[a] for a in obs.initial_assortment.products)
     if isinstance(obs, CompletePath):
         return (obs.horizon, assort, stocks, obs.events)
-    if isinstance(obs, TransactionRecord):
-        times = obs.transactions if granularity == "transactions-timed" else obs.products
-        return (obs.horizon, assort, stocks, times)
-    return (
-        obs.horizon,
-        assort,
-        stocks,
-        tuple(obs.sales.get(a, 0) for a in obs.initial_assortment.products),
-    )
+    times = obs.transactions if granularity == "transactions-timed" else obs.products
+    return (obs.horizon, assort, stocks, times)
 
 
 class CompiledDataset:
@@ -165,7 +161,7 @@ class CompiledDataset:
     def __init__(
         self,
         catalog: Tuple[int, ...],
-        tables: Sequence[Tuple[TermTable, int]],
+        stacked: Tuple[np.ndarray, ...],
         timed: TimedSegmentTable,
         rate: float,
         visits: int,
@@ -185,7 +181,7 @@ class CompiledDataset:
             self.counts,
             self.T_g,
             self.Z,
-        ) = stack_tables(catalog, tables)
+        ) = stacked
         # the folded table as (table, count) pairs with the columns of its
         # catalog, the form perfbench/tracing.compiled_stats reads
         self._timed = [(timed, 1)] if timed.assortments else []
@@ -238,26 +234,6 @@ class CompiledDataset:
             )
             value, grad = value + timed_value, grad + timed_grad
         return value, grad
-
-
-def _build_table(
-    obs: Observation,
-    granularity: str,
-    m: int,
-    saa_samples: Optional[int],
-    seed: int,
-    key: int,
-    naive: bool,
-):
-    if naive:
-        return table_naive_sales(obs, m)
-    if saa_samples is not None:
-        return table_sales_saa(obs, m, saa_samples, seed, key)
-    if granularity == "complete":
-        return table_complete(obs)
-    if granularity == "transactions":
-        return table_transactions(obs, m)
-    return table_sales(obs, m)
 
 
 def compile_dataset(
@@ -321,6 +297,7 @@ def compile_dataset(
     rate = naive_rate(observations)
     rate_cap = RATE_CAP_FACTOR * rate
     tables: List[Tuple[TermTable, int]] = []
+    sales: List[tuple] = []
     timed: List[Tuple[TransactionRecord, int]] = []
     # m depends only on the horizon and the observed count here
     sizes: Dict[Tuple[float, int], int] = {}
@@ -336,14 +313,18 @@ def compile_dataset(
             if size_key not in sizes:
                 sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, size_key[1])
             m = sizes[size_key]
-        # ints/floats hash deterministically, so this key is stable per run
-        table = _build_table(
-            obs, granularity, m, saa_samples, seed, hash(key) & 0x7FFFFFFF, naive
-        )
-        tables.append((table, len(members)))
+        if kind is SalesSummary:
+            # ints/floats hash deterministically, so this key is stable per run
+            sales.append((key, len(members), m, hash(key) & 0x7FFFFFFF))
+        else:
+            complete = granularity == "complete"
+            table = table_complete(obs) if complete else table_transactions(obs, m)
+            tables.append((table, len(members)))
     return CompiledDataset(
         tuple(catalog),
-        tables,
+        table_sales(catalog, sales, saa_samples, seed, naive)
+        if kind is SalesSummary
+        else stack_tables(catalog, tables),
         fold_timed(timed, catalog),
         rate,
         len(observations),
@@ -388,7 +369,8 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     on the same data give identical fits.
 
     The fit is not the MLE, and does not report convergence, when a
-    coordinate ends within 1e-6 of its box, or when the Poisson tail
+    coordinate ends within 1e-6 of its box, when a catalog product is
+    never sold (its weight's supremum is 0), or when the Poisson tail
     ``P(N > m)`` at ``T * rate`` exceeds :data:`TAIL_EPSILON` for some
     ``(T, m)`` of ``ds.truncations``; its message names the cause.
     """
@@ -412,9 +394,15 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     ok = bool(res.success) or float(np.linalg.norm(res.jac, np.inf)) < 1e-4
     params = ds.params_of(res.x)
     causes = []
+    # a product no visit sells appears only in denominators, so its
+    # weight's supremum is 0, wherever the solve stops
+    never_sold = ds.counts @ ds.Z + ds.timed_sales == 0
     names = ["log rate"] + [f"log weight of product {a}" for a in ds.catalog]
-    for name, x, box in zip(names, res.x, bounds):
-        causes += [f"{name} at its bound {b:.6g}" for b in box if abs(x - b) <= 1e-6]
+    for i, (name, x, box) in enumerate(zip(names, res.x, bounds)):
+        if i and never_sold[i - 1]:
+            causes.append(f"product {ds.catalog[i - 1]} never sold, its weight's supremum 0")
+        else:
+            causes += [f"{name} at its bound {b:.6g}" for b in box if abs(x - b) <= 1e-6]
     # pdtrc(m, mu) is the Poisson tail P(N > m)
     tails = [(pdtrc(m, T * params.rate), m) for T, m in ds.truncations]
     tail, m = max(tails, default=(0.0, 0))

@@ -63,6 +63,16 @@ def _integer(value, name: str) -> int:
     raise DataFormatError(f"{name} must be an integer, got {value!r}")
 
 
+def _repeated_product(raw: Mapping, name: str) -> DataFormatError:
+    """The error for the field ``name``, whose mapping ``raw`` came out
+    shorter with its keys read as product ids by ``int``: two of them name
+    one product ("1" and "01", say), and the error names it.  Callers
+    compare the two lengths, which costs a line next to nothing."""
+    ids = [int(a) for a in raw]
+    repeated = next(a for a in ids if ids.count(a) > 1)
+    return DataFormatError(f"{name} names product {repeated} more than once")
+
+
 def _real(value, name: str) -> float:
     """A time, horizon, rate, probability or weight: a JSON number, not a
     boolean or a string.  Its range is checked where it is used."""
@@ -134,6 +144,8 @@ class RunConfig:
             weights = {
                 int(a): _real(w, f"weights of product {a}") for a, w in raw["weights"].items()
             }
+            if len(weights) < len(raw["weights"]):
+                raise _repeated_product(raw["weights"], "weights")
             kwargs = dict(
                 catalog=catalog,
                 weights=weights,
@@ -160,6 +172,8 @@ class RunConfig:
                     int(a): _integer(s, f"stocks of product {a}")
                     for a, s in raw["stocks"].items()
                 }
+                if len(kwargs["stocks"]) < len(raw["stocks"]):
+                    raise _repeated_product(raw["stocks"], "stocks")
         except DataFormatError:
             raise
         except (TypeError, ValueError, AttributeError) as exc:
@@ -302,6 +316,8 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
         horizon = _real(raw["T"], "T")
         products = tuple(_integer(a, "product id") for a in raw["assortment"])
         stocks = {int(a): _integer(s, "stock") for a, s in raw["stocks"].items()}
+        if len(stocks) < len(raw["stocks"]):
+            raise _repeated_product(raw["stocks"], "stocks")
         assortment = Assortment(products, granularity != "sales-no-null")
         data = raw["data"]
         obs: Observation
@@ -328,12 +344,10 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
                 timestamps_present=False,
             )
         else:
-            obs = SalesSummary(
-                horizon,
-                assortment,
-                stocks,
-                {int(a): _integer(z, "sales") for a, z in data.items()},
-            )
+            sales = {int(a): _integer(z, "sales") for a, z in data.items()}
+            if len(sales) < len(data):
+                raise _repeated_product(data, "data")
+            obs = SalesSummary(horizon, assortment, stocks, sales)
     except InvalidObservation as exc:
         raise DataFormatError(str(exc), line)
     except (TypeError, ValueError, AttributeError) as exc:

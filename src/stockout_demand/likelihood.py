@@ -13,22 +13,21 @@ Six likelihoods cover the data regimes:
 
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
 sum over stock-out index vectors; that form is expressed as
-parameter-independent "term tables", which the ``table_*`` functions fill.
-One exact sales table, :func:`table_sales`, serves both: the visit's null
-regime picks its arrival counts (up to ``m`` for ``l5``, the sales for
-``l6``), as it does for the SAA and naive sales tables.  A sales table
-records, per arrival count, only the layout shape (the stocks of the
-products that sell out, and ``n``) and a base coefficient; complete and
-transaction tables list explicit terms.  Tables are records,
-not evaluators: :func:`stack_tables` stacks a dataset's tables into flat
-arrays once, enumerating each distinct shape once in numpy, and one
-kernel, :func:`term_loglik_grad`, evaluates their grouped log-sum-exp with
-its gradient; timed transactions fold into one table of per-assortment
-totals (:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
-``estimation.compile_dataset`` builds and stacks the tables, and is the one
-way they are evaluated.  Its oracles are the ``l*`` functions: the paper's
-formulas, written for a general choice law, evaluated visit by visit with
-the attraction probabilities of ``choice.prob``.
+parameter-independent terms, stacked into flat arrays once per dataset.
+Sales build no table per visit: :func:`table_sales` stacks a dataset's
+sales visits in one pass, for the exact, SAA and naive estimators and
+both null regimes (the visit's regime picks its arrival counts: up to
+``m`` for ``l5``, the sales for ``l6``), enumerating each distinct layout
+shape once in numpy.  Complete data and untimed transactions fill one
+:class:`TermTable` of explicit terms per visit, which :func:`stack_tables`
+stacks.  One kernel, :func:`term_loglik_grad`, evaluates the stacked
+arrays' grouped log-sum-exp with its gradient; timed transactions fold
+into one table of per-assortment totals (:func:`fold_timed`), evaluated
+by :func:`timed_loglik_grad`.  ``estimation.compile_dataset`` builds and
+stacks the terms, and is the one way they are evaluated.  Its oracles are
+the ``l*`` functions: the paper's formulas, written for a general choice
+law, evaluated visit by visit with the attraction probabilities of
+``choice.prob``.
 
 Every function here takes visits as built, and a visit checks itself when
 it is built (see :mod:`~stockout_demand.types`), so none of them checks
@@ -91,8 +90,7 @@ __all__ = [
     "table_complete",
     "table_transactions",
     "table_sales",
-    "table_sales_saa",
-    "table_naive_sales",
+    "sales_key",
     "fold_timed",
     "stack_tables",
     "term_loglik_grad",
@@ -491,21 +489,12 @@ class TermTable:
     and ``D_d`` are assortment denominators.
 
     The table names the assortments its terms can face, ``assortments``,
-    and lists its terms in two parameter-free forms, so one fill serves
-    every evaluation during optimization:
-
-    * ``layouts``: sales blocks ``(stocks, n, base, drawn)``.  ``stocks``
-      are those of the products that sell out, in assortment order; the
-      block's terms are the stock-out layouts of that shape at ``n``
-      arrivals, each with coefficient ``base`` plus its log-binomials.
-      ``drawn`` is ``None`` for every layout of the shape, whose segment
-      ``j`` faces ``assortments[mask]``, ``mask`` marking the positions
-      already sold out; or a list of sampled ``(order positions, segment
-      sizes, candidates)`` layouts, whose segment ``j`` faces
-      ``assortments[candidates[j]]``.
-    * explicit terms ``explicit_n`` / ``explicit_coef`` /
-      ``explicit_exp``, whose segment ``j`` faces ``assortments[j]`` with
-      exponent ``explicit_exp[i][j]``.
+    and lists its terms explicitly in parameter-free form, so one fill
+    serves every evaluation during optimization: ``explicit_n`` /
+    ``explicit_coef`` / ``explicit_exp``, whose segment ``j`` faces
+    ``assortments[j]`` with exponent ``explicit_exp[i][j]``.  Complete data
+    and untimed transactions fill one table per visit; sales visits build
+    no table, :func:`table_sales` stacks them directly.
 
     A table is a plain record: :func:`stack_tables` turns a dataset's
     tables into the flat arrays of :func:`term_loglik_grad`, which
@@ -521,19 +510,16 @@ class TermTable:
         self.catalog = tuple(catalog)
         self.sales = [sales.get(a, 0) for a in self.catalog]
         self.assortments: Sequence[Assortment] = []
-        self.layouts: List[Tuple[Tuple[int, ...], int, float, Optional[list]]] = []
         self.explicit_n: List[int] = []
         self.explicit_coef: List[float] = []
         self.explicit_exp: List[Sequence[float]] = []
 
 
-def _shape_layouts(
-    shapes: Sequence[Tuple[Tuple[int, ...], int]], k: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every layout of each sales shape ``(stocks, n)`` in ``shapes``, all
-    with ``k`` products selling out: the shape, the stock-out order (as
-    positions into ``stocks``) and the segment sizes (stock-out arrivals
-    excluded) of every layout.
+def _shape_layouts(stocks: np.ndarray, n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every layout of each sales shape ``(stocks[i], n[i])``, all with
+    ``k = stocks.shape[1]`` products selling out: the shape, the stock-out
+    order (as positions into the shape's stocks) and the segment sizes
+    (stock-out arrivals excluded) of every layout.
 
     Layouts come shape by shape, then order by order in
     :func:`permutations` order, then by the stock-out arrival indices
@@ -541,15 +527,14 @@ def _shape_layouts(
     that fall within ``n`` and leave room for every unit sold out so far,
     ``r_j >= s_1 + ... + s_j``; the sizes are :func:`_segment_sizes`.
     """
-    top = max(n for _, n in shapes)
+    k = stocks.shape[1]
+    top = int(n.max())
     count = math.comb(top, k)
     indices = np.fromiter(
         chain.from_iterable(combinations(range(1, top + 1), k)), np.int64, count * k
     ).reshape(count, k)
     orders = np.array(list(permutations(range(k))), dtype=np.int64)
     orders = orders.reshape(math.factorial(k), k)
-    stocks = np.array([s for s, _ in shapes], dtype=np.int64).reshape(len(shapes), k)
-    n = np.array([n for _, n in shapes], dtype=np.int64)
     need = np.cumsum(stocks[:, orders], axis=2)[:, :, None, :]
     fits = ((indices >= need) & (indices <= n[:, None, None, None])).all(axis=3)
     shape_of, order_of, index_of = np.nonzero(fits)
@@ -568,15 +553,16 @@ def _segment_sizes(r: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _layout_arrays(
     stocks: np.ndarray, orders: np.ndarray, sizes: np.ndarray, log_fact: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns of the sales terms of the layouts ``(orders[i], sizes[i])``
     of products with stocks ``stocks[i]``.
 
     Returns the log-binomial of every stock-out (the ways to place the
     product's earlier units among the slots before it that no earlier
-    stock-out product took) and every segment's exponent (its size, plus
-    the closing stock-out purchase for all but the last).  ``log_fact[x]``
-    is ``log x!``.
+    stock-out product took), every segment's exponent (its size, plus the
+    closing stock-out purchase for all but the last), and every segment's
+    sold-out subset (the mask of the positions sold out before it).
+    ``log_fact[x]`` is ``log x!``.
     """
     k = orders.shape[1]
     s = np.take_along_axis(stocks, orders, axis=1)
@@ -585,25 +571,51 @@ def _layout_arrays(
     binom = log_fact[slots] - log_fact[s - 1] - log_fact[slots - s + 1]
     exps = sizes.astype(float)
     exps[:, :k] += 1.0
-    return binom, exps
+    masks = np.zeros(sizes.shape, dtype=np.int64)
+    masks[:, 1:] = np.cumsum(1 << orders, axis=1)
+    return binom, exps, masks
 
 
-def _pack_segments(
+def _stacked(
+    catalog: Sequence[int],
+    n: np.ndarray,
+    coef: np.ndarray,
     cand: np.ndarray,
     exps: np.ndarray,
-    uid: np.ndarray,
-    fields: Sequence[Tuple[Tuple[int, ...], bool]],
-) -> Tuple[List[Assortment], np.ndarray, np.ndarray]:
-    """The assortment registry and the ``seg_idx`` / ``seg_exp`` arrays of
-    terms whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past
-    the last segment) with exponent ``exps[i, j]``.
+    candidates: Sequence[Tuple[Tuple[int, ...], bool]],
+    terms: Sequence[int],
+    counts: Sequence[float],
+    horizons: Sequence[float],
+    widths: Sequence[int],
+    products: Sequence[int],
+    sales: Sequence[int],
+) -> Tuple[np.ndarray, ...]:
+    """The arrays of :func:`term_loglik_grad` after ``x``, for terms in
+    place whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past
+    the last segment) with exponent ``exps[i, j]``, and groups owning
+    ``terms[g]`` terms each.  Group ``g`` sold ``sales`` of its
+    ``widths[g]`` ``products``, the flat lists taken group by group.
 
-    Candidate ``c`` is the distinct assortment ``uid[c]``, of fields
-    ``fields[uid[c]]``.  The registry holds the distinct assortments in
-    order of first appearance, term by term and segment by segment, zero
-    exponents included; each term's nonzero exponents fill one row, in
-    segment order, padded with zero exponents to the longest row.
+    Candidate ``c`` faces the assortment of fields ``candidates[c]``
+    (products, null option).  The registry holds the distinct assortments
+    in order of first appearance, term by term and segment by segment, zero
+    exponents included, so it does not depend on how candidates are
+    numbered; each term's nonzero exponents fill one row of ``seg_idx`` /
+    ``seg_exp``, in segment order, padded with zero exponents to the
+    longest row.  Raises :class:`InvalidObservation` for a group without
+    terms.
     """
+    terms = np.asarray(terms, dtype=np.int64)
+    # a group without terms would make the kernel's reduceat read the next
+    # group's first term; no visit fills such a table
+    empty = np.flatnonzero(terms == 0)
+    if empty.size:
+        raise InvalidObservation(f"term table {empty[0]} lists no terms")
+    # distinct assortments, keyed by their fields, which hash faster than
+    # the dataclass
+    distinct: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+    uid = np.array([distinct.setdefault(f, len(distinct)) for f in candidates], dtype=np.int64)
+    fields = list(distinct)
     first_uid, first_at = np.unique(uid[cand[cand >= 0]], return_index=True)
     registered = first_uid[np.argsort(first_at)]
     rank = np.zeros(len(fields), dtype=np.int64)
@@ -616,146 +628,10 @@ def _pack_segments(
     seg_exp = np.zeros((cand.shape[0], width))
     seg_idx[term_of, slot[term_of, seg]] = rank[uid[cand[term_of, seg]]]
     seg_exp[term_of, slot[term_of, seg]] = exps[term_of, seg]
-    return [Assortment(*fields[u]) for u in registered], seg_idx, seg_exp
-
-
-def stack_tables(
-    catalog: Sequence[int], tables: Sequence[Tuple[TermTable, float]]
-) -> Tuple[np.ndarray, ...]:
-    """The arrays :func:`term_loglik_grad` takes after ``x``, for the
-    groups ``(table, count)`` over the products ``catalog``.
-
-    Terms come table by table, and within a table block by block (arrival
-    count, then layout).  Every block's terms are rows of one row set:
-    the layouts of all shapes with ``k`` stock-outs, enumerated once each;
-    the drawn layouts with ``k`` stock-outs; or the explicit terms of
-    width ``w``.  Each row set is built in one pass, and one gather per row
-    set puts the terms in place: the block's base coefficient plus the
-    row's log-binomials, and the row's candidates (a full block's masks,
-    a drawn layout's listed candidates) offset into the table's.  :func:`_pack_segments` then numbers the
-    assortments the terms face.  Raises :class:`InvalidObservation` for a
-    hand-built table without terms.
-    """
+    registry = [Assortment(*fields[u]) for u in registered]
     col = {a: i for i, a in enumerate(catalog)}
-    # distinct candidate assortments, keyed by their fields, which hash
-    # faster than the dataclass
-    distinct: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-    uid: List[int] = []  # distinct-assortment id of every candidate
-    # per block: table, first candidate, arrival count, first row in its
-    # row set and term count; then its base coefficient
-    blocks: List[Tuple[int, int, int, int, int]] = []
-    bases: List[float] = []
-    # blocks by row set: by stock-out count and shape, and, with their rows,
-    # by stock-out count (drawn layouts) or width (explicit terms)
-    shapes: Dict[int, Dict[Tuple[Tuple[int, ...], int], List[int]]] = {}
-    drawn: Dict[int, Tuple[list, list, list, list, list]] = {}
-    explicit: Dict[int, Tuple[list, list]] = {}
-    for g, (table, _) in enumerate(tables):
-        offset = len(uid)
-        uid += [
-            distinct.setdefault((a.products, a.includes_null), len(distinct))
-            for a in table.assortments
-        ]
-        if table.explicit_n:
-            # one block per explicit term, its coefficient the base
-            seqs, exps = explicit.setdefault(len(table.assortments), ([], []))
-            seqs += range(len(blocks), len(blocks) + len(table.explicit_n))
-            blocks += [
-                (g, offset, n, len(exps) + i, 1) for i, n in enumerate(table.explicit_n)
-            ]
-            bases += table.explicit_coef
-            exps += table.explicit_exp
-        for stocks, n, base, layouts in table.layouts:
-            k = len(stocks)
-            if layouts is None:
-                shapes.setdefault(k, {}).setdefault((stocks, n), []).append(len(blocks))
-                blocks.append((g, offset, n, 0, 0))  # rows set once enumerated
-            else:
-                seqs, orders, sizes, faced, stocks_of = drawn.setdefault(
-                    k, ([], [], [], [], [])
-                )
-                seqs.append(len(blocks))
-                blocks.append((g, offset, n, len(orders), len(layouts)))
-                orders += [order for order, _, _ in layouts]
-                sizes += [layout for _, layout, _ in layouts]
-                faced += [candidates for _, _, candidates in layouts]
-                stocks_of += [stocks] * len(layouts)
-            bases.append(base)
-    block = np.array(blocks, dtype=np.int64).reshape(len(blocks), 5)
-    base_of = np.array(bases, dtype=float)
-    log_fact = np.array(
-        [math.lgamma(x + 1) for x in range(int(block[:, 2].max(initial=0)) + 1)]
-    )
-
-    # every row set: its blocks, and per row the log-binomials, candidates
-    # and exponents
-    row_sets: List[Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]] = []
-    for k, by_shape in shapes.items():
-        keys = list(by_shape)
-        shape_of, orders, sizes = _shape_layouts(keys, k)
-        lens = np.bincount(shape_of, minlength=len(keys))
-        which = np.repeat(np.arange(len(keys)), [len(by_shape[key]) for key in keys])
-        seqs = [seq for key in keys for seq in by_shape[key]]
-        block[seqs, 3] = (np.cumsum(lens) - lens)[which]
-        block[seqs, 4] = lens[which]
-        stocks = np.array([s for s, _ in keys], dtype=np.int64).reshape(len(keys), k)
-        binom, exps = _layout_arrays(stocks[shape_of], orders, sizes, log_fact)
-        masks = np.zeros(sizes.shape, dtype=np.int64)
-        masks[:, 1:] = np.cumsum(1 << orders, axis=1)
-        row_sets.append((seqs, binom, masks, exps))
-    for k, (seqs, orders, sizes, faced, stocks) in drawn.items():
-        binom, exps = _layout_arrays(
-            np.array(stocks, dtype=np.int64).reshape(len(stocks), k),
-            np.array(orders, dtype=np.int64).reshape(len(orders), k),
-            np.array(sizes, dtype=np.int64),
-            log_fact,
-        )
-        row_sets.append((seqs, binom, np.array(faced, dtype=np.int64), exps))
-    for width, (seqs, exps) in explicit.items():
-        exps = np.array(exps, dtype=float).reshape(len(exps), width)
-        masks = np.broadcast_to(np.arange(width), exps.shape)
-        row_sets.append((seqs, np.zeros((exps.shape[0], 0)), masks, exps))
-
-    # place every block's terms: blocks in order, each its rows in order
-    first = np.cumsum(block[:, 4]) - block[:, 4]
-    total = int(block[:, 4].sum())
-    width = max((masks.shape[1] for _, _, masks, _ in row_sets), default=0)
-    n = np.zeros(total, dtype=np.int64)
-    coef = np.zeros(total)
-    cand = np.full((total, width), -1, dtype=np.int64)
-    exps = np.zeros((total, width))
-    for seqs, binom, masks, row_exps in row_sets:
-        seqs = np.array(seqs, dtype=np.int64)
-        lens = block[seqs, 4]
-        owner = np.repeat(seqs, lens)
-        within = np.arange(owner.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        row = block[owner, 3] + within
-        at = first[owner] + within
-        # the base first, then each stock-out's log-binomial in order
-        term_coef = base_of[owner]
-        for j in range(binom.shape[1]):
-            term_coef = term_coef + binom[row, j]
-        n[at] = block[owner, 2]
-        coef[at] = term_coef
-        cand[at, : masks.shape[1]] = block[owner, 1][:, None] + masks[row]
-        exps[at, : masks.shape[1]] = row_exps[row]
-
-    terms = np.bincount(block[:, 0], weights=block[:, 4], minlength=len(tables))
-    terms = terms.astype(np.int64)
-    # a group without terms would make the kernel's reduceat read the next
-    # group's first term; no visit fills such a table
-    empty = np.flatnonzero(terms == 0)
-    if empty.size:
-        raise InvalidObservation(f"term table {empty[0]} lists no terms")
-    registry, seg_idx, seg_exp = _pack_segments(
-        cand, exps, np.array(uid, dtype=np.int64), list(distinct)
-    )
-
-    sales = np.zeros((len(tables), len(catalog)))
-    sales[
-        [g for g, (table, _) in enumerate(tables) for _ in table.catalog],
-        [col[a] for table, _ in tables for a in table.catalog],
-    ] = [z for table, _ in tables for z in table.sales]
+    z = np.zeros((len(widths), len(catalog)))
+    z[np.repeat(np.arange(len(widths)), widths), [col[a] for a in products]] = sales
     return (
         membership_matrix(catalog, registry),
         np.array([float(a.includes_null) for a in registry]),
@@ -764,9 +640,63 @@ def stack_tables(
         seg_idx,
         seg_exp,
         np.cumsum(terms) - terms,
-        np.array([count for _, count in tables], dtype=float),
-        np.array([table.horizon for table, _ in tables], dtype=float),
-        sales,
+        np.array(counts, dtype=float),
+        np.array(horizons, dtype=float),
+        z,
+    )
+
+
+def _ranks(lens: np.ndarray) -> np.ndarray:
+    """Every item's position within its run, for runs of ``lens`` items."""
+    return np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+
+
+def stack_tables(
+    catalog: Sequence[int], tables: Sequence[Tuple[TermTable, float]]
+) -> Tuple[np.ndarray, ...]:
+    """The arrays :func:`term_loglik_grad` takes after ``x``, for the
+    groups ``(table, count)`` over the products ``catalog``.
+
+    Terms come table by table, each table's explicit terms in order, all
+    filled in one pass; their candidates are the table's assortments.
+    Raises :class:`InvalidObservation` for a hand-built table without
+    terms.
+    """
+    # every candidate's fields; per term: its table's first candidate and
+    # its width; every exponent
+    candidates: List[Tuple[Tuple[int, ...], bool]] = []
+    offsets: List[int] = []
+    widths: List[int] = []
+    flat_exps: List[float] = []
+    n: List[int] = []
+    coef: List[float] = []
+    for table, _ in tables:
+        offsets += [len(candidates)] * len(table.explicit_n)
+        widths += [len(table.assortments)] * len(table.explicit_n)
+        candidates += [(a.products, a.includes_null) for a in table.assortments]
+        flat_exps += [e for row in table.explicit_exp for e in row]
+        n += table.explicit_n
+        coef += table.explicit_coef
+    lens = np.array(widths, dtype=np.int64)
+    term = np.repeat(np.arange(len(n)), lens)
+    within = _ranks(lens)
+    cand = np.full((len(n), int(lens.max(initial=0))), -1, dtype=np.int64)
+    exps = np.zeros(cand.shape)
+    cand[term, within] = np.array(offsets, dtype=np.int64)[term] + within
+    exps[term, within] = flat_exps
+    return _stacked(
+        catalog,
+        np.array(n, dtype=np.int64),
+        np.array(coef, dtype=float),
+        cand,
+        exps,
+        candidates,
+        [len(table.explicit_n) for table, _ in tables],
+        [count for _, count in tables],
+        [table.horizon for table, _ in tables],
+        [len(table.catalog) for table, _ in tables],
+        [a for table, _ in tables for a in table.catalog],
+        [z for table, _ in tables for z in table.sales],
     )
 
 
@@ -821,128 +751,224 @@ def table_transactions(record: TransactionRecord, m: int) -> TermTable:
     return table
 
 
-def _sales_table(
-    summary: SalesSummary,
-    m: int,
-    stocked: Sequence[int],
-    sampler=None,
-) -> TermTable:
-    """Stock-out-vector expansion behind every sales table (exact, SAA and
-    naive).
+def sales_key(summary: SalesSummary) -> tuple:
+    """The fields of a sales visit that :func:`table_sales` reads, which
+    also key its group: ``(horizon, (products, includes_null), stocks,
+    sales)``, stocks and sales in ``products`` order."""
+    offered = summary.initial_assortment
+    stocks = tuple(summary.stocks[a] for a in offered.products)
+    sales = tuple(summary.sales.get(a, 0) for a in offered.products)
+    return (summary.horizon, (offered.products, offered.includes_null), stocks, sales)
 
-    The visit's null regime picks the total arrival counts ``n``: the
-    sales up to ``m`` with a null option, exactly the sales without one
-    (``m`` is then unused).  For each ``n``, terms range over the
-    (stock-out order, segment sizes) layouts of the products ``stocked``,
-    which sell out; every other product's sales fall freely among the
-    arrivals.  With ``stocked`` empty, every arrival faces the whole
-    assortment.  The table records one layout block per ``n``: the shape
-    and its base coefficient ``-log n! + log_free(n)``.  ``sampler(n)``
-    returns ``(layouts, log_weight)``, drawn layouts replacing the full
-    enumeration for an SAA estimate, or ``(None, 0.0)`` to keep it.  A
-    table with a full block faces one assortment per sold-out subset of
-    ``stocked``; a table of drawn blocks only, the subsets its drawn
-    layouts reach.
+
+def table_sales(
+    catalog: Sequence[int],
+    groups: Sequence[tuple],
+    saa_samples: Optional[int] = None,
+    seed: int = 0,
+    naive: bool = False,
+) -> Tuple[np.ndarray, ...]:
+    """The arrays :func:`term_loglik_grad` takes after ``x`` for a
+    dataset's sales visits, over the products ``catalog``, under the
+    attraction model: ``l5`` for a visit with a null option, ``l6`` for
+    one without.
+
+    A group is ``(sales_key(visit), count, m, stream)``: ``count`` copies
+    of a visit, at truncation ``m``, with SAA stream key ``stream``.  Its
+    null regime picks its arrival counts ``n``: the sales up to ``m`` with
+    a null option, exactly the sales without one.  Each ``n`` is one block
+    of terms, one per (stock-out order, segment sizes) layout of the
+    products that sell out, with base coefficient ``-log n! +
+    log_free(n)``: every other product's sales fall freely among the
+    arrivals.  The ``naive`` baseline lets nothing sell out, so every
+    arrival faces the whole assortment (biased whenever anything does).
+
+    With ``saa_samples`` (at least 1, or :class:`ValueError`), a block of
+    more layouts is a uniform without-replacement sample of its stock-out
+    vectors, deterministic in ``(seed, stream, n)``, its base raised by
+    ``log(count / sample size)``: the sample-average approximation.  A
+    drawn vector's layout is its products in the order of their sorted
+    indices, with the segment sizes of :func:`_segment_sizes`, the
+    enumeration's rule.
+
+    Terms come group by group, block by block (``n`` ascending), then in
+    :func:`_shape_layouts` order for a full block, each distinct shape
+    (sold-out stocks and ``n``) enumerated once, or in draw order.  Python
+    runs per group (and per sampled block, to draw it), numpy per block and
+    per term.  A group with a full block faces one candidate per sold-out
+    subset, built once per products, null option and sold-out positions; a
+    group of drawn blocks only faces just the subsets its layouts reach.
     """
-    assortment = summary.initial_assortment
-    catalog = assortment.products
-    table = TermTable(summary.horizon, catalog, summary.sales)
-    stocks = tuple(summary.stocks[a] for a in stocked)
-    free_sales = [summary.sales.get(a, 0) for a in catalog if a not in stocked]
-    n_sales = summary.total_sales
-    n_values = range(n_sales, m + 1) if assortment.includes_null else [n_sales]
-    for n in n_values:
-        log_free = log_multinomial([n - n_sales] + free_sales)
-        drawn, log_weight = (None, 0.0) if sampler is None else sampler(n)
-        table.layouts.append(
-            (stocks, n, -math.lgamma(n + 1) + log_free + log_weight, drawn)
-        )
+    if saa_samples is not None and saa_samples < 1:
+        raise ValueError(f"saa_samples must be >= 1, got {saa_samples}")
+    candidates: List[Tuple[Tuple[int, ...], bool]] = []  # their fields
+    subsets: Dict[tuple, int] = {}  # first of each key's 2^k candidates
+    # per group: its key's id, first candidate (-1 for drawn blocks only),
+    # first arrival count and block count, product count; per product of
+    # every group
+    keys: Dict[tuple, int] = {}
+    key_of: List[int] = []
+    offsets: List[int] = []
+    first_n: List[int] = []
+    spans: List[int] = []
+    widths: List[int] = []
+    flat_products: List[int] = []
+    flat_stocks: List[int] = []
+    flat_sales: List[int] = []
+    # per block, SAA only: the layouts drawn (0 for a full block) and the
+    # log weight; per stock-out count, every drawn vector's indices
+    takes: List[int] = []
+    weights: List[float] = []
+    drawn: Dict[int, List[Tuple[int, ...]]] = {}
+    for (_, (products, includes_null), stocks, sales), _, m, stream in groups:
+        stocked = () if naive else tuple([i for i, s in enumerate(stocks) if s == sales[i]])
+        total = sum(sales)
+        last = m if includes_null else total
+        has_full = saa_samples is None
+        level = tuple([stocks[i] for i in stocked])
+        for n in () if has_full else range(total, last + 1):
+            count = count_stockout_vectors(level, n)
+            take = min(saa_samples, count)
+            if take == count:  # full coverage: the exact enumeration
+                has_full = True
+                takes.append(0)
+                weights.append(0.0)
+                continue
+            draw_seed = int(np.random.SeedSequence((seed, stream, n)).generate_state(1)[0])
+            drawn.setdefault(len(level), []).extend(
+                v.indices for v in sample_stockout_vectors(level, n, take, draw_seed)
+            )
+            takes.append(take)
+            weights.append(math.log(count) - math.log(take))
+        key = (products, includes_null, stocked)
+        if has_full and key not in subsets:
+            # candidate c faces the products less those of c's mask bits
+            subsets[key] = len(candidates)
+            faced = [products]
+            for i in stocked:
+                faced += [tuple(a for a in f if a != products[i]) for f in faced]
+            candidates += [(f, includes_null) for f in faced]
+        key_of.append(keys.setdefault(key, len(keys)))
+        offsets.append(subsets[key] if has_full else -1)
+        first_n.append(total)
+        spans.append(last - total + 1)
+        widths.append(len(products))
+        flat_products += products
+        flat_stocks += stocks
+        flat_sales += sales
 
-    # a sold-out subset is the mask whose bit i marks stocked[i]
-    if any(drawn is None for *_, drawn in table.layouts):
-        index = None  # every subset, candidate i the one of mask i
-        table.assortments = [assortment]
-        for a in stocked:
-            table.assortments += [faced.without(a) for faced in table.assortments]
-    else:
-        index = {}
-    for b, (stocks, n, base, drawn) in enumerate(table.layouts):
-        if drawn is None:
-            continue
-        faced = []
-        for order, sizes in drawn:
-            masks = [0]
-            for i in order:
-                masks.append(masks[-1] | 1 << i)
-            if index is not None:
-                masks = [index.setdefault(mask, len(index)) for mask in masks]
-            faced.append((order, sizes, masks))
-        table.layouts[b] = (stocks, n, base, faced)
-    if index is not None:
-        table.assortments = [
-            assortment.without(*(a for i, a in enumerate(stocked) if mask >> i & 1))
-            for mask in index
-        ]
-    return table
+    # per block: group, arrival count, null arrivals, base coefficient
+    block_g = np.repeat(np.arange(len(groups)), spans)
+    extra = _ranks(np.array(spans, dtype=np.int64))  # n - sales
+    block_n = np.array(first_n, dtype=np.int64)[block_g] + extra
+    log_fact = np.array([math.lgamma(x + 1) for x in range(int(block_n.max(initial=0)) + 1)])
+    # per group and product slot: whether it sold out (as in ``stocked``),
+    # the stocks of those that did, and log z! of the others' free sales
+    # (0.0 at a sold-out or padding slot, which adds nothing to a sum)
+    lens = np.array(widths, dtype=np.int64)
+    row = np.repeat(np.arange(len(groups)), lens)
+    out = np.array(flat_stocks, dtype=np.int64) == flat_sales
+    out &= not naive
+    k_of = np.bincount(row[out], minlength=len(groups))
+    out_stocks = np.zeros((len(groups), int(k_of.max(initial=0))), dtype=np.int64)
+    out_stocks[row[out], _ranks(k_of)] = np.array(flat_stocks, dtype=np.int64)[out]
+    free_log_fact = np.zeros((len(groups), int(lens.max(initial=0))))
+    free_log_fact[row, _ranks(lens)] = np.where(out, 0.0, log_fact[flat_sales])
+    free_total = np.bincount(row[~out], np.array(flat_sales)[~out], len(groups))
+    # log_multinomial([n - sales] + free sales), its terms added in order
+    denominator = log_fact[extra]
+    for j in range(free_log_fact.shape[1]):
+        denominator = denominator + free_log_fact[block_g, j]
+    free_n = extra + free_total.astype(np.int64)[block_g]
+    saa = saa_samples is not None
+    weight = np.array(weights) if saa else 0.0
+    base = -log_fact[block_n] + (log_fact[free_n] - denominator) + weight
+    taken = np.array(takes, dtype=np.int64) if saa else np.zeros_like(block_n)
 
-
-def table_sales(summary: SalesSummary, m: int) -> TermTable:
-    """Exact sales likelihood under the attraction model: ``l5`` (arrival
-    counts up to ``m``) for a visit with a null option, ``l6`` (arrivals
-    = sales, ``m`` unused) for one without."""
-    return _sales_table(summary, m, summary.stocked_out)
-
-
-def table_sales_saa(
-    summary: SalesSummary, m: int, samples_per_n: int, seed: int, key: int = 0
-) -> TermTable:
-    """Sample-average approximation of ``l5``: for each arrival count the
-    stock-out-vector sum is replaced by a uniform without-replacement
-    sample, scaled by ``count / sample_size``.  Deterministic in
-    ``(seed, key)``; ``key`` separates visits sharing a master seed.  A
-    sample that would cover every vector keeps the exact layout block.
-    A drawn vector's layout is its products in the order of their sorted
-    indices, with the segment sizes of :func:`_segment_sizes`, the rule
-    the exact enumeration uses.
-
-    Also applies in the no-null regime, where the arrival count is fixed
-    at the total sales and only that count's vector sum is sampled.
-    """
-    if samples_per_n < 1:
-        raise ValueError("samples_per_n must be >= 1")
-    stocked = summary.stocked_out
-    stocks = tuple(summary.stocks[a] for a in stocked)
-
-    def sampler(n: int):
-        # n covers the sales, so at least every sold-out unit: count >= 1
-        count = count_stockout_vectors(stocks, n)
-        take = min(samples_per_n, count)
-        if take == count:
-            return None, 0.0  # full coverage: the exact enumeration
-        draw_seed = int(
-            np.random.SeedSequence((seed, key, n)).generate_state(1)[0]
-        )
-        # every drawn vector is feasible; sorting its indices gives the
-        # stock-out order as positions in stocked
-        indices = np.array(
-            [v.indices for v in sample_stockout_vectors(stocks, n, take, draw_seed)],
-            dtype=np.int64,
-        ).reshape(take, len(stocks))
-        order = np.argsort(indices, axis=1)
+    # every row set, each built in one pass: the layouts of every full
+    # block's shape with k stock-outs, or the drawn layouts with k
+    block_row = np.zeros_like(block_n)  # first row in its row set
+    block_len = taken.copy()
+    row_sets = []
+    k_block = k_of[block_g]
+    full = taken == 0
+    for k in np.unique(k_block[full]).tolist():
+        seqs = np.flatnonzero(full & (k_block == k))
+        shape_rows = np.column_stack([out_stocks[block_g[seqs], :k], block_n[seqs]])
+        shapes, shape = np.unique(shape_rows, axis=0, return_inverse=True)
+        shape_of, orders, sizes = _shape_layouts(shapes[:, :k], shapes[:, k])
+        lens = np.bincount(shape_of, minlength=len(shapes))
+        block_row[seqs] = (np.cumsum(lens) - lens)[shape]
+        block_len[seqs] = lens[shape]
+        row_sets.append((seqs, *_layout_arrays(shapes[shape_of, :k], orders, sizes, log_fact)))
+    offset = np.array(offsets, dtype=np.int64)
+    pending = offset < 0
+    offset[pending] = 0
+    key_id = np.array(key_of, dtype=np.int64)
+    key_list = list(keys)
+    for k, indices in drawn.items():
+        seqs = np.flatnonzero(~full & (k_block == k))
+        owner = np.repeat(seqs, taken[seqs])
+        block_row[seqs] = np.cumsum(taken[seqs]) - taken[seqs]
+        indices = np.array(indices, dtype=np.int64).reshape(owner.size, k)
+        orders = np.argsort(indices, axis=1)
         sizes = _segment_sizes(
-            np.take_along_axis(indices, order, axis=1), np.full((take, 1), n)
+            np.take_along_axis(indices, orders, axis=1), block_n[owner, None]
         )
-        return list(zip(order.tolist(), sizes.tolist())), math.log(count) - math.log(take)
+        binom, exps, masks = _layout_arrays(
+            out_stocks[block_g[owner], :k], orders, sizes, log_fact
+        )
+        # a group of drawn blocks only faces just the subsets it reaches:
+        # its rows name them by their place among all candidates
+        mine = pending[block_g[owner]]
+        subset_rows = np.column_stack(
+            [np.repeat(key_id[block_g[owner][mine]], k + 1), masks[mine].ravel()]
+        )
+        reached, local = np.unique(subset_rows, axis=0, return_inverse=True)
+        masks[mine] = len(candidates) + local.reshape(-1, k + 1)
+        for key, mask in reached.tolist():
+            products, includes_null, stocked = key_list[key]
+            gone = {stocked[j] for j in range(k) if mask >> j & 1}
+            faced = tuple(a for i, a in enumerate(products) if i not in gone)
+            candidates.append((faced, includes_null))
+        row_sets.append((seqs, binom, exps, masks))
 
-    return _sales_table(summary, m, stocked, sampler=sampler)
-
-
-def table_naive_sales(summary: SalesSummary, m: int) -> TermTable:
-    """Baseline that ignores stock-outs: the sales table with no product
-    selling out, so every arrival faces the whole initial assortment.
-    Biased whenever anything sells out.
-    """
-    return _sales_table(summary, m, ())
+    # place every block's terms: blocks in order, each its rows in order
+    first = np.cumsum(block_len) - block_len
+    total = int(block_len.sum())
+    width = max((masks.shape[1] for *_, masks in row_sets), default=0)
+    n = np.zeros(total, dtype=np.int64)
+    coef = np.zeros(total)
+    cand = np.full((total, width), -1, dtype=np.int64)
+    exps = np.zeros((total, width))
+    for seqs, binom, row_exps, masks in row_sets:
+        lens = block_len[seqs]
+        owner = np.repeat(seqs, lens)
+        within = _ranks(lens)
+        at = first[owner] + within
+        rows = block_row[owner] + within
+        # the base first, then each stock-out's log-binomial in order
+        term_coef = base[owner]
+        for j in range(binom.shape[1]):
+            term_coef = term_coef + binom[rows, j]
+        n[at] = block_n[owner]
+        coef[at] = term_coef
+        cand[at, : masks.shape[1]] = offset[block_g[owner], None] + masks[rows]
+        exps[at, : masks.shape[1]] = row_exps[rows]
+    return _stacked(
+        catalog,
+        n,
+        coef,
+        cand,
+        exps,
+        candidates,
+        np.bincount(block_g, weights=block_len, minlength=len(groups)),
+        [count for _, count, _, _ in groups],
+        [key[0] for key, _, _, _ in groups],
+        widths,
+        flat_products,
+        flat_sales,
+    )
 
 
 def fold_timed(

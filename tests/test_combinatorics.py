@@ -197,11 +197,21 @@ class TestSampling:
             next(raw_stockout_draws((3,), n, seed=1))
 
 
+def segment_terms(stacked):
+    """Every term of a stack as its faced segments: (membership row,
+    exponent) pairs, zero exponents dropped."""
+    membership, _, _, _, seg_idx, seg_exp, *_ = stacked
+    return [
+        tuple((tuple(membership[d]), e) for d, e in zip(idx, exps) if e)
+        for idx, exps in zip(seg_idx.tolist(), seg_exp.tolist())
+    ]
+
+
 class TestDrawnLayouts:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sampler_layouts_are_the_enumerated_layouts(self, k, monkeypatch):
-        # the SAA table draws every vector of a no-null shape: its layouts
-        # must be exactly the enumeration's rows of that shape
+        # an SAA stack that draws every vector of a no-null shape must face
+        # exactly the exact enumeration's layouts, vector i as term i
         for stocks in iter_product((1, 2, 3) if k < 3 else (1, 2), repeat=k):
             for n in range(sum(stocks), sum(stocks) + 4):
                 vectors = list(enumerate_stockout_vectors(stocks, n))
@@ -218,16 +228,22 @@ class TestDrawnLayouts:
                     {**dict(enumerate(stocks)), k: free + 1},
                     {**dict(enumerate(stocks)), k: free},
                 )
-                table = likelihood.table_sales_saa(summary, 0, count, seed=0)
-                ((_, _, _, drawn),) = table.layouts
-                got = [(tuple(order), tuple(sizes)) for order, sizes, _ in drawn]
-                _, orders, sizes = likelihood._shape_layouts([(stocks, n)], k)
-                expected = list(zip(map(tuple, orders.tolist()), map(tuple, sizes.tolist())))
-                assert sorted(got) == sorted(expected), (stocks, n)
-                for v, (order, seg_sizes) in zip(vectors, got):
-                    ends = np.cumsum(np.array(seg_sizes[:k]) + 1)
+                products = summary.initial_assortment.products
+                group = (likelihood.sales_key(summary), 1, 0, 0)
+                saa = likelihood.table_sales(products, [group], count)
+                exact = likelihood.table_sales(products, [group])
+                got = segment_terms(saa)
+                assert sorted(got) == sorted(segment_terms(exact)), (stocks, n)
+                # the first k segments close with a stock-out, so their
+                # exponents (size + 1) are nonzero and add up to its index
+                membership = saa[0]
+                for v, idx, exps in zip(vectors, saa[4], saa[5]):
+                    left = [set(np.flatnonzero(membership[d][:k])) for d in idx[:k]]
+                    left.append(set())  # nothing stocked out is left at the end
+                    ends = np.cumsum(exps[:k])
                     indices = [0] * k
-                    for j, position in enumerate(order):
+                    for j in range(k):
+                        (position,) = left[j] - left[j + 1]
                         indices[position] = int(ends[j])
                     assert tuple(indices) == v.indices
 

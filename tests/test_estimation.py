@@ -774,7 +774,20 @@ class TestNotTheMLE:
         result = fit([project_transactions(p, True) for p in paths], "transactions-timed")
         assert result.params.weights[2] == math.exp(-30.0)
         assert not result.converged
-        assert result.message.endswith("not the MLE: log weight of product 2 at its bound -30")
+        assert result.message.endswith("not the MLE: product 2 never sold, its weight's supremum 0")
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_never_sold_product_inside_the_box(self, naive):
+        # product 1 is offered at stock 3 and never sold: the solve stops
+        # short of the -30 box, but its weight's supremum is still 0
+        assortment = Assortment((0, 1), True)
+        summaries = [
+            SalesSummary(1.0, assortment, {0: 2, 1: 3}, {0: z, 1: 0}) for z in (1, 2)
+        ]
+        result = fit(summaries, "sales", naive=naive)
+        assert result.params.weights[1] > math.exp(-30.0)
+        assert not result.converged
+        assert result.message.endswith("not the MLE: product 1 never sold, its weight's supremum 0")
 
 
 class TestNaiveBaseline:

@@ -268,6 +268,28 @@ class TestVisitValidation:
         with pytest.raises(DataFormatError, match=f"line 5: malformed visit record: {message}"):
             parse_visit(json.dumps(record), 5)
 
+    @pytest.mark.parametrize(
+        "granularity, change, message",
+        [
+            ("sales", {"stocks": {"1": 2, "01": 3}}, "stocks names product 1 more than once"),
+            ("sales", {"data": {"1": 2, " 1": 0}}, "data names product 1 more than once"),
+            ("transactions", {"stocks": {"1": 3, "+1": 1}}, "stocks names product 1 more than once"),
+        ],
+    )
+    def test_two_keys_naming_one_product_rejected(self, granularity, change, message):
+        # int() reads "1", "01", " 1" and "+1" alike, so the last key would
+        # silently win: a stock of 3, or no sales for the two units sold
+        record = {
+            "T": 1.0,
+            "assortment": [1],
+            "stocks": {"1": 3},
+            "granularity": granularity,
+            "data": {"1": 2} if granularity == "sales" else [1],
+            **change,
+        }
+        with pytest.raises(DataFormatError, match=f"line 4: malformed visit record: {message}"):
+            parse_visit(json.dumps(record), 4)
+
     def test_integral_floats_read_as_integers(self):
         record = {
             "T": 1,
@@ -407,6 +429,15 @@ class TestRunConfig:
     def test_repeated_product_rejected(self, field, value, message):
         raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 1.0, field: value}
         with pytest.raises(DataFormatError, match=message):
+            RunConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weights", {"0": 1.0, "1": 0.5, "01": 9.0}), ("stocks", {"1": 2, "01": 3})],
+    )
+    def test_two_keys_naming_one_product_rejected(self, field, value):
+        raw = {"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 1.0, field: value}
+        with pytest.raises(DataFormatError, match=f"{field} names product 1 more than once"):
             RunConfig.from_dict(raw)
 
     def test_integral_float_counts_accepted(self):

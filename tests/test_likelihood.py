@@ -38,10 +38,8 @@ from stockout_demand import choice
 from stockout_demand.likelihood import (
     _compositions_exact,
     fold_timed,
-    stack_tables,
-    table_naive_sales,
+    sales_key,
     table_sales,
-    table_sales_saa,
     table_transactions,
 )
 from stockout_demand.types import InvalidObservation
@@ -413,9 +411,9 @@ class TestImpossibleVisitRules:
     @pytest.mark.parametrize(
         "includes_null, build",
         [
-            (True, lambda obs: table_sales(obs, 6)),
-            (True, lambda obs: table_naive_sales(obs, 6)),
-            (False, lambda obs: table_sales(obs, 0)),
+            (True, lambda obs: table_sales((0, 1), [(sales_key(obs), 1, 6, 0)])),
+            (True, lambda obs: table_sales((0, 1), [(sales_key(obs), 1, 6, 0)], naive=True)),
+            (False, lambda obs: table_sales((0, 1), [(sales_key(obs), 1, 0, 0)])),
         ],
     )
     def test_sales_visit_cannot_be_built(self, change, rule, includes_null, build):
@@ -426,7 +424,7 @@ class TestImpossibleVisitRules:
             value = l5_sales(summary, self.params, TruncationPolicy(m=6))
         else:
             value = l6_generic(summary, self.params)
-        assert build(summary).layouts
+        assert build(summary)[2].size  # its terms
         assert math.isfinite(value)
         with pytest.raises(InvalidObservation, match=rule):
             replace(summary, **change)
@@ -459,8 +457,8 @@ class TestSampleAverageApproximation:
         )
 
         def stacked(seed, key):
-            table = table_sales_saa(summary, 10, 1, seed, key)
-            return stack_tables(summary.initial_assortment.products, [(table, 1)])
+            group = (sales_key(summary), 1, 10, key)
+            return table_sales(summary.initial_assortment.products, [group], 1, seed)
 
         def same(a, b):
             return all(np.array_equal(x, y) for x, y in zip(a, b))

@@ -3,7 +3,9 @@
 The reference below is the earlier per-term stacker: each table holds one
 ``(n, coef, [(assortment, exponent), ...])`` tuple per term, filled layout
 by layout, and the stacker walks every term and segment in Python.
-:func:`stack_tables` must return exactly its arrays, element for element.
+:func:`stack_tables` (complete data and transactions) and
+:func:`table_sales` (every sales estimator) must return exactly its
+arrays, element for element.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from stockout_demand import io as sd_io
-from stockout_demand import simulate
+from stockout_demand import likelihood, simulate
 from stockout_demand.combinatorics import (
     count_stockout_vectors,
     log_binomial,
@@ -24,14 +26,13 @@ from stockout_demand.combinatorics import (
 from stockout_demand.likelihood import (
     TermTable,
     membership_matrix,
+    sales_key,
     stack_tables,
     table_complete,
-    table_naive_sales,
     table_sales,
-    table_sales_saa,
     table_transactions,
 )
-from stockout_demand.types import Assortment, InvalidObservation, SalesSummary
+from stockout_demand.types import Assortment, CompletePath, InvalidObservation, SalesSummary
 
 from conftest import random_transaction_record
 
@@ -234,18 +235,63 @@ NAMES = (
 )
 
 
-def assert_same_stack(observations, build, reference, counts=None):
-    """``stack_tables`` of ``build(obs)`` equals the reference stack of
-    ``reference(obs)``, array for array, dtype and shape included."""
-    catalog = sorted({a for o in observations for a in o.initial_assortment.products})
-    counts = counts or [1] * len(observations)
-    got = stack_tables(catalog, [(build(o), c) for o, c in zip(observations, counts)])
-    want = reference_stack(catalog, [(reference(o), c) for o, c in zip(observations, counts)])
+def catalog_of(observations):
+    return sorted({a for o in observations for a in o.initial_assortment.products})
+
+
+def assert_same_arrays(got, want):
+    """Two stacks are equal array for array, dtype and shape included."""
     assert got[2].size > 0
     for name, g, w in zip(NAMES, got, want):
         assert g.dtype == w.dtype, name
         assert g.shape == w.shape, name
         assert np.array_equal(g, w), name
+
+
+def assert_same_stack(observations, build, reference, counts=None):
+    """``stack_tables`` of ``build(obs)`` equals the reference stack of
+    ``reference(obs)``."""
+    catalog = catalog_of(observations)
+    counts = counts or [1] * len(observations)
+    got = stack_tables(catalog, [(build(o), c) for o, c in zip(observations, counts)])
+    want = reference_stack(catalog, [(reference(o), c) for o, c in zip(observations, counts)])
+    assert_same_arrays(got, want)
+
+
+#: the sales estimators, as ``table_sales`` options
+ESTIMATORS = {
+    "exact": {},
+    "naive": {"naive": True},
+    "saa": {"saa_samples": 4, "seed": 3},
+}
+
+
+def assert_same_sales_stack(
+    summaries, m=lambda s: 0, counts=None, stream=lambda s: 0, **options
+):
+    """``table_sales`` of the summaries, each at truncation ``m(s)`` with
+    SAA stream ``stream(s)``, equals the reference stack of their
+    per-visit reference tables; returns the stack."""
+    catalog = catalog_of(summaries)
+    counts = counts or [1] * len(summaries)
+    groups = [(sales_key(s), c, m(s), stream(s)) for s, c in zip(summaries, counts)]
+    got = table_sales(catalog, groups, **options)
+    if options.get("naive"):
+        reference = lambda s: reference_naive(s, m(s))
+    elif options.get("saa_samples") is not None:
+        samples, seed = options["saa_samples"], options.get("seed", 0)
+        reference = lambda s: reference_saa(s, m(s), samples, seed, stream(s))
+    else:
+        reference = lambda s: reference_exact(s, m(s))
+    want = reference_stack(catalog, [(reference(s), c) for s, c in zip(summaries, counts)])
+    assert_same_arrays(got, want)
+    return got
+
+
+def block_sizes(stacked):
+    """Terms per arrival count ``n`` of a one-visit stack."""
+    n = stacked[3]
+    return dict(zip(*np.unique(n, return_counts=True)))
 
 
 def simulated_sales(config, visits, seed, granularity):
@@ -280,68 +326,60 @@ def null_sales():
 
 class TestStackMatchesReference:
     def test_section7_exact(self, section7_sales):
-        assert_same_stack(
-            section7_sales, lambda s: table_sales(s, 0), lambda s: reference_exact(s, 0)
-        )
+        assert_same_sales_stack(section7_sales)
 
     def test_section7_naive(self, section7_sales):
-        assert_same_stack(
-            section7_sales, lambda s: table_naive_sales(s, 0), lambda s: reference_naive(s, 0)
-        )
+        assert_same_sales_stack(section7_sales, naive=True)
 
     def test_section7_saa(self, section7_sales):
         # one SAA stream per visit
         key = {id(s): i for i, s in enumerate(section7_sales)}
-        assert_same_stack(
-            section7_sales,
-            lambda s: table_sales_saa(s, 0, 16, 0, key[id(s)]),
-            lambda s: reference_saa(s, 0, 16, 0, key[id(s)]),
+        saa = assert_same_sales_stack(
+            section7_sales, stream=lambda s: key[id(s)], saa_samples=16, seed=0
         )
-        assert any(  # some visits sample
-            drawn is not None
-            for s in section7_sales
-            for *_, drawn in table_sales_saa(s, 0, 16, 0, key[id(s)]).layouts
-        )
+        exact = table_sales(catalog_of(section7_sales), [(sales_key(s), 1, 0, 0) for s in section7_sales])
+        assert saa[2].size < exact[2].size  # some visits sample
 
-    @pytest.mark.parametrize(
-        "build, reference",
-        [
-            (
-                lambda s: table_sales(s, s.total_sales + 4),
-                lambda s: reference_exact(s, s.total_sales + 4),
-            ),
-            (
-                lambda s: table_naive_sales(s, s.total_sales + 4),
-                lambda s: reference_naive(s, s.total_sales + 4),
-            ),
-            (
-                lambda s: table_sales_saa(s, s.total_sales + 4, 4, 3, s.total_sales),
-                lambda s: reference_saa(s, s.total_sales + 4, 4, 3, s.total_sales),
-            ),
-        ],
-        ids=["exact", "naive", "saa"],
-    )
-    def test_null_sales_fixed_m(self, null_sales, build, reference):
-        assert_same_stack(null_sales, build, reference, counts=[1, 2, 3] * 3 + [1, 2])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_null_sales_fixed_m(self, null_sales, estimator):
+        # arrival counts up to m, and groups of more than one visit
+        assert_same_sales_stack(
+            null_sales,
+            m=lambda s: s.total_sales + 4,
+            counts=[1, 2, 3] * 3 + [1, 2],
+            stream=lambda s: s.total_sales,
+            **ESTIMATORS[estimator],
+        )
 
     @pytest.mark.parametrize("includes_null", [True, False])
     def test_same_shape_different_products(self, includes_null):
         # products 0, 1 sell out in one visit and 1, 2 in the other, both
-        # with stocks (2, 3) in assortment order: one shape, two tables
+        # with stocks (2, 3) in assortment order: one shape, two groups
         catalog = Assortment((0, 1, 2), includes_null)
         first = SalesSummary(1.0, catalog, {0: 2, 1: 3, 2: 4}, {0: 2, 1: 3, 2: 1})
         second = SalesSummary(1.0, catalog, {0: 4, 1: 2, 2: 3}, {0: 1, 1: 2, 2: 3})
-        observations = [first, second]
-        if includes_null:
-            assert_same_stack(
-                observations,
-                lambda s: table_sales(s, 9),
-                lambda s: reference_exact(s, 9),
-            )
-        else:
-            assert_same_stack(
-                observations, lambda s: table_sales(s, 0), lambda s: reference_exact(s, 0)
-            )
+        assert_same_sales_stack([first, second], m=lambda s: 9 if includes_null else 0)
+
+    @pytest.mark.parametrize("includes_null", [True, False])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_same_products_in_two_orders(self, estimator, includes_null):
+        # one product set listed in two orders: the assortments the two
+        # visits face keep distinct registry rows with equal membership
+        stocks = {0: 3, 2: 2, 4: 2}
+        sales = {0: 1, 2: 2, 4: 2}
+        summaries = [
+            SalesSummary(1.0, Assortment(order, includes_null), stocks, sales)
+            for order in [(2, 0, 4), (0, 2, 4)]
+        ]
+        stacked = assert_same_sales_stack(
+            summaries,
+            m=lambda s: 8 if includes_null else 0,
+            counts=[2, 3],
+            stream=lambda s: s.initial_assortment.products[0],
+            **ESTIMATORS[estimator],
+        )
+        membership = stacked[0]
+        assert len(np.unique(membership, axis=0)) < len(membership)
 
     def test_every_offered_product_sells_out(self):
         # no null option: the last segment faces the empty assortment with
@@ -350,26 +388,55 @@ class TestStackMatchesReference:
             1.0, Assortment((0, 1), False), {0: 2, 1: 1}, {0: 2, 1: 1}
         )
         other = SalesSummary(1.0, Assortment((1, 2), False), {1: 2, 2: 2}, {1: 1, 2: 2})
-        assert_same_stack(
-            [empty_after, other], lambda s: table_sales(s, 0), lambda s: reference_exact(s, 0)
-        )
+        assert_same_sales_stack([empty_after, other])
 
     def test_saa_sample_covering_every_vector(self):
         # at n = 5 there are 5 vectors, so 5 samples cover them (the exact
         # block); at n = 6 and 7 a sample of 5 is drawn
         summary = SalesSummary(1.0, Assortment((0, 1), True), {0: 3, 1: 2}, {0: 3, 1: 2})
-        table = table_sales_saa(summary, 7, 5, 1, 2)
-        assert [(n, drawn is None) for _, n, _, drawn in table.layouts] == [
-            (5, True), (6, False), (7, False)
-        ]
-        assert_same_stack(
-            [summary], lambda s: table, lambda s: reference_saa(s, 7, 5, 1, 2)
+        assert [count_stockout_vectors((3, 2), n) for n in (5, 6, 7)] == [5, 12, 21]
+        stacked = assert_same_sales_stack(
+            [summary], m=lambda s: 7, stream=lambda s: 2, saa_samples=5, seed=1
         )
+        assert block_sizes(stacked) == {5: 5, 6: 5, 7: 5}
+
+    def test_saa_mixes_full_and_drawn_blocks(self):
+        # one group whose every block is drawn (two products of stock 3 sell
+        # out: 6 vectors at n = 6), one drawn only above its first arrival
+        # count, and one that never samples (nothing sells out)
+        assortment = Assortment((0, 1, 2), True)
+        drawn = SalesSummary(1.0, assortment, {0: 3, 1: 3, 2: 4}, {0: 3, 1: 3, 2: 0})
+        mixed = SalesSummary(1.0, assortment, {0: 3, 1: 2, 2: 4}, {0: 3, 1: 2, 2: 0})
+        full = SalesSummary(1.0, assortment, {0: 3, 1: 3, 2: 4}, {0: 1, 1: 2, 2: 3})
+        assert count_stockout_vectors((3, 3), 6) == 6
+        assert count_stockout_vectors((3, 2), 5) == 5
+        summaries = [drawn, mixed, full, drawn]
+        stacked = assert_same_sales_stack(
+            summaries,
+            m=lambda s: s.total_sales + 2,
+            counts=[2, 1, 3, 1],
+            stream=lambda s: s.total_sales,
+            saa_samples=5,
+            seed=4,
+        )
+        starts = list(stacked[6]) + [stacked[2].size]
+        terms = [b - a for a, b in zip(starts, starts[1:])]
+        assert terms[0] == 3 * 5  # n = 6, 7, 8 all drawn
+        assert terms[1] == 5 + 5 + 5  # full at n = 5 (5 vectors), drawn at 6, 7
+        assert terms[2] == 3  # one term per arrival count
 
     @pytest.mark.parametrize("includes_null", [True, False])
-    def test_saa_many_stockouts_faces_only_drawn_subsets(self, includes_null):
-        # 20 products sell out: a table of drawn layouts only names the
-        # sold-out subsets its 4 samples reach, not all 2^20
+    def test_saa_many_stockouts_faces_only_drawn_subsets(self, includes_null, monkeypatch):
+        # 20 products sell out: a group of drawn layouts only faces the
+        # sold-out subsets its 4 samples reach, not all 2^20 candidates
+        stacked_candidates = []
+        stack = likelihood._stacked
+
+        def spy(*args):
+            stacked_candidates.append(len(args[5]))  # the candidates' fields
+            return stack(*args)
+
+        monkeypatch.setattr(likelihood, "_stacked", spy)
         k = 20
         stocks = {a: 1 + a % 2 for a in range(k)}
         stocks[k] = 5000
@@ -377,14 +444,19 @@ class TestStackMatchesReference:
         sales[k] = 970
         summary = SalesSummary(1.0, Assortment(tuple(range(k + 1)), includes_null), stocks, sales)
         m = summary.total_sales + 2
-        table = table_sales_saa(summary, m, 4, 0, 1)
-        blocks = len(table.layouts)
-        assert blocks == (3 if includes_null else 1)
-        assert all(drawn is not None and len(drawn) == 4 for *_, drawn in table.layouts)
-        assert len(table.assortments) <= 1 + blocks * 4 * k
-        assert_same_stack(
-            [summary], lambda s: table, lambda s: reference_saa(s, m, 4, 0, 1)
+        stacked = assert_same_sales_stack(
+            [summary], m=lambda s: m, stream=lambda s: 1, saa_samples=4, seed=0
         )
+        blocks = block_sizes(stacked)
+        assert len(blocks) == (3 if includes_null else 1)
+        assert set(blocks.values()) == {4}
+        (candidates,) = stacked_candidates
+        assert candidates <= 1 + len(blocks) * 4 * k
+
+    def test_saa_samples_below_one_rejected(self):
+        summary = SalesSummary(1.0, Assortment((0,), True), {0: 1}, {0: 1})
+        with pytest.raises(ValueError, match="must be >= 1"):
+            table_sales((0,), [(sales_key(summary), 1, 3, 0)], saa_samples=0)
 
     def test_transaction_tables(self, rng):
         records = [random_transaction_record(rng, max_products=4) for _ in range(25)]
@@ -403,8 +475,8 @@ class TestStackMatchesReference:
     def test_table_without_terms_raises(self):
         # no visit fills a table without terms, but a group without terms
         # would make the kernel's reduceat read the next group's first term
-        possible = SalesSummary(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, {0: 1, 1: 0})
+        possible = CompletePath(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, ((0.5, 0),))
         empty = TermTable(1.0, (0, 1), {})
-        tables = [(table_sales(possible, 4), 1), (empty, 1)]
+        tables = [(table_complete(possible), 1), (empty, 1)]
         with pytest.raises(InvalidObservation, match="term table 1 lists no terms"):
             stack_tables((0, 1), tables)
