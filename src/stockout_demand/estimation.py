@@ -7,8 +7,9 @@ table: :func:`~stockout_demand.likelihood.table_sales` stacks them all in
 one pass, each stock-out layout shape enumerated once.  Complete-data and
 untimed-transaction groups fill one term table each, which
 :func:`~stockout_demand.likelihood.stack_tables` stacks.  Timed
-transactions build no table per visit: their groups fold
-straight into one table of sufficient statistics per assortment (exponent
+transactions build no table per visit:
+:func:`~stockout_demand.likelihood.fold_timed` folds their groups, in one
+pass, into one table of sufficient statistics per assortment (exponent
 and exposure-time totals, plus the sales), so their part of every
 evaluation costs the same whatever the number of visits.  Each optimizer
 step is then a handful of vectorized array operations with analytic
@@ -245,11 +246,13 @@ def compile_dataset(
     naive: bool = False,
 ) -> CompiledDataset:
     """Group identical visits, build their term tables once, concatenate;
-    timed visits fold instead into one table of per-assortment totals.  A
+    timed visits fold instead into one table of per-assortment totals, all
+    their ``(visit, count)`` groups in one :func:`fold_timed` call.  A
     visit not of the granularity's observation class, SAA or naive at a
     non-sales granularity, or SAA and naive together, raises
     :class:`InvalidObservation`.  Each distinct visit object is checked and
-    keyed once, at its first occurrence.
+    keyed once, at its first occurrence.  A group's key is its visit's
+    content, read as values: a horizon written ``1`` or ``1.0`` keys alike.
 
     A sales visit's own null regime picks its likelihood, for the exact,
     SAA and naive estimators alike and under either sales granularity:
@@ -370,7 +373,9 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
 
     The fit is not the MLE, and does not report convergence, when a
     coordinate ends within 1e-6 of its box, when a catalog product is
-    never sold (its weight's supremum is 0), or when the Poisson tail
+    never sold (its weight's supremum is 0), when no visit observes a
+    purchase (nor, for complete data, an arrival), so that the rate is not
+    identified, or when the Poisson tail
     ``P(N > m)`` at ``T * rate`` exceeds :data:`TAIL_EPSILON` for some
     ``(T, m)`` of ``ds.truncations``; its message names the cause.
     """
@@ -397,9 +402,15 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     # a product no visit sells appears only in denominators, so its
     # weight's supremum is 0, wherever the solve stops
     never_sold = ds.counts @ ds.Z + ds.timed_sales == 0
+    # a group's fewest arrivals are those it observes: its purchases, or
+    # its arrivals for complete data; with none at all the likelihood
+    # rises as the rate falls to 0
+    observed = ds.counts @ np.minimum.reduceat(ds.n, ds.bounds) + ds.timed_sales.sum()
     names = ["log rate"] + [f"log weight of product {a}" for a in ds.catalog]
     for i, (name, x, box) in enumerate(zip(names, res.x, bounds)):
-        if i and never_sold[i - 1]:
+        if not i and not observed:
+            causes.append("no purchases, so the rate is not identified")
+        elif i and never_sold[i - 1]:
             causes.append(f"product {ds.catalog[i - 1]} never sold, its weight's supremum 0")
         else:
             causes += [f"{name} at its bound {b:.6g}" for b in box if abs(x - b) <= 1e-6]

@@ -21,10 +21,11 @@ both null regimes (the visit's regime picks its arrival counts: up to
 shape once in numpy.  Complete data and untimed transactions fill one
 :class:`TermTable` of explicit terms per visit, which :func:`stack_tables`
 stacks.  One kernel, :func:`term_loglik_grad`, evaluates the stacked
-arrays' grouped log-sum-exp with its gradient; timed transactions fold
-into one table of per-assortment totals (:func:`fold_timed`), evaluated
-by :func:`timed_loglik_grad`.  ``estimation.compile_dataset`` builds and
-stacks the terms, and is the one way they are evaluated.  Its oracles are
+arrays' grouped log-sum-exp with its gradient; timed transactions fold,
+a dataset in one pass, into one table of per-assortment totals
+(:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
+``estimation.compile_dataset`` builds and stacks the terms, and is the
+one way they are evaluated.  Its oracles are
 the ``l*`` functions: the paper's formulas, written for a general choice
 law, evaluated visit by visit with the attraction probabilities of
 ``choice.prob``.
@@ -616,8 +617,13 @@ def _stacked(
     distinct: Dict[Tuple[Tuple[int, ...], bool], int] = {}
     uid = np.array([distinct.setdefault(f, len(distinct)) for f in candidates], dtype=np.int64)
     fields = list(distinct)
-    first_uid, first_at = np.unique(uid[cand[cand >= 0]], return_index=True)
-    registered = first_uid[np.argsort(first_at)]
+    # each uid's first slot, in one linear pass: the slots far outnumber
+    # the uids, so sorting them would cost more
+    slots = uid[cand[cand >= 0]]
+    first_at = np.full(len(fields), slots.size)
+    np.minimum.at(first_at, slots, np.arange(slots.size))
+    registered = np.flatnonzero(first_at < slots.size)
+    registered = registered[np.argsort(first_at[registered])]
     rank = np.zeros(len(fields), dtype=np.int64)
     rank[registered] = np.arange(registered.size)
     nonzero = exps != 0.0
@@ -983,67 +989,116 @@ def fold_timed(
     one without a null option, raises :class:`InvalidObservation`, as in
     :func:`l3_transactions_timed`.
 
-    A record's segment structure (its segment rows, exponents, stock-out
-    indices and sold columns) depends only on its initial assortment, its
-    stocks and its purchase sequence, so it is computed once per distinct
-    ``(assortment products, stocks, purchased products)`` key (every record
-    here offers the null option); only the durations are read from each
-    record's times."""
-    col = {a: i for i, a in enumerate(catalog)}
-    # keyed by the fields, which hash faster than the dataclass
-    rows_of: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-    assortments: List[Assortment] = []
-    structures: Dict[tuple, tuple] = {}
-    rows: List[int] = []
-    exponents: List[float] = []
-    durations: List[float] = []
-    sold: List[int] = []
-    sold_counts: List[int] = []
+    Python runs once per group, to check it, look up its header (initial
+    assortment and stocks, each distinct one read once) and append its
+    purchases to one flat list; the rest is numpy over every purchase at
+    once.  A purchase sells out its product when the product's running
+    unit count in its record reaches the stock; the sell-outs split each
+    record into segments, bounded by ``0``, the sell-out times and ``T``,
+    whose exponent is the purchases they hold (the sell-out that closes
+    one included) and whose assortment is the header's products less
+    those already sold out.  Totals add record by record, segment by
+    segment, each value weighted by its group's count."""
+    catalog = tuple(catalog)
+    # per distinct header: its id; per group: its header, count, horizon
+    # and purchase count; every purchase's (time, product), group by group
+    headers: Dict[Tuple[Tuple[int, ...], tuple], int] = {}
+    header_of: List[int] = []
+    counts: List[int] = []
+    horizons: List[float] = []
+    lengths: List[int] = []
+    purchases: List[Tuple[Optional[float], int]] = []
     for record, count in groups:
         if not record.timestamps_present:
             raise InvalidObservation("timed transactions need transaction timestamps")
         initial = record.initial_assortment
         if not initial.includes_null:
             raise InvalidObservation("l3 is defined for the null-inclusive regime")
-        purchases = record.products
-        key = (initial.products, tuple(record.stocks[a] for a in initial.products), purchases)
-        structure = structures.get(key)
-        if structure is None:
-            _, seg_counts, seg_assortments, stockout_idx = record.segments()
-            seg_rows = []
-            for assortment in seg_assortments:
-                row_key = (assortment.products, assortment.includes_null)
-                if row_key not in rows_of:
-                    rows_of[row_key] = len(assortments)
-                    assortments.append(assortment)
-                seg_rows.append(rows_of[row_key])
-            structure = structures[key] = (
-                seg_rows,
-                _segment_exponents(seg_counts),
-                stockout_idx,
-                [col[p] for p in purchases],
-            )
-        seg_rows, seg_exponents, stockout_idx, sold_cols = structure
-        rows.extend(seg_rows)
-        exponents.extend(count * e for e in seg_exponents)
-        durations.extend(count * t for t in _timed_segment_durations(record, stockout_idx))
-        sold.extend(sold_cols)
-        sold_counts.extend([count] * len(sold_cols))
+        key = (initial.products, tuple(record.stocks.items()))
+        header_of.append(headers.setdefault(key, len(headers)))
+        counts.append(count)
+        horizons.append(record.horizon)
+        lengths.append(len(record.transactions))
+        purchases += record.transactions
+
+    # per header: its products' columns in its own order (-1 past its
+    # width), and each offered column's place in that order and stock
+    col = {a: i for i, a in enumerate(catalog)}
+    width = max((len(products) for products, _ in headers), default=0)
+    header_cols = np.full((len(headers), max(width, 1)), -1, dtype=np.int64)
+    header_places = np.zeros((len(headers), len(catalog)), dtype=np.int64)
+    header_stocks = np.zeros((len(headers), len(catalog)), dtype=np.int64)
+    for h, (products, stocks) in enumerate(headers):
+        cols = [col[a] for a in products]
+        header_cols[h, : len(cols)] = cols
+        header_places[h, cols] = range(len(cols))
+        header_stocks[h, [col[a] for a, _ in stocks]] = [s for _, s in stocks]
+    header = np.array(header_of, dtype=np.int64)
+    count = np.array(counts, dtype=float)
+
+    # per purchase: its group, time and column, the units of its product
+    # its record has bought so far, and whether that sells the product out
+    owner = np.repeat(np.arange(len(groups)), lengths)
+    times, products = zip(*purchases) if purchases else ((), ())
+    times = np.array(times, dtype=float)
+    by_id = np.argsort(catalog)
+    ids = np.array(catalog, dtype=np.int64)[by_id]
+    bought = by_id[np.searchsorted(ids, np.array(products, dtype=np.int64))]
+    key = owner * len(catalog) + bought
+    by_key = np.argsort(key, kind="stable")
+    run_start = np.ones(key.size, dtype=bool)
+    run_start[1:] = key[by_key[1:]] != key[by_key[:-1]]
+    at = np.arange(key.size)
+    units = np.empty_like(key)
+    units[by_key] = at + 1 - np.maximum.accumulate(np.where(run_start, at, 0))
+    out = units == header_stocks[header[owner], bought]
+
+    # per segment, numbered across groups: its group and place in it, its
+    # purchases (each sell-out closes its segment), its bounds
+    k = np.bincount(owner[out], minlength=len(groups))
+    seg_group = np.repeat(np.arange(len(groups)), k + 1)
+    place = _ranks(k + 1)
+    seg = owner + np.cumsum(out) - out
+    weight = count[seg_group]
+    exponents = np.bincount(seg, minlength=seg_group.size) * weight
+    ends = np.array(horizons, dtype=float)[seg_group]
+    ends[place < k[seg_group]] = times[out]
+    begins = np.zeros(seg_group.size)
+    begins[place > 0] = times[out]
+    durations = weight * (ends - begins)
+    # and its assortment: the header's columns less those sold out before
+    # it, in header order, packed left and padded with -1
+    gone = np.zeros((seg_group.size, header_cols.shape[1]), dtype=np.int64)
+    gone[seg[out] + 1, header_places[header[owner[out]], bought[out]]] = 1
+    gone = np.cumsum(gone, axis=0)
+    gone -= gone[np.arange(seg_group.size) - place]
+    seg_cols = header_cols[header[seg_group]]
+    kept = (seg_cols >= 0) & (gone == 0)
+    faced = np.full(seg_cols.shape, -1, dtype=np.int64)
+    faced[np.nonzero(kept)[0], np.cumsum(kept, axis=1)[kept] - 1] = seg_cols[kept]
+
+    # the registry: the distinct faced rows in order of first appearance
+    rows = faced.view(np.dtype((np.void, faced.strides[0]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    seg_row = np.argsort(order)[inverse.ravel()]
+    assortments = [
+        Assortment(tuple(catalog[c] for c in faced[s].tolist() if c >= 0))
+        for s in first[order].tolist()
+    ]
     return TimedSegmentTable(
-        catalog=tuple(catalog),
-        sales=_totals(sold, sold_counts, len(catalog)),
+        catalog=catalog,
+        sales=_totals(bought, count[owner], len(catalog)),
         assortments=assortments,
-        exponents=_totals(rows, exponents, len(assortments)),
-        durations=_totals(rows, durations, len(assortments)),
+        exponents=_totals(seg_row, exponents, len(assortments)),
+        durations=_totals(seg_row, durations, len(assortments)),
     )
 
 
-def _totals(index: List[int], weights: Sequence[float], size: int) -> np.ndarray:
-    """``weights`` summed per ``index`` in list order, as floats even when
-    there are none (``np.bincount`` then counts in integers)."""
-    return np.bincount(
-        np.asarray(index, dtype=np.int64), np.asarray(weights, dtype=float), size
-    ).astype(float, copy=False)
+def _totals(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``weights`` summed per ``index`` in order, as floats even when there
+    are none (``np.bincount`` then counts in integers)."""
+    return np.bincount(index, weights, size).astype(float, copy=False)
 
 
 def term_loglik_grad(

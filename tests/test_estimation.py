@@ -789,6 +789,44 @@ class TestNotTheMLE:
         assert not result.converged
         assert result.message.endswith("not the MLE: product 1 never sold, its weight's supremum 0")
 
+    @pytest.mark.parametrize(
+        "granularity, visits",
+        [
+            (
+                "sales",
+                [
+                    SalesSummary(1.0, Assortment((0, 1)), {0: 2, 1: 3}, {0: 0, 1: 0}),
+                    SalesSummary(2.0, Assortment((0,)), {0: 1}, {0: 0}),
+                ],
+            ),
+            (
+                "transactions-timed",
+                [
+                    TransactionRecord(1.0, Assortment((0, 1)), {0: 2, 1: 3}, (), True),
+                    TransactionRecord(2.0, Assortment((0,)), {0: 1}, (), True),
+                ],
+            ),
+        ],
+    )
+    def test_no_purchases_leave_the_rate_unidentified(self, granularity, visits):
+        # nothing bought anywhere: the likelihood rises as the rate falls to 0
+        result = fit(visits, granularity)
+        assert result.params.rate == pytest.approx(1e-8)
+        assert not result.converged
+        assert result.message.endswith(
+            "not the MLE: no purchases, so the rate is not identified, "
+            "product 0 never sold, its weight's supremum 0, "
+            "product 1 never sold, its weight's supremum 0"
+        )
+
+    @pytest.mark.parametrize("events", [(), ((0.5, NULL),)])
+    def test_complete_data_rate_unidentified_only_without_arrivals(self, events):
+        # walk-aways are observed arrivals: they identify the rate
+        path = CompletePath(1.0, Assortment((0,)), {0: 1}, events)
+        result = fit([path], "complete")
+        assert not result.converged
+        assert ("rate is not identified" in result.message) == (not events)
+
 
 class TestNaiveBaseline:
     def test_agrees_with_correct_fit_without_stockouts(self):

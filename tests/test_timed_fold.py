@@ -1,12 +1,15 @@
 """Timed-visit folding against a per-visit reference.
 
-The reference below is the earlier timed compile: one table per distinct
-timed visit (its catalog, sales, segment assortments, exponents and
-durations), summed into per-assortment totals by a loop over the tables.
-:func:`fold_timed`, through ``compile_dataset``, must return exactly its
-arrays, and a one-visit table exactly the visit's reference table.
+The reference below folds visit by visit: one table per distinct timed
+visit (its catalog, sales, segment assortments, exponents and durations),
+read off ``segments()`` and summed into per-assortment totals by a loop
+over the tables.  :func:`fold_timed`, directly and through
+``compile_dataset``, must return exactly its arrays, in the same dtypes
+and the same registry order, and a one-visit table exactly the visit's
+reference table.
 """
 
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +19,7 @@ from stockout_demand import io as sd_io
 from stockout_demand import simulate
 from stockout_demand.estimation import _group_key, compile_dataset
 from stockout_demand.likelihood import fold_timed, membership_matrix
+from stockout_demand.types import Assortment, InvalidObservation, TransactionRecord
 
 PRESET = sd_io.SECTION7_PRESET
 
@@ -48,8 +52,9 @@ def reference_table(record):
 
 
 def reference_fold(catalog, groups):
-    """Per-table sums: sales by column, and exponents and durations
-    registered per assortment in order of first appearance."""
+    """Per-table sums: sales by column, the registry of segment
+    assortments in order of first appearance, and exponents and durations
+    per registered assortment."""
     a_of = {a: i for i, a in enumerate(catalog)}
     sales = np.zeros(len(catalog))
     registry = {}
@@ -64,9 +69,28 @@ def reference_fold(catalog, groups):
     rows = np.asarray(rows, dtype=np.int64)
     return (
         sales,
-        membership_matrix(catalog, list(registry)),
+        list(registry),
         np.bincount(rows, np.asarray(exponents), len(registry)),
         np.bincount(rows, np.asarray(durations), len(registry)),
+    )
+
+
+def assert_same_arrays(got, want, names):
+    for name, g, w in zip(names, got, want):
+        assert g.dtype == w.dtype, name
+        assert g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+
+
+def assert_folds_as_reference(groups, catalog):
+    table = fold_timed(groups, catalog)
+    sales, registry, exponents, durations = reference_fold(catalog, groups)
+    assert table.catalog == tuple(catalog)
+    assert table.assortments == registry
+    assert_same_arrays(
+        (table.sales, table.exponents, table.durations),
+        (sales, exponents, durations),
+        ("sales", "exponents", "durations"),
     )
 
 
@@ -88,8 +112,7 @@ def test_records_cover_duplicates_and_several_stockouts(records):
     groups = grouped(records)
     assert len(groups) < len(records)
     assert max(len(r.segments()[0]) for r in records) >= 2
-    # groups that differ only in their times share one segment structure,
-    # which fold_timed computes once
+    # some groups differ only in their times
     sequences = {
         (r.initial_assortment.products, tuple(r.stocks.values()), r.products)
         for r, _ in groups
@@ -99,13 +122,13 @@ def test_records_cover_duplicates_and_several_stockouts(records):
 
 def test_compile_matches_per_table_sum(records):
     ds = compile_dataset(records, "transactions-timed")
-    want = reference_fold(ds.catalog, grouped(records))
-    got = (ds.timed_sales, ds.timed_membership, ds.timed_exponents, ds.timed_durations)
-    names = ("timed_sales", "timed_membership", "timed_exponents", "timed_durations")
-    for name, g, w in zip(names, got, want):
-        assert g.dtype == w.dtype, name
-        assert g.shape == w.shape, name
-        assert np.array_equal(g, w), name
+    sales, registry, exponents, durations = reference_fold(ds.catalog, grouped(records))
+    assert ds._timed[0][0].assortments == registry
+    assert_same_arrays(
+        (ds.timed_sales, ds.timed_membership, ds.timed_exponents, ds.timed_durations),
+        (sales, membership_matrix(ds.catalog, registry), exponents, durations),
+        ("timed_sales", "timed_membership", "timed_exponents", "timed_durations"),
+    )
     # the benchmark reads these two
     assert len(ds._timed) == 1
     assert np.array_equal(ds._timed_cols[0], np.arange(len(ds.catalog)))
@@ -131,3 +154,128 @@ def test_untimed_compile_folds_nothing():
     assert ds._timed == [] and ds._timed_cols == []
     assert ds.timed_exponents.size == 0 and not ds.timed_sales.any()
     assert ds.visits == 20
+
+
+def timed(horizon, products, stocks, purchases):
+    """A timed record with the null option, offering ``products`` in that
+    order at ``stocks``."""
+    return TransactionRecord(
+        horizon, Assortment(tuple(products)), dict(zip(products, stocks)), tuple(purchases), True
+    )
+
+
+#: 72 products: a sold-out set over this catalog does not fit in 64 bits
+WIDE = tuple(range(72))
+
+HAND_BUILT = {
+    "counts above 1": [
+        (timed(1.0, (0, 5), (2, 9), [(0.1, 0), (0.4, 5), (0.6, 0)]), 3),
+        (timed(1.0, (0, 5), (2, 9), [(0.2, 5)]), 2),
+    ],
+    "equal timestamps": [
+        (timed(1.0, (1, 2, 3), (1, 1, 4), [(0.3, 1), (0.3, 3), (0.3, 2), (0.3, 3)]), 1),
+        (timed(1.0, (1, 2), (1, 2), [(0.0, 1), (0.0, 2), (1.0, 2)]), 2),
+    ],
+    "stock-out at the first purchase": [
+        (timed(2, (4, 6), (1, 3), [(0.5, 4), (1.5, 6)]), 2),
+    ],
+    "stock-out at the last purchase": [
+        (timed(1.0, (4, 6), (3, 1), [(0.1, 4), (0.2, 4), (0.9, 6)]), 1),
+    ],
+    "every optional product sells out": [
+        (timed(1.0, (7, 8, 9), (1, 2, 1), [(0.1, 8), (0.2, 9), (0.4, 7), (0.8, 8)]), 2),
+        (timed(1.0, (7,), (1,), [(0.5, 7)]), 1),
+    ],
+    "zero purchases": [
+        (timed(1.0, (0, 1), (1, 1), []), 4),
+        (timed(3, (2,), (5,), []), 1),
+        (timed(1.0, (), (), []), 2),
+    ],
+    "assortments in another order": [
+        (timed(1.0, (70, 3, 65, 1), (1, 2, 1, 5), [(0.1, 70), (0.2, 3), (0.5, 65)]), 1),
+        # the same products listed in catalog order: distinct rows
+        (timed(1.0, (1, 3, 65, 70), (5, 2, 1, 1), [(0.4, 70)]), 2),
+        # offers (3, 65, 1) from the start, as the first record does after
+        # its first purchase: one row
+        (timed(1.0, (3, 65, 1), (2, 1, 5), [(0.7, 1)]), 1),
+    ],
+    "sold-out products beyond column 63": [
+        # 66 and 2, and 70 and 6, share a bit modulo 64
+        (timed(1.0, (2, 66, 70, 6), (1, 1, 1, 1), [(0.2, 66), (0.3, 6)]), 1),
+        (timed(1.0, (2, 66, 70, 6), (1, 1, 1, 1), [(0.2, 2), (0.3, 70)]), 1),
+        (timed(1.0, (71, 64, 0), (1, 1, 3), [(0.1, 0), (0.6, 71), (0.6, 64)]), 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_groups_fold_as_reference(case):
+    assert_folds_as_reference(HAND_BUILT[case], WIDE)
+
+
+def test_all_hand_built_groups_fold_as_reference():
+    assert_folds_as_reference([g for case in sorted(HAND_BUILT) for g in HAND_BUILT[case]], WIDE)
+
+
+def random_groups(seed, groups=150):
+    """Groups of timed records over :data:`WIDE`: random assortments in
+    random order, stocks 1 to 3, purchases of what is still in stock at
+    times rounded to 0.1 (so some are equal), counts 1 to 3, and each
+    fifth record's purchases repeated at other times."""
+    rng = random.Random(seed)
+    out = []
+    for g in range(groups):
+        if g % 5 == 4:
+            record, _ = out[-1]
+            times = sorted(round(rng.uniform(0, 1), 1) for _ in record.transactions)
+            products, stocks = record.initial_assortment.products, record.stocks
+            purchases = list(zip(times, record.products))
+            out.append((timed(1.0, products, [stocks[a] for a in products], purchases), 1))
+            continue
+        products = rng.sample(WIDE, rng.randint(1, 8))
+        stocks = [rng.randint(1, 3) for _ in products]
+        left = dict(zip(products, stocks))
+        bought = []
+        for _ in range(rng.randint(0, 10)):
+            offered = [a for a in products if left[a]]
+            if not offered:
+                break
+            a = rng.choice(offered)
+            left[a] -= 1
+            bought.append(a)
+        times = sorted(round(rng.uniform(0, 1), 1) for _ in bought)
+        out.append((timed(1.0, products, stocks, zip(times, bought)), rng.randint(1, 3)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_wide_groups_fold_as_reference(seed):
+    groups = random_groups(seed)
+    assert any(len(r.segments()[0]) == len(r.initial_assortment.products) for r, _ in groups)
+    assert_folds_as_reference(groups, WIDE)
+
+
+def test_empty_fold():
+    table = fold_timed([], WIDE)
+    assert table.assortments == []
+    assert_same_arrays(
+        (table.sales, table.exponents, table.durations),
+        (np.zeros(len(WIDE)), np.zeros(0), np.zeros(0)),
+        ("sales", "exponents", "durations"),
+    )
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ((0, 1, 2), "timed transactions need transaction timestamps"),
+        ((0, 2, 1), "l3 is defined for the null-inclusive regime"),
+    ],
+)
+def test_first_bad_record_raises(order, message):
+    good = timed(1.0, (0, 1), (1, 2), [(0.5, 0)])
+    untimed = TransactionRecord(1.0, Assortment((0, 1)), {0: 1, 1: 2}, ((None, 0),), False)
+    no_null = TransactionRecord(1.0, Assortment((0, 1), False), {0: 1, 1: 2}, ((0.5, 0),), True)
+    records = [good, untimed, no_null]
+    with pytest.raises(InvalidObservation, match=f"^{message}$"):
+        fold_timed([(records[i], 1) for i in order], (0, 1))
