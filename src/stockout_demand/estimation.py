@@ -5,8 +5,9 @@ with multiplicities, and the groups are stacked into one set of arrays
 whose assortment denominators share one registry.  Sales groups build no
 table: :func:`~stockout_demand.likelihood.table_sales` stacks them all in
 one pass, each stock-out layout shape enumerated once.  Complete-data and
-untimed-transaction groups fill one term table each, which
-:func:`~stockout_demand.likelihood.stack_tables` stacks.  Timed
+untimed-transaction groups stack likewise, in one
+:func:`~stockout_demand.likelihood.table_sequences` call: a complete path
+at its own arrival count, an untimed record at its truncation.  Timed
 transactions build no table per visit:
 :func:`~stockout_demand.likelihood.fold_timed` folds their groups, in one
 pass, into one table of sufficient statistics per assortment (exponent
@@ -36,16 +37,13 @@ from scipy.special import pdtrc
 from . import choice
 from .likelihood import (
     TAIL_EPSILON,
-    TermTable,
     TimedSegmentTable,
     TruncationPolicy,
     fold_timed,
     membership_matrix,
     sales_key,
-    stack_tables,
-    table_complete,
     table_sales,
-    table_transactions,
+    table_sequences,
     term_loglik_grad,
     timed_loglik_grad,
 )
@@ -245,8 +243,8 @@ def compile_dataset(
     seed: int = 0,
     naive: bool = False,
 ) -> CompiledDataset:
-    """Group identical visits, build their term tables once, concatenate;
-    timed visits fold instead into one table of per-assortment totals, all
+    """Group identical visits and stack every group's terms once; timed
+    visits fold instead into one table of per-assortment totals, all
     their ``(visit, count)`` groups in one :func:`fold_timed` call.  A
     visit not of the granularity's observation class, SAA or naive at a
     non-sales granularity, or SAA and naive together, raises
@@ -299,7 +297,7 @@ def compile_dataset(
     # summed over every visit in order: the start point depends on it
     rate = naive_rate(observations)
     rate_cap = RATE_CAP_FACTOR * rate
-    tables: List[Tuple[TermTable, int]] = []
+    sequences: List[Tuple[Observation, int, int]] = []
     sales: List[tuple] = []
     timed: List[Tuple[TransactionRecord, int]] = []
     # m depends only on the horizon and the observed count here
@@ -309,25 +307,23 @@ def compile_dataset(
             timed.append((obs, len(members)))
             continue
         # only a visit with a null option has a latent arrival count, and
-        # complete data observe it
-        m = 0
+        # complete data observe it: every other visit's m is its own count
+        m = _observed_count(obs)
         if obs.initial_assortment.includes_null and granularity != "complete":
-            size_key = (obs.horizon, _observed_count(obs))
+            size_key = (obs.horizon, m)
             if size_key not in sizes:
-                sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, size_key[1])
+                sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, m)
             m = sizes[size_key]
         if kind is SalesSummary:
             # ints/floats hash deterministically, so this key is stable per run
             sales.append((key, len(members), m, hash(key) & 0x7FFFFFFF))
         else:
-            complete = granularity == "complete"
-            table = table_complete(obs) if complete else table_transactions(obs, m)
-            tables.append((table, len(members)))
+            sequences.append((obs, len(members), m))
     return CompiledDataset(
         tuple(catalog),
         table_sales(catalog, sales, saa_samples, seed, naive)
         if kind is SalesSummary
-        else stack_tables(catalog, tables),
+        else table_sequences(catalog, sequences),
         fold_timed(timed, catalog),
         rate,
         len(observations),

@@ -18,10 +18,13 @@ Sales build no table per visit: :func:`table_sales` stacks a dataset's
 sales visits in one pass, for the exact, SAA and naive estimators and
 both null regimes (the visit's regime picks its arrival counts: up to
 ``m`` for ``l5``, the sales for ``l6``), enumerating each distinct layout
-shape once in numpy.  Complete data and untimed transactions fill one
-:class:`TermTable` of explicit terms per visit, which :func:`stack_tables`
-stacks.  One kernel, :func:`term_loglik_grad`, evaluates the stacked
-arrays' grouped log-sum-exp with its gradient; timed transactions fold,
+shape once in numpy.  Complete paths and untimed transactions (complete
+paths with the null choices dropped) stack through one builder,
+:func:`table_sequences`: a term per way of spreading the arrivals a
+sequence does not show over its segments as hidden null choices, one
+``l2`` term when nothing is hidden.  One kernel,
+:func:`term_loglik_grad`, evaluates the stacked arrays' grouped
+log-sum-exp with its gradient; timed transactions fold,
 a dataset in one pass, into one table of per-assortment totals
 (:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
 ``estimation.compile_dataset`` builds and stacks the terms, and is the
@@ -49,11 +52,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product as iter_product
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import poisson as poisson_dist
+from scipy.special import logsumexp, pdtrc
 
 from . import choice
 from .combinatorics import (
@@ -86,14 +88,11 @@ __all__ = [
     "counterexample_expectations",
     "counterexample_bruteforce",
     "l4_lauricella",
-    "TermTable",
     "TimedSegmentTable",
-    "table_complete",
-    "table_transactions",
+    "table_sequences",
     "table_sales",
     "sales_key",
     "fold_timed",
-    "stack_tables",
     "term_loglik_grad",
     "timed_loglik_grad",
 ]
@@ -129,7 +128,8 @@ class TruncationPolicy:
             return self.m
         mu = horizon * rate_cap
         m = max(observed, int(math.ceil(mu)))
-        while poisson_dist.sf(m, mu) >= TAIL_EPSILON:
+        # pdtrc(m, mu) is the Poisson tail P(N > m)
+        while pdtrc(m, mu) >= TAIL_EPSILON:
             m += 1
         return m
 
@@ -334,8 +334,11 @@ def l4_integral(
 
     Averages ``exp(T lambda * sum_j P_o^[j] q_j)`` over Dirichlet-distributed
     segment-length fractions ``q``.  Returns ``(log estimate, standard
-    error of the log estimate)``.
+    error of the log estimate)``.  ``mc_samples`` below 1 raises
+    :class:`ValueError`.
     """
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be >= 1, got {mc_samples}")
     seg_counts, log_purchases, p_null = _purchase_terms(record, params)
     mu = record.horizon * params.rate
     n_purch = record.total
@@ -484,38 +487,6 @@ def membership_matrix(catalog: Sequence[int], assortments: Sequence[Assortment])
     return rows
 
 
-class TermTable:
-    """A likelihood compiled to ``sum_a z_a log f_a + LSE_i(term_i)`` where
-    ``term_i = coef_i + n_i log(T lambda) - T lambda - sum_d E_id log D_d``
-    and ``D_d`` are assortment denominators.
-
-    The table names the assortments its terms can face, ``assortments``,
-    and lists its terms explicitly in parameter-free form, so one fill
-    serves every evaluation during optimization: ``explicit_n`` /
-    ``explicit_coef`` / ``explicit_exp``, whose segment ``j`` faces
-    ``assortments[j]`` with exponent ``explicit_exp[i][j]``.  Complete data
-    and untimed transactions fill one table per visit; sales visits build
-    no table, :func:`table_sales` stacks them directly.
-
-    A table is a plain record: :func:`stack_tables` turns a dataset's
-    tables into the flat arrays of :func:`term_loglik_grad`, which
-    ``estimation.compile_dataset`` holds.  Every visit, being possible,
-    fills at least one term; stacking a table without terms raises
-    :class:`InvalidObservation`.
-    """
-
-    def __init__(
-        self, horizon: float, catalog: Sequence[int], sales: Mapping[int, int]
-    ) -> None:
-        self.horizon = horizon
-        self.catalog = tuple(catalog)
-        self.sales = [sales.get(a, 0) for a in self.catalog]
-        self.assortments: Sequence[Assortment] = []
-        self.explicit_n: List[int] = []
-        self.explicit_coef: List[float] = []
-        self.explicit_exp: List[Sequence[float]] = []
-
-
 def _shape_layouts(stocks: np.ndarray, n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every layout of each sales shape ``(stocks[i], n[i])``, all with
     ``k = stocks.shape[1]`` products selling out: the shape, the stock-out
@@ -608,7 +579,8 @@ def _stacked(
     """
     terms = np.asarray(terms, dtype=np.int64)
     # a group without terms would make the kernel's reduceat read the next
-    # group's first term; no visit fills such a table
+    # group's first term; only a caller's ``m`` below a visit's observed
+    # count leaves one
     empty = np.flatnonzero(terms == 0)
     if empty.size:
         raise InvalidObservation(f"term table {empty[0]} lists no terms")
@@ -657,33 +629,71 @@ def _ranks(lens: np.ndarray) -> np.ndarray:
     return np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
 
 
-def stack_tables(
-    catalog: Sequence[int], tables: Sequence[Tuple[TermTable, float]]
+def table_sequences(
+    catalog: Sequence[int],
+    groups: Sequence[Tuple[Union[CompletePath, TransactionRecord], float, int]],
 ) -> Tuple[np.ndarray, ...]:
-    """The arrays :func:`term_loglik_grad` takes after ``x``, for the
-    groups ``(table, count)`` over the products ``catalog``.
+    """The arrays :func:`term_loglik_grad` takes after ``x`` for a
+    dataset's choice sequences, over the products ``catalog``: complete
+    paths (``l2``) and untimed transaction records (``l4``), which are
+    complete paths with their null choices dropped.
 
-    Terms come table by table, each table's explicit terms in order, all
-    filled in one pass; their candidates are the table's assortments.
-    Raises :class:`InvalidObservation` for a hand-built table without
-    terms.
+    A group is ``(visit, count, m)``: ``count`` copies of a visit with at
+    most ``m`` arrivals.  A path observes every arrival's choice, a record
+    only its purchases; a record without a null option raises
+    :class:`InvalidObservation`.  The group has one term for each way
+    ``n_o`` of spreading ``m`` minus its observed choices over its
+    constant-assortment segments as hidden null arrivals, in
+    :func:`_compositions_at_most` order: arrival count ``n = observed +
+    |n_o|``, coefficient ``-log n! + sum_j log C(n_o_j + s_j, n_o_j)``
+    (segment ``j`` holding ``s_j`` observed choices, its closing stock-out
+    excluded) and segment ``j``'s exponent raised by ``n_o_j``.  A path at
+    its own arrival count hides nothing, so its one term is ``l2``; a group
+    whose ``m`` is below its observed count has no terms, which
+    :func:`_stacked` refuses.
     """
-    # every candidate's fields; per term: its table's first candidate and
-    # its width; every exponent
+    # every candidate's fields; per term: its group's first candidate and
+    # its segment count; every exponent; per group: its term count; per
+    # product of every group: the product and its sales
     candidates: List[Tuple[Tuple[int, ...], bool]] = []
     offsets: List[int] = []
-    widths: List[int] = []
+    spans: List[int] = []
     flat_exps: List[float] = []
     n: List[int] = []
     coef: List[float] = []
-    for table, _ in tables:
-        offsets += [len(candidates)] * len(table.explicit_n)
-        widths += [len(table.assortments)] * len(table.explicit_n)
-        candidates += [(a.products, a.includes_null) for a in table.assortments]
-        flat_exps += [e for row in table.explicit_exp for e in row]
-        n += table.explicit_n
-        coef += table.explicit_coef
-    lens = np.array(widths, dtype=np.int64)
+    terms: List[int] = []
+    products: List[int] = []
+    sales: List[int] = []
+    for visit, _, m in groups:
+        if isinstance(visit, CompletePath):
+            sequence = visit.choices
+        elif visit.initial_assortment.includes_null:
+            sequence = visit.products
+        else:
+            raise InvalidObservation("l4 is defined for the null-inclusive regime")
+        _, seg_counts, assortments, _ = visit.segments()
+        # choices made from each segment's assortment: its counted choices,
+        # plus the stock-out purchase that closes every segment but the last
+        k = len(seg_counts) - 1
+        exponents = [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
+        observed = len(sequence)
+        first = len(n)
+        for n_o in _compositions_at_most(m - observed, len(exponents)):
+            arrivals = observed + sum(n_o)
+            term_coef = -math.lgamma(arrivals + 1)
+            for extra, size in zip(n_o, seg_counts):
+                term_coef += log_binomial(extra + size, extra)
+            n.append(arrivals)
+            coef.append(term_coef)
+            flat_exps += [e + extra for e, extra in zip(exponents, n_o)]
+        terms.append(len(n) - first)
+        offsets += [len(candidates)] * terms[-1]
+        spans += [len(assortments)] * terms[-1]
+        candidates += [(a.products, a.includes_null) for a in assortments]
+        offered = visit.initial_assortment.products
+        products += offered
+        sales += [sequence.count(a) for a in offered]
+    lens = np.array(spans, dtype=np.int64)
     term = np.repeat(np.arange(len(n)), lens)
     within = _ranks(lens)
     cand = np.full((len(n), int(lens.max(initial=0))), -1, dtype=np.int64)
@@ -697,64 +707,13 @@ def stack_tables(
         cand,
         exps,
         candidates,
-        [len(table.explicit_n) for table, _ in tables],
-        [count for _, count in tables],
-        [table.horizon for table, _ in tables],
-        [len(table.catalog) for table, _ in tables],
-        [a for table, _ in tables for a in table.catalog],
-        [z for table, _ in tables for z in table.sales],
+        terms,
+        [count for _, count, _ in groups],
+        [visit.horizon for visit, _, _ in groups],
+        [len(visit.initial_assortment.products) for visit, _, _ in groups],
+        products,
+        sales,
     )
-
-
-def _purchase_counts(choices: Iterable[Optional[int]]) -> Dict[int, int]:
-    """Units bought of every product among ``choices``."""
-    counts: Dict[int, int] = {}
-    for c in choices:
-        if c is not NULL:
-            counts[c] = counts.get(c, 0) + 1
-    return counts
-
-
-def _segment_exponents(seg_counts: Sequence[int]) -> List[float]:
-    """Choices made from each segment's assortment: its counted choices,
-    plus the stock-out purchase that closes every segment but the last."""
-    k = len(seg_counts) - 1
-    return [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
-
-
-def table_complete(path: CompletePath) -> TermTable:
-    """Choice-sequence probability (``l2``) as a one-term table."""
-    table = TermTable(
-        path.horizon, path.initial_assortment.products, _purchase_counts(path.choices)
-    )
-    _, seg_counts, table.assortments, _ = path.segments()
-    n = path.arrivals
-    table.explicit_n.append(n)
-    table.explicit_coef.append(-math.lgamma(n + 1))
-    table.explicit_exp.append(_segment_exponents(seg_counts))
-    return table
-
-
-def table_transactions(record: TransactionRecord, m: int) -> TermTable:
-    """Timestamp-free transaction likelihood (``l4``) as a term table; a
-    record without a null option raises :class:`InvalidObservation`."""
-    if not record.initial_assortment.includes_null:
-        raise InvalidObservation("l4 is defined for the null-inclusive regime")
-    table = TermTable(
-        record.horizon, record.initial_assortment.products, _purchase_counts(record.products)
-    )
-    _, seg_counts, table.assortments, _ = record.segments()
-    exponents = _segment_exponents(seg_counts)
-    n_purch = record.total
-    for n_o in _compositions_at_most(m - n_purch, len(exponents)):
-        n = n_purch + sum(n_o)
-        coef = -math.lgamma(n + 1)
-        for j, extra in enumerate(n_o):
-            coef += log_binomial(extra + seg_counts[j], extra)
-        table.explicit_n.append(n)
-        table.explicit_coef.append(coef)
-        table.explicit_exp.append([e + extra for e, extra in zip(exponents, n_o)])
-    return table
 
 
 def sales_key(summary: SalesSummary) -> tuple:

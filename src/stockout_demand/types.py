@@ -270,10 +270,6 @@ class SalesSummary:
             if self.sales.get(a, 0) == self.stocks.get(a)
         )
 
-    @property
-    def stockout_count(self) -> int:
-        return len(self.stocked_out)
-
     def validate(self) -> None:
         """Raise :class:`InvalidObservation` at the first broken rule: the
         horizon and stocks, then sales outside ``[0, stock]`` or of a

@@ -274,7 +274,7 @@ class TestSingleVisitIsOneGroupDataset:
             two_product_config(include_null=include_null, stock=1), 6, seed=21
         )
         # layouts with one and with two stock-outs
-        assert {1, 2} <= {project_sales(p).stockout_count for p in paths}
+        assert {1, 2} <= {len(project_sales(p).stocked_out) for p in paths}
         rnd = random.Random(22)
         policy = TruncationPolicy(m=8)  # at least every visit's purchase count
         for path in paths:
@@ -296,7 +296,7 @@ class TestSingleVisitIsOneGroupDataset:
         if include_null:
             config = replace(config, rate=10.0)
         paths = simulate_dataset(config.visit_config(), 10, seed=26)
-        assert {1, 2} <= {project_sales(p).stockout_count for p in paths}
+        assert {1, 2} <= {len(project_sales(p).stocked_out) for p in paths}
         m = 2 + max(sum(c is not NULL for c in p.choices) for p in paths)
         policy = TruncationPolicy(m=m)
         groups = [(project_path(p, granularity), 1 + i % 3) for i, p in enumerate(paths)]

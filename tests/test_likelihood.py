@@ -2,7 +2,10 @@
 sample-average approximation, and the conditional-demand counter-example."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iter_product
@@ -23,6 +26,7 @@ from stockout_demand import (
     counterexample_bruteforce,
     counterexample_expectations,
     dataset_log_likelihood,
+    fit,
     l1_complete,
     l2_choice_sequence,
     l3_transactions_timed,
@@ -36,11 +40,12 @@ from stockout_demand import (
 )
 from stockout_demand import choice
 from stockout_demand.likelihood import (
+    TAIL_EPSILON,
     _compositions_exact,
     fold_timed,
     sales_key,
     table_sales,
-    table_transactions,
+    table_sequences,
 )
 from stockout_demand.types import InvalidObservation
 
@@ -83,6 +88,26 @@ class TestTruncationPolicy:
         with pytest.raises(ValueError, match="truncation m must be >= 0, got -1"):
             TruncationPolicy(m=-1)
         assert TruncationPolicy(m=0).resolve(1.0, 2.0, observed=0) == 0
+
+    @pytest.mark.parametrize("observed", [0, 7, 400])
+    def test_adaptive_matches_scipy_poisson_tail(self, observed):
+        # the smallest m >= max(observed, ceil(mu)) whose tail P(N > m),
+        # by scipy.stats as the oracle, is below the tail epsilon
+        for mu in np.geomspace(1e-3, 2000.0, 41):
+            want = max(observed, math.ceil(mu))
+            while poisson.sf(want, mu) >= TAIL_EPSILON:
+                want += 1
+            assert TruncationPolicy().resolve(2.0, mu / 2.0, observed) == want, mu
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the package's Poisson tails come from scipy.special; loading
+    # scipy.stats would cost every run its import time and memory
+    src = os.path.dirname(os.path.dirname(choice.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = "import sys, stockout_demand.cli; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestCompositions:
@@ -234,7 +259,24 @@ def test_transaction_tables_refuse_no_null_regime(timed):
         if timed:
             fold_timed([(record, 1)], record.initial_assortment.products)
         else:
-            table_transactions(record, 6)
+            table_sequences(record.initial_assortment.products, [(record, 1, 6)])
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda visits: compile_dataset(visits, "transactions"),
+        lambda visits: fit(visits, "transactions"),
+    ],
+    ids=["compile_dataset", "fit"],
+)
+def test_untimed_no_null_record_refused(route):
+    # a record's hidden null choices need a null option to choose
+    record = TransactionRecord(
+        1.0, Assortment((0, 1), False), {0: 1, 1: 3}, ((None, 0), (None, 1)), False
+    )
+    with pytest.raises(InvalidObservation, match="null-inclusive"):
+        route([record])
 
 
 class TestUntimedTransactions:
@@ -257,6 +299,13 @@ class TestUntimedTransactions:
         exact = l4_transactions(record, params, TruncationPolicy())
         est, rel_se = l4_integral(record, params, mc_samples=200_000, seed=5)
         assert abs(est - exact) < 3.0 * rel_se + 1e-9
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_monte_carlo_needs_a_sample(self, rng, samples):
+        record = random_transaction_record(rng, max_purchases=4)
+        params = random_params(rng, record.initial_assortment.products)
+        with pytest.raises(ValueError, match=f"mc_samples must be >= 1, got {samples}"):
+            l4_integral(record, params, mc_samples=samples, seed=5)
 
     def test_normalization(self):
         # 2 products, one unit each: only five feasible purchase sequences;

@@ -3,7 +3,7 @@
 The reference below is the earlier per-term stacker: each table holds one
 ``(n, coef, [(assortment, exponent), ...])`` tuple per term, filled layout
 by layout, and the stacker walks every term and segment in Python.
-:func:`stack_tables` (complete data and transactions) and
+:func:`table_sequences` (complete data and untimed transactions) and
 :func:`table_sales` (every sales estimator) must return exactly its
 arrays, element for element.
 """
@@ -24,13 +24,10 @@ from stockout_demand.combinatorics import (
     sample_stockout_vectors,
 )
 from stockout_demand.likelihood import (
-    TermTable,
     membership_matrix,
     sales_key,
-    stack_tables,
-    table_complete,
     table_sales,
-    table_transactions,
+    table_sequences,
 )
 from stockout_demand.types import Assortment, CompletePath, InvalidObservation, SalesSummary
 
@@ -248,12 +245,12 @@ def assert_same_arrays(got, want):
         assert np.array_equal(g, w), name
 
 
-def assert_same_stack(observations, build, reference, counts=None):
-    """``stack_tables`` of ``build(obs)`` equals the reference stack of
-    ``reference(obs)``."""
+def assert_same_stack(observations, m, reference, counts):
+    """``table_sequences`` of the visits, each at ``m(obs)`` arrivals at
+    most, equals the reference stack of ``reference(obs)``."""
     catalog = catalog_of(observations)
-    counts = counts or [1] * len(observations)
-    got = stack_tables(catalog, [(build(o), c) for o, c in zip(observations, counts)])
+    groups = [(o, c, m(o)) for o, c in zip(observations, counts)]
+    got = table_sequences(catalog, groups)
     want = reference_stack(catalog, [(reference(o), c) for o, c in zip(observations, counts)])
     assert_same_arrays(got, want)
 
@@ -312,7 +309,7 @@ def null_sales():
     config = replace(sd_io.SECTION7_PRESET, include_null=True, rate=10.0)
     by_count = {}
     for summary in simulated_sales(config, 400, 5, "sales"):
-        by_count.setdefault(summary.stockout_count, []).append(summary)
+        by_count.setdefault(len(summary.stocked_out), []).append(summary)
     assortment = Assortment((0, 1, 2, 3, 4), True)
     stocks = {a: 3 for a in assortment.products}
     by_count[3] = [
@@ -320,7 +317,7 @@ def null_sales():
         SalesSummary(1.0, assortment, stocks, {0: 0, 1: 2, 2: 3, 3: 3, 4: 3}),
     ]
     summaries = [s for k in range(4) for s in by_count[k][:3]]
-    assert sorted({s.stockout_count for s in summaries}) == [0, 1, 2, 3]
+    assert sorted({len(s.stocked_out) for s in summaries}) == [0, 1, 2, 3]
     return summaries
 
 
@@ -458,25 +455,34 @@ class TestStackMatchesReference:
         with pytest.raises(ValueError, match="must be >= 1"):
             table_sales((0,), [(sales_key(summary), 1, 3, 0)], saa_samples=0)
 
-    def test_transaction_tables(self, rng):
+    @pytest.mark.parametrize("counts", [1, 3], ids=["single", "repeated"])
+    def test_transaction_tables(self, rng, counts):
         records = [random_transaction_record(rng, max_products=4) for _ in range(25)]
         assert_same_stack(
             records,
-            lambda r: table_transactions(r, r.total + 3),
+            lambda r: r.total + 3,
             lambda r: reference_transactions(r, r.total + 3),
+            [1 + i % counts for i in range(len(records))],
         )
 
-    def test_complete_tables(self):
-        config = replace(sd_io.SECTION7_PRESET, include_null=True, rate=10.0)
+    @pytest.mark.parametrize("includes_null", [True, False])
+    @pytest.mark.parametrize("counts", [1, 3], ids=["single", "repeated"])
+    def test_complete_tables(self, includes_null, counts):
+        # a path at its own arrival count hides no null arrival
+        config = replace(sd_io.SECTION7_PRESET, include_null=includes_null, rate=10.0)
         paths = simulate.simulate_dataset(config.visit_config(), 60, 3)
         assert any(len(p.segments()[2]) > 1 for p in paths)  # some stock out
-        assert_same_stack(paths, table_complete, reference_complete)
+        assert_same_stack(
+            paths,
+            lambda p: p.arrivals,
+            reference_complete,
+            [1 + i % counts for i in range(len(paths))],
+        )
 
-    def test_table_without_terms_raises(self):
-        # no visit fills a table without terms, but a group without terms
+    def test_group_without_terms_raises(self):
+        # a group whose m is below its observed count has no terms, which
         # would make the kernel's reduceat read the next group's first term
-        possible = CompletePath(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, ((0.5, 0),))
-        empty = TermTable(1.0, (0, 1), {})
-        tables = [(table_complete(possible), 1), (empty, 1)]
+        path = CompletePath(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, ((0.5, 0),))
+        groups = [(path, 1, path.arrivals), (path, 1, path.arrivals - 1)]
         with pytest.raises(InvalidObservation, match="term table 1 lists no terms"):
-            stack_tables((0, 1), tables)
+            table_sequences((0, 1), groups)
