@@ -6,7 +6,10 @@ rejected with the offending line number.  Serialization is canonical
 (fixed key order, shortest round-trip numbers), so parse → re-serialize
 is byte-identical.  Coarse records repeat often (the same assortment,
 stocks and sales, or no purchase at all), so a read parses each distinct
-line once and its repeats share that one read-only visit.
+line once and its repeats share that one read-only visit.  A worker
+restocks to the same levels at each visit, so distinct lines repeat a few
+headers (``T``, assortment, stocks): a read checks and builds each distinct
+header once, and the visits that share it share its assortment.
 """
 
 from __future__ import annotations
@@ -292,48 +295,128 @@ def serialize_visit(obs: Observation, granularity: str) -> str:
     return json.dumps(record, separators=(", ", ": "))
 
 
+#: JSON's whitespace: ``str.strip()`` with no argument would also strip
+#: "\u00a0" and "\u2028", which json.loads refuses after a value
+_JSON_SPACE = " \t\n\r"
+_scan_once = json.JSONDecoder().scan_once
+_INT = frozenset({int})
+_TIME = frozenset({float})
+_CHOICE = frozenset({int, type(None)})
+
+
+def _decode(text: str):
+    """``json.loads(text)``, by its C scanner alone when the value starts at
+    the first character and only JSON whitespace follows it; on a short
+    line json.loads's Python wrapper costs half as much as the scan.  Any
+    other text goes through json.loads, which gives its reading or error."""
+    try:
+        raw, end = _scan_once(text, 0)
+    except (StopIteration, TypeError):  # no value at 0 (whitespace, BOM), or bytes
+        return json.loads(text)
+    if text[end:].strip(_JSON_SPACE):
+        return json.loads(text)  # raises "Extra data" where the value ends
+    return raw
+
+
+def _header(raw: dict, granularity: str, headers: dict) -> Tuple[float, Assortment, dict]:
+    """The visit's horizon, assortment and stocks, read strictly from its
+    ``T``, ``assortment`` and ``stocks``.
+
+    ``headers`` maps the raw values of each header already built to what
+    was built, so visits that share a header share its assortment (the
+    visit copies the stocks).  Only a float ``T`` with int products and
+    stocks is looked up: the strict reading returns those values as they
+    are, and their exact types make ``==`` safe (``true == 1`` and
+    ``1.0 == 1``), so a header of any other types is read strictly again.
+    """
+    T, products, stocks = raw["T"], raw["assortment"], raw["stocks"]
+    key = None
+    if (
+        type(T) is float
+        and type(products) is list
+        and type(stocks) is dict
+        and _INT.issuperset(map(type, products))
+        and _INT.issuperset(map(type, stocks.values()))
+    ):
+        key = (granularity, T, tuple(products), tuple(stocks.items()))
+        header = headers.get(key)
+        if header is not None:
+            return header
+    horizon = _real(T, "T")
+    products = tuple(_integer(a, "product id") for a in products)
+    stocks = {int(a): _integer(s, "stock") for a, s in stocks.items()}
+    if len(stocks) < len(raw["stocks"]):
+        raise _repeated_product(raw["stocks"], "stocks")
+    header = horizon, Assortment(products, granularity != "sales-no-null"), stocks
+    if key is not None:
+        headers[key] = header
+    return header
+
+
+def _typed_pairs(data, first: frozenset, second: frozenset) -> Optional[tuple]:
+    """The ``[x, y]`` items of the JSON list ``data`` as pairs, when every
+    ``x`` has a type in ``first`` and every ``y`` one in ``second``: the
+    types the strict reading returns as they are.  None otherwise, and the
+    caller reads ``data`` strictly, which raises the error.  From three
+    items on, the one pass costs less than the strict reading's two helper
+    calls per item."""
+    if type(data) is not list:
+        return None
+    try:
+        pairs = [(x, y) for x, y in data if type(x) in first and type(y) in second]
+    except (TypeError, ValueError):  # an item that is not a pair
+        return None
+    return tuple(pairs) if len(pairs) == len(data) else None
+
+
 def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
     """Parse one JSONL visit line; returns the observation and granularity."""
+    return _parse_visit(text, line, {})
+
+
+def _parse_visit(text: str, line: int, headers: dict) -> Tuple[Observation, str]:
+    """:func:`parse_visit`, sharing ``headers`` (see :func:`_header`) with
+    the other lines of one read."""
     try:
-        raw = json.loads(text)
+        raw = _decode(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"invalid JSON: {exc}", line)
     if not isinstance(raw, dict):
         raise DataFormatError("visit record must be a JSON object", line)
-    unknown = set(raw) - _VISIT_KEYS
-    if unknown:
-        raise DataFormatError(f"unknown fields {sorted(unknown)}", line)
-    missing = _VISIT_KEYS - set(raw)
-    if missing:
+    if raw.keys() != _VISIT_KEYS:
+        unknown = set(raw) - _VISIT_KEYS
+        if unknown:
+            raise DataFormatError(f"unknown fields {sorted(unknown)}", line)
+        missing = _VISIT_KEYS - set(raw)
         raise DataFormatError(f"missing fields {sorted(missing)}", line)
     granularity = raw["granularity"]
     if granularity not in GRANULARITIES:
         raise DataFormatError(f"unknown granularity {granularity!r}", line)
     # values are read strictly, so a stock of 1.5 or a time of "0.5" is an
-    # error rather than 1 or 0.5; a visit the process could not produce
-    # fails its own construction, its broken rule the message
+    # error rather than 1 or 0.5 (timed pairs whose values all have the
+    # types the strict reading returns unchanged are taken as they are); a
+    # visit the process could not produce fails its own construction, its
+    # broken rule the message
     try:
-        horizon = _real(raw["T"], "T")
-        products = tuple(_integer(a, "product id") for a in raw["assortment"])
-        stocks = {int(a): _integer(s, "stock") for a, s in raw["stocks"].items()}
-        if len(stocks) < len(raw["stocks"]):
-            raise _repeated_product(raw["stocks"], "stocks")
-        assortment = Assortment(products, granularity != "sales-no-null")
+        horizon, assortment, stocks = _header(raw, granularity, headers)
         data = raw["data"]
         obs: Observation
         if granularity == "complete":
-            events = tuple(
-                (_real(t, "time"), None if c is None else _integer(c, "choice"))
-                for t, c in data
-            )
+            events = _typed_pairs(data, _TIME, _CHOICE)
+            if events is None:
+                events = tuple(
+                    (_real(t, "time"), None if c is None else _integer(c, "choice"))
+                    for t, c in data
+                )
             obs = CompletePath(horizon, assortment, stocks, events)
         elif granularity == "transactions-timed":
+            purchases = _typed_pairs(data, _TIME, _INT)
+            if purchases is None:
+                purchases = tuple(
+                    (_real(t, "time"), _integer(p, "product id")) for t, p in data
+                )
             obs = TransactionRecord(
-                horizon,
-                assortment,
-                stocks,
-                tuple((_real(t, "time"), _integer(p, "product id")) for t, p in data),
-                timestamps_present=True,
+                horizon, assortment, stocks, purchases, timestamps_present=True
             )
         elif granularity == "transactions":
             obs = TransactionRecord(
@@ -370,10 +453,12 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
     The file must be granularity-homogeneous; if ``granularity`` is given,
     the file must match it.  Each distinct line is parsed once per call:
     its repeats are the same visit object, and a bad line is reported at
-    its first occurrence.
+    its first occurrence.  Each distinct header is checked and built once
+    per call: visits that share it share its assortment.
     """
     observations: List[Observation] = []
     parsed: Dict[str, Tuple[Observation, str]] = {}
+    headers: dict = {}
     seen: Optional[str] = None
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -381,7 +466,7 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
                 continue
             visit = parsed.get(line)
             if visit is None:
-                visit = parsed[line] = parse_visit(line, line_no)
+                visit = parsed[line] = _parse_visit(line, line_no, headers)
             obs, g = visit
             if seen is None:
                 seen = g

@@ -41,6 +41,73 @@ GRANULARITY_REGIMES = [
 ]
 
 
+# a cast would read a stock of 1.5 as 1, T = "1" as 1.0 and a time of
+# "0.5" as 0.5; stocks given as a list are malformed, not a crash
+STRICT_VALUE_CASES = [
+    ("sales", {"stocks": {"0": 1.5, "1": 3}}, "stock must be an integer, got 1.5"),
+    ("sales", {"data": {"0": 1, "1": 2.7}}, "sales must be an integer, got 2.7"),
+    ("sales", {"assortment": [0, 1.9]}, "product id must be an integer, got 1.9"),
+    ("sales", {"T": True}, "T must be a number, got True"),
+    ("sales", {"T": "1"}, "T must be a number, got '1'"),
+    ("transactions", {"data": [1, True]}, "product id must be an integer, got True"),
+    ("transactions-timed", {"data": [["0.5", 1]]}, "time must be a number, got '0.5'"),
+    ("transactions-timed", {"data": [[None, 1]]}, "time must be a number, got None"),
+    ("complete", {"data": [[0.5, 1.5]]}, "choice must be an integer, got 1.5"),
+    ("complete", {"stocks": [1, 3]}, "'list' object has no attribute 'items'"),
+]
+
+
+def strict_value_record(granularity, change):
+    """A valid visit of ``granularity`` (products 0 and 1, stocks 1 and 3),
+    with the fields in ``change`` replaced."""
+    return {
+        "T": 1.0,
+        "assortment": [0, 1],
+        "stocks": {"0": 1, "1": 3},
+        "granularity": granularity,
+        "data": {"sales": {"0": 0, "1": 1}, "transactions": [1]}.get(granularity, []),
+        **change,
+    }
+
+
+REPEATED_PRODUCT_CASES = [
+    ("sales", {"stocks": {"1": 2, "01": 3}}, "stocks names product 1 more than once"),
+    ("sales", {"data": {"1": 2, " 1": 0}}, "data names product 1 more than once"),
+    ("transactions", {"stocks": {"1": 3, "+1": 1}}, "stocks names product 1 more than once"),
+]
+
+
+def repeated_product_record(granularity, change):
+    """A valid visit of ``granularity`` offering product 1 at stock 3, with
+    the fields in ``change`` replaced."""
+    return {
+        "T": 1.0,
+        "assortment": [1],
+        "stocks": {"1": 3},
+        "granularity": granularity,
+        "data": {"1": 2} if granularity == "sales" else [1],
+        **change,
+    }
+
+
+#: a sales visit whose integers are written as floats and whose T is an int
+INTEGRAL_FLOATS = {
+    "T": 1,
+    "assortment": [0.0, 1],
+    "stocks": {"0": 1.0, "1": 3},
+    "granularity": "sales",
+    "data": {"0": 1.0, "1": 2},
+}
+
+
+def assert_read_as_integers(obs):
+    assert obs.horizon == 1.0 and type(obs.horizon) is float
+    assert obs.initial_assortment.products == (0, 1)
+    assert obs.stocks == {0: 1, 1: 3} and obs.sales == {0: 1, 1: 2}
+    assert all(type(v) is int for v in (*obs.stocks.values(), *obs.sales.values()))
+    assert all(type(a) is int for a in obs.initial_assortment.products)
+
+
 class TestVisitRoundTrip:
     @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES)
     def test_parse_then_serialize_is_identity(self, granularity, include_null):
@@ -109,6 +176,155 @@ class TestSharedReads:
         f.write_text("\n".join([good, bad, good, bad]) + "\n")
         with pytest.raises(DataFormatError, match="line 2: unknown fields"):
             read_visits(str(f))
+
+
+def read_lines(tmp_path, lines):
+    """``read_visits`` of a file of ``lines``, each ended by a newline."""
+    f = tmp_path / "visits.jsonl"
+    f.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return read_visits(str(f))[0]
+
+
+class TestHeaderHits:
+    """A read checks and builds each distinct header (T, assortment,
+    stocks) once.  Line 1 of each file here is a valid visit, so where
+    line 2's header values equal its own (``true == 1`` and ``1.0 == 1``
+    included), line 2's header is a hit, which must be read as strictly
+    as a miss."""
+
+    @pytest.mark.parametrize(
+        "granularity, change, message",
+        STRICT_VALUE_CASES
+        + [
+            ("sales", {"stocks": {"0": True, "1": 3}}, "stock must be an integer, got True"),
+            ("sales", {"assortment": [0, True]}, "product id must be an integer, got True"),
+            (
+                "transactions-timed",
+                {"stocks": {"0": True, "1": 3}},
+                "stock must be an integer, got True",
+            ),
+        ],
+    )
+    def test_values_read_strictly(self, tmp_path, granularity, change, message):
+        lines = [strict_value_record(granularity, {}), strict_value_record(granularity, change)]
+        with pytest.raises(DataFormatError, match=f"^line 2: malformed visit record: {message}"):
+            read_lines(tmp_path, [json.dumps(r) for r in lines])
+
+    @pytest.mark.parametrize("granularity, change, message", REPEATED_PRODUCT_CASES)
+    def test_two_keys_naming_one_product_rejected(self, tmp_path, granularity, change, message):
+        lines = [
+            repeated_product_record(granularity, {}),
+            repeated_product_record(granularity, change),
+        ]
+        with pytest.raises(DataFormatError, match=f"^line 2: malformed visit record: {message}"):
+            read_lines(tmp_path, [json.dumps(r) for r in lines])
+
+    @pytest.mark.parametrize("first", ["integers", "floats"])
+    @pytest.mark.parametrize(
+        "retyped", [("T",), ("assortment", "stocks", "data"), tuple(INTEGRAL_FLOATS)]
+    )
+    def test_integral_floats_read_as_integers(self, tmp_path, first, retyped):
+        # the same values written as integers and as floats ("T": 1 after
+        # 1.0, a stock of 1.0 after 1, and the other way round) read alike
+        integers = {
+            "T": 1.0,
+            "assortment": [0, 1],
+            "stocks": {"0": 1, "1": 3},
+            "granularity": "sales",
+            "data": {"0": 1, "1": 2},
+        }
+        floats = {**integers, **{k: INTEGRAL_FLOATS[k] for k in retyped}}
+        pair = [integers, floats] if first == "integers" else [floats, integers]
+        loaded = read_lines(tmp_path, [json.dumps(r) for r in pair])
+        assert len(loaded) == 2 and loaded[0] == loaded[1]
+        for obs in loaded:
+            assert_read_as_integers(obs)
+
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES)
+    def test_shared_header_shares_nothing_mutable(self, tmp_path, granularity, include_null):
+        paths = simulate_dataset(small_config(include_null), 40, seed=8)
+        lines = [serialize_visit(project_path(p, granularity), granularity) for p in paths]
+        loaded = read_lines(tmp_path, lines)
+        first = {}
+        shared = 0
+        for line, obs in zip(lines, loaded):
+            header = (obs.horizon, obs.initial_assortment, tuple(obs.stocks.items()))
+            first_line, a = first.setdefault(header, (line, obs))
+            if first_line == line:
+                continue
+            # a different line with the same header: one assortment, but
+            # each visit its own read-only stocks
+            shared += 1
+            assert obs.initial_assortment is a.initial_assortment
+            assert obs.stocks is not a.stocks and obs.stocks == a.stocks
+            for visit in (a, obs):
+                with pytest.raises(TypeError):
+                    visit.stocks[0] = 99
+        assert shared > 0
+
+
+class TestScanner:
+    """A line is decoded by json's C scanner, which must accept exactly
+    what ``json.loads`` accepts: JSON whitespace is only space, tab,
+    newline and carriage return, while ``str.isspace`` also matches
+    "\u00a0" and "\u2028"."""
+
+    LINE = json.dumps(strict_value_record("transactions-timed", {"data": [[0.5, 1]]}))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            LINE + "\u00a0",
+            LINE + "\u2028",
+            "\u00a0" + LINE,
+            LINE + " " + LINE,
+            LINE + "x",
+            "\ufeff" + LINE,
+            LINE[:-1],
+        ],
+        ids=[
+            "trailing-nbsp",
+            "trailing-u2028",
+            "leading-nbsp",
+            "two-objects",
+            "trailing-text",
+            "bom",
+            "cut",
+        ],
+    )
+    def test_what_json_refuses_is_refused(self, tmp_path, text):
+        with pytest.raises(json.JSONDecodeError) as refused:
+            json.loads(text + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_lines(tmp_path, [text])
+        assert str(exc.value) == f"line 1: invalid JSON: {refused.value}"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["   " + LINE, "\t" + LINE, LINE + " \t ", "\t " + LINE + "  "],
+        ids=["leading-spaces", "leading-tab", "trailing-blanks", "both"],
+    )
+    def test_what_json_accepts_is_accepted(self, tmp_path, text):
+        (obs,) = read_lines(tmp_path, [text])
+        assert obs == parse_visit(self.LINE)[0]
+        assert serialize_visit(obs, "transactions-timed") == self.LINE
+
+    @pytest.mark.parametrize(
+        "granularity, time, message",
+        [
+            ("transactions-timed", "NaN", "transaction 1: time nan outside"),
+            ("transactions-timed", "Infinity", "transaction 1: time inf outside"),
+            ("transactions-timed", "-Infinity", "transaction 1: time -inf outside"),
+            ("complete", "NaN", "event 1: time nan outside"),
+        ],
+    )
+    def test_non_finite_times_refused_by_the_visit(self, tmp_path, granularity, time, message):
+        # json reads NaN and Infinity as floats; the visit refuses them
+        line = json.dumps(strict_value_record(granularity, {"data": [[0.5, 1]]}))
+        line = line.replace("0.5", time)
+        assert time in line
+        with pytest.raises(DataFormatError, match=f"^line 1: {message}"):
+            read_lines(tmp_path, [line])
 
 
 class TestVisitValidation:
@@ -239,70 +455,25 @@ class TestVisitValidation:
         with pytest.raises(DataFormatError, match=f"line 9: {message}"):
             parse_visit(json.dumps(record), 9)
 
-    @pytest.mark.parametrize(
-        "granularity, change, message",
-        [
-            ("sales", {"stocks": {"0": 1.5, "1": 3}}, "stock must be an integer, got 1.5"),
-            ("sales", {"data": {"0": 1, "1": 2.7}}, "sales must be an integer, got 2.7"),
-            ("sales", {"assortment": [0, 1.9]}, "product id must be an integer, got 1.9"),
-            ("sales", {"T": True}, "T must be a number, got True"),
-            ("sales", {"T": "1"}, "T must be a number, got '1'"),
-            ("transactions", {"data": [1, True]}, "product id must be an integer, got True"),
-            ("transactions-timed", {"data": [["0.5", 1]]}, "time must be a number, got '0.5'"),
-            ("transactions-timed", {"data": [[None, 1]]}, "time must be a number, got None"),
-            ("complete", {"data": [[0.5, 1.5]]}, "choice must be an integer, got 1.5"),
-            ("complete", {"stocks": [1, 3]}, "'list' object has no attribute 'items'"),
-        ],
-    )
+    @pytest.mark.parametrize("granularity, change, message", STRICT_VALUE_CASES)
     def test_values_read_strictly(self, granularity, change, message):
         # a cast would read a stock of 1.5 as 1, T = "1" as 1.0 and a time
         # of "0.5" as 0.5; stocks given as a list are malformed, not a crash
-        record = {
-            "T": 1.0,
-            "assortment": [0, 1],
-            "stocks": {"0": 1, "1": 3},
-            "granularity": granularity,
-            "data": {"sales": {"0": 0, "1": 1}, "transactions": [1]}.get(granularity, []),
-            **change,
-        }
+        record = strict_value_record(granularity, change)
         with pytest.raises(DataFormatError, match=f"line 5: malformed visit record: {message}"):
             parse_visit(json.dumps(record), 5)
 
-    @pytest.mark.parametrize(
-        "granularity, change, message",
-        [
-            ("sales", {"stocks": {"1": 2, "01": 3}}, "stocks names product 1 more than once"),
-            ("sales", {"data": {"1": 2, " 1": 0}}, "data names product 1 more than once"),
-            ("transactions", {"stocks": {"1": 3, "+1": 1}}, "stocks names product 1 more than once"),
-        ],
-    )
+    @pytest.mark.parametrize("granularity, change, message", REPEATED_PRODUCT_CASES)
     def test_two_keys_naming_one_product_rejected(self, granularity, change, message):
         # int() reads "1", "01", " 1" and "+1" alike, so the last key would
         # silently win: a stock of 3, or no sales for the two units sold
-        record = {
-            "T": 1.0,
-            "assortment": [1],
-            "stocks": {"1": 3},
-            "granularity": granularity,
-            "data": {"1": 2} if granularity == "sales" else [1],
-            **change,
-        }
+        record = repeated_product_record(granularity, change)
         with pytest.raises(DataFormatError, match=f"line 4: malformed visit record: {message}"):
             parse_visit(json.dumps(record), 4)
 
     def test_integral_floats_read_as_integers(self):
-        record = {
-            "T": 1,
-            "assortment": [0.0, 1],
-            "stocks": {"0": 1.0, "1": 3},
-            "granularity": "sales",
-            "data": {"0": 1.0, "1": 2},
-        }
-        obs, _ = parse_visit(json.dumps(record), 1)
-        assert obs.horizon == 1.0 and type(obs.horizon) is float
-        assert obs.initial_assortment.products == (0, 1)
-        assert obs.stocks == {0: 1, 1: 3} and obs.sales == {0: 1, 1: 2}
-        assert all(type(v) is int for v in (*obs.stocks.values(), *obs.sales.values()))
+        obs, _ = parse_visit(json.dumps(INTEGRAL_FLOATS), 1)
+        assert_read_as_integers(obs)
 
     def test_mixed_granularities_rejected(self, tmp_path):
         paths = simulate_dataset(small_config(), 2, seed=5)
