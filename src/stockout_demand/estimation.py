@@ -133,14 +133,13 @@ def naive_rate(observations: Sequence[Observation]) -> float:
 
 
 def _group_key(obs: Observation, granularity: str):
+    """The visit's ``header_key`` followed by what it observes."""
     if isinstance(obs, SalesSummary):
         return sales_key(obs)
-    assort = (obs.initial_assortment.products, obs.initial_assortment.includes_null)
-    stocks = tuple(obs.stocks[a] for a in obs.initial_assortment.products)
     if isinstance(obs, CompletePath):
-        return (obs.horizon, assort, stocks, obs.events)
+        return (*obs.header_key, obs.events)
     times = obs.transactions if granularity == "transactions-timed" else obs.products
-    return (obs.horizon, assort, stocks, times)
+    return (*obs.header_key, times)
 
 
 class CompiledDataset:

@@ -8,8 +8,14 @@ is byte-identical.  Coarse records repeat often (the same assortment,
 stocks and sales, or no purchase at all), so a read parses each distinct
 line once and its repeats share that one read-only visit.  A worker
 restocks to the same levels at each visit, so distinct lines repeat a few
-headers (``T``, assortment, stocks): a read checks and builds each distinct
-header once, and the visits that share it share its assortment.
+headers (``T``, assortment, stocks).  A line's header text is what comes
+before its first ``"data": ``; a read decodes, checks and builds each
+distinct header text once, and a line that repeats it decodes only its
+data value and builds its visit on that checked header, running only the
+data's rules.  A hit is exact: where the line's data value ends the
+object, the line decodes as its header text with ``0}`` after it does,
+with the data value in place of the ``0`` (see :func:`_parse_visit`), and
+any other line is read whole by :func:`parse_visit`.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from .simulate import VisitConfig
 from .types import (
     Assortment,
     CompletePath,
+    Header,
     InvalidObservation,
     ModelParams,
     SalesSummary,
     TransactionRecord,
+    checked_header,
 )
 
 __all__ = [
@@ -298,6 +306,9 @@ def serialize_visit(obs: Observation, granularity: str) -> str:
 #: JSON's whitespace: ``str.strip()`` with no argument would also strip
 #: "\u00a0" and "\u2028", which json.loads refuses after a value
 _JSON_SPACE = " \t\n\r"
+#: what opens the data value in a written line; a line's header text is
+#: what comes before it
+_DATA = '"data": '
 _scan_once = json.JSONDecoder().scan_once
 _INT = frozenset({int})
 _TIME = frozenset({float})
@@ -318,39 +329,15 @@ def _decode(text: str):
     return raw
 
 
-def _header(raw: dict, granularity: str, headers: dict) -> Tuple[float, Assortment, dict]:
+def _header(raw: dict, granularity: str) -> Tuple[float, Assortment, dict]:
     """The visit's horizon, assortment and stocks, read strictly from its
-    ``T``, ``assortment`` and ``stocks``.
-
-    ``headers`` maps the raw values of each header already built to what
-    was built, so visits that share a header share its assortment (the
-    visit copies the stocks).  Only a float ``T`` with int products and
-    stocks is looked up: the strict reading returns those values as they
-    are, and their exact types make ``==`` safe (``true == 1`` and
-    ``1.0 == 1``), so a header of any other types is read strictly again.
-    """
-    T, products, stocks = raw["T"], raw["assortment"], raw["stocks"]
-    key = None
-    if (
-        type(T) is float
-        and type(products) is list
-        and type(stocks) is dict
-        and _INT.issuperset(map(type, products))
-        and _INT.issuperset(map(type, stocks.values()))
-    ):
-        key = (granularity, T, tuple(products), tuple(stocks.items()))
-        header = headers.get(key)
-        if header is not None:
-            return header
-    horizon = _real(T, "T")
-    products = tuple(_integer(a, "product id") for a in products)
-    stocks = {int(a): _integer(s, "stock") for a, s in stocks.items()}
+    ``T``, ``assortment`` and ``stocks``."""
+    horizon = _real(raw["T"], "T")
+    products = tuple(_integer(a, "product id") for a in raw["assortment"])
+    stocks = {int(a): _integer(s, "stock") for a, s in raw["stocks"].items()}
     if len(stocks) < len(raw["stocks"]):
         raise _repeated_product(raw["stocks"], "stocks")
-    header = horizon, Assortment(products, granularity != "sales-no-null"), stocks
-    if key is not None:
-        headers[key] = header
-    return header
+    return horizon, Assortment(products, granularity != "sales-no-null"), stocks
 
 
 def _typed_pairs(data, first: frozenset, second: frozenset) -> Optional[tuple]:
@@ -369,14 +356,56 @@ def _typed_pairs(data, first: frozenset, second: frozenset) -> Optional[tuple]:
     return tuple(pairs) if len(pairs) == len(data) else None
 
 
+def _body(granularity: str, data) -> Tuple[type, dict]:
+    """The visit class of ``granularity`` and its fields after ``stocks``,
+    by name, read strictly from the visit's ``data``.  Timed pairs whose
+    values all have the types the strict reading returns unchanged are
+    taken as they are."""
+    if granularity == "complete":
+        events = _typed_pairs(data, _TIME, _CHOICE)
+        if events is None:
+            events = tuple(
+                (_real(t, "time"), None if c is None else _integer(c, "choice"))
+                for t, c in data
+            )
+        return CompletePath, {"events": events}
+    if granularity == "transactions-timed":
+        purchases = _typed_pairs(data, _TIME, _INT)
+        if purchases is None:
+            purchases = tuple((_real(t, "time"), _integer(p, "product id")) for t, p in data)
+        return TransactionRecord, {"transactions": purchases, "timestamps_present": True}
+    if granularity == "transactions":
+        purchases = tuple((None, _integer(p, "product id")) for p in data)
+        return TransactionRecord, {"transactions": purchases, "timestamps_present": False}
+    sales = {int(a): _integer(z, "sales") for a, z in data.items()}
+    if len(sales) < len(data):
+        raise _repeated_product(data, "data")
+    return SalesSummary, {"sales": sales}
+
+
+#: what a visit's strict reading and its rules raise
+_READ_ERRORS = (TypeError, ValueError, AttributeError)
+
+
+def _refusal(exc: Exception, line: int) -> DataFormatError:
+    """The error for a visit value that fails its strict reading or its
+    visit's rules: the broken rule is the message."""
+    if isinstance(exc, InvalidObservation):
+        return DataFormatError(str(exc), line)
+    return DataFormatError(f"malformed visit record: {exc}", line)
+
+
 def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
-    """Parse one JSONL visit line; returns the observation and granularity."""
-    return _parse_visit(text, line, {})
+    """Parse one JSONL visit line; returns the observation and granularity.
 
-
-def _parse_visit(text: str, line: int, headers: dict) -> Tuple[Observation, str]:
-    """:func:`parse_visit`, sharing ``headers`` (see :func:`_header`) with
-    the other lines of one read."""
+    The line is decoded whole, its values are read strictly (a stock of
+    1.5 or a time of "0.5" is an error rather than 1 or 0.5), and the visit
+    is built by its public constructor, which checks every rule, so a
+    visit the process could not produce is refused with its broken rule as
+    the message.  Where a line breaks several rules, the first of the keys,
+    the granularity, the header's values, the data's values, the header's
+    rules and the data's rules is reported.
+    """
     try:
         raw = _decode(text)
     except json.JSONDecodeError as exc:
@@ -392,50 +421,79 @@ def _parse_visit(text: str, line: int, headers: dict) -> Tuple[Observation, str]
     granularity = raw["granularity"]
     if granularity not in GRANULARITIES:
         raise DataFormatError(f"unknown granularity {granularity!r}", line)
-    # values are read strictly, so a stock of 1.5 or a time of "0.5" is an
-    # error rather than 1 or 0.5 (timed pairs whose values all have the
-    # types the strict reading returns unchanged are taken as they are); a
-    # visit the process could not produce fails its own construction, its
-    # broken rule the message
     try:
-        horizon, assortment, stocks = _header(raw, granularity, headers)
-        data = raw["data"]
-        obs: Observation
-        if granularity == "complete":
-            events = _typed_pairs(data, _TIME, _CHOICE)
-            if events is None:
-                events = tuple(
-                    (_real(t, "time"), None if c is None else _integer(c, "choice"))
-                    for t, c in data
-                )
-            obs = CompletePath(horizon, assortment, stocks, events)
-        elif granularity == "transactions-timed":
-            purchases = _typed_pairs(data, _TIME, _INT)
-            if purchases is None:
-                purchases = tuple(
-                    (_real(t, "time"), _integer(p, "product id")) for t, p in data
-                )
-            obs = TransactionRecord(
-                horizon, assortment, stocks, purchases, timestamps_present=True
-            )
-        elif granularity == "transactions":
-            obs = TransactionRecord(
-                horizon,
-                assortment,
-                stocks,
-                tuple((None, _integer(p, "product id")) for p in data),
-                timestamps_present=False,
-            )
-        else:
-            sales = {int(a): _integer(z, "sales") for a, z in data.items()}
-            if len(sales) < len(data):
-                raise _repeated_product(data, "data")
-            obs = SalesSummary(horizon, assortment, stocks, sales)
-    except InvalidObservation as exc:
-        raise DataFormatError(str(exc), line)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise DataFormatError(f"malformed visit record: {exc}", line)
-    return obs, granularity
+        horizon, assortment, stocks = _header(raw, granularity)
+        kind, body = _body(granularity, raw["data"])
+        return kind(horizon, assortment, stocks, **body), granularity
+    except _READ_ERRORS as exc:
+        raise _refusal(exc, line)
+
+
+def _decode_header(text: str) -> Optional[Tuple[str, Header]]:
+    """The granularity and checked header of ``text``, a line's header
+    text followed by ``"data": 0}``; None unless it decodes to a visit
+    object of exactly the visit keys whose granularity, header values and
+    header rules all pass."""
+    try:
+        raw = _decode(text)
+        if type(raw) is dict and raw.keys() == _VISIT_KEYS:
+            granularity = raw["granularity"]
+            if granularity in GRANULARITIES:
+                return granularity, checked_header(*_header(raw, granularity))
+    except _READ_ERRORS:  # json's errors and InvalidObservation are ValueErrors
+        pass
+    return None
+
+
+def _parse_visit(text: str, line: int, headers: Dict[str, Tuple[str, Header]]):
+    """:func:`parse_visit` of ``text``, reading its header text (what comes
+    before its first ``"data": ``, the cut) once per read: ``headers`` maps
+    each header text the read has checked to its granularity and
+    :data:`~stockout_demand.types.Header`.
+
+    A line takes this path when a data value starts right after the cut's
+    ``"data": `` and only JSON whitespace and the closing ``}`` follow it.
+    A new header text is decoded with ``"data": 0}`` after it, checked as
+    :func:`parse_visit` checks a line, and kept only if it passes; on a
+    hit, the data value is the only part decoded.
+
+    A hit is exact.  The kept decode ends with ``"data": 0}``, so that
+    ``0`` is the value of the top-level object's last member, whose key
+    ends with the ``data"`` after the cut.  That key is one of the five
+    visit keys, so it is ``"data"`` itself, opening at the cut: were the
+    cut's quote escaped inside a longer string, the key would end in
+    ``data`` but be longer, and no other visit key does.  So the decoder
+    reaches the cut expecting a member key, after the header text's
+    members, in every line with that header text, and such a line decodes
+    to those members and its data value, which ends the object (a key given
+    twice keeps its last value in both).
+
+    Any line or header text this path does not take is read whole by
+    :func:`parse_visit`, which raises its error: a header that breaks a
+    rule is reported after the data's values are read, as in a whole line.
+    """
+    cut = text.find(_DATA)
+    if cut >= 0:
+        start = cut + len(_DATA)
+        try:
+            data, end = _scan_once(text, start)
+        except (StopIteration, ValueError):  # no value there, or a bad one
+            end = -1
+        if end >= 0 and text[end:].strip(_JSON_SPACE) == "}":
+            head = text[:cut]
+            header = headers.get(head)
+            if header is None:
+                header = _decode_header(text[:start] + "0}")
+                if header is not None:
+                    headers[head] = header
+            if header is not None:
+                granularity, checked = header
+                try:
+                    kind, body = _body(granularity, data)
+                    return kind.on_header(checked, body), granularity
+                except _READ_ERRORS as exc:
+                    raise _refusal(exc, line)
+    return parse_visit(text, line)
 
 
 def write_visits(path: str, observations: Iterable[Observation], granularity: str) -> int:
@@ -451,10 +509,15 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
     """Read a JSONL visit file; returns observations and their granularity.
 
     The file must be granularity-homogeneous; if ``granularity`` is given,
-    the file must match it.  Each distinct line is parsed once per call:
-    its repeats are the same visit object, and a bad line is reported at
-    its first occurrence.  Each distinct header is checked and built once
-    per call: visits that share it share its assortment.
+    the file must match it.  A line of JSON whitespace alone is skipped; a
+    line holding any other character (``"\u00a0"`` say) is read, and
+    refused.  Each distinct line is parsed once per call: its repeats are
+    the same visit object, and a bad line is reported at its first
+    occurrence.  Each distinct header text is decoded, checked and built
+    once per call (see :func:`_parse_visit`): the visits on it share its
+    assortment and its group key's header part, each with its own
+    read-only stocks.  The visits and errors are those of
+    :func:`parse_visit` line by line.
     """
     observations: List[Observation] = []
     parsed: Dict[str, Tuple[Observation, str]] = {}
@@ -462,7 +525,7 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
     seen: Optional[str] = None
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
+            if not line.strip(_JSON_SPACE):
                 continue
             visit = parsed.get(line)
             if visit is None:

@@ -719,11 +719,10 @@ def table_sequences(
 def sales_key(summary: SalesSummary) -> tuple:
     """The fields of a sales visit that :func:`table_sales` reads, which
     also key its group: ``(horizon, (products, includes_null), stocks,
-    sales)``, stocks and sales in ``products`` order."""
-    offered = summary.initial_assortment
-    stocks = tuple(summary.stocks[a] for a in offered.products)
-    sales = tuple(summary.sales.get(a, 0) for a in offered.products)
-    return (summary.horizon, (offered.products, offered.includes_null), stocks, sales)
+    sales)``, its ``header_key`` followed by its sales, stocks and sales
+    in ``products`` order."""
+    products = summary.initial_assortment.products
+    return (*summary.header_key, tuple(summary.sales.get(a, 0) for a in products))
 
 
 def table_sales(

@@ -19,12 +19,21 @@ read-only views of private copies taken at construction, so neither the
 visit nor the caller's dicts can change what was checked, and one visit
 can be shared wherever it recurs.  A complete path and a transaction
 record also split themselves at their stock-outs with ``segments()``.
+
+The rules split in two: the header's (horizon and stocks), which every
+kind shares, and the body's (the rest).  A reader whose visits repeat a
+few headers checks each header once with :func:`checked_header` and
+builds each visit on it with the kind's ``on_header``, which runs only the
+body's rules and gives the visit its header's ``header_key``, the header
+part of the visit's group key; every visit still gets its own read-only
+stocks.  The constructors and ``validate()`` run both halves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -37,6 +46,8 @@ __all__ = [
     "TransactionRecord",
     "SalesSummary",
     "InvalidObservation",
+    "Header",
+    "checked_header",
     "project_transactions",
     "project_sales",
     "transaction_segments",
@@ -68,7 +79,7 @@ class Assortment:
     def __post_init__(self) -> None:
         if len(set(self.products)) != len(self.products):
             raise InvalidObservation(f"duplicate products in {self.products}")
-        if any(p < 0 for p in self.products):
+        if self.products and min(self.products) < 0:
             raise InvalidObservation("product ids must be non-negative")
 
     def __contains__(self, choice: Choice) -> bool:
@@ -116,14 +127,15 @@ def _frozen(visit: object, name: str) -> None:
     object.__setattr__(visit, name, MappingProxyType(private))
 
 
-def _check_visit(visit: CompletePath | TransactionRecord | SalesSummary) -> None:
+def _check_header(
+    horizon: float, assortment: Assortment, stocks: Mapping[ProductId, int]
+) -> None:
     """The rules every visit kind shares: a horizon that is a finite
     positive real number, and stocks of at least one unit for exactly the
     offered products."""
-    products, stocks = visit.initial_assortment.products, visit.stocks
+    products = assortment.products
     if stocks.keys() != set(products):
         raise InvalidObservation("stocks must cover exactly the assortment")
-    horizon = visit.horizon
     if type(horizon) is bool or not isinstance(horizon, (int, float)):
         raise InvalidObservation(f"T must be a real number, got {horizon!r}")
     if not (math.isfinite(horizon) and horizon > 0):
@@ -133,18 +145,93 @@ def _check_visit(visit: CompletePath | TransactionRecord | SalesSummary) -> None
             raise InvalidObservation(f"offered product {a} has stock {stocks[a]}")
 
 
+def _header_key(
+    horizon: float, assortment: Assortment, stocks: Mapping[ProductId, int]
+) -> tuple:
+    products = assortment.products
+    stocks_in_order = tuple(map(stocks.__getitem__, products))
+    return horizon, (products, assortment.includes_null), stocks_in_order
+
+
+#: a visit header that has passed the rules every visit kind shares:
+#: ``(horizon, assortment, stocks, key)``, ``key`` the header part of a
+#: visit's group key (see ``header_key``)
+Header = Tuple[float, Assortment, Mapping[ProductId, int], tuple]
+
+
+def checked_header(
+    horizon: float, assortment: Assortment, stocks: Mapping[ProductId, int]
+) -> Header:
+    """The header ``(horizon, assortment, stocks)`` once it passes the
+    shared rules, which raise :class:`InvalidObservation` otherwise.  It
+    keeps a private copy of ``stocks``, so the visits built on it by
+    ``on_header`` can skip those rules."""
+    _check_header(horizon, assortment, stocks)
+    stocks = dict(stocks)
+    return horizon, assortment, stocks, _header_key(horizon, assortment, stocks)
+
+
+class _Visit:
+    """What the three visit kinds share.  Construction freezes ``stocks``
+    and the class's other mapping fields (``_MAPPINGS``), then runs
+    :meth:`validate`: the shared header rules, then the kind's own body
+    rules (``_check_body``).  :meth:`on_header` builds a visit on a
+    :data:`Header` that has passed the shared rules, and runs only the
+    body rules."""
+
+    _MAPPINGS = ()  # mapping fields after ``stocks``
+
+    def __post_init__(self) -> None:
+        _frozen(self, "stocks")
+        for name in self._MAPPINGS:
+            _frozen(self, name)
+        self.validate()
+
+    @cached_property
+    def header_key(self) -> tuple:
+        """``(horizon, (products, includes_null), stocks in product
+        order)``: the part of the visit's group key that its header gives.
+        A visit built by :meth:`on_header` shares its header's."""
+        return _header_key(self.horizon, self.initial_assortment, self.stocks)
+
+    def validate(self) -> None:
+        """Raise :class:`InvalidObservation` at the first broken rule: the
+        horizon and stocks, then the kind's own rules (see
+        ``_check_body``)."""
+        _check_header(self.horizon, self.initial_assortment, self.stocks)
+        self._check_body()
+
+    @classmethod
+    def on_header(cls, header: Header, body: dict):
+        """The visit with the fields of ``header`` and the fields after
+        ``stocks`` in ``body`` (by name), checked by its body rules alone:
+        ``header``, from :func:`checked_header`, has passed the shared
+        ones.  Like construction, it keeps read-only views of private
+        copies of its mappings."""
+        horizon, assortment, stocks, key = header
+        visit = object.__new__(cls)
+        # set in field order, as construction does, so that the instance
+        # keeps its class's compact shared-key attribute table
+        fields = visit.__dict__
+        fields["horizon"] = horizon
+        fields["initial_assortment"] = assortment
+        fields["stocks"] = MappingProxyType(stocks.copy())
+        fields.update(body)
+        fields["header_key"] = key
+        for name in cls._MAPPINGS:
+            _frozen(visit, name)
+        visit._check_body()
+        return visit
+
+
 @dataclass(frozen=True)
-class CompletePath:
+class CompletePath(_Visit):
     """One visit's full outcome: every arrival's time and choice."""
 
     horizon: float
     initial_assortment: Assortment
     stocks: Mapping[ProductId, int]
     events: Tuple[Tuple[float, Choice], ...]
-
-    def __post_init__(self) -> None:
-        _frozen(self, "stocks")
-        self.validate()
 
     @property
     def arrivals(self) -> int:
@@ -154,16 +241,15 @@ class CompletePath:
     def choices(self) -> Tuple[Choice, ...]:
         return tuple(c for _, c in self.events)
 
-    def validate(self) -> None:
-        """Raise :class:`InvalidObservation` at the first broken rule: the
-        horizon and stocks, then the first event with a time outside
-        ``[0, T]`` or before the previous one, a null choice in a no-null
-        visit, or a choice of a product not offered or already sold out.
+    def _check_body(self) -> None:
+        """Raise :class:`InvalidObservation` at the first event with a time
+        outside ``[0, T]`` or before the previous one, a null choice in a
+        no-null visit, or a choice of a product not offered or already
+        sold out.
 
         Sequence order, not timestamps, drives feasibility; equal
         timestamps (possible after rounding) are allowed.
         """
-        _check_visit(self)
         remaining = self.stocks.copy()
         prev = 0.0
         for i, (t, c) in enumerate(self.events, start=1):
@@ -191,7 +277,7 @@ class CompletePath:
 
 
 @dataclass(frozen=True)
-class TransactionRecord:
+class TransactionRecord(_Visit):
     """Purchases only; null choices unobserved.  Timestamps all-or-none."""
 
     horizon: float
@@ -199,10 +285,6 @@ class TransactionRecord:
     stocks: Mapping[ProductId, int]
     transactions: Tuple[Tuple[Optional[float], ProductId], ...]
     timestamps_present: bool
-
-    def __post_init__(self) -> None:
-        _frozen(self, "stocks")
-        self.validate()
 
     @property
     def products(self) -> Tuple[ProductId, ...]:
@@ -212,12 +294,10 @@ class TransactionRecord:
     def total(self) -> int:
         return len(self.transactions)
 
-    def validate(self) -> None:
-        """Raise :class:`InvalidObservation` at the first broken rule: the
-        horizon and stocks, then a purchase beyond its stock, or a time
-        outside ``[0, T]`` or before the previous one (equal times, possible
-        after rounding, are fine)."""
-        _check_visit(self)
+    def _check_body(self) -> None:
+        """Raise :class:`InvalidObservation` at the first purchase beyond
+        its stock, or with a time outside ``[0, T]`` or before the previous
+        one (equal times, possible after rounding, are fine)."""
         left = self.stocks.copy()
         prev = 0.0
         for i, (t, p) in enumerate(self.transactions, start=1):
@@ -245,7 +325,7 @@ class TransactionRecord:
 
 
 @dataclass(frozen=True)
-class SalesSummary:
+class SalesSummary(_Visit):
     """Per-product cumulative sales; order and null choices latent."""
 
     horizon: float
@@ -253,10 +333,7 @@ class SalesSummary:
     stocks: Mapping[ProductId, int]
     sales: Mapping[ProductId, int]
 
-    def __post_init__(self) -> None:
-        _frozen(self, "stocks")
-        _frozen(self, "sales")
-        self.validate()
+    _MAPPINGS = ("sales",)
 
     @property
     def total_sales(self) -> int:
@@ -270,11 +347,9 @@ class SalesSummary:
             if self.sales.get(a, 0) == self.stocks.get(a)
         )
 
-    def validate(self) -> None:
-        """Raise :class:`InvalidObservation` at the first broken rule: the
-        horizon and stocks, then sales outside ``[0, stock]`` or of a
-        product not offered."""
-        _check_visit(self)
+    def _check_body(self) -> None:
+        """Raise :class:`InvalidObservation` at the first sales outside
+        ``[0, stock]`` or of a product not offered."""
         for a in self.initial_assortment.products:
             n_a = self.sales.get(a, 0)
             if not 0 <= n_a <= self.stocks[a]:

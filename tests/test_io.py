@@ -2,11 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stockout_demand import SECTION7_PRESET, compile_dataset, read_visits, write_visits
+from stockout_demand import types
+from stockout_demand.estimation import _group_key
 from stockout_demand.io import (
     DataFormatError,
     RunConfig,
@@ -17,7 +20,7 @@ from stockout_demand.io import (
 )
 from stockout_demand import fit_complete, simulate_dataset
 from stockout_demand.simulate import VisitConfig
-from stockout_demand.types import ModelParams
+from stockout_demand.types import ModelParams, TransactionRecord
 
 
 def small_config(include_null=True):
@@ -263,6 +266,160 @@ class TestHeaderHits:
         assert shared > 0
 
 
+#: line 1 of each TestHeaderText case, a valid sales visit; line 2 starts
+#: with its header text, the part before its first '"data": '
+HEAD = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, "granularity": "sales", '
+FIRST = HEAD + '"data": {"0": 1, "1": 0}}'
+
+
+def assert_read_as_parsed(tmp_path, lines):
+    """``read_visits`` of ``lines`` equals :func:`parse_visit` line by
+    line: the same visits with the same header keys, or the same error at
+    the first line that ``parse_visit`` refuses."""
+    parsed = []
+    for i, text in enumerate(lines, start=1):
+        try:
+            parsed.append(parse_visit(text + "\n", i)[0])
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as refused:
+                read_lines(tmp_path, lines)
+            assert str(refused.value) == str(exc)
+            return str(exc)
+    loaded = read_lines(tmp_path, lines)
+    assert loaded == parsed
+    assert [obs.header_key for obs in loaded] == [obs.header_key for obs in parsed]
+    return loaded
+
+
+class TestHeaderText:
+    """A read decodes, checks and builds each distinct header text (what
+    comes before a line's first ``"data": ``) once; a line repeating it
+    decodes only its data value.  Whatever a line holds, the read equals
+    :func:`parse_visit` of each line, which decodes it whole."""
+
+    @pytest.mark.parametrize(
+        "first, second, outcome",
+        [
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1}, "extra": 1}', "line 2: unknown fields"),
+            (FIRST, HEAD + '"data": {"0": 1, "1": 0}, "data": {"0": 0, "1": 2}}', None),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1}, "\\u0064ata": {"0": 1, "1": 1}}', None),
+            (
+                HEAD + '"\\u0064ata": {"0": 0, "1": 2}, "data": {"0": 1, "1": 0}}',
+                HEAD + '"\\u0064ata": {"0": 0, "1": 2}, "data": {"0": 0, "1": 3}}',
+                None,
+            ),
+            (
+                HEAD + '"x\\"data": 1, "data": {"0": 1, "1": 0}}',
+                HEAD + '"x\\"data": 1, "data": {"0": 0, "1": 1}}',
+                "line 1: unknown fields",
+            ),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1} \t }  ', None),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1}} x', "line 2: invalid JSON: Extra data"),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1}}}', "line 2: invalid JSON: Extra data"),
+            (FIRST, HEAD + '"data":  {"0": 0, "1": 1}}', None),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1}', "line 2: invalid JSON"),
+            (FIRST, HEAD + '"data": {"0": 1.5, "1": 0}}', "line 2: malformed visit record: sales"),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 4}}', "line 2: sales 4 of product 1 outside"),
+            (FIRST, HEAD + '"data": {"0": 0, "1": 1,}}', "line 2: invalid JSON"),
+            (FIRST, HEAD + '"data": [[0.5, 1]]}', "line 2: malformed visit record"),
+        ],
+        ids=[
+            "key-after-data",
+            "data-twice",
+            "escaped-data-after",
+            "escaped-data-before",
+            "quoted-data-key-before",
+            "space-before-brace",
+            "text-after-brace",
+            "brace-after-brace",
+            "two-spaces-after-colon",
+            "no-brace",
+            "bad-value-on-hit",
+            "oversold-on-hit",
+            "bad-json-on-hit",
+            "wrong-kind-on-hit",
+        ],
+    )
+    def test_read_equals_parse_visit(self, tmp_path, first, second, outcome):
+        cut = first.index('"data": ')
+        assert second[:cut] == first[:cut] and second[cut:].startswith('"data":')
+        got = assert_read_as_parsed(tmp_path, [first, second, first])
+        if outcome is None:
+            assert len(got) == 3
+        else:
+            assert got.startswith(outcome)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ('"data": {"0": 1, "1": 0}}', "line 2: offered product 0 has stock 0"),
+            ('"data": {"0": 1.5, "1": 0}}', "line 2: malformed visit record: sales"),
+            ('"data": {"0": 1, "1": 0}, "extra": 1}', "line 2: unknown fields"),
+        ],
+    )
+    def test_header_breaking_a_rule_reported_as_parse_visit(self, tmp_path, second, message):
+        # a stock of 0 breaks a header rule, which a whole line reports
+        # after its data values are read
+        head = HEAD.replace('"0": 1, "1": 3', '"0": 0, "1": 3')
+        assert assert_read_as_parsed(tmp_path, [FIRST, head + second]).startswith(message)
+
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES)
+    def test_simulated_read_equals_parse_visit(self, tmp_path, granularity, include_null):
+        paths = simulate_dataset(small_config(include_null), 300, seed=9)
+        lines = [serialize_visit(project_path(p, granularity), granularity) for p in paths]
+        heads = {line[: line.index('"data": ')] for line in lines}
+        assert len(heads) < len(set(lines))
+        loaded = assert_read_as_parsed(tmp_path, lines)
+        parsed = [parse_visit(line)[0] for line in lines]
+        assert [_group_key(o, granularity) for o in loaded] == [
+            _group_key(o, granularity) for o in parsed
+        ]
+
+    def test_header_checked_once_per_header_text(self, tmp_path, monkeypatch):
+        # the walkaway-timed benchmark's dataset seed 6: 1,057 distinct
+        # lines over 16 header texts
+        config = replace(
+            SECTION7_PRESET,
+            weights={a: 0.1 * w for a, w in SECTION7_PRESET.weights.items()},
+            rate=20.0,
+            stock_level=1,
+            include_null=True,
+        ).visit_config()
+        granularity = "transactions-timed"
+        paths = simulate_dataset(config, 1500, seed=6)
+        lines = [serialize_visit(project_path(p, granularity), granularity) for p in paths]
+        calls = []
+        check = types._check_header
+        monkeypatch.setattr(
+            types, "_check_header", lambda *header: calls.append(header) or check(*header)
+        )
+        loaded = read_lines(tmp_path, lines)
+        heads = {line[: line.index('"data": ')] for line in lines}
+        assert len(calls) == len(heads) == 16 and len(set(lines)) == 1057
+        # a visit built by its constructor checks its header and keys as
+        # the read visit it equals, a horizon of 1 as 1.0
+        obs = loaded[0]
+        built = TransactionRecord(
+            1, obs.initial_assortment, dict(obs.stocks), obs.transactions, True
+        )
+        assert len(calls) == 17 and built == obs
+        assert _group_key(built, granularity) == _group_key(obs, granularity)
+
+    @pytest.mark.parametrize("granularity,include_null", [("complete", True), ("sales", True)])
+    def test_built_visit_joins_the_read_visits_group(self, tmp_path, granularity, include_null):
+        paths = simulate_dataset(small_config(include_null), 60, seed=10)
+        lines = [serialize_visit(project_path(p, granularity), granularity) for p in paths]
+        loaded = read_lines(tmp_path, lines)
+        obs = loaded[0]
+        built = parse_visit(lines[0])[0]
+        assert built == obs and built is not obs and "header_key" not in vars(built)
+        joined = compile_dataset(loaded + [built], granularity)
+        repeated = compile_dataset(loaded + [obs], granularity)
+        for name, value in vars(repeated).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(joined, name), value), name
+
+
 class TestScanner:
     """A line is decoded by json's C scanner, which must accept exactly
     what ``json.loads`` accepts: JSON whitespace is only space, tab,
@@ -308,6 +465,15 @@ class TestScanner:
         (obs,) = read_lines(tmp_path, [text])
         assert obs == parse_visit(self.LINE)[0]
         assert serialize_visit(obs, "transactions-timed") == self.LINE
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2028"], ids=["nbsp", "u2028"])
+    def test_line_of_unicode_space_is_not_blank(self, tmp_path, space):
+        # str.strip() would empty this line and skip it; JSON refuses it
+        with pytest.raises(json.JSONDecodeError) as refused:
+            json.loads(space + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            read_lines(tmp_path, [self.LINE, space, self.LINE])
+        assert str(exc.value) == f"line 2: invalid JSON: {refused.value}"
 
     @pytest.mark.parametrize(
         "granularity, time, message",

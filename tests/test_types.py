@@ -1,7 +1,7 @@
 """Domain types: validation, projections, segmentation."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,7 +16,7 @@ from stockout_demand import (
     project_sales,
     project_transactions,
 )
-from stockout_demand.types import transaction_segments
+from stockout_demand.types import checked_header, transaction_segments
 
 from conftest import (
     IMPOSSIBLE_VISIT_CHANGES,
@@ -193,6 +193,47 @@ class TestReadOnly:
         for obs in visits:
             assert dict(obs.stocks) == {0: 1, 1: 2}
         assert dict(visits[-1].sales) == {0: 0, 1: 1}
+
+
+class TestOnHeader:
+    """A visit built on a checked header runs only its own body rules, and
+    equals, keys and guards itself as the visit its constructor builds;
+    the header refuses what construction refuses."""
+
+    @pytest.mark.parametrize("includes_null", [True, False])
+    def test_equals_the_constructed_visit(self, includes_null):
+        for obs in one_of_each(includes_null):
+            header = checked_header(obs.horizon, obs.initial_assortment, obs.stocks)
+            body = {f.name: getattr(obs, f.name) for f in fields(obs)[3:]}
+            built = type(obs).on_header(header, body)
+            assert built == obs and built.header_key == obs.header_key
+            assert built.header_key is header[3]
+            assert built.stocks is not header[2] and built.stocks == header[2]
+            with pytest.raises(TypeError):
+                built.stocks[0] = 5
+            built.validate()
+
+    @pytest.mark.parametrize("change, rule", IMPOSSIBLE_VISIT_CHANGES)
+    def test_header_refuses_what_construction_refuses(self, change, rule):
+        header = {"horizon": 1.0, "assortment": Assortment((0, 1)), "stocks": {0: 1, 1: 2}}
+        with pytest.raises(InvalidObservation, match=rule):
+            checked_header(**{**header, **change})
+
+    def test_body_rules_run(self):
+        header = checked_header(1.0, Assortment((0, 1)), {0: 1, 1: 3})
+        with pytest.raises(InvalidObservation, match="sales 2 of product 0 outside"):
+            SalesSummary.on_header(header, {"sales": {0: 2, 1: 0}})
+        with pytest.raises(InvalidObservation, match="transaction 2: time 0.1 decreases"):
+            TransactionRecord.on_header(
+                header, {"transactions": ((0.5, 1), (0.1, 1)), "timestamps_present": True}
+            )
+
+    def test_caller_dicts_are_copied(self):
+        stocks, sales = {0: 1, 1: 3}, {0: 1, 1: 0}
+        header = checked_header(1.0, Assortment((0, 1)), stocks)
+        visit = SalesSummary.on_header(header, {"sales": sales})
+        stocks[0], sales[0] = 0, 5
+        assert header[2] == visit.stocks == {0: 1, 1: 3} and visit.sales == {0: 1, 1: 0}
 
 
 class TestProjections:
