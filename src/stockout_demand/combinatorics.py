@@ -7,9 +7,16 @@ of the sales likelihoods; this module provides the closed-form count, a
 brute-force enumerator used as an oracle, and uniform sampling without
 replacement via a linear congruential generator with rejection.  A vector
 lists its products by position, ``0, ..., k - 1``, in the order of their
-stocks.  The generator's states are computed a numpy block at a time by
-affine jump-ahead, so rejecting out-of-range states costs no Python step
-per state.
+stocks.
+
+A sample is the first feasible vectors of the generator's stream, read in
+one of two ways with the same result.  The stream's states are computed a
+numpy block at a time by affine jump-ahead, and decoded and checked in
+numpy, so rejecting a state costs no Python step.  A block with few
+candidates against the states the stream would walk is drawn without
+walking it: :func:`sample_by_position` decodes every candidate, finds each
+feasible one's step count in the cycle bit by bit, and keeps the earliest,
+for a whole table's blocks at once.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ __all__ = [
     "enumerate_stockout_vectors",
     "sample_stockout_vectors",
     "raw_stockout_draws",
+    "drawn_by_position",
+    "sample_by_position",
+    "seed_states",
     "log_multinomial",
     "log_binomial",
 ]
@@ -119,51 +129,79 @@ _MIN_MODULUS_BITS = 16
 # minimum modulus, so whole blocks tile every period exactly.
 _BLOCK = 1 << 12
 
+# Most candidates a block drawn by cycle position decodes: past it, the
+# stream's walk is cheaper to hold in memory.
+_POSITION_MAX = 1 << 20
+
+
+def _modulus_bits(total: int) -> int:
+    """Bits of the LCG modulus that walks the candidates ``[0, total)``."""
+    return max(total.bit_length(), _MIN_MODULUS_BITS)
+
 
 def _jump_ahead(a: int, c: int, mask: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
     """``A_i = a^(i+1)`` and ``C_i = c(1 + a + ... + a^i)`` modulo ``mask + 1``
     for ``i < _BLOCK``, so that ``state_{t+i+1} = A_i state_t + C_i``.
 
-    Built by doubling: ``A_{h+j} = A_j A_{h-1}``, ``C_{h+j} = A_j C_{h-1} + C_j``.
+    ``uint64`` cumulative products and sums wrap modulo 2^64, a multiple of
+    every modulus up to 2^64; larger moduli step Python integers.
     """
-    A = np.array([a], dtype=dtype)
-    C = np.array([c], dtype=dtype)
-    while len(A) < _BLOCK:
-        A, C = (
-            np.concatenate([A, (A * A[-1]) & mask]),
-            np.concatenate([C, (A * C[-1] + C) & mask]),
-        )
-    return A, C
+    if dtype is object:
+        A, C = [a], [c]
+        for _ in range(_BLOCK - 1):
+            A.append(A[-1] * a & mask)
+            C.append(C[-1] * a + c & mask)
+        return np.array(A, dtype=object), np.array(C, dtype=object)
+    A = np.cumprod(np.full(_BLOCK, a, dtype=np.uint64))
+    powers = np.concatenate([np.ones(1, dtype=np.uint64), A[:-1]])
+    return A & mask, (np.cumsum(powers) * c) & mask
 
 
-def _decompose(x: int, n: int, k: int) -> Tuple[int, ...]:
-    """Base-``n`` remainders of ``x``, each shifted to 1-based indices."""
-    digits: List[int] = []
-    for _ in range(k):
-        x, rem = divmod(x, n)
-        digits.append(rem + 1)
-    return tuple(digits)
+def _digits(x: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Base-``n`` remainders of each ``x``, shifted to 1-based indices: one
+    row of ``k`` indices per candidate."""
+    out = np.empty((x.size, k), dtype=np.int64)
+    for j in range(k):
+        out[:, j] = (x % n).astype(np.int64) + 1
+        x = x // n
+    return out
 
 
-def raw_stockout_draws(
+def _feasible(indices: np.ndarray, stocks: np.ndarray) -> np.ndarray:
+    """:func:`is_feasible` of each row of ``indices`` (in ``[1, n]``, as
+    :func:`_digits` gives them) with the stocks ``stocks`` (one row, or
+    one per row): distinct indices, each at least its own stock plus the
+    stocks of the products with smaller indices."""
+    k = indices.shape[1]
+    s = np.broadcast_to(stocks, indices.shape)
+    ok = np.ones(len(indices), dtype=bool)
+    for j in range(k):
+        r = indices[:, j]
+        need = s[:, j]
+        for i in range(k):
+            if i != j:
+                need = need + np.where(indices[:, i] < r, s[:, i], 0)
+            if i < j:
+                ok &= indices[:, i] != r
+        ok &= r >= need
+    return ok
+
+
+def _lcg_blocks(
     stocks: Sequence[int], n: int, seed: int
-) -> Iterator[Tuple[StockoutVector, bool]]:
-    """Endless stream of raw candidate vectors with their feasibility flag.
-
-    Each full LCG period visits every integer in ``[0, n^k)`` exactly once
-    (out-of-range states are skipped); successive periods re-key the
-    generator from the seed.  The period's states are computed a block at
-    a time as ``(A state + C) mod 2^bits`` from :func:`_jump_ahead`, which
-    gives the same stream as stepping the generator one state at a time.
-    Arithmetic is ``uint64``, which wraps exactly for moduli up to 2^64;
-    larger ranges use Python integers through the same expression.
-    """
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The stream of :func:`raw_stockout_draws` a block of LCG states at a
+    time: each block's in-range candidates, as index rows, and their
+    feasibility.  The states are ``(A state + C) mod 2^bits`` from
+    :func:`_jump_ahead`, which gives the same stream as stepping the
+    generator one state at a time; arithmetic is ``uint64`` for moduli up
+    to 2^64 and Python integers past them."""
     k = len(stocks)
     if k and n < 1:
         raise ValueError(f"no candidate vectors for {k} products at n = {n}")
-    stocks = tuple(stocks)
+    level = np.array(stocks, dtype=np.int64)
     total = n**k
-    bits = max(total.bit_length(), _MIN_MODULUS_BITS)
+    bits = _modulus_bits(total)
     modulus = 1 << bits
     mask = modulus - 1
     dtype = np.uint64 if bits <= 64 else object
@@ -174,33 +212,165 @@ def raw_stockout_draws(
         for _ in range(modulus // _BLOCK):
             block = (A * state + C) & mask
             state = block[-1]
-            for x in block[block < total].tolist():
-                v = StockoutVector(stocks, _decompose(x, n, k), n)
-                yield v, is_feasible(v)
+            indices = _digits(block[block < total], n, k)
+            yield indices, _feasible(indices, level)
         cycle += 1
+
+
+def raw_stockout_draws(
+    stocks: Sequence[int], n: int, seed: int
+) -> Iterator[Tuple[StockoutVector, bool]]:
+    """Endless stream of raw candidate vectors with their feasibility flag.
+
+    Each full LCG period visits every integer in ``[0, n^k)`` exactly once
+    (out-of-range states are skipped); successive periods re-key the
+    generator from the seed.  Candidate ``x`` is the vector of its base-``n``
+    digits, least significant first, each plus one.
+    """
+    stocks = tuple(stocks)
+    for indices, feasible in _lcg_blocks(stocks, n, seed):
+        for row, ok in zip(indices.tolist(), feasible.tolist()):
+            yield StockoutVector(stocks, tuple(row), n), ok
 
 
 def sample_stockout_vectors(
     stocks: Sequence[int], n: int, sample_size: int, seed: int
 ) -> List[StockoutVector]:
-    """Uniform sample of feasible vectors, without replacement.
+    """Uniform sample of feasible vectors, without replacement: the first
+    ``sample_size`` feasible vectors of :func:`raw_stockout_draws`.
 
     One full-period LCG pass visits each candidate integer once; base-``n``
     decomposition turns it into indices and infeasible candidates are
     rejected, so the kept vectors are a uniform without-replacement draw.
+    The stream is read a numpy block of states at a time.
     """
     count = count_stockout_vectors(stocks, n)
     if sample_size > count:
         raise ValueError(f"sample_size {sample_size} exceeds feasible count {count}")
-    out: List[StockoutVector] = []
-    if sample_size == 0:
-        return out
-    for v, ok in raw_stockout_draws(stocks, n, seed):
-        if ok:
-            out.append(v)
-            if len(out) == sample_size:
-                return out
-    raise AssertionError("unreachable: stream is endless")
+    stocks = tuple(stocks)
+    rows: List[List[int]] = []
+    blocks = _lcg_blocks(stocks, n, seed)
+    while len(rows) < sample_size:
+        indices, feasible = next(blocks)
+        rows += indices[feasible][: sample_size - len(rows)].tolist()
+    return [StockoutVector(stocks, tuple(row), n) for row in rows]
+
+
+def drawn_by_position(k: int, n: int, take: int, count: int) -> bool:
+    """Whether :func:`sample_by_position` draws ``take`` of the ``count``
+    feasible vectors of ``k`` products at ``n`` arrivals: when it decodes
+    no more candidates than the stream would walk states,
+    ``n^k count <= take 2^bits``, and at most ``_POSITION_MAX``."""
+    total = n**k
+    return total <= _POSITION_MAX and total * count <= take << _modulus_bits(total)
+
+
+def sample_by_position(
+    stocks: np.ndarray, n: np.ndarray, take: np.ndarray, seeds: Sequence[int]
+) -> np.ndarray:
+    """The vectors :func:`sample_stockout_vectors` draws for each block
+    ``(stocks[b], n[b], take[b], seeds[b])``, as index rows, block by
+    block in draw order, without walking the generator.
+
+    Every candidate in ``[0, n^k)`` is decoded and the feasible ones kept.
+    Each one's step count from the block's first-period start state is its
+    LCG distance, found bit by bit (O'Neill 2014): where bit ``i`` of the
+    state still differs from the candidate's, the jump of ``2^i`` steps is
+    applied, which fixes that bit and keeps the lower ones.  A distance of
+    0 is the start state itself, the last state of the period.  The
+    ``take`` earliest are the stream's, since ``take`` is at most the
+    feasible count and one period visits every candidate once.  Every
+    block must satisfy :func:`drawn_by_position`, so its modulus is below
+    2^21.  The walk is ``uint64``, which wraps modulo 2^64, a multiple of
+    every modulus, so the bits below a block's modulus are exact.
+    """
+    blocks, k = stocks.shape
+    totals = n**k
+    block = np.repeat(np.arange(blocks), totals)
+    x = np.arange(block.size) - np.repeat(np.cumsum(totals) - totals, totals)
+    indices = _digits(x, n[block], k)
+    feasible = _feasible(indices, stocks[block])
+    block, indices, x = block[feasible], indices[feasible], x[feasible]
+    bits = [_modulus_bits(total) for total in totals.tolist()]
+    params = [
+        _lcg_params(1 << b, random.Random(f"{seed}:0")) for b, seed in zip(bits, seeds)
+    ]
+    a, c, start = np.array(params, dtype=np.uint64).reshape(blocks, 3).T
+    state = start[block]
+    target = x.astype(np.uint64)
+    distance = np.zeros(block.size, dtype=np.uint64)
+    for i in range(max(bits, default=0)):
+        differ = (state ^ target) & np.uint64(1 << i)
+        distance |= differ
+        state = np.where(differ != 0, a[block] * state + c[block], state)
+        # the jump of 2^(i+1) steps is the 2^i-step jump applied twice
+        a, c = a * a, (a + 1) * c
+    mask = (np.uint64(1) << np.array(bits, dtype=np.uint64)) - 1
+    position = ((distance - 1) & mask[block]).astype(np.int64)
+    counts = np.bincount(block, minlength=blocks)
+    order = np.argsort((block << 21) + position)  # positions are below 2^21
+    rank = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return indices[order[rank < np.repeat(take, counts)]]
+
+
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx):
+# the entropy words' first hash constant and its multiplier, the output
+# word's, and the two multipliers that mix pool words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _words(x: int) -> List[int]:
+    """The 32-bit words of ``x``, least significant first (one for 0)."""
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    out = [x & 0xFFFFFFFF]
+    while x >> 32:
+        x >>= 32
+        out.append(x & 0xFFFFFFFF)
+    return out
+
+
+def seed_states(keys: Sequence[Tuple[int, ...]]) -> List[int]:
+    """``int(numpy.random.SeedSequence(key).generate_state(1)[0])`` for
+    each key, a tuple of non-negative integers, in one numpy pass per
+    entropy length: each key's words are hashed into a pool of four, the
+    pool words mixed with each other and with the words past the fourth,
+    and the first pool word hashed out.  The hash constants do not depend
+    on the key, so ``uint32`` columns step every key at once."""
+    entropy = [[w for x in key for w in _words(x)] for key in keys]
+    out = np.empty(len(keys), dtype=np.uint32)
+    for width in set(map(len, entropy)):
+        rows = [i for i, e in enumerate(entropy) if len(e) == width]
+        words = np.array([entropy[i] for i in rows], dtype=np.uint32).reshape(-1, width)
+        words = [words[:, j] for j in range(width)]
+        multiplier = _INIT_A
+
+        def hashed(value):
+            nonlocal multiplier
+            value = value ^ np.uint32(multiplier)
+            multiplier = multiplier * _MULT_A & 0xFFFFFFFF
+            value = value * np.uint32(multiplier)
+            return value ^ (value >> np.uint32(16))
+
+        def mixed(x, y):
+            value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+            return value ^ (value >> np.uint32(16))
+
+        zero = np.zeros(len(rows), dtype=np.uint32)
+        pool = [hashed(words[i] if i < width else zero) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mixed(pool[dst], hashed(pool[src]))
+        for src in range(_POOL, width):
+            for dst in range(_POOL):
+                pool[dst] = mixed(pool[dst], hashed(words[src]))
+        value = (pool[0] ^ np.uint32(_INIT_B)) * np.uint32(_INIT_B * _MULT_B & 0xFFFFFFFF)
+        out[rows] = value ^ (value >> np.uint32(16))
+    return out.tolist()
 
 
 def log_multinomial(counts: Sequence[int]) -> float:

@@ -329,15 +329,25 @@ def _decode(text: str):
     return raw
 
 
-def _header(raw: dict, granularity: str) -> Tuple[float, Assortment, dict]:
+def _header(
+    raw: dict, granularity: str, assortments: Dict[tuple, Assortment]
+) -> Tuple[float, Assortment, dict]:
     """The visit's horizon, assortment and stocks, read strictly from its
-    ``T``, ``assortment`` and ``stocks``."""
+    ``T``, ``assortment`` and ``stocks``.  The assortment is the one in
+    ``assortments`` with its fields ``(products, includes_null)``, built
+    and kept there if it is new."""
     horizon = _real(raw["T"], "T")
-    products = tuple(_integer(a, "product id") for a in raw["assortment"])
+    fields = (
+        tuple(_integer(a, "product id") for a in raw["assortment"]),
+        granularity != "sales-no-null",
+    )
     stocks = {int(a): _integer(s, "stock") for a, s in raw["stocks"].items()}
     if len(stocks) < len(raw["stocks"]):
         raise _repeated_product(raw["stocks"], "stocks")
-    return horizon, Assortment(products, granularity != "sales-no-null"), stocks
+    assortment = assortments.get(fields)
+    if assortment is None:
+        assortment = assortments[fields] = Assortment(*fields)
+    return horizon, assortment, stocks
 
 
 def _typed_pairs(data, first: frozenset, second: frozenset) -> Optional[tuple]:
@@ -422,34 +432,44 @@ def parse_visit(text: str, line: int = 0) -> Tuple[Observation, str]:
     if granularity not in GRANULARITIES:
         raise DataFormatError(f"unknown granularity {granularity!r}", line)
     try:
-        horizon, assortment, stocks = _header(raw, granularity)
+        horizon, assortment, stocks = _header(raw, granularity, {})
         kind, body = _body(granularity, raw["data"])
         return kind(horizon, assortment, stocks, **body), granularity
     except _READ_ERRORS as exc:
         raise _refusal(exc, line)
 
 
-def _decode_header(text: str) -> Optional[Tuple[str, Header]]:
+def _decode_header(
+    text: str, assortments: Dict[tuple, Assortment]
+) -> Optional[Tuple[str, Header]]:
     """The granularity and checked header of ``text``, a line's header
     text followed by ``"data": 0}``; None unless it decodes to a visit
     object of exactly the visit keys whose granularity, header values and
-    header rules all pass."""
+    header rules all pass.  Its assortment is shared through
+    ``assortments`` (see :func:`_header`)."""
     try:
         raw = _decode(text)
         if type(raw) is dict and raw.keys() == _VISIT_KEYS:
             granularity = raw["granularity"]
             if granularity in GRANULARITIES:
-                return granularity, checked_header(*_header(raw, granularity))
+                header = _header(raw, granularity, assortments)
+                return granularity, checked_header(*header)
     except _READ_ERRORS:  # json's errors and InvalidObservation are ValueErrors
         pass
     return None
 
 
-def _parse_visit(text: str, line: int, headers: Dict[str, Tuple[str, Header]]):
+def _parse_visit(
+    text: str,
+    line: int,
+    headers: Dict[str, Tuple[str, Header]],
+    assortments: Dict[tuple, Assortment],
+):
     """:func:`parse_visit` of ``text``, reading its header text (what comes
     before its first ``"data": ``, the cut) once per read: ``headers`` maps
     each header text the read has checked to its granularity and
-    :data:`~stockout_demand.types.Header`.
+    :data:`~stockout_demand.types.Header`, and ``assortments`` each
+    assortment the read has built to its fields (see :func:`_header`).
 
     A line takes this path when a data value starts right after the cut's
     ``"data": `` and only JSON whitespace and the closing ``}`` follow it.
@@ -483,7 +503,7 @@ def _parse_visit(text: str, line: int, headers: Dict[str, Tuple[str, Header]]):
             head = text[:cut]
             header = headers.get(head)
             if header is None:
-                header = _decode_header(text[:start] + "0}")
+                header = _decode_header(text[:start] + "0}", assortments)
                 if header is not None:
                     headers[head] = header
             if header is not None:
@@ -516,12 +536,14 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
     occurrence.  Each distinct header text is decoded, checked and built
     once per call (see :func:`_parse_visit`): the visits on it share its
     assortment and its group key's header part, each with its own
-    read-only stocks.  The visits and errors are those of
-    :func:`parse_visit` line by line.
+    read-only stocks.  Each distinct assortment is built once per call,
+    and shared by the header texts that offer it.  The visits and errors
+    are those of :func:`parse_visit` line by line.
     """
     observations: List[Observation] = []
     parsed: Dict[str, Tuple[Observation, str]] = {}
     headers: dict = {}
+    assortments: dict = {}
     seen: Optional[str] = None
     with open(path) as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -529,7 +551,7 @@ def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Obse
                 continue
             visit = parsed.get(line)
             if visit is None:
-                visit = parsed[line] = _parse_visit(line, line_no, headers)
+                visit = parsed[line] = _parse_visit(line, line_no, headers, assortments)
             obs, g = visit
             if seen is None:
                 seen = g

@@ -60,9 +60,12 @@ from scipy.special import logsumexp, pdtrc
 from . import choice
 from .combinatorics import (
     count_stockout_vectors,
+    drawn_by_position,
     log_binomial,
     log_multinomial,
+    sample_by_position,
     sample_stockout_vectors,
+    seed_states,
 )
 from .types import (
     Assortment,
@@ -664,6 +667,8 @@ def table_sequences(
     terms: List[int] = []
     products: List[int] = []
     sales: List[int] = []
+    # log x! for every arrival count and segment size a term can reach
+    log_fact = [math.lgamma(x + 1) for x in range(max((m for *_, m in groups), default=0) + 1)]
     for visit, _, m in groups:
         if isinstance(visit, CompletePath):
             sequence = visit.choices
@@ -680,9 +685,10 @@ def table_sequences(
         first = len(n)
         for n_o in _compositions_at_most(m - observed, len(exponents)):
             arrivals = observed + sum(n_o)
-            term_coef = -math.lgamma(arrivals + 1)
+            term_coef = -log_fact[arrivals]
             for extra, size in zip(n_o, seg_counts):
-                term_coef += log_binomial(extra + size, extra)
+                # log C(extra + size, extra), as log_binomial computes it
+                term_coef += log_fact[extra + size] - log_fact[extra] - log_fact[size]
             n.append(arrivals)
             coef.append(term_coef)
             flat_exps += [e + extra for e, extra in zip(exponents, n_o)]
@@ -725,6 +731,32 @@ def sales_key(summary: SalesSummary) -> tuple:
     return (*summary.header_key, tuple(summary.sales.get(a, 0) for a in products))
 
 
+def _drawn(blocks: Sequence[tuple], k: int) -> np.ndarray:
+    """The indices each sampled block ``(stocks, n, take, count, seed)``
+    of ``k`` stock-outs draws, one row per vector, block by block in draw
+    order: by cycle position where :func:`drawn_by_position` holds, from
+    the stream otherwise."""
+    take = [b[2] for b in blocks]
+    out = np.empty((sum(take), k), dtype=np.int64)
+    cheap = [drawn_by_position(k, n, t, count) for _, n, t, count, _ in blocks]
+    positional = [b for b, c in zip(blocks, cheap) if c]
+    if positional:
+        stocks, n, t, _, seeds = zip(*positional)
+        out[np.repeat(cheap, take)] = sample_by_position(
+            np.array(stocks, dtype=np.int64).reshape(-1, k),
+            np.array(n, dtype=np.int64),
+            np.array(t, dtype=np.int64),
+            seeds,
+        )
+    start = 0
+    for (stocks, n, t, _, seed), c in zip(blocks, cheap):
+        if not c:
+            vectors = sample_stockout_vectors(stocks, n, t, seed)
+            out[start : start + t] = [v.indices for v in vectors]
+        start += t
+    return out
+
+
 def table_sales(
     catalog: Sequence[int],
     groups: Sequence[tuple],
@@ -758,10 +790,15 @@ def table_sales(
     Terms come group by group, block by block (``n`` ascending), then in
     :func:`_shape_layouts` order for a full block, each distinct shape
     (sold-out stocks and ``n``) enumerated once, or in draw order.  Python
-    runs per group (and per sampled block, to draw it), numpy per block and
-    per term.  A group with a full block faces one candidate per sold-out
-    subset, built once per products, null option and sold-out positions; a
-    group of drawn blocks only faces just the subsets its layouts reach.
+    runs per group and per sampled block (to count it and key its
+    generator), numpy per block and per term.  The sampled blocks are drawn
+    after the loop, those with the same number of stock-outs in one batch
+    (:func:`_drawn`): by their candidates' positions in the generator's
+    cycle where that costs less than walking the stream, and without a
+    Python step per candidate either way.  A group with a full block faces
+    one candidate per sold-out subset, built once per products, null option
+    and sold-out positions; a group of drawn blocks only faces just the
+    subsets its layouts reach.
     """
     if saa_samples is not None and saa_samples < 1:
         raise ValueError(f"saa_samples must be >= 1, got {saa_samples}")
@@ -780,10 +817,11 @@ def table_sales(
     flat_stocks: List[int] = []
     flat_sales: List[int] = []
     # per block, SAA only: the layouts drawn (0 for a full block) and the
-    # log weight; per stock-out count, every drawn vector's indices
+    # log weight; per stock-out count, every sampled block's stocks, n,
+    # sample size, feasible count and stream
     takes: List[int] = []
     weights: List[float] = []
-    drawn: Dict[int, List[Tuple[int, ...]]] = {}
+    sampled: Dict[int, List[tuple]] = {}
     for (_, (products, includes_null), stocks, sales), _, m, stream in groups:
         stocked = () if naive else tuple([i for i, s in enumerate(stocks) if s == sales[i]])
         total = sum(sales)
@@ -798,10 +836,7 @@ def table_sales(
                 takes.append(0)
                 weights.append(0.0)
                 continue
-            draw_seed = int(np.random.SeedSequence((seed, stream, n)).generate_state(1)[0])
-            drawn.setdefault(len(level), []).extend(
-                v.indices for v in sample_stockout_vectors(level, n, take, draw_seed)
-            )
+            sampled.setdefault(len(level), []).append((level, n, take, count, stream))
             takes.append(take)
             weights.append(math.log(count) - math.log(take))
         key = (products, includes_null, stocked)
@@ -870,11 +905,13 @@ def table_sales(
     offset[pending] = 0
     key_id = np.array(key_of, dtype=np.int64)
     key_list = list(keys)
-    for k, indices in drawn.items():
+    for k, blocks in sampled.items():
         seqs = np.flatnonzero(~full & (k_block == k))
         owner = np.repeat(seqs, taken[seqs])
         block_row[seqs] = np.cumsum(taken[seqs]) - taken[seqs]
-        indices = np.array(indices, dtype=np.int64).reshape(owner.size, k)
+        # a block's draw seed: the SeedSequence state of (seed, stream, n)
+        seeds = seed_states([(seed, b[4], b[1]) for b in blocks])
+        indices = _drawn([(*b[:4], s) for b, s in zip(blocks, seeds)], k)
         orders = np.argsort(indices, axis=1)
         sizes = _segment_sizes(
             np.take_along_axis(indices, orders, axis=1), block_n[owner, None]
@@ -883,14 +920,14 @@ def table_sales(
             out_stocks[block_g[owner], :k], orders, sizes, log_fact
         )
         # a group of drawn blocks only faces just the subsets it reaches:
-        # its rows name them by their place among all candidates
+        # its rows name them by their place among all candidates, found
+        # through the code ``key id * 2^k + mask``
         mine = pending[block_g[owner]]
-        subset_rows = np.column_stack(
-            [np.repeat(key_id[block_g[owner][mine]], k + 1), masks[mine].ravel()]
-        )
-        reached, local = np.unique(subset_rows, axis=0, return_inverse=True)
+        codes = (key_id[block_g[owner][mine], None] << k) + masks[mine]
+        reached, local = np.unique(codes.ravel(), return_inverse=True)
         masks[mine] = len(candidates) + local.reshape(-1, k + 1)
-        for key, mask in reached.tolist():
+        for code in reached.tolist():
+            key, mask = code >> k, code & ((1 << k) - 1)
             products, includes_null, stocked = key_list[key]
             gone = {stocked[j] for j in range(k) if mask >> j & 1}
             faced = tuple(a for i, a in enumerate(products) if i not in gone)

@@ -21,9 +21,12 @@ from stockout_demand import (
 from stockout_demand.combinatorics import (
     _MIN_MODULUS_BITS,
     _lcg_params,
+    drawn_by_position,
     log_binomial,
     log_multinomial,
     raw_stockout_draws,
+    sample_by_position,
+    seed_states,
 )
 
 
@@ -56,6 +59,20 @@ def reference_draws(stocks, n, seed):
             v = StockoutVector(tuple(stocks), tuple(indices), n)
             yield v.indices, is_feasible(v)
         cycle += 1
+
+
+def reference_sample(stocks, n, take, seed):
+    """The first ``take`` feasible vectors of the stepwise stream."""
+    return list(islice((v for v, ok in reference_draws(stocks, n, seed) if ok), take))
+
+
+# SAA(16) of a section7-like block: two products of stock 3 sell out at 10
+# arrivals (50 feasible vectors), at the stream seed of a section7 visit
+GOLDEN_BLOCK = ((3, 3), 10, 16, 1999011995)
+GOLDEN_DRAW = [
+    (6, 4), (7, 5), (10, 4), (8, 9), (8, 7), (9, 6), (9, 7), (3, 9),
+    (6, 7), (9, 4), (6, 8), (4, 9), (10, 6), (7, 6), (6, 9), (10, 7),
+]
 
 
 class TestFeasibility:
@@ -197,6 +214,122 @@ class TestSampling:
             next(raw_stockout_draws((3,), n, seed=1))
 
 
+# per stock-out count, a table's sampled blocks ``(stocks, n, take)`` on both
+# sides of the cost line, with their side (True: drawn by cycle position)
+# and their modulus bits
+MIXED_BLOCKS = {
+    1: [
+        (((2,), 9, 3), True, 16),
+        (((1,), 40, 39), True, 16),  # take = count - 1
+        (((599990,), 600000, 10), True, 20),  # take = count - 1
+        (((1,), 30000, 5), False, 16),
+        (((1,), 700000, 4), False, 20),
+    ],
+    2: [
+        (((3, 3), 10, 16), True, 16),
+        (((2, 2), 6, 17), True, 16),  # take = count - 1
+        (((1, 1), 1000, 4), False, 20),
+        (((1, 1), 2**32 - 1, 2), False, 64),
+        (((1, 1), 2**32 + 1, 2), False, 65),
+    ],
+    3: [
+        (((1, 2, 1), 9, 16), True, 16),
+        (((1, 1, 1), 5, 59), True, 16),  # take = count - 1
+        (((1, 1, 1), 100, 3), False, 20),
+        (((1, 1, 1), 2_600_000, 2), False, 64),
+        (((1, 1, 1), 2_700_000, 2), False, 65),
+    ],
+}
+
+
+class TestDrawByPosition:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_table_draws_match_the_stepwise_stream(self, k, monkeypatch):
+        # a table's sampled blocks of k stock-outs, drawn in one batch, are
+        # the stepwise stream's draws block by block
+        blocks = []
+        for i, ((stocks, n, take), cheap, bits) in enumerate(MIXED_BLOCKS[k]):
+            count = count_stockout_vectors(stocks, n)
+            assert take < count
+            assert max((n**k).bit_length(), _MIN_MODULUS_BITS) == bits
+            assert drawn_by_position(k, n, take, count) == cheap, (stocks, n)
+            blocks.append((stocks, n, take, count, 1000 + i))
+        drawn = []
+
+        def spy(stocks, n, take, seeds):
+            drawn.extend(n.tolist())
+            return sample_by_position(stocks, n, take, seeds)
+
+        monkeypatch.setattr(likelihood, "sample_by_position", spy)
+        got = likelihood._drawn(blocks, k)
+        want = [v for *b, _, seed in blocks for v in reference_sample(*b, seed)]
+        assert [tuple(row) for row in got.tolist()] == want
+        # only the blocks under the line skip the stream, none of 65 bits
+        assert drawn == [n for (_, n, _), cheap, _ in MIXED_BLOCKS[k] if cheap]
+
+    def test_batch_of_mixed_shapes_matches_the_stepwise_stream(self):
+        rng = random.Random(3)
+        for k in (1, 2, 3):
+            blocks = []
+            while len(blocks) < 12:
+                stocks = tuple(rng.randint(1, 3) for _ in range(k))
+                n = sum(stocks) + rng.randint(0, 30 if k < 3 else 8)
+                count = count_stockout_vectors(stocks, n)
+                take = rng.randint(1, max(1, min(count - 1, 20)))
+                if take < count and drawn_by_position(k, n, take, count):
+                    blocks.append((stocks, n, take, rng.randrange(2**32)))
+            stocks, n, take, seeds = zip(*blocks)
+            got = sample_by_position(
+                np.array(stocks).reshape(-1, k), np.array(n), np.array(take), seeds
+            )
+            want = [v for b in blocks for v in reference_sample(*b)]
+            assert [tuple(row) for row in got.tolist()] == want, k
+
+    def test_start_state_is_drawn_last(self):
+        # the start state is the last step of its period, not step 0: a
+        # block whose start state is a candidate, drawn all but one
+        stocks, n = (1,), 40
+        count = count_stockout_vectors(stocks, n)
+        starts = (_lcg_params(1 << 16, random.Random(f"{s}:0"))[2] for s in range(10**5))
+        seed, start = next((s, x) for s, x in enumerate(starts) if x < n)
+        got = sample_by_position(np.array([stocks]), np.array([n]), np.array([count - 1]), [seed])
+        want = reference_sample(stocks, n, count - 1, seed)
+        assert [tuple(row) for row in got.tolist()] == want
+        assert (start + 1,) not in want
+
+    def test_golden_draw(self):
+        # a literal draw, so that a change to the stream itself fails
+        stocks, n, take, seed = GOLDEN_BLOCK
+        assert count_stockout_vectors(stocks, n) == 50
+        got = sample_by_position(np.array([stocks]), np.array([n]), np.array([take]), [seed])
+        assert [tuple(row) for row in got.tolist()] == GOLDEN_DRAW
+        assert [v.indices for v in sample_stockout_vectors(stocks, n, take, seed)] == GOLDEN_DRAW
+        assert reference_sample(stocks, n, take, seed) == GOLDEN_DRAW
+
+    def test_seed_states_are_seed_sequence_states(self):
+        # keys of one to six values, of zero to three words each, so that
+        # the entropy is shorter and longer than the pool of four words
+        rng = random.Random(5)
+        keys = [
+            tuple(
+                rng.choice([0, rng.randrange(100), rng.randrange(2**32), rng.randrange(2**70)])
+                for _ in range(rng.randint(1, 6))
+            )
+            for _ in range(500)
+        ]
+        want = [int(np.random.SeedSequence(key).generate_state(1)[0]) for key in keys]
+        assert seed_states(keys) == want
+        with pytest.raises(ValueError, match="non-negative"):
+            seed_states([(1, 2), (-1, 2)])
+
+    def test_the_cost_line(self):
+        # 10^2 candidates against 16/50 of a 2^16 period; 100^3 candidates
+        # against 3/970200 of a 2^20 one; a 65-bit range never
+        assert drawn_by_position(2, 10, 16, 50)
+        assert not drawn_by_position(3, 100, 3, count_stockout_vectors((1, 1, 1), 100))
+        assert not drawn_by_position(4, 65536, 2**63, 2**63 + 1)
+
+
 def segment_terms(stacked):
     """Every term of a stack as its faced segments: (membership row,
     exponent) pairs, zero exponents dropped."""
@@ -219,7 +352,7 @@ class TestDrawnLayouts:
                 # a sample of every vector, still taken as a draw
                 monkeypatch.setattr(likelihood, "count_stockout_vectors", lambda s, n: count + 1)
                 monkeypatch.setattr(
-                    likelihood, "sample_stockout_vectors", lambda s, n, take, seed: vectors
+                    likelihood, "_drawn", lambda blocks, k: np.array([v.indices for v in vectors])
                 )
                 free = n - sum(stocks)
                 summary = SalesSummary(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stockout_demand import SECTION7_PRESET, compile_dataset, read_visits, write_visits
+from stockout_demand import io as sd_io
 from stockout_demand import types
 from stockout_demand.estimation import _group_key
 from stockout_demand.io import (
@@ -20,7 +21,7 @@ from stockout_demand.io import (
 )
 from stockout_demand import fit_complete, simulate_dataset
 from stockout_demand.simulate import VisitConfig
-from stockout_demand.types import ModelParams, TransactionRecord
+from stockout_demand.types import Assortment, ModelParams, TransactionRecord
 
 
 def small_config(include_null=True):
@@ -404,6 +405,27 @@ class TestHeaderText:
         )
         assert len(calls) == 17 and built == obs
         assert _group_key(built, granularity) == _group_key(obs, granularity)
+
+    def test_assortment_built_once_per_read(self, tmp_path, monkeypatch):
+        # every line its own header text, as with varied horizons, over a
+        # few assortments: each is built once and shared by its visits
+        paths = simulate_dataset(small_config(), 200, seed=11)
+        lines = [
+            serialize_visit(project_path(p, "sales"), "sales").replace(
+                '"T": 1.0', f'"T": {1 + i / 1000}'
+            )
+            for i, p in enumerate(paths)
+        ]
+        assert len({line[: line.index('"data": ')] for line in lines}) == 200
+        assert_read_as_parsed(tmp_path, lines)
+        built = []
+        monkeypatch.setattr(
+            sd_io, "Assortment", lambda *fields: built.append(fields) or Assortment(*fields)
+        )
+        loaded = read_lines(tmp_path, lines)
+        shared = {o.initial_assortment.products: o.initial_assortment for o in loaded}
+        assert len(built) == len(set(built)) == len(shared) < 200
+        assert all(o.initial_assortment is shared[o.initial_assortment.products] for o in loaded)
 
     @pytest.mark.parametrize("granularity,include_null", [("complete", True), ("sales", True)])
     def test_built_visit_joins_the_read_visits_group(self, tmp_path, granularity, include_null):
