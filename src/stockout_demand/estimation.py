@@ -4,17 +4,18 @@ A dataset is compiled once into flat arrays: identical visits are grouped
 with multiplicities, and the groups are stacked into one set of arrays
 whose assortment denominators share one registry.  Sales groups build no
 table: :func:`~stockout_demand.likelihood.table_sales` stacks them all in
-one pass, each stock-out layout shape enumerated once.  Complete-data and
-untimed-transaction groups stack likewise, in one
-:func:`~stockout_demand.likelihood.table_sequences` call: a complete path
-at its own arrival count, an untimed record at its truncation.  Timed
-transactions build no table per visit:
-:func:`~stockout_demand.likelihood.fold_timed` folds their groups, in one
-pass, into one table of sufficient statistics per assortment (exponent
-and exposure-time totals, plus the sales), so their part of every
-evaluation costs the same whatever the number of visits.  Each optimizer
-step is then a handful of vectorized array operations with analytic
-gradients in ``(log rate, log weights)``.  Compiling also checks the
+one pass, each stock-out layout shape enumerated once.  Untimed
+transactions stack likewise, in one
+:func:`~stockout_demand.likelihood.table_sequences` call, each record at
+its truncation.  Timed transactions and complete paths build no table
+per visit: :func:`~stockout_demand.likelihood.fold_timed` folds their
+groups, in one pass, into one table of sufficient statistics per
+assortment (exponent and thinned-time totals, plus the sales, and for
+complete paths their null choices, observed time and constant), so
+their part of every evaluation costs the same whatever the number of
+visits.  Each optimizer step is then a handful of vectorized array
+operations with analytic gradients in ``(log rate, log weights)``.
+Compiling also checks the
 estimator (each granularity fits one observation class; SAA and the naive
 baseline fit sales only, and not together) and keeps the fit's start
 point and null regime.
@@ -150,8 +151,9 @@ class CompiledDataset:
     is the fit's start point: the log of ``rate`` (the naive rate) and the
     log naive sales shares, floored at 1e-6.  ``includes_null`` tells
     whether any compiled assortment offers the null option.  ``timed`` is
-    every timed visit folded into one table over the catalog (empty when
-    nothing is timed); ``visits`` is the number of visits compiled.
+    every timed record or complete path folded into one table over the
+    catalog (empty when nothing folds); ``visits`` is the number of visits
+    compiled.
     ``truncations`` are the distinct ``(horizon, m)`` pairs at which sums
     over latent arrival counts were truncated.
     """
@@ -186,16 +188,18 @@ class CompiledDataset:
         self._timed_cols = [np.arange(len(catalog)) for _ in self._timed]
         self.timed_sales = timed.sales
         self.timed_membership = membership_matrix(catalog, timed.assortments)
+        self.timed_nulls = np.array([float(a.includes_null) for a in timed.assortments])
         self.timed_exponents = timed.exponents
         self.timed_durations = timed.durations
+        self.timed_null_choices = timed.null_choices
+        self.timed_observed_time = timed.observed_time
+        self.timed_constant = timed.constant
         self.n_assort = self.nulls.size + len(timed.assortments)
         # the sales are integer sums, so their order does not change them
         sales = self.counts @ self.Z + self.timed_sales
         shares = np.maximum(sales / max(sales.sum(), 1.0), 1e-6)
         self.start = np.concatenate(([math.log(rate)], np.log(shares)))
-        self.includes_null = bool(self.nulls.any()) or any(
-            a.includes_null for a in timed.assortments
-        )
+        self.includes_null = bool(self.nulls.any() or self.timed_nulls.any())
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -226,9 +230,13 @@ class CompiledDataset:
                 math.exp(x[0]),
                 np.exp(np.asarray(x[1:], dtype=float)),
                 self.timed_membership,
+                self.timed_nulls,
                 self.timed_exponents,
                 self.timed_durations,
                 self.timed_sales,
+                self.timed_null_choices,
+                self.timed_observed_time,
+                self.timed_constant,
             )
             value, grad = value + timed_value, grad + timed_grad
         return value, grad
@@ -243,10 +251,11 @@ def compile_dataset(
     naive: bool = False,
 ) -> CompiledDataset:
     """Group identical visits and stack every group's terms once; timed
-    visits fold instead into one table of per-assortment totals, all
-    their ``(visit, count)`` groups in one :func:`fold_timed` call.  A
-    visit not of the granularity's observation class, SAA or naive at a
-    non-sales granularity, or SAA and naive together, raises
+    records and complete paths fold instead into one table of
+    per-assortment totals, all their ``(visit, count)`` groups in one
+    :func:`fold_timed` call, so that a complete dataset has no term
+    groups.  A visit not of the granularity's observation class, SAA or
+    naive at a non-sales granularity, or SAA and naive together, raises
     :class:`InvalidObservation`.  Each distinct visit object is checked and
     keyed once, at its first occurrence.  A group's key is its visit's
     content, read as values: a horizon written ``1`` or ``1.0`` keys alike.
@@ -296,19 +305,19 @@ def compile_dataset(
     # summed over every visit in order: the start point depends on it
     rate = naive_rate(observations)
     rate_cap = RATE_CAP_FACTOR * rate
-    sequences: List[Tuple[Observation, int, int]] = []
+    sequences: List[Tuple[TransactionRecord, int, int]] = []
     sales: List[tuple] = []
-    timed: List[Tuple[TransactionRecord, int]] = []
+    folded: List[Tuple[Union[CompletePath, TransactionRecord], int]] = []
     # m depends only on the horizon and the observed count here
     sizes: Dict[Tuple[float, int], int] = {}
     for (key, members), obs in zip(groups.items(), firsts):
-        if granularity == "transactions-timed":
-            timed.append((obs, len(members)))
+        if granularity in ("complete", "transactions-timed"):
+            folded.append((obs, len(members)))
             continue
-        # only a visit with a null option has a latent arrival count, and
-        # complete data observe it: every other visit's m is its own count
+        # only a visit with a null option has a latent arrival count:
+        # every other visit's m is its own count
         m = _observed_count(obs)
-        if obs.initial_assortment.includes_null and granularity != "complete":
+        if obs.initial_assortment.includes_null:
             size_key = (obs.horizon, m)
             if size_key not in sizes:
                 sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, m)
@@ -323,7 +332,7 @@ def compile_dataset(
         table_sales(catalog, sales, saa_samples, seed, naive)
         if kind is SalesSummary
         else table_sequences(catalog, sequences),
-        fold_timed(timed, catalog),
+        fold_timed(folded, catalog),
         rate,
         len(observations),
         sorted({(horizon, m) for (horizon, _), m in sizes.items()}),
@@ -396,11 +405,12 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     causes = []
     # a product no visit sells appears only in denominators, so its
     # weight's supremum is 0, wherever the solve stops
-    never_sold = ds.counts @ ds.Z + ds.timed_sales == 0
-    # a group's fewest arrivals are those it observes: its purchases, or
-    # its arrivals for complete data; with none at all the likelihood
-    # rises as the rate falls to 0
-    observed = ds.counts @ np.minimum.reduceat(ds.n, ds.bounds) + ds.timed_sales.sum()
+    sold = ds.counts @ ds.Z + ds.timed_sales
+    never_sold = sold == 0
+    # the arrivals the visits observe: their purchases, and for complete
+    # data their null choices too; with none at all the likelihood rises
+    # as the rate falls to 0
+    observed = sold.sum() + ds.timed_null_choices
     names = ["log rate"] + [f"log weight of product {a}" for a in ds.catalog]
     for i, (name, x, box) in enumerate(zip(names, res.x, bounds)):
         if not i and not observed:
@@ -450,9 +460,10 @@ def fit(
 
 def fit_complete(observations: Sequence[CompletePath]) -> FitResult:
     """Complete data: the rate MLE is arrivals per unit time, in closed
-    form.  Each visit contributes a single term, so the weight score does
-    not depend on the rate and the joint solve's weights stay optimal when
-    its rate is replaced by the closed form.
+    form.  The folded paths have no thinned time, so the weight score (the
+    sales less each row's exponent times its choice shares) does not
+    depend on the rate, and the joint solve's weights stay optimal when its
+    rate is replaced by the closed form.
     """
     ds = compile_dataset(observations, "complete")
     rate = naive_rate(observations)  # arrivals per unit time

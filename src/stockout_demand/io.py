@@ -517,12 +517,23 @@ def _parse_visit(
 
 
 def write_visits(path: str, observations: Iterable[Observation], granularity: str) -> int:
-    count = 0
+    """Write one :func:`serialize_visit` line per visit; returns the count.
+
+    A line's null regime is read from its granularity alone (every one
+    but ``sales-no-null`` offers the null option), so a visit in the other
+    regime would read back changed: it raises :class:`InvalidObservation`,
+    naming the visit by its place, before the file is opened."""
+    observations = list(observations)
+    includes_null = granularity != "sales-no-null"
+    for i, obs in enumerate(observations, start=1):
+        if obs.initial_assortment.includes_null != includes_null:
+            raise InvalidObservation(
+                f"visit {i}: regime does not match granularity {granularity!r}"
+            )
     with open(path, "w") as handle:
         for obs in observations:
             handle.write(serialize_visit(obs, granularity) + "\n")
-            count += 1
-    return count
+    return len(observations)
 
 
 def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Observation], str]:

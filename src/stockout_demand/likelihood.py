@@ -18,17 +18,17 @@ Sales build no table per visit: :func:`table_sales` stacks a dataset's
 sales visits in one pass, for the exact, SAA and naive estimators and
 both null regimes (the visit's regime picks its arrival counts: up to
 ``m`` for ``l5``, the sales for ``l6``), enumerating each distinct layout
-shape once in numpy.  Complete paths and untimed transactions (complete
-paths with the null choices dropped) stack through one builder,
-:func:`table_sequences`: a term per way of spreading the arrivals a
-sequence does not show over its segments as hidden null choices, one
-``l2`` term when nothing is hidden.  One kernel,
-:func:`term_loglik_grad`, evaluates the stacked arrays' grouped
-log-sum-exp with its gradient; timed transactions fold,
-a dataset in one pass, into one table of per-assortment totals
-(:func:`fold_timed`), evaluated by :func:`timed_loglik_grad`.
-``estimation.compile_dataset`` builds and stacks the terms, and is the
-one way they are evaluated.  Its oracles are
+shape once in numpy.  Untimed transactions (complete paths with the
+null choices dropped) stack through :func:`table_sequences`: a term per
+way of spreading the arrivals a record does not show over its segments
+as hidden null choices.  One kernel, :func:`term_loglik_grad`, evaluates
+the stacked arrays' grouped log-sum-exp with its gradient.  Every timed
+sequence, timed transactions and complete paths alike, folds instead, a
+dataset in one pass, into one table of per-assortment totals
+(:func:`fold_timed`, a complete path's null choices counting as choices
+of a weight-1 null option), evaluated by :func:`timed_loglik_grad`.
+``estimation.compile_dataset`` builds the tables, and is the one way
+they are evaluated.  Its oracles are
 the ``l*`` functions: the paper's formulas, written for a general choice
 law, evaluated visit by visit with the attraction probabilities of
 ``choice.prob``.
@@ -55,7 +55,7 @@ from itertools import chain, combinations, permutations, product as iter_product
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp, pdtrc
+from scipy.special import gammaln, logsumexp, pdtrc
 
 from . import choice
 from .combinatorics import (
@@ -634,26 +634,25 @@ def _ranks(lens: np.ndarray) -> np.ndarray:
 
 def table_sequences(
     catalog: Sequence[int],
-    groups: Sequence[Tuple[Union[CompletePath, TransactionRecord], float, int]],
+    groups: Sequence[Tuple[TransactionRecord, float, int]],
 ) -> Tuple[np.ndarray, ...]:
     """The arrays :func:`term_loglik_grad` takes after ``x`` for a
-    dataset's choice sequences, over the products ``catalog``: complete
-    paths (``l2``) and untimed transaction records (``l4``), which are
-    complete paths with their null choices dropped.
+    dataset's untimed transaction records (``l4``), over the products
+    ``catalog``: complete paths with their null choices dropped, read
+    without their times.  Complete paths themselves fold
+    (:func:`fold_timed`); one, or any other visit that is not a
+    transaction record, raises :class:`InvalidObservation`, as does a
+    record without a null option.
 
-    A group is ``(visit, count, m)``: ``count`` copies of a visit with at
-    most ``m`` arrivals.  A path observes every arrival's choice, a record
-    only its purchases; a record without a null option raises
-    :class:`InvalidObservation`.  The group has one term for each way
-    ``n_o`` of spreading ``m`` minus its observed choices over its
-    constant-assortment segments as hidden null arrivals, in
-    :func:`_compositions_at_most` order: arrival count ``n = observed +
-    |n_o|``, coefficient ``-log n! + sum_j log C(n_o_j + s_j, n_o_j)``
-    (segment ``j`` holding ``s_j`` observed choices, its closing stock-out
-    excluded) and segment ``j``'s exponent raised by ``n_o_j``.  A path at
-    its own arrival count hides nothing, so its one term is ``l2``; a group
-    whose ``m`` is below its observed count has no terms, which
-    :func:`_stacked` refuses.
+    A group is ``(record, count, m)``: ``count`` copies of a record with at
+    most ``m`` arrivals.  It has one term for each way ``n_o`` of spreading
+    ``m`` minus its purchases over its constant-assortment segments as
+    hidden null arrivals, in :func:`_compositions_at_most` order: arrival
+    count ``n = purchases + |n_o|``, coefficient ``-log n! + sum_j log
+    C(n_o_j + s_j, n_o_j)`` (segment ``j`` holding ``s_j`` purchases, its
+    closing stock-out excluded) and segment ``j``'s exponent raised by
+    ``n_o_j``.  A group whose ``m`` is below its purchase count has no
+    terms, which :func:`_stacked` refuses.
     """
     # every candidate's fields; per term: its group's first candidate and
     # its segment count; every exponent; per group: its term count; per
@@ -670,12 +669,13 @@ def table_sequences(
     # log x! for every arrival count and segment size a term can reach
     log_fact = [math.lgamma(x + 1) for x in range(max((m for *_, m in groups), default=0) + 1)]
     for visit, _, m in groups:
-        if isinstance(visit, CompletePath):
-            sequence = visit.choices
-        elif visit.initial_assortment.includes_null:
-            sequence = visit.products
-        else:
+        if not isinstance(visit, TransactionRecord):
+            raise InvalidObservation(
+                f"table_sequences stacks transaction records, not {type(visit).__name__}"
+            )
+        if not visit.initial_assortment.includes_null:
             raise InvalidObservation("l4 is defined for the null-inclusive regime")
+        sequence = visit.products
         _, seg_counts, assortments, _ = visit.segments()
         # choices made from each segment's assortment: its counted choices,
         # plus the stock-out purchase that closes every segment but the last
@@ -973,73 +973,95 @@ def table_sales(
 
 
 def fold_timed(
-    groups: Sequence[Tuple[TransactionRecord, int]], catalog: Sequence[int]
+    groups: Sequence[Tuple[Union[CompletePath, TransactionRecord], int]],
+    catalog: Sequence[int],
 ) -> "TimedSegmentTable":
-    """Timed records with multiplicities, folded into one table over
-    ``catalog``: the thinned purchase rate is linear in the visits, so the
-    likelihood of many visits needs only per-assortment totals.  Its rows
-    are the distinct segment assortments in order of first appearance,
-    with count-weighted exponent and duration totals; its sales are the
+    """Timed records and complete paths with multiplicities, folded into
+    one table over ``catalog``: a choice enters the likelihood only through
+    its product and the denominator it faces, and the thinned purchase rate
+    is linear in the visits, so many visits need only per-assortment
+    totals.  The rows are the distinct segment assortments, keyed on
+    ``(products, includes_null)``, in order of first appearance, with
+    count-weighted exponent and thinned-time totals; the sales are the
     count-weighted purchases per product.  The first untimed record, or
     one without a null option, raises :class:`InvalidObservation`, as in
     :func:`l3_transactions_timed`.
 
+    A complete path observes every arrival.  Its null choices are choices
+    of a null option of weight 1: they add to their segment's exponent,
+    never sell out and stay out of the sales.  Its horizon is observed,
+    not thinned, time, and its ``n`` arrivals add ``n log T - log n!`` to
+    the constant, so that its folded likelihood is ``l2``.
+
     Python runs once per group, to check it, look up its header (initial
     assortment and stocks, each distinct one read once) and append its
-    purchases to one flat list; the rest is numpy over every purchase at
-    once.  A purchase sells out its product when the product's running
-    unit count in its record reaches the stock; the sell-outs split each
-    record into segments, bounded by ``0``, the sell-out times and ``T``,
-    whose exponent is the purchases they hold (the sell-out that closes
-    one included) and whose assortment is the header's products less
-    those already sold out.  Totals add record by record, segment by
-    segment, each value weighted by its group's count."""
+    choices to one flat list; the rest is numpy over every choice at once.
+    A purchase sells out its product when the product's running unit count
+    in its visit reaches the stock; the sell-outs split each visit into
+    segments, bounded by ``0``, the sell-out times and ``T``, whose
+    exponent is the choices they hold (the sell-out that closes one
+    included) and whose assortment is the header's products less those
+    already sold out.  Totals add visit by visit, segment by segment, each
+    value weighted by its group's count."""
     catalog = tuple(catalog)
+    # the null option takes the column past the catalog's, keyed by an id
+    # past every product's
+    null_id = max(catalog, default=-1) + 1
     # per distinct header: its id; per group: its header, count, horizon
-    # and purchase count; every purchase's (time, product), group by group
-    headers: Dict[Tuple[Tuple[int, ...], tuple], int] = {}
+    # and choice count; the complete paths' group numbers; every choice's
+    # (time, product or null_id), group by group
+    headers: Dict[tuple, int] = {}
     header_of: List[int] = []
     counts: List[int] = []
     horizons: List[float] = []
     lengths: List[int] = []
-    purchases: List[Tuple[Optional[float], int]] = []
-    for record, count in groups:
-        if not record.timestamps_present:
-            raise InvalidObservation("timed transactions need transaction timestamps")
-        initial = record.initial_assortment
-        if not initial.includes_null:
-            raise InvalidObservation("l3 is defined for the null-inclusive regime")
-        key = (initial.products, tuple(record.stocks.items()))
-        header_of.append(headers.setdefault(key, len(headers)))
+    complete: List[int] = []
+    choices: List[Tuple[Optional[float], int]] = []
+    for visit, count in groups:
+        if isinstance(visit, CompletePath):
+            complete.append(len(counts))
+            events = [(t, null_id if c is NULL else c) for t, c in visit.events]
+        else:
+            if not visit.timestamps_present:
+                raise InvalidObservation("timed transactions need transaction timestamps")
+            if not visit.initial_assortment.includes_null:
+                raise InvalidObservation("l3 is defined for the null-inclusive regime")
+            events = visit.transactions
+        # ((products, includes_null), stocks in product order)
+        header_of.append(headers.setdefault(visit.header_key[1:], len(headers)))
         counts.append(count)
-        horizons.append(record.horizon)
-        lengths.append(len(record.transactions))
-        purchases += record.transactions
+        horizons.append(visit.horizon)
+        lengths.append(len(events))
+        choices += events
 
     # per header: its products' columns in its own order (-1 past its
-    # width), and each offered column's place in that order and stock
+    # width), each offered column's place in that order and stock (the
+    # null column's stock 0 is never reached), and its null option
     col = {a: i for i, a in enumerate(catalog)}
-    width = max((len(products) for products, _ in headers), default=0)
+    width = max((len(products) for (products, _), _ in headers), default=0)
     header_cols = np.full((len(headers), max(width, 1)), -1, dtype=np.int64)
     header_places = np.zeros((len(headers), len(catalog)), dtype=np.int64)
-    header_stocks = np.zeros((len(headers), len(catalog)), dtype=np.int64)
-    for h, (products, stocks) in enumerate(headers):
+    header_stocks = np.zeros((len(headers), len(catalog) + 1), dtype=np.int64)
+    header_null = np.zeros(len(headers), dtype=np.int64)
+    for h, ((products, includes_null), stocks) in enumerate(headers):
         cols = [col[a] for a in products]
         header_cols[h, : len(cols)] = cols
         header_places[h, cols] = range(len(cols))
-        header_stocks[h, [col[a] for a, _ in stocks]] = [s for _, s in stocks]
+        header_stocks[h, cols] = stocks
+        header_null[h] = includes_null
     header = np.array(header_of, dtype=np.int64)
     count = np.array(counts, dtype=float)
+    horizon = np.array(horizons, dtype=float)
 
-    # per purchase: its group, time and column, the units of its product
-    # its record has bought so far, and whether that sells the product out
+    # per choice: its group, time and column, the units of its product its
+    # visit has chosen so far, and whether that sells the product out
     owner = np.repeat(np.arange(len(groups)), lengths)
-    times, products = zip(*purchases) if purchases else ((), ())
+    times, chosen = zip(*choices) if choices else ((), ())
     times = np.array(times, dtype=float)
-    by_id = np.argsort(catalog)
-    ids = np.array(catalog, dtype=np.int64)[by_id]
-    bought = by_id[np.searchsorted(ids, np.array(products, dtype=np.int64))]
-    key = owner * len(catalog) + bought
+    ids = np.array(catalog + (null_id,), dtype=np.int64)
+    by_id = np.argsort(ids)
+    bought = by_id[np.searchsorted(ids[by_id], np.array(chosen, dtype=np.int64))]
+    key = owner * ids.size + bought
     by_key = np.argsort(key, kind="stable")
     run_start = np.ones(key.size, dtype=bool)
     run_start[1:] = key[by_key[1:]] != key[by_key[:-1]]
@@ -1049,44 +1071,55 @@ def fold_timed(
     out = units == header_stocks[header[owner], bought]
 
     # per segment, numbered across groups: its group and place in it, its
-    # purchases (each sell-out closes its segment), its bounds
+    # choices (each sell-out closes its segment), its bounds; a complete
+    # path's time is observed, not thinned
     k = np.bincount(owner[out], minlength=len(groups))
     seg_group = np.repeat(np.arange(len(groups)), k + 1)
     place = _ranks(k + 1)
     seg = owner + np.cumsum(out) - out
-    weight = count[seg_group]
-    exponents = np.bincount(seg, minlength=seg_group.size) * weight
-    ends = np.array(horizons, dtype=float)[seg_group]
+    exponents = np.bincount(seg, minlength=seg_group.size) * count[seg_group]
+    ends = horizon[seg_group]
     ends[place < k[seg_group]] = times[out]
     begins = np.zeros(seg_group.size)
     begins[place > 0] = times[out]
-    durations = weight * (ends - begins)
+    thinned = count.copy()
+    thinned[complete] = 0.0
+    durations = thinned[seg_group] * (ends - begins)
     # and its assortment: the header's columns less those sold out before
-    # it, in header order, packed left and padded with -1
+    # it, in header order, packed left and padded with -1, then its null
+    # option
     gone = np.zeros((seg_group.size, header_cols.shape[1]), dtype=np.int64)
     gone[seg[out] + 1, header_places[header[owner[out]], bought[out]]] = 1
     gone = np.cumsum(gone, axis=0)
     gone -= gone[np.arange(seg_group.size) - place]
     seg_cols = header_cols[header[seg_group]]
     kept = (seg_cols >= 0) & (gone == 0)
-    faced = np.full(seg_cols.shape, -1, dtype=np.int64)
+    faced = np.full((seg_group.size, seg_cols.shape[1] + 1), -1, dtype=np.int64)
     faced[np.nonzero(kept)[0], np.cumsum(kept, axis=1)[kept] - 1] = seg_cols[kept]
+    faced[:, -1] = header_null[header[seg_group]]
 
     # the registry: the distinct faced rows in order of first appearance
     rows = faced.view(np.dtype((np.void, faced.strides[0]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     seg_row = np.argsort(order)[inverse.ravel()]
-    assortments = [
-        Assortment(tuple(catalog[c] for c in faced[s].tolist() if c >= 0))
-        for s in first[order].tolist()
-    ]
+    assortments = []
+    for s in first[order].tolist():
+        *cols, includes_null = faced[s].tolist()
+        products = tuple(catalog[c] for c in cols if c >= 0)
+        assortments.append(Assortment(products, bool(includes_null)))
+    chosen_totals = _totals(bought, count[owner], ids.size)
+    # the complete paths' arrival counts, horizons and counts
+    n, observed, weight = np.array(lengths)[complete], horizon[complete], count[complete]
     return TimedSegmentTable(
         catalog=catalog,
-        sales=_totals(bought, count[owner], len(catalog)),
+        sales=chosen_totals[:-1],
         assortments=assortments,
         exponents=_totals(seg_row, exponents, len(assortments)),
         durations=_totals(seg_row, durations, len(assortments)),
+        null_choices=float(chosen_totals[-1]),
+        observed_time=float(weight @ observed),
+        constant=float(weight @ (n * np.log(observed) - gammaln(n + 1))),
     )
 
 
@@ -1156,48 +1189,59 @@ def timed_loglik_grad(
     rate: float,
     beta: np.ndarray,
     membership: np.ndarray,
+    nulls: np.ndarray,
     exponents: np.ndarray,
     durations: np.ndarray,
     sales: np.ndarray,
+    null_choices: float,
+    observed_time: float,
+    constant: float,
 ) -> Tuple[float, np.ndarray]:
-    """Timed-transaction log-likelihood and its gradient in
-    ``(log rate, log weights)``, from per-assortment totals.
+    """Folded log-likelihood of timed records and complete paths (see
+    :func:`fold_timed`) and its gradient in ``(log rate, log weights)``.
 
-    Row ``d`` of ``membership`` is a null-inclusive assortment with weight
-    sum ``F_d`` and denominator ``D_d = 1 + F_d``; ``exponents`` and
-    ``durations`` hold its total purchase-density exponent ``E_d`` and
-    exposure time ``tau_d``; ``sales`` are the purchase counts ``Z`` per
-    product, ``N`` their total.  The value is
-    ``Z . log f + N log lambda - E . log D - lambda tau . (F / D)``; the
-    thinned rate ``lambda F / D`` is linear in the visits, so one visit and
-    a whole dataset summed per assortment evaluate alike.  ``log1p(F)``
-    and ``F / (1 + F)`` keep their precision when ``F`` is tiny and the
-    rate is huge.
+    Row ``d`` of ``membership`` and ``nulls[d]`` give the weight sum
+    ``F_d`` and denominator ``D_d = null_d + F_d``; ``exponents`` and
+    ``durations`` hold its choice exponent ``E_d`` and thinned time
+    ``tau_d``.  The purchases ``Z`` per product (``sales``) and the
+    ``null_choices`` are the ``N`` observed choices; every arrival is
+    observed over the ``observed_time`` ``t``.  The value is ``Z . log f
+    + N log lambda - E . log D - lambda (t + tau . (F / D)) + constant``:
+    the thinned rate ``lambda F / D`` is linear in the visits, so one
+    visit and a whole dataset summed per assortment evaluate alike.  On a
+    null-inclusive row, ``log1p(F)`` and ``F / (1 + F)`` keep their
+    precision when ``F`` is tiny and the rate is huge; a no-null row that
+    offers nothing (``D = 0``) has exponent and thinned time 0, and adds
+    nothing.
     """
-    purchases = float(sales.sum())
+    arrivals = float(sales.sum()) + null_choices
     weight_sum = membership @ beta
-    denom = 1.0 + weight_sum
-    purchase_time = float(durations @ (weight_sum / denom))
+    denom = nulls + weight_sum
+    safe = np.where(denom > 0, denom, 1.0)
+    log_denom = np.where(nulls > 0, np.log1p(weight_sum), np.log(safe))
+    exposure = observed_time + float(durations @ (weight_sum / safe))
     value = float(
         sales @ np.log(beta)
-        + purchases * math.log(rate)
-        - exponents @ np.log1p(weight_sum)
-        - rate * purchase_time
+        + arrivals * math.log(rate)
+        - exponents @ log_denom
+        - rate * exposure
     )
     grad = np.empty(1 + beta.size)
-    grad[0] = purchases - rate * purchase_time
-    share = membership * beta[None, :] / denom[:, None]
-    grad[1:] = sales - (exponents + rate * durations / denom) @ share
-    return value, grad
+    grad[0] = arrivals - rate * exposure
+    share = membership * beta[None, :] / safe[:, None]
+    grad[1:] = sales - (exponents + rate * durations / safe) @ share
+    return value + constant, grad
 
 
 @dataclass
 class TimedSegmentTable:
-    """Timestamped-transaction likelihood of the visits a
+    """Likelihood of the timed records and complete paths a
     :func:`fold_timed` folds, one row per distinct constant-assortment
-    segment ``d``: total purchase-density exponent ``E_d`` and exposure
-    time ``tau_d``, plus the purchases per ``catalog`` product; a plain
-    record whose arrays :func:`timed_loglik_grad` evaluates.
+    segment ``d``: total choice exponent ``E_d`` and thinned time
+    ``tau_d``; plus the purchases per ``catalog`` product, and over the
+    complete paths their null choices, observed time (count-weighted
+    horizons) and constant ``sum count (n log T - log n!)``.  A plain
+    record whose values :func:`timed_loglik_grad` evaluates.
     """
 
     catalog: Tuple[int, ...]
@@ -1205,6 +1249,9 @@ class TimedSegmentTable:
     assortments: List[Assortment]
     exponents: np.ndarray
     durations: np.ndarray
+    null_choices: float
+    observed_time: float
+    constant: float
 
 
 # ---------------------------------------------------------------------------

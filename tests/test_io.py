@@ -136,6 +136,28 @@ class TestVisitRoundTrip:
         write_visits(str(again), loaded, g)
         assert out.read_bytes() == again.read_bytes()
 
+    @pytest.mark.parametrize("granularity", ["complete", "transactions-timed", "transactions"])
+    def test_no_null_visit_is_not_written_as_null_inclusive(self, tmp_path, granularity):
+        # a line's regime comes from its granularity alone: this visit
+        # would read back with a null option
+        no_null = types.CompletePath(
+            1.0, Assortment((0, 1), False), {0: 1, 1: 2}, ((0.2, 1), (0.5, 0))
+        )
+        good = project_path(simulate_dataset(small_config(), 1, seed=4)[0], granularity)
+        out = tmp_path / "visits.jsonl"
+        match = f"^visit 2: regime does not match granularity '{granularity}'$"
+        with pytest.raises(types.InvalidObservation, match=match):
+            write_visits(str(out), [good, project_path(no_null, granularity)], granularity)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "granularity,include_null", [("sales", False), ("sales-no-null", True)]
+    )
+    def test_sales_in_the_other_regime_is_not_written(self, tmp_path, granularity, include_null):
+        path = simulate_dataset(small_config(include_null), 1, seed=4)[0]
+        with pytest.raises(types.InvalidObservation, match="^visit 1: regime does not match"):
+            write_visits(str(tmp_path / "visits.jsonl"), [types.project_sales(path)], granularity)
+
 
 class TestSharedReads:
     """A read parses each distinct line once: its repeats are one visit,
@@ -151,7 +173,7 @@ class TestSharedReads:
         out.write_text("\n".join(text) + "\n")
         return out, lines + lines[::-1]
 
-    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES[1:])
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES)
     def test_repeats_are_one_visit(self, tmp_path, granularity, include_null):
         out, lines = self.write_repeated(tmp_path, granularity, include_null)
         loaded, g = read_visits(str(out))
@@ -161,7 +183,7 @@ class TestSharedReads:
             assert first.setdefault(line, obs) is obs
         assert len({id(obs) for obs in loaded}) == len(first)
 
-    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES[1:])
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES)
     def test_shared_visits_compile_as_parsed_lines(self, tmp_path, granularity, include_null):
         out, lines = self.write_repeated(tmp_path, granularity, include_null)
         shared = compile_dataset(read_visits(str(out))[0], granularity)

@@ -3,7 +3,7 @@
 The reference below is the earlier per-term stacker: each table holds one
 ``(n, coef, [(assortment, exponent), ...])`` tuple per term, filled layout
 by layout, and the stacker walks every term and segment in Python.
-:func:`table_sequences` (complete data and untimed transactions) and
+:func:`table_sequences` (untimed transactions) and
 :func:`table_sales` (every sales estimator) must return exactly its
 arrays, element for element.
 """
@@ -29,7 +29,7 @@ from stockout_demand.likelihood import (
     table_sales,
     table_sequences,
 )
-from stockout_demand.types import Assortment, CompletePath, InvalidObservation, SalesSummary
+from stockout_demand.types import Assortment, InvalidObservation, SalesSummary, TransactionRecord
 
 from conftest import random_transaction_record
 
@@ -169,20 +169,6 @@ def reference_transactions(record, m):
             coef += log_binomial(n_o[j] + seg_counts[j], n_o[j])
             segs.append((a, exponents[j] + n_o[j]))
         table.add_term(n, coef, segs)
-    return table
-
-
-def reference_complete(path):
-    counts = {}
-    for c in path.choices:
-        if c is not None:
-            counts[c] = counts.get(c, 0) + 1
-    table = ReferenceTable(path.horizon, path.initial_assortment.products, counts)
-    _, seg_counts, assortments, _ = path.segments()
-    k = len(seg_counts) - 1
-    exponents = [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
-    n = path.arrivals
-    table.add_term(n, -math.lgamma(n + 1), list(zip(assortments, exponents)))
     return table
 
 
@@ -465,24 +451,12 @@ class TestStackMatchesReference:
             [1 + i % counts for i in range(len(records))],
         )
 
-    @pytest.mark.parametrize("includes_null", [True, False])
-    @pytest.mark.parametrize("counts", [1, 3], ids=["single", "repeated"])
-    def test_complete_tables(self, includes_null, counts):
-        # a path at its own arrival count hides no null arrival
-        config = replace(sd_io.SECTION7_PRESET, include_null=includes_null, rate=10.0)
-        paths = simulate.simulate_dataset(config.visit_config(), 60, 3)
-        assert any(len(p.segments()[2]) > 1 for p in paths)  # some stock out
-        assert_same_stack(
-            paths,
-            lambda p: p.arrivals,
-            reference_complete,
-            [1 + i % counts for i in range(len(paths))],
-        )
-
     def test_group_without_terms_raises(self):
         # a group whose m is below its observed count has no terms, which
         # would make the kernel's reduceat read the next group's first term
-        path = CompletePath(1.0, Assortment((0, 1), True), {0: 1, 1: 1}, ((0.5, 0),))
-        groups = [(path, 1, path.arrivals), (path, 1, path.arrivals - 1)]
+        record = TransactionRecord(
+            1.0, Assortment((0, 1), True), {0: 1, 1: 1}, ((None, 0),), False
+        )
+        groups = [(record, 1, record.total), (record, 1, record.total - 1)]
         with pytest.raises(InvalidObservation, match="term table 1 lists no terms"):
             table_sequences((0, 1), groups)

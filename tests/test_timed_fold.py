@@ -1,14 +1,21 @@
-"""Timed-visit folding against a per-visit reference.
+"""Folding against per-visit references.
 
-The reference below folds visit by visit: one table per distinct timed
-visit (its catalog, sales, segment assortments, exponents and durations),
-read off ``segments()`` and summed into per-assortment totals by a loop
-over the tables.  :func:`fold_timed`, directly and through
-``compile_dataset``, must return exactly its arrays, in the same dtypes
-and the same registry order, and a one-visit table exactly the visit's
-reference table.
+Timed records: the reference below folds visit by visit, one table per
+distinct timed visit (its catalog, sales, segment assortments, exponents
+and durations), read off ``segments()`` and summed into per-assortment
+totals by a loop over the tables.  :func:`fold_timed`, directly and
+through ``compile_dataset``, must return exactly its arrays, in the same
+dtypes and the same registry order, and a one-visit table exactly the
+visit's reference table.
+
+Complete paths: a folded complete dataset's log-likelihood and gradient
+must equal, to 1e-9 relative, those of the per-path ``l2`` stack (one
+term per path, evaluated by :func:`term_loglik_grad`) and the sum of
+:func:`l2_choice_sequence` over its paths; degenerate datasets must also
+fit as they did when each path was stacked as one ``l2`` term.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -17,9 +24,21 @@ import pytest
 
 from stockout_demand import io as sd_io
 from stockout_demand import simulate
-from stockout_demand.estimation import _group_key, compile_dataset
-from stockout_demand.likelihood import fold_timed, membership_matrix
-from stockout_demand.types import Assortment, InvalidObservation, TransactionRecord
+from stockout_demand.estimation import _group_key, compile_dataset, fit
+from stockout_demand.likelihood import (
+    fold_timed,
+    l2_choice_sequence,
+    membership_matrix,
+    table_sequences,
+    term_loglik_grad,
+)
+from stockout_demand.types import (
+    NULL,
+    Assortment,
+    CompletePath,
+    InvalidObservation,
+    TransactionRecord,
+)
 
 PRESET = sd_io.SECTION7_PRESET
 
@@ -279,3 +298,230 @@ def test_first_bad_record_raises(order, message):
     records = [good, untimed, no_null]
     with pytest.raises(InvalidObservation, match=f"^{message}$"):
         fold_timed([(records[i], 1) for i in order], (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# complete paths
+
+
+def reference_l2_stack(catalog, groups):
+    """The arrays :func:`term_loglik_grad` takes after ``x`` for complete
+    paths stacked one ``l2`` term each: ``n`` the path's arrivals,
+    coefficient ``-log n!``, and per segment the assortment it faces with
+    exponent its choices (the stock-out purchase that closes it included),
+    zero exponents dropped; the sales are the purchases per product."""
+    col = {a: i for i, a in enumerate(catalog)}
+    registry = {}
+    rows = []
+    sales = np.zeros((len(groups), len(catalog)))
+    for g, (path, _) in enumerate(groups):
+        _, seg_counts, assortments, _ = path.segments()
+        k = len(seg_counts) - 1
+        exponents = [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
+        segs = zip(assortments, exponents)
+        rows.append([(registry.setdefault(a, len(registry)), e) for a, e in segs if e])
+        for c in path.choices:
+            if c is not NULL:
+                sales[g, col[c]] += 1
+    width = max((len(r) for r in rows), default=0)
+    seg_idx = np.zeros((len(groups), width), dtype=np.int64)
+    seg_exp = np.zeros((len(groups), width))
+    for g, r in enumerate(rows):
+        for j, (d, e) in enumerate(r):
+            seg_idx[g, j], seg_exp[g, j] = d, e
+    n = np.array([path.arrivals for path, _ in groups], dtype=np.int64)
+    return (
+        membership_matrix(catalog, list(registry)),
+        np.array([float(a.includes_null) for a in registry]),
+        np.array([-math.lgamma(x + 1) for x in n.tolist()]),
+        n,
+        seg_idx,
+        seg_exp,
+        np.arange(len(groups), dtype=np.int64),
+        np.array([count for _, count in groups], dtype=float),
+        np.array([path.horizon for path, _ in groups], dtype=float),
+        sales,
+    )
+
+
+def path(horizon, products, stocks, events, includes_null=True):
+    """A complete path offering ``products`` in that order at ``stocks``."""
+    assortment = Assortment(tuple(products), includes_null)
+    return CompletePath(horizon, assortment, dict(zip(products, stocks)), tuple(events))
+
+
+#: degenerate complete datasets, each with its fit when every path was
+#: stacked as its own ``l2`` term: ``(paths, rate, loglik, probabilities)``
+DEGENERATE = {
+    # the first path's last stretch, (0.5, 1], offers nothing: F = 0 there
+    "every product sells out, no null": (
+        [
+            path(1.0, (0, 1), (1, 2), [(0.1, 0), (0.2, 1), (0.5, 1)], False),
+            path(1.0, (0, 1, 2), (2, 2, 3), [(0.3, 2), (0.4, 0), (0.6, 1), (0.9, 1)], False),
+            path(1.5, (1, 2), (2, 1), [(0.2, 2), (1.1, 1)], False),
+        ],
+        2.5714285714285716,
+        -11.091828298958886,
+        {0: 0.3596117967978124, 1: 0.2807764064043752, 2: 0.3596117967978124},
+    ),
+    # products (0, 1) are offered with and without the null option
+    "mixed regimes": (
+        [
+            path(
+                1.0, (0, 1, 2), (1, 2, 2), [(0.1, NULL), (0.2, 0), (0.4, 1), (0.6, NULL), (0.8, 2)]
+            ),
+            path(1.0, (0, 1), (1, 2), [(0.1, 0), (0.2, 1)], False),
+            path(1.0, (1, 2), (2, 1), [(0.3, 2), (0.5, 1), (0.7, 1)], False),
+            path(1.0, (0, 1, 2), (1, 1, 1), [(0.2, 1), (0.3, NULL), (0.35, 2), (0.9, 0)]),
+            path(1.0, (0, 1, 2), (2, 2, 2), [(0.2, 0), (0.3, 1), (0.5, 0)], False),
+        ],
+        3.4,
+        -22.819210082251907,
+        {
+            0: 0.3922332586245197,
+            1: 0.18191753102455305,
+            2: 0.17447919741039622,
+            None: 0.25137001294053096,
+        },
+    ),
+    "zero arrivals": (
+        [
+            path(1.0, (0, 1), (2, 2), []),
+            path(2.0, (0, 1), (2, 2), [(0.5, 1), (1.5, 0), (1.7, NULL)]),
+            path(1.0, (0,), (3,), [], False),
+            path(1.0, (0, 1), (1, 1), [(0.5, 0)], False),
+        ],
+        0.8,
+        -8.423977142573936,
+        {0: 0.44444444444952674, 1: 0.22222222221934232, None: 0.33333333333113085},
+    ),
+    "null arrivals only": (
+        [
+            path(1.0, (0, 1), (1, 1), [(0.2, NULL), (0.7, NULL)]),
+            path(1.0, (0, 1), (1, 1), [(0.1, 1), (0.3, NULL), (0.8, 0)]),
+            path(1.0, (), (), [(0.4, NULL), (0.5, NULL), (0.6, NULL)]),
+        ],
+        2.6666666666666665,
+        -8.588915178281919,
+        {0: 0.16666666810876335, 1: 0.3333333446789729, None: 0.4999999872122638},
+    ),
+    "mixed horizons": (
+        [
+            path(0.5, (0, 1), (1, 2), [(0.1, 1), (0.3, NULL), (0.4, 0)]),
+            path(1.0, (0, 1), (1, 2), [(0.2, NULL), (0.9, 1)]),
+            path(2.5, (0, 1, 2), (2, 1, 2), [(0.3, 2), (1.0, 1), (1.2, NULL), (2.4, 0)]),
+            path(0.25, (2,), (1,), [(0.1, 2), (0.2, NULL)]),
+        ],
+        2.588235294117647,
+        -18.902014093046674,
+        {
+            0: 0.16666666402699776,
+            1: 0.33333333882893634,
+            2: 0.285714281088392,
+            None: 0.214285716055674,
+        },
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=[True, False], ids=["null", "no-null"])
+def complete_paths(request):
+    config = replace(PRESET, include_null=request.param, rate=10.0)
+    paths = simulate.simulate_dataset(config.visit_config(), 60, 3)
+    assert any(len(p.segments()[2]) > 1 for p in paths)  # some stock out
+    return paths
+
+
+def assert_folds_as_l2(paths, counts, seed=0):
+    """The folded dataset of ``counts[i]`` copies of ``paths[i]`` agrees
+    with the per-path ``l2`` stack and with the sum of ``l2`` at three
+    random points, with no ``0 log 0`` or ``0 / 0`` along the way."""
+    groups = list(zip(paths, counts))
+    ds = compile_dataset([p for p, c in groups for _ in range(c)], "complete")
+    assert ds.counts.size == 0  # no term groups: every path folds
+    reference = reference_l2_stack(ds.catalog, groups)
+    rnd = np.random.default_rng(seed)
+    for _ in range(3):
+        x = np.concatenate(([rnd.normal(1.0, 1.0)], rnd.normal(0.0, 1.0, len(ds.catalog))))
+        params = ds.params_of(x)
+        with np.errstate(all="raise"):
+            value, grad = ds.loglik_grad(x)
+            want_value, want_grad = term_loglik_grad(x, *reference)
+        l2_sum = sum(c * l2_choice_sequence(p, params) for p, c in groups)
+        assert value == pytest.approx(want_value, rel=1e-9, abs=0)
+        assert value == pytest.approx(l2_sum, rel=1e-9, abs=0)
+        scale = np.abs(want_grad).max()
+        assert np.abs(grad - want_grad).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("counts", [1, 3], ids=["single", "repeated"])
+def test_complete_fold_matches_l2(complete_paths, counts):
+    assert_folds_as_l2(complete_paths, [1 + i % counts for i in range(len(complete_paths))])
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+@pytest.mark.parametrize("counts", [1, 3], ids=["single", "repeated"])
+def test_degenerate_complete_fold_matches_l2(case, counts):
+    paths = DEGENERATE[case][0]
+    assert_folds_as_l2(paths, [1 + i % counts for i in range(len(paths))])
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_complete_fits_as_stacked(case):
+    paths, rate, loglik, probabilities = DEGENERATE[case]
+    result = fit(paths, "complete")
+    assert result.converged
+    assert result.params.rate == pytest.approx(rate, rel=1e-12)
+    assert result.loglik == pytest.approx(loglik, rel=1e-12)
+    assert result.probabilities.keys() == probabilities.keys()
+    for c, p in probabilities.items():
+        assert result.probabilities[c] == pytest.approx(p, rel=1e-6), c
+
+
+def test_sold_out_stretch_is_observed_time():
+    # the path sells out both products at 0.5 and faces nothing after: its
+    # exposure is still lambda T, its empty row has exponent 0
+    paths = DEGENERATE["every product sells out, no null"][0][:1]
+    table = fold_timed([(paths[0], 2)], (0, 1))
+    assert table.assortments == [
+        Assortment((0, 1), False), Assortment((1,), False), Assortment((), False)
+    ]
+    assert np.array_equal(table.exponents, [2.0, 4.0, 0.0])
+    assert np.array_equal(table.durations, [0.0, 0.0, 0.0])
+    assert table.observed_time == 2.0 and table.null_choices == 0.0
+    assert np.array_equal(table.sales, [2.0, 4.0])
+
+
+def test_regimes_key_distinct_rows():
+    # (0, 1) with and without the null option are two rows; a null choice
+    # adds to its segment's exponent and to the null choices, not the sales
+    with_null = path(1.0, (0, 1), (1, 2), [(0.1, NULL), (0.2, 0), (0.6, NULL)])
+    without = path(1.0, (0, 1), (1, 2), [(0.3, 1), (0.4, 0)], False)
+    table = fold_timed([(with_null, 1), (without, 3)], (0, 1))
+    assert table.assortments == [
+        Assortment((0, 1), True), Assortment((1,), True),
+        Assortment((0, 1), False), Assortment((1,), False),
+    ]
+    assert np.array_equal(table.exponents, [2.0, 1.0, 6.0, 0.0])
+    assert np.array_equal(table.sales, [4.0, 3.0])
+    assert table.null_choices == 2.0
+    assert table.observed_time == 4.0
+    # 3 (2 log 1 - log 2!) + (3 log 1 - log 3!)
+    assert table.constant == pytest.approx(-3 * math.log(2) - math.log(6), rel=1e-15)
+
+
+def test_w2_config_folds_to_one_row_per_assortment():
+    config = replace(PRESET, include_null=True, rate=10.0)
+    paths = simulate.simulate_dataset(config.visit_config(), 300, 5)
+    ds = compile_dataset(paths, "complete")
+    assert ds.counts.size == 0 and ds.n.size == 0
+    rows = {a for p in paths for a in p.segments()[2]}
+    assert len(ds.timed_exponents) == len(rows) < len(paths)
+
+
+def test_table_sequences_refuses_complete_paths():
+    complete = path(1.0, (0, 1), (1, 1), [(0.5, 0)])
+    with pytest.raises(
+        InvalidObservation, match="^table_sequences stacks transaction records, not CompletePath$"
+    ):
+        table_sequences((0, 1), [(complete, 1, 1)])
