@@ -243,8 +243,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_args(p: _Parser) -> None:
-        p.add_argument("--config", help="run-config JSON path")
-        p.add_argument(
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="run-config JSON path")
+        source.add_argument(
             "--preset",
             choices=["section7"],
             help="built-in configuration preset",

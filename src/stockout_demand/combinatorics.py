@@ -38,7 +38,6 @@ __all__ = [
     "raw_stockout_draws",
     "drawn_by_position",
     "sample_by_position",
-    "seed_states",
     "log_multinomial",
     "log_binomial",
 ]
@@ -311,66 +310,6 @@ def sample_by_position(
     order = np.argsort((block << 21) + position)  # positions are below 2^21
     rank = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
     return indices[order[rank < np.repeat(take, counts)]]
-
-
-# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx):
-# the entropy words' first hash constant and its multiplier, the output
-# word's, and the two multipliers that mix pool words
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _words(x: int) -> List[int]:
-    """The 32-bit words of ``x``, least significant first (one for 0)."""
-    if x < 0:
-        raise ValueError("expected non-negative integer")
-    out = [x & 0xFFFFFFFF]
-    while x >> 32:
-        x >>= 32
-        out.append(x & 0xFFFFFFFF)
-    return out
-
-
-def seed_states(keys: Sequence[Tuple[int, ...]]) -> List[int]:
-    """``int(numpy.random.SeedSequence(key).generate_state(1)[0])`` for
-    each key, a tuple of non-negative integers, in one numpy pass per
-    entropy length: each key's words are hashed into a pool of four, the
-    pool words mixed with each other and with the words past the fourth,
-    and the first pool word hashed out.  The hash constants do not depend
-    on the key, so ``uint32`` columns step every key at once."""
-    entropy = [[w for x in key for w in _words(x)] for key in keys]
-    out = np.empty(len(keys), dtype=np.uint32)
-    for width in set(map(len, entropy)):
-        rows = [i for i, e in enumerate(entropy) if len(e) == width]
-        words = np.array([entropy[i] for i in rows], dtype=np.uint32).reshape(-1, width)
-        words = [words[:, j] for j in range(width)]
-        multiplier = _INIT_A
-
-        def hashed(value):
-            nonlocal multiplier
-            value = value ^ np.uint32(multiplier)
-            multiplier = multiplier * _MULT_A & 0xFFFFFFFF
-            value = value * np.uint32(multiplier)
-            return value ^ (value >> np.uint32(16))
-
-        def mixed(x, y):
-            value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-            return value ^ (value >> np.uint32(16))
-
-        zero = np.zeros(len(rows), dtype=np.uint32)
-        pool = [hashed(words[i] if i < width else zero) for i in range(_POOL)]
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = mixed(pool[dst], hashed(pool[src]))
-        for src in range(_POOL, width):
-            for dst in range(_POOL):
-                pool[dst] = mixed(pool[dst], hashed(words[src]))
-        value = (pool[0] ^ np.uint32(_INIT_B)) * np.uint32(_INIT_B * _MULT_B & 0xFFFFFFFF)
-        out[rows] = value ^ (value >> np.uint32(16))
-    return out.tolist()
 
 
 def log_multinomial(counts: Sequence[int]) -> float:

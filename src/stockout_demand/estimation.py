@@ -134,11 +134,12 @@ def naive_rate(observations: Sequence[Observation]) -> float:
 
 
 def _group_key(obs: Observation, granularity: str):
-    """The visit's ``header_key`` followed by what it observes."""
+    """The visit's ``header_key`` followed by what its likelihood reads;
+    a complete path's is its choices, not their times."""
     if isinstance(obs, SalesSummary):
         return sales_key(obs)
     if isinstance(obs, CompletePath):
-        return (*obs.header_key, obs.events)
+        return (*obs.header_key, obs.choices)
     times = obs.transactions if granularity == "transactions-timed" else obs.products
     return (*obs.header_key, times)
 

@@ -65,7 +65,6 @@ from .combinatorics import (
     log_multinomial,
     sample_by_position,
     sample_stockout_vectors,
-    seed_states,
 )
 from .types import (
     Assortment,
@@ -781,7 +780,8 @@ def table_sales(
 
     With ``saa_samples`` (at least 1, or :class:`ValueError`), a block of
     more layouts is a uniform without-replacement sample of its stock-out
-    vectors, deterministic in ``(seed, stream, n)``, its base raised by
+    vectors, deterministic in ``(seed, stream, n)`` (``seed`` at least 0,
+    or :class:`ValueError`), its base raised by
     ``log(count / sample size)``: the sample-average approximation.  A
     drawn vector's layout is its products in the order of their sorted
     indices, with the segment sizes of :func:`_segment_sizes`, the
@@ -802,6 +802,8 @@ def table_sales(
     """
     if saa_samples is not None and saa_samples < 1:
         raise ValueError(f"saa_samples must be >= 1, got {saa_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     candidates: List[Tuple[Tuple[int, ...], bool]] = []  # their fields
     subsets: Dict[tuple, int] = {}  # first of each key's 2^k candidates
     # per group: its key's id, first candidate (-1 for drawn blocks only),
@@ -818,7 +820,7 @@ def table_sales(
     flat_sales: List[int] = []
     # per block, SAA only: the layouts drawn (0 for a full block) and the
     # log weight; per stock-out count, every sampled block's stocks, n,
-    # sample size, feasible count and stream
+    # sample size, feasible count and draw seed
     takes: List[int] = []
     weights: List[float] = []
     sampled: Dict[int, List[tuple]] = {}
@@ -836,7 +838,9 @@ def table_sales(
                 takes.append(0)
                 weights.append(0.0)
                 continue
-            sampled.setdefault(len(level), []).append((level, n, take, count, stream))
+            # its draw seed: numpy's SeedSequence state of (seed, stream, n)
+            draw_seed = int(np.random.SeedSequence((seed, stream, n)).generate_state(1)[0])
+            sampled.setdefault(len(level), []).append((level, n, take, count, draw_seed))
             takes.append(take)
             weights.append(math.log(count) - math.log(take))
         key = (products, includes_null, stocked)
@@ -909,9 +913,7 @@ def table_sales(
         seqs = np.flatnonzero(~full & (k_block == k))
         owner = np.repeat(seqs, taken[seqs])
         block_row[seqs] = np.cumsum(taken[seqs]) - taken[seqs]
-        # a block's draw seed: the SeedSequence state of (seed, stream, n)
-        seeds = seed_states([(seed, b[4], b[1]) for b in blocks])
-        indices = _drawn([(*b[:4], s) for b, s in zip(blocks, seeds)], k)
+        indices = _drawn(blocks, k)
         orders = np.argsort(indices, axis=1)
         sizes = _segment_sizes(
             np.take_along_axis(indices, orders, axis=1), block_n[owner, None]

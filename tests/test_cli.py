@@ -113,6 +113,36 @@ class TestExitCodes:
         assert "truncation m must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "compare"])
+    def test_negative_seed_is_usage_error_whatever_is_drawn(self, tmp_path, capsys, command):
+        # a sample size above every block's count draws nothing, so a
+        # negative seed used to reach no generator: estimate wrote
+        # "seed": -1 and compare its CSV
+        data = simulate_small(tmp_path)
+        out = tmp_path / "out"
+        config = ("--preset", "section7") if command == "compare" else ()
+        code = run(
+            command, "--data", str(data), *config, "--saa-samples", "100000", "--seed", "-1",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_preset_with_config_is_usage_error(self, tmp_path, capsys, command):
+        # the preset used to win and the config file to be ignored
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"catalog": [0], "weights": {"0": 1.0}, "rate": 1.0}))
+        data = () if command == "simulate" else ("--data", str(simulate_small(tmp_path)))
+        out = tmp_path / "out"
+        code = run(
+            command, *data, "--preset", "section7", "--config", str(config), "--out", str(out)
+        )
+        assert code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fractional_stock_is_data_error(self, tmp_path, capsys):
         # a cast would read the stock of 1.5 as 1
         f = tmp_path / "bad.jsonl"

@@ -26,7 +26,6 @@ from stockout_demand.combinatorics import (
     log_multinomial,
     raw_stockout_draws,
     sample_by_position,
-    seed_states,
 )
 
 
@@ -305,22 +304,6 @@ class TestDrawByPosition:
         assert [tuple(row) for row in got.tolist()] == GOLDEN_DRAW
         assert [v.indices for v in sample_stockout_vectors(stocks, n, take, seed)] == GOLDEN_DRAW
         assert reference_sample(stocks, n, take, seed) == GOLDEN_DRAW
-
-    def test_seed_states_are_seed_sequence_states(self):
-        # keys of one to six values, of zero to three words each, so that
-        # the entropy is shorter and longer than the pool of four words
-        rng = random.Random(5)
-        keys = [
-            tuple(
-                rng.choice([0, rng.randrange(100), rng.randrange(2**32), rng.randrange(2**70)])
-                for _ in range(rng.randint(1, 6))
-            )
-            for _ in range(500)
-        ]
-        want = [int(np.random.SeedSequence(key).generate_state(1)[0]) for key in keys]
-        assert seed_states(keys) == want
-        with pytest.raises(ValueError, match="non-negative"):
-            seed_states([(1, 2), (-1, 2)])
 
     def test_the_cost_line(self):
         # 10^2 candidates against 16/50 of a 2^16 period; 100^3 candidates

@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from stockout_demand import estimation
 from stockout_demand import io as sd_io
 from stockout_demand import simulate
 from stockout_demand.estimation import _group_key, compile_dataset, fit
@@ -508,6 +509,25 @@ def test_regimes_key_distinct_rows():
     assert table.observed_time == 4.0
     # 3 (2 log 1 - log 2!) + (3 log 1 - log 3!)
     assert table.constant == pytest.approx(-3 * math.log(2) - math.log(6), rel=1e-15)
+
+
+def test_paths_that_differ_only_in_times_fold_as_one_group(monkeypatch):
+    # neither l2 nor the fold reads a complete path's event times, so two
+    # paths with the same choices at other times are one group of count 2;
+    # the same choices in another order are another group
+    first = path(1.0, (0, 1), (1, 2), [(0.1, NULL), (0.2, 0), (0.6, 1)])
+    later = path(1.0, (0, 1), (1, 2), [(0.3, NULL), (0.5, 0), (0.9, 1)])
+    swapped = path(1.0, (0, 1), (1, 2), [(0.3, NULL), (0.5, 1), (0.9, 0)])
+    folded = []
+
+    def spy(groups, catalog):
+        folded.append(list(groups))
+        return fold_timed(groups, catalog)
+
+    monkeypatch.setattr(estimation, "fold_timed", spy)
+    ds = compile_dataset([first, later, swapped], "complete")
+    assert folded == [[(first, 2), (swapped, 1)]]
+    assert ds.visits == 3
 
 
 def test_w2_config_folds_to_one_row_per_assortment():
