@@ -29,6 +29,7 @@ from .io import (
     RunConfig,
     SECTION7_PRESET,
     fit_result_json,
+    offers_null,
     project_path,
     read_visits,
     write_visits,
@@ -84,9 +85,9 @@ def _default_granularity(config: RunConfig) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     granularity = args.granularity or _default_granularity(config)
-    if not config.include_null and granularity != "sales-no-null":
+    if config.include_null != offers_null(granularity):
         raise DataFormatError(
-            "a no-null config can only be written at sales-no-null granularity"
+            f"a config with include_null {config.include_null} cannot be written at {granularity}"
         )
     paths = simulate_dataset(config.visit_config(), config.visits, config.seed)
     observations = [project_path(p, granularity) for p in paths]
@@ -183,7 +184,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise DataFormatError("compare expects a sales-granularity file")
     config = _load_config(args)
     trunc = TruncationPolicy(m=args.truncation)
-    includes_null = granularity == "sales"
+    includes_null = offers_null(granularity)
     if config.include_null != includes_null:
         raise DataFormatError(
             f"the config's include_null is {config.include_null}, "

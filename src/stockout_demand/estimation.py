@@ -156,7 +156,8 @@ class CompiledDataset:
     catalog (empty when nothing folds); ``visits`` is the number of visits
     compiled.
     ``truncations`` are the distinct ``(horizon, m)`` pairs at which sums
-    over latent arrival counts were truncated.
+    over latent arrival counts were truncated.  ``censored`` counts the
+    no-null visits that sell out every offered product.
     """
 
     def __init__(
@@ -167,10 +168,12 @@ class CompiledDataset:
         rate: float,
         visits: int,
         truncations: Sequence[Tuple[float, int]],
+        censored: int,
     ) -> None:
         self.catalog = catalog
         self.visits = visits
         self.truncations = truncations
+        self.censored = censored
         (
             self.membership,
             self.nulls,
@@ -311,17 +314,25 @@ def compile_dataset(
     folded: List[Tuple[Union[CompletePath, TransactionRecord], int]] = []
     # m depends only on the horizon and the observed count here
     sizes: Dict[Tuple[float, int], int] = {}
+    censored = 0
     for (key, members), obs in zip(groups.items(), firsts):
+        includes_null = obs.initial_assortment.includes_null
+        if not includes_null:
+            # a no-null visit's m is its own count: its choices are all
+            # purchases, none beyond its stock, so they reach its stocks
+            # once every offered product sells out
+            m = _observed_count(obs)
+            if m == sum(obs.stocks.values()):
+                censored += len(members)
         if granularity in ("complete", "transactions-timed"):
             folded.append((obs, len(members)))
             continue
-        # only a visit with a null option has a latent arrival count:
-        # every other visit's m is its own count
-        m = _observed_count(obs)
-        if obs.initial_assortment.includes_null:
-            size_key = (obs.horizon, m)
+        # only a visit with a null option has a latent arrival count
+        if includes_null:
+            observed = _observed_count(obs)
+            size_key = (obs.horizon, observed)
             if size_key not in sizes:
-                sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, m)
+                sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, observed)
             m = sizes[size_key]
         if kind is SalesSummary:
             # ints/floats hash deterministically, so this key is stable per run
@@ -337,6 +348,7 @@ def compile_dataset(
         rate,
         len(observations),
         sorted({(horizon, m) for (horizon, _), m in sizes.items()}),
+        censored,
     )
 
 
@@ -380,9 +392,13 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     coordinate ends within 1e-6 of its box, when a catalog product is
     never sold (its weight's supremum is 0), when no visit observes a
     purchase (nor, for complete data, an arrival), so that the rate is not
-    identified, or when the Poisson tail
+    identified, when the Poisson tail
     ``P(N > m)`` at ``T * rate`` exceeds :data:`TAIL_EPSILON` for some
-    ``(T, m)`` of ``ds.truncations``; its message names the cause.
+    ``(T, m)`` of ``ds.truncations``, or when ``ds.censored`` no-null
+    visits sell out every offered product: the likelihood takes such a
+    visit's recorded arrivals as its whole Poisson count over ``T``, though
+    arrivals after the last sell-out are never recorded.  Its message names
+    the cause.
     """
     x0 = ds.start
 
@@ -425,6 +441,11 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     tail, m = max(tails, default=(0.0, 0))
     if tail > TAIL_EPSILON:
         causes.append(f"Poisson tail {tail:.2g} beyond m={m} at the fitted rate")
+    if ds.censored:
+        causes.append(
+            f"{ds.censored} no-null visits sell out every offered product, "
+            "so their arrival counts are censored"
+        )
     message = f"L-BFGS-B: {res.message} ({res.nfev} evaluations)"
     if causes:
         ok = False

@@ -2,20 +2,22 @@
 
 Visit files hold one JSON object per line with exactly the keys ``T``,
 ``assortment``, ``stocks``, ``granularity``, ``data``; unknown keys are
-rejected with the offending line number.  Serialization is canonical
-(fixed key order, shortest round-trip numbers), so parse → re-serialize
-is byte-identical.  Coarse records repeat often (the same assortment,
-stocks and sales, or no purchase at all), so a read parses each distinct
-line once and its repeats share that one read-only visit.  A worker
-restocks to the same levels at each visit, so distinct lines repeat a few
-headers (``T``, assortment, stocks).  A line's header text is what comes
-before its first ``"data": ``; a read decodes, checks and builds each
-distinct header text once, and a line that repeats it decodes only its
-data value and builds its visit on that checked header, running only the
-data's rules.  A hit is exact: where the line's data value ends the
-object, the line decodes as its header text with ``0}`` after it does,
-with the data value in place of the ``0`` (see :func:`_parse_visit`), and
-any other line is read whole by :func:`parse_visit`.
+rejected with the offending line number.  A line's null regime is its
+granularity's (see :func:`offers_null`), so :func:`serialize_visit`
+refuses a visit in the other regime.  Serialization is canonical (fixed
+key order, shortest round-trip numbers), so parse → re-serialize is
+byte-identical.  Coarse records repeat often (the same assortment, stocks
+and sales, or no purchase at all), so a read parses each distinct line
+once and its repeats share that one read-only visit.  A worker restocks
+to the same levels at each visit, so distinct lines repeat a few headers
+(``T``, assortment, stocks).  A line's header text is what comes before
+its first ``"data": ``; a read decodes, checks and builds each distinct
+header text once, and a line that repeats it decodes only its data value
+and builds its visit on that checked header, running only the data's
+rules.  A hit is exact: where the line's data value ends the object, the
+line decodes as its header text with ``0}`` after it does, with the data
+value in place of the ``0`` (see :func:`_parse_visit`), and any other
+line is read whole by :func:`parse_visit`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "write_visits",
     "read_visits",
     "project_path",
+    "offers_null",
     "fit_result_json",
 ]
 
@@ -260,8 +263,15 @@ SECTION7_PRESET = RunConfig(
 _VISIT_KEYS = {"T", "assortment", "stocks", "granularity", "data"}
 
 
+def offers_null(granularity: str) -> bool:
+    """Whether a visit line at ``granularity`` offers the null option: all
+    but ``sales-no-null`` do, as a line states no regime of its own."""
+    return granularity != "sales-no-null"
+
+
 def project_path(path: CompletePath, granularity: str) -> Observation:
-    """Reduce a complete path to the requested observation granularity."""
+    """Reduce a complete path to the requested observation granularity, in
+    its own regime, which the line writer may refuse."""
     from .types import project_sales, project_transactions
 
     if granularity == "complete":
@@ -271,13 +281,7 @@ def project_path(path: CompletePath, granularity: str) -> Observation:
     if granularity == "transactions":
         return project_transactions(path, keep_times=False)
     if granularity in ("sales", "sales-no-null"):
-        summary = project_sales(path)
-        want_null = granularity == "sales"
-        if summary.initial_assortment.includes_null != want_null:
-            raise InvalidObservation(
-                f"visit regime does not match granularity {granularity!r}"
-            )
-        return summary
+        return project_sales(path)
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
@@ -292,7 +296,10 @@ def _payload(obs: Observation, granularity: str):
 
 
 def serialize_visit(obs: Observation, granularity: str) -> str:
-    """One canonical JSON line for one visit."""
+    """One canonical JSON line for one visit; a visit that would read back
+    in the other regime (see :func:`offers_null`) raises InvalidObservation."""
+    if obs.initial_assortment.includes_null != offers_null(granularity):
+        raise InvalidObservation(f"regime does not match granularity {granularity!r}")
     record = {
         "T": obs.horizon,
         "assortment": list(obs.initial_assortment.products),
@@ -310,9 +317,6 @@ _JSON_SPACE = " \t\n\r"
 #: what comes before it
 _DATA = '"data": '
 _scan_once = json.JSONDecoder().scan_once
-_INT = frozenset({int})
-_TIME = frozenset({float})
-_CHOICE = frozenset({int, type(None)})
 
 
 def _decode(text: str):
@@ -339,7 +343,7 @@ def _header(
     horizon = _real(raw["T"], "T")
     fields = (
         tuple(_integer(a, "product id") for a in raw["assortment"]),
-        granularity != "sales-no-null",
+        offers_null(granularity),
     )
     stocks = {int(a): _integer(s, "stock") for a, s in raw["stocks"].items()}
     if len(stocks) < len(raw["stocks"]):
@@ -350,39 +354,16 @@ def _header(
     return horizon, assortment, stocks
 
 
-def _typed_pairs(data, first: frozenset, second: frozenset) -> Optional[tuple]:
-    """The ``[x, y]`` items of the JSON list ``data`` as pairs, when every
-    ``x`` has a type in ``first`` and every ``y`` one in ``second``: the
-    types the strict reading returns as they are.  None otherwise, and the
-    caller reads ``data`` strictly, which raises the error.  From three
-    items on, the one pass costs less than the strict reading's two helper
-    calls per item."""
-    if type(data) is not list:
-        return None
-    try:
-        pairs = [(x, y) for x, y in data if type(x) in first and type(y) in second]
-    except (TypeError, ValueError):  # an item that is not a pair
-        return None
-    return tuple(pairs) if len(pairs) == len(data) else None
-
-
 def _body(granularity: str, data) -> Tuple[type, dict]:
     """The visit class of ``granularity`` and its fields after ``stocks``,
-    by name, read strictly from the visit's ``data``.  Timed pairs whose
-    values all have the types the strict reading returns unchanged are
-    taken as they are."""
+    by name, each read strictly, by one reading, from the visit's ``data``."""
     if granularity == "complete":
-        events = _typed_pairs(data, _TIME, _CHOICE)
-        if events is None:
-            events = tuple(
-                (_real(t, "time"), None if c is None else _integer(c, "choice"))
-                for t, c in data
-            )
+        events = tuple(
+            (_real(t, "time"), None if c is None else _integer(c, "choice")) for t, c in data
+        )
         return CompletePath, {"events": events}
     if granularity == "transactions-timed":
-        purchases = _typed_pairs(data, _TIME, _INT)
-        if purchases is None:
-            purchases = tuple((_real(t, "time"), _integer(p, "product id")) for t, p in data)
+        purchases = tuple((_real(t, "time"), _integer(p, "product id")) for t, p in data)
         return TransactionRecord, {"transactions": purchases, "timestamps_present": True}
     if granularity == "transactions":
         purchases = tuple((None, _integer(p, "product id")) for p in data)
@@ -519,21 +500,19 @@ def _parse_visit(
 def write_visits(path: str, observations: Iterable[Observation], granularity: str) -> int:
     """Write one :func:`serialize_visit` line per visit; returns the count.
 
-    A line's null regime is read from its granularity alone (every one
-    but ``sales-no-null`` offers the null option), so a visit in the other
-    regime would read back changed: it raises :class:`InvalidObservation`,
-    naming the visit by its place, before the file is opened."""
-    observations = list(observations)
-    includes_null = granularity != "sales-no-null"
+    Every visit is serialized before the file is opened, so a visit the
+    line writer refuses (one in the other regime, see :func:`offers_null`)
+    raises :class:`InvalidObservation`, naming the visit by its place, and
+    leaves no file."""
+    lines = []
     for i, obs in enumerate(observations, start=1):
-        if obs.initial_assortment.includes_null != includes_null:
-            raise InvalidObservation(
-                f"visit {i}: regime does not match granularity {granularity!r}"
-            )
+        try:
+            lines.append(serialize_visit(obs, granularity) + "\n")
+        except InvalidObservation as exc:
+            raise InvalidObservation(f"visit {i}: {exc}") from None
     with open(path, "w") as handle:
-        for obs in observations:
-            handle.write(serialize_visit(obs, granularity) + "\n")
-    return len(observations)
+        handle.writelines(lines)
+    return len(lines)
 
 
 def read_visits(path: str, granularity: Optional[str] = None) -> Tuple[List[Observation], str]:

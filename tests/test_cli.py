@@ -190,6 +190,25 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_null_config_refuses_sales_no_null_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def simulate(*args):
+            raise AssertionError("simulated a config its granularity refuses")
+
+        monkeypatch.setattr(cli, "simulate_dataset", simulate)
+        config = tmp_path / "null.json"
+        config.write_text(json.dumps({"catalog": [0, 1], "weights": {"0": 1, "1": 2}, "rate": 2}))
+        out = tmp_path / "x.jsonl"
+        code = run(
+            "simulate", "--config", str(config), "--granularity", "sales-no-null", "--out", str(out)
+        )
+        assert code == 2
+        assert "a config with include_null True cannot be written at sales-no-null" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_zero_stock_override_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(

@@ -706,8 +706,41 @@ class TestGranularities:
         value = dataset_log_likelihood(summaries, params, "sales-no-null")
         assert math.isfinite(value)
         result = fit(summaries, "sales-no-null")
-        assert result.converged
+        # the (2, 2) visit sells out both products: arrivals after that are
+        # not recorded, so its arrival count is censored
+        assert not result.converged
+        assert result.message.endswith(
+            "not the MLE: 1 no-null visits sell out every offered product, "
+            "so their arrival counts are censored"
+        )
         assert math.isfinite(result.loglik)
+
+    @pytest.mark.parametrize("granularity", ["sales-no-null", "complete"])
+    @pytest.mark.parametrize(
+        "always_available, censored", [((), 819), ((0,), 0)], ids=["sells-out", "unlimited"]
+    )
+    def test_censored_no_null_arrival_counts_are_flagged(
+        self, granularity, always_available, censored
+    ):
+        # with no always-available product, 82 % of the visits sell out
+        # everything, and the fitted rate falls to 5.66 against 8
+        config = replace(
+            SECTION7_PRESET,
+            catalog=(0, 1, 2),
+            weights={0: 1.0, 1: 2.0, 2: 1.5},
+            rate=8.0,
+            always_available=always_available,
+            offer_probability=1.0,
+            stock_level=2,
+        )
+        paths = simulate_dataset(config.visit_config(), 1000, seed=1)
+        result = fit([project_path(p, granularity) for p in paths], granularity)
+        message = (
+            f"{censored} no-null visits sell out every offered product, "
+            "so their arrival counts are censored"
+        )
+        assert result.converged == (not censored)
+        assert (message in result.message) == bool(censored)
 
 
 def walkaway_config():

@@ -154,9 +154,26 @@ class TestVisitRoundTrip:
         "granularity,include_null", [("sales", False), ("sales-no-null", True)]
     )
     def test_sales_in_the_other_regime_is_not_written(self, tmp_path, granularity, include_null):
-        path = simulate_dataset(small_config(include_null), 1, seed=4)[0]
-        with pytest.raises(types.InvalidObservation, match="^visit 1: regime does not match"):
-            write_visits(str(tmp_path / "visits.jsonl"), [types.project_sales(path)], granularity)
+        # the projection keeps the path's regime; the writer refuses it
+        good, other = (
+            simulate_dataset(small_config(regime), 1, seed=4)[0]
+            for regime in (not include_null, include_null)
+        )
+        projected = project_path(other, granularity)
+        assert projected == types.project_sales(other)
+        out = tmp_path / "visits.jsonl"
+        match = f"^visit 2: regime does not match granularity '{granularity}'$"
+        with pytest.raises(types.InvalidObservation, match=match):
+            write_visits(str(out), [project_path(good, granularity), projected], granularity)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("granularity,include_null", GRANULARITY_REGIMES)
+    def test_line_writer_refuses_the_other_regime(self, granularity, include_null):
+        path = simulate_dataset(small_config(not include_null), 1, seed=4)[0]
+        obs = project_path(path, granularity)
+        match = f"^regime does not match granularity '{granularity}'$"
+        with pytest.raises(types.InvalidObservation, match=match):
+            serialize_visit(obs, granularity)
 
 
 class TestSharedReads:
