@@ -1,19 +1,20 @@
 """Maximum-likelihood fitting across observation granularities.
 
 A dataset is compiled once into flat arrays: identical visits are grouped
-with multiplicities, and the groups are stacked into one set of arrays
-whose assortment denominators share one registry.  Sales groups build no
-table: :func:`~stockout_demand.likelihood.table_sales` stacks them all in
-one pass, each stock-out layout shape enumerated once.  Untimed
-transactions stack likewise, in one
+with multiplicities, and one builder per granularity turns the groups
+into one set of arrays whose assortment denominators share one registry.
+Sales groups build no table: :func:`~stockout_demand.likelihood.table_sales`
+stacks them all in one pass, each stock-out layout shape enumerated once.
+Untimed transactions stack likewise, in one
 :func:`~stockout_demand.likelihood.table_sequences` call, each record at
 its truncation.  Timed transactions and complete paths build no table
 per visit: :func:`~stockout_demand.likelihood.fold_timed` folds their
-groups, in one pass, into one table of sufficient statistics per
-assortment (exponent and thinned-time totals, plus the sales, and for
-complete paths their null choices, observed time and constant), so
-their part of every evaluation costs the same whatever the number of
-visits.  Each optimizer step is then a handful of vectorized array
+groups, in one pass, into one group of one term over per-assortment
+totals (exponents and thinned time, plus the sales, and for complete
+paths their null choices, observed time and constant), so their part of
+every evaluation costs the same whatever the number of visits.  One
+kernel, :func:`~stockout_demand.likelihood.term_loglik_grad`, evaluates
+every dataset, so each optimizer step is a handful of vectorized array
 operations with analytic gradients in ``(log rate, log weights)``.
 Compiling also checks the
 estimator (each granularity fits one observation class; SAA and the naive
@@ -38,15 +39,12 @@ from scipy.special import pdtrc
 from . import choice
 from .likelihood import (
     TAIL_EPSILON,
-    TimedSegmentTable,
     TruncationPolicy,
     fold_timed,
-    membership_matrix,
     sales_key,
     table_sales,
     table_sequences,
     term_loglik_grad,
-    timed_loglik_grad,
 )
 from .types import (
     Assortment,
@@ -148,13 +146,17 @@ class CompiledDataset:
     """Flat-array dataset representation evaluated per optimizer step.
 
     ``x = (log rate, log weight_a for a in catalog)``; :meth:`loglik_grad`
-    returns the total log-likelihood and its gradient in ``x``.  ``start``
-    is the fit's start point: the log of ``rate`` (the naive rate) and the
-    log naive sales shares, floored at 1e-6.  ``includes_null`` tells
-    whether any compiled assortment offers the null option.  ``timed`` is
-    every timed record or complete path folded into one table over the
-    catalog (empty when nothing folds); ``visits`` is the number of visits
-    compiled.
+    returns the total log-likelihood and its gradient in ``x``, one
+    :func:`term_loglik_grad` call over the arrays its builder returned:
+    the assortment registry (``membership``, ``nulls`` and each row's
+    ``thinned`` time), the terms (``coef``, ``n``, ``seg_idx``,
+    ``seg_exp``, and ``group_of``, each term's group) and the groups (their
+    first terms ``bounds``, ``counts``, ``exposures`` and sales ``Z``).
+    Timed records and complete paths fold into one group of one term.
+    ``start`` is the fit's start point: the log of ``rate`` (the naive
+    rate) and the log naive sales shares, floored at 1e-6.
+    ``includes_null`` tells whether any compiled assortment offers the
+    null option; ``visits`` is the number of visits compiled.
     ``truncations`` are the distinct ``(horizon, m)`` pairs at which sums
     over latent arrival counts were truncated.  ``censored`` counts the
     no-null visits that sell out every offered product.
@@ -164,7 +166,6 @@ class CompiledDataset:
         self,
         catalog: Tuple[int, ...],
         stacked: Tuple[np.ndarray, ...],
-        timed: TimedSegmentTable,
         rate: float,
         visits: int,
         truncations: Sequence[Tuple[float, int]],
@@ -182,28 +183,22 @@ class CompiledDataset:
             self.seg_idx,
             self.seg_exp,
             self.bounds,
+            self.group_of,
             self.counts,
-            self.T_g,
+            self.exposures,
             self.Z,
+            self.thinned,
         ) = stacked
-        # the folded table as (table, count) pairs with the columns of its
-        # catalog, the form perfbench/tracing.compiled_stats reads
-        self._timed = [(timed, 1)] if timed.assortments else []
-        self._timed_cols = [np.arange(len(catalog)) for _ in self._timed]
-        self.timed_sales = timed.sales
-        self.timed_membership = membership_matrix(catalog, timed.assortments)
-        self.timed_nulls = np.array([float(a.includes_null) for a in timed.assortments])
-        self.timed_exponents = timed.exponents
-        self.timed_durations = timed.durations
-        self.timed_null_choices = timed.null_choices
-        self.timed_observed_time = timed.observed_time
-        self.timed_constant = timed.constant
-        self.n_assort = self.nulls.size + len(timed.assortments)
+        # perfbench/tracing.compiled_stats reads the timed tables as
+        # (table, count) pairs with their columns; no dataset has one
+        self._timed = []
+        self._timed_cols = []
+        self.n_assort = self.nulls.size
         # the sales are integer sums, so their order does not change them
-        sales = self.counts @ self.Z + self.timed_sales
+        sales = self.counts @ self.Z
         shares = np.maximum(sales / max(sales.sum(), 1.0), 1e-6)
         self.start = np.concatenate(([math.log(rate)], np.log(shares)))
-        self.includes_null = bool(self.nulls.any() or self.timed_nulls.any())
+        self.includes_null = bool(self.nulls.any())
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -212,38 +207,21 @@ class CompiledDataset:
         )
 
     def loglik_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        # each kernel costs tens of microseconds even on empty arrays, so a
-        # part the dataset does not have is skipped
-        value, grad = 0.0, np.zeros(x.size)
-        if self.counts.size:
-            value, grad = term_loglik_grad(
-                x,
-                self.membership,
-                self.nulls,
-                self.coef,
-                self.n,
-                self.seg_idx,
-                self.seg_exp,
-                self.bounds,
-                self.counts,
-                self.T_g,
-                self.Z,
-            )
-        if self._timed:
-            timed_value, timed_grad = timed_loglik_grad(
-                math.exp(x[0]),
-                np.exp(np.asarray(x[1:], dtype=float)),
-                self.timed_membership,
-                self.timed_nulls,
-                self.timed_exponents,
-                self.timed_durations,
-                self.timed_sales,
-                self.timed_null_choices,
-                self.timed_observed_time,
-                self.timed_constant,
-            )
-            value, grad = value + timed_value, grad + timed_grad
-        return value, grad
+        return term_loglik_grad(
+            x,
+            self.membership,
+            self.nulls,
+            self.coef,
+            self.n,
+            self.seg_idx,
+            self.seg_exp,
+            self.bounds,
+            self.group_of,
+            self.counts,
+            self.exposures,
+            self.Z,
+            self.thinned,
+        )
 
 
 def compile_dataset(
@@ -254,13 +232,14 @@ def compile_dataset(
     seed: int = 0,
     naive: bool = False,
 ) -> CompiledDataset:
-    """Group identical visits and stack every group's terms once; timed
-    records and complete paths fold instead into one table of
-    per-assortment totals, all their ``(visit, count)`` groups in one
-    :func:`fold_timed` call, so that a complete dataset has no term
-    groups.  A visit not of the granularity's observation class, SAA or
-    naive at a non-sales granularity, or SAA and naive together, raises
-    :class:`InvalidObservation`.  Each distinct visit object is checked and
+    """Group identical visits and build the dataset's arrays with the one
+    builder of its granularity: sales stack through :func:`table_sales`,
+    untimed transactions through :func:`table_sequences`, and timed
+    records and complete paths fold, all their ``(visit, count)`` groups
+    in one :func:`fold_timed` call, into one group of one term over
+    per-assortment totals.  A visit not of the granularity's observation
+    class, SAA or naive at a non-sales granularity, or SAA and naive
+    together, raises :class:`InvalidObservation`.  Each distinct visit object is checked and
     keyed once, at its first occurrence.  A group's key is its visit's
     content, read as values: a horizon written ``1`` or ``1.0`` keys alike.
 
@@ -339,12 +318,15 @@ def compile_dataset(
             sales.append((key, len(members), m, hash(key) & 0x7FFFFFFF))
         else:
             sequences.append((obs, len(members), m))
+    if kind is SalesSummary:
+        stacked = table_sales(catalog, sales, saa_samples, seed, naive)
+    elif granularity == "transactions":
+        stacked = table_sequences(catalog, sequences)
+    else:
+        stacked = fold_timed(folded, catalog)
     return CompiledDataset(
         tuple(catalog),
-        table_sales(catalog, sales, saa_samples, seed, naive)
-        if kind is SalesSummary
-        else table_sequences(catalog, sequences),
-        fold_timed(folded, catalog),
+        stacked,
         rate,
         len(observations),
         sorted({(horizon, m) for (horizon, _), m in sizes.items()}),
@@ -422,12 +404,12 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     causes = []
     # a product no visit sells appears only in denominators, so its
     # weight's supremum is 0, wherever the solve stops
-    sold = ds.counts @ ds.Z + ds.timed_sales
+    sold = ds.counts @ ds.Z
     never_sold = sold == 0
-    # the arrivals the visits observe: their purchases, and for complete
-    # data their null choices too; with none at all the likelihood rises
-    # as the rate falls to 0
-    observed = sold.sum() + ds.timed_null_choices
+    # the arrivals the visits observe, each group's fewest: their
+    # purchases, and for complete data their null choices too; with none
+    # at all the likelihood rises as the rate falls to 0
+    observed = ds.counts @ np.minimum.reduceat(ds.n, ds.bounds)
     names = ["log rate"] + [f"log weight of product {a}" for a in ds.catalog]
     for i, (name, x, box) in enumerate(zip(names, res.x, bounds)):
         if not i and not observed:

@@ -21,14 +21,15 @@ both null regimes (the visit's regime picks its arrival counts: up to
 shape once in numpy.  Untimed transactions (complete paths with the
 null choices dropped) stack through :func:`table_sequences`: a term per
 way of spreading the arrivals a record does not show over its segments
-as hidden null choices.  One kernel, :func:`term_loglik_grad`, evaluates
-the stacked arrays' grouped log-sum-exp with its gradient.  Every timed
-sequence, timed transactions and complete paths alike, folds instead, a
-dataset in one pass, into one table of per-assortment totals
-(:func:`fold_timed`, a complete path's null choices counting as choices
-of a weight-1 null option), evaluated by :func:`timed_loglik_grad`.
-``estimation.compile_dataset`` builds the tables, and is the one way
-they are evaluated.  Its oracles are
+as hidden null choices.  Every timed sequence, timed transactions and
+complete paths alike, folds instead, a dataset in one pass, into
+per-assortment totals (:func:`fold_timed`, a complete path's null
+choices counting as choices of a weight-1 null option): one group of
+one term, with the thinned time per assortment.  All three builders
+return the same arrays, and one kernel, :func:`term_loglik_grad`,
+evaluates every dataset: a grouped log-sum-exp, less the thinned
+arrival mass, with its gradient.  ``estimation.compile_dataset`` builds
+the arrays, and is the one way they are evaluated.  Its oracles are
 the ``l*`` functions: the paper's formulas, written for a general choice
 law, evaluated visit by visit with the attraction probabilities of
 ``choice.prob``.
@@ -90,13 +91,11 @@ __all__ = [
     "counterexample_expectations",
     "counterexample_bruteforce",
     "l4_lauricella",
-    "TimedSegmentTable",
     "table_sequences",
     "table_sales",
     "sales_key",
     "fold_timed",
     "term_loglik_grad",
-    "timed_loglik_grad",
 ]
 
 NEG_INF = float("-inf")
@@ -568,7 +567,9 @@ def _stacked(
     place whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past
     the last segment) with exponent ``exps[i, j]``, and groups owning
     ``terms[g]`` terms each.  Group ``g`` sold ``sales`` of its
-    ``widths[g]`` ``products``, the flat lists taken group by group.
+    ``widths[g]`` ``products``, the flat lists taken group by group, over
+    its horizon ``T_g``: its exposure, and ``n log T_g`` joins each of
+    its terms' coefficients.  No assortment has thinned time.
 
     Candidate ``c`` faces the assortment of fields ``candidates[c]``
     (products, null option).  The registry holds the distinct assortments
@@ -612,17 +613,21 @@ def _stacked(
     col = {a: i for i, a in enumerate(catalog)}
     z = np.zeros((len(widths), len(catalog)))
     z[np.repeat(np.arange(len(widths)), widths), [col[a] for a in products]] = sales
+    group_of = np.repeat(np.arange(terms.size), terms)
+    horizons = np.array(horizons, dtype=float)
     return (
         membership_matrix(catalog, registry),
         np.array([float(a.includes_null) for a in registry]),
-        coef,
+        coef + n * np.log(horizons)[group_of],
         n,
         seg_idx,
         seg_exp,
         np.cumsum(terms) - terms,
+        group_of,
         np.array(counts, dtype=float),
-        np.array(horizons, dtype=float),
+        horizons,
         z,
+        np.zeros(len(registry)),
     )
 
 
@@ -647,11 +652,11 @@ def table_sequences(
     most ``m`` arrivals.  It has one term for each way ``n_o`` of spreading
     ``m`` minus its purchases over its constant-assortment segments as
     hidden null arrivals, in :func:`_compositions_at_most` order: arrival
-    count ``n = purchases + |n_o|``, coefficient ``-log n! + sum_j log
-    C(n_o_j + s_j, n_o_j)`` (segment ``j`` holding ``s_j`` purchases, its
-    closing stock-out excluded) and segment ``j``'s exponent raised by
-    ``n_o_j``.  A group whose ``m`` is below its purchase count has no
-    terms, which :func:`_stacked` refuses.
+    count ``n = purchases + |n_o|``, coefficient ``n log T - log n! +
+    sum_j log C(n_o_j + s_j, n_o_j)`` (segment ``j`` holding ``s_j``
+    purchases, its closing stock-out excluded) and segment ``j``'s
+    exponent raised by ``n_o_j``.  A group whose ``m`` is below its
+    purchase count has no terms, which :func:`_stacked` refuses.
     """
     # every candidate's fields; per term: its group's first candidate and
     # its segment count; every exponent; per group: its term count; per
@@ -773,7 +778,7 @@ def table_sales(
     null regime picks its arrival counts ``n``: the sales up to ``m`` with
     a null option, exactly the sales without one.  Each ``n`` is one block
     of terms, one per (stock-out order, segment sizes) layout of the
-    products that sell out, with base coefficient ``-log n! +
+    products that sell out, with base coefficient ``n log T - log n! +
     log_free(n)``: every other product's sales fall freely among the
     arrivals.  The ``naive`` baseline lets nothing sell out, so every
     arrival faces the whole assortment (biased whenever anything does).
@@ -977,23 +982,27 @@ def table_sales(
 def fold_timed(
     groups: Sequence[Tuple[Union[CompletePath, TransactionRecord], int]],
     catalog: Sequence[int],
-) -> "TimedSegmentTable":
-    """Timed records and complete paths with multiplicities, folded into
-    one table over ``catalog``: a choice enters the likelihood only through
-    its product and the denominator it faces, and the thinned purchase rate
-    is linear in the visits, so many visits need only per-assortment
-    totals.  The rows are the distinct segment assortments, keyed on
-    ``(products, includes_null)``, in order of first appearance, with
-    count-weighted exponent and thinned-time totals; the sales are the
-    count-weighted purchases per product.  The first untimed record, or
-    one without a null option, raises :class:`InvalidObservation`, as in
-    :func:`l3_transactions_timed`.
+) -> Tuple[np.ndarray, ...]:
+    """The arrays :func:`term_loglik_grad` takes after ``x`` for timed
+    records and complete paths with multiplicities, over ``catalog``: a
+    choice enters the likelihood only through its product and the
+    denominator it faces, and the thinned purchase rate is linear in the
+    visits, so many visits fold into one group of one term over
+    per-assortment totals.  The registry rows are the distinct segment
+    assortments, keyed on ``(products, includes_null)``, in order of first
+    appearance; the term's exponent on each is its count-weighted choice
+    total, and each row's thinned time is its count-weighted duration.
+    The group's sales are the count-weighted purchases per product, its
+    term's arrival count every observed choice.  The first untimed record,
+    or one without a null option, raises :class:`InvalidObservation`, as
+    in :func:`l3_transactions_timed`.
 
     A complete path observes every arrival.  Its null choices are choices
     of a null option of weight 1: they add to their segment's exponent,
     never sell out and stay out of the sales.  Its horizon is observed,
-    not thinned, time, and its ``n`` arrivals add ``n log T - log n!`` to
-    the constant, so that its folded likelihood is ``l2``.
+    not thinned, time (the group's exposure), and its ``n`` arrivals add
+    ``n log T - log n!`` to the term's coefficient, so that its folded
+    likelihood is ``l2``.
 
     Python runs once per group, to check it, look up its header (initial
     assortment and stocks, each distinct one read once) and append its
@@ -1105,23 +1114,29 @@ def fold_timed(
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     seg_row = np.argsort(order)[inverse.ravel()]
-    assortments = []
-    for s in first[order].tolist():
-        *cols, includes_null = faced[s].tolist()
-        products = tuple(catalog[c] for c in cols if c >= 0)
-        assortments.append(Assortment(products, bool(includes_null)))
+    registry = faced[first[order]]
+    offered, at = np.nonzero(registry[:, :-1] >= 0)
+    membership = np.zeros((order.size, len(catalog)))
+    membership[offered, registry[offered, at]] = 1.0
     chosen_totals = _totals(bought, count[owner], ids.size)
     # the complete paths' arrival counts, horizons and counts
     n, observed, weight = np.array(lengths)[complete], horizon[complete], count[complete]
-    return TimedSegmentTable(
-        catalog=catalog,
-        sales=chosen_totals[:-1],
-        assortments=assortments,
-        exponents=_totals(seg_row, exponents, len(assortments)),
-        durations=_totals(seg_row, durations, len(assortments)),
-        null_choices=float(chosen_totals[-1]),
-        observed_time=float(weight @ observed),
-        constant=float(weight @ (n * np.log(observed) - gammaln(n + 1))),
+    return (
+        membership,
+        registry[:, -1].astype(float),
+        # the one term: its coefficient, arrivals and exponent on every row
+        np.array([weight @ (n * np.log(observed) - gammaln(n + 1))]),
+        np.array([chosen_totals.sum()], dtype=np.int64),
+        np.arange(order.size).reshape(1, -1),
+        _totals(seg_row, exponents, order.size).reshape(1, -1),
+        # the one group: its first term, the term's group, its count,
+        # observed time and sales
+        np.zeros(1, dtype=np.int64),
+        np.zeros(1, dtype=np.int64),
+        np.ones(1),
+        np.array([weight @ observed]),
+        chosen_totals[:-1].reshape(1, -1),
+        _totals(seg_row, durations, order.size),
     )
 
 
@@ -1140,120 +1155,56 @@ def term_loglik_grad(
     seg_idx: np.ndarray,
     seg_exp: np.ndarray,
     starts: np.ndarray,
+    group_of: np.ndarray,
     counts: np.ndarray,
-    horizons: np.ndarray,
+    exposures: np.ndarray,
     sales: np.ndarray,
+    thinned: np.ndarray,
 ) -> Tuple[float, np.ndarray]:
-    """Grouped term-table log-likelihood and its gradient in
+    """Log-likelihood of a dataset's stacked arrays and its gradient in
     ``x = (log rate, log weights)``.
 
-    Group ``g`` owns the terms from ``starts[g]`` up to the next start; it
-    has multiplicity ``counts[g]``, horizon ``T_g = horizons[g]`` and
-    per-product sales ``z_g = sales[g]``, and contributes
-    ``z_g . log f + LSE_i(coef_i + n_i log(T_g lambda) - T_g lambda -
-    sum_d E_id log D_d)``.  Row ``d`` of ``membership`` and ``nulls[d]``
-    give the denominator ``D_d = null_d + F_d``; ``seg_idx``/``seg_exp``
-    hold each term's assortment indices and exponents ``E_id``, padded with
-    zero exponents.  Every group must own at least one term.
+    Group ``g`` owns the terms from ``starts[g]`` up to the next start
+    (``group_of`` names each term's group); it has multiplicity
+    ``counts[g]``, exposure ``t_g = exposures[g]`` and per-product sales
+    ``z_g = sales[g]``, and contributes ``z_g . log f + LSE_i(coef_i + n_i
+    log lambda - sum_d E_id log D_d) - lambda t_g``.  Row ``d`` of
+    ``membership`` and ``nulls[d]`` give the weight sum ``F_d`` and
+    denominator ``D_d = null_d + F_d``; ``seg_idx``/``seg_exp`` hold each
+    term's assortment indices and exponents ``E_id``, padded with zero
+    exponents.  Every group must own at least one term.  Beyond the groups,
+    row ``d`` is exposed for ``thinned[d]`` to the thinned rate ``lambda
+    F_d / D_d``, which subtracts ``lambda tau . (F / D)``: it is linear in
+    the visits, so one visit and a whole dataset summed per assortment
+    evaluate alike.  On a null-inclusive row, ``log1p(F)`` and ``F / (1 +
+    F)`` keep their precision when ``F`` is tiny and the rate is huge; a
+    no-null row that offers nothing (``D = 0``) only ever has exponent and
+    thinned time 0 (nobody can choose from it), and adds nothing.
     """
     log_rate = x[0]
     theta = np.asarray(x[1:], dtype=float)
     beta = np.exp(theta)
     rate = math.exp(log_rate)
-    group_of = np.repeat(np.arange(starts.size), np.diff(np.append(starts, n.size)))
-    denom = nulls + membership @ beta
-    # the empty no-null assortment has a zero denominator but only ever
-    # appears with exponent zero (nobody can choose from it); keep 0 * log(0)
-    # out of the sum
-    safe = np.where(denom > 0, denom, 1.0)
-    log_denom = np.where(denom > 0, np.log(safe), 0.0)
-    t = (
-        coef
-        + n * (log_rate + np.log(horizons)[group_of])
-        - horizons[group_of] * rate
-        - (seg_exp * log_denom[seg_idx]).sum(axis=1)
-    )
-    mx = np.maximum.reduceat(t, starts)
-    lse = mx + np.log(np.add.reduceat(np.exp(t - mx[group_of]), starts))
-    value = float(counts @ (lse + sales @ theta))
-    w = np.exp(t - lse[group_of]) * counts[group_of]
-    grad = np.empty(x.size)
-    grad[0] = float(w @ n) - rate * float(counts @ horizons)
-    bucket = np.bincount(
-        seg_idx.ravel(), weights=(w[:, None] * seg_exp).ravel(), minlength=denom.size
-    )
-    share = membership * beta[None, :] / safe[:, None]
-    grad[1:] = counts @ sales - bucket @ share
-    return value, grad
-
-
-def timed_loglik_grad(
-    rate: float,
-    beta: np.ndarray,
-    membership: np.ndarray,
-    nulls: np.ndarray,
-    exponents: np.ndarray,
-    durations: np.ndarray,
-    sales: np.ndarray,
-    null_choices: float,
-    observed_time: float,
-    constant: float,
-) -> Tuple[float, np.ndarray]:
-    """Folded log-likelihood of timed records and complete paths (see
-    :func:`fold_timed`) and its gradient in ``(log rate, log weights)``.
-
-    Row ``d`` of ``membership`` and ``nulls[d]`` give the weight sum
-    ``F_d`` and denominator ``D_d = null_d + F_d``; ``exponents`` and
-    ``durations`` hold its choice exponent ``E_d`` and thinned time
-    ``tau_d``.  The purchases ``Z`` per product (``sales``) and the
-    ``null_choices`` are the ``N`` observed choices; every arrival is
-    observed over the ``observed_time`` ``t``.  The value is ``Z . log f
-    + N log lambda - E . log D - lambda (t + tau . (F / D)) + constant``:
-    the thinned rate ``lambda F / D`` is linear in the visits, so one
-    visit and a whole dataset summed per assortment evaluate alike.  On a
-    null-inclusive row, ``log1p(F)`` and ``F / (1 + F)`` keep their
-    precision when ``F`` is tiny and the rate is huge; a no-null row that
-    offers nothing (``D = 0``) has exponent and thinned time 0, and adds
-    nothing.
-    """
-    arrivals = float(sales.sum()) + null_choices
     weight_sum = membership @ beta
     denom = nulls + weight_sum
     safe = np.where(denom > 0, denom, 1.0)
     log_denom = np.where(nulls > 0, np.log1p(weight_sum), np.log(safe))
-    exposure = observed_time + float(durations @ (weight_sum / safe))
-    value = float(
-        sales @ np.log(beta)
-        + arrivals * math.log(rate)
-        - exponents @ log_denom
-        - rate * exposure
+    t = coef + n * log_rate - (seg_exp * log_denom[seg_idx]).sum(axis=1)
+    mx = np.maximum.reduceat(t, starts)
+    lse = mx + np.log(np.add.reduceat(np.exp(t - mx[group_of]), starts))
+    exposure = float(counts @ exposures) + float(thinned @ (weight_sum / safe))
+    value = float(counts @ (lse + sales @ theta)) - rate * exposure
+    w = np.exp(t - lse[group_of]) * counts[group_of]
+    grad = np.empty(x.size)
+    grad[0] = float(w @ n) - rate * exposure
+    bucket = np.bincount(
+        seg_idx.ravel(), weights=(w[:, None] * seg_exp).ravel(), minlength=denom.size
     )
-    grad = np.empty(1 + beta.size)
-    grad[0] = arrivals - rate * exposure
-    share = membership * beta[None, :] / safe[:, None]
-    grad[1:] = sales - (exponents + rate * durations / safe) @ share
-    return value + constant, grad
-
-
-@dataclass
-class TimedSegmentTable:
-    """Likelihood of the timed records and complete paths a
-    :func:`fold_timed` folds, one row per distinct constant-assortment
-    segment ``d``: total choice exponent ``E_d`` and thinned time
-    ``tau_d``; plus the purchases per ``catalog`` product, and over the
-    complete paths their null choices, observed time (count-weighted
-    horizons) and constant ``sum count (n log T - log n!)``.  A plain
-    record whose values :func:`timed_loglik_grad` evaluates.
-    """
-
-    catalog: Tuple[int, ...]
-    sales: np.ndarray
-    assortments: List[Assortment]
-    exponents: np.ndarray
-    durations: np.ndarray
-    null_choices: float
-    observed_time: float
-    constant: float
+    # d/d theta_a: the sales less sum_d (bucket_d + lambda null_d tau_d /
+    # D_d) beta_a / D_d over the rows offering a
+    per_denom = (bucket + rate * nulls * thinned / safe) / safe
+    grad[1:] = counts @ sales - beta * (per_denom @ membership)
+    return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -532,8 +532,8 @@ class TestEstimatorChecks:
 
 
 COMPILED_ARRAYS = (
-    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp", "bounds", "counts", "T_g", "Z",
-    "start",
+    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp", "bounds", "group_of", "counts",
+    "exposures", "Z", "thinned", "start",
 )
 
 

@@ -207,7 +207,7 @@ class TestSharedReads:
         parsed = compile_dataset([parse_visit(line)[0] for line in lines], granularity)
         assert shared.catalog == parsed.catalog and shared.visits == parsed.visits
         arrays = {k: v for k, v in vars(parsed).items() if isinstance(v, np.ndarray)}
-        assert "timed_durations" in arrays and "coef" in arrays
+        assert "thinned" in arrays and "coef" in arrays
         for name, value in arrays.items():
             assert np.array_equal(getattr(shared, name), value), name
 

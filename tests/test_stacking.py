@@ -198,23 +198,29 @@ def reference_stack(catalog, tables):
     seg_exp = np.zeros((len(n), width))
     seg_idx[term_of, slot] = idx
     seg_exp[term_of, slot] = exps
+    n = np.asarray(n, dtype=np.int64)
+    group_of = np.searchsorted(starts, np.arange(n.size), side="right") - 1
+    horizons = np.array([table.horizon for table, _ in tables], dtype=float)
     return (
         membership_matrix(catalog, list(registry)),
         np.array([float(a.includes_null) for a in registry]),
-        np.asarray(coef, dtype=float),
-        np.asarray(n, dtype=np.int64),
+        # each term's n log T, from its Poisson factor (lambda T)^n / n!
+        np.asarray(coef, dtype=float) + n * np.log(horizons)[group_of],
+        n,
         seg_idx,
         seg_exp,
         np.asarray(starts, dtype=np.int64),
+        group_of,
         np.array([count for _, count in tables], dtype=float),
-        np.array([table.horizon for table, _ in tables], dtype=float),
+        horizons,
         sales,
+        np.zeros(len(registry)),
     )
 
 
 NAMES = (
     "membership", "nulls", "coef", "n", "seg_idx", "seg_exp",
-    "starts", "counts", "horizons", "sales",
+    "starts", "group_of", "counts", "exposures", "sales", "thinned",
 )
 
 

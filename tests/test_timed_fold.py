@@ -4,20 +4,25 @@ Timed records: the reference below folds visit by visit, one table per
 distinct timed visit (its catalog, sales, segment assortments, exponents
 and durations), read off ``segments()`` and summed into per-assortment
 totals by a loop over the tables.  :func:`fold_timed`, directly and
-through ``compile_dataset``, must return exactly its arrays, in the same
-dtypes and the same registry order, and a one-visit table exactly the
-visit's reference table.
+through ``compile_dataset``, must return one group of one term whose
+arrays are exactly the reference's, in the same dtypes and the same
+registry order (as ``membership`` and ``nulls``), and a one-visit fold
+exactly the visit's reference table.
 
 Complete paths: a folded complete dataset's log-likelihood and gradient
 must equal, to 1e-9 relative, those of the per-path ``l2`` stack (one
-term per path, evaluated by :func:`term_loglik_grad`) and the sum of
-:func:`l2_choice_sequence` over its paths; degenerate datasets must also
-fit as they did when each path was stacked as one ``l2`` term.
+term per path, evaluated by the same kernel, :func:`term_loglik_grad`)
+and the sum of :func:`l2_choice_sequence` over its paths; degenerate
+datasets must also fit as they did when each path was stacked as one
+``l2`` term.
 """
 
+import importlib.util
 import math
 import random
 from dataclasses import replace
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +30,9 @@ import pytest
 from stockout_demand import estimation
 from stockout_demand import io as sd_io
 from stockout_demand import simulate
-from stockout_demand.estimation import _group_key, compile_dataset, fit
+from stockout_demand.estimation import GRANULARITIES, _group_key, compile_dataset, fit
 from stockout_demand.likelihood import (
+    TruncationPolicy,
     fold_timed,
     l2_choice_sequence,
     membership_matrix,
@@ -102,16 +108,59 @@ def assert_same_arrays(got, want, names):
         assert np.array_equal(g, w), name
 
 
-def assert_folds_as_reference(groups, catalog):
-    table = fold_timed(groups, catalog)
-    sales, registry, exponents, durations = reference_fold(catalog, groups)
-    assert table.catalog == tuple(catalog)
-    assert table.assortments == registry
+#: the arrays every builder returns, in order
+ARRAYS = (
+    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp",
+    "bounds", "group_of", "counts", "exposures", "Z", "thinned",
+)
+
+
+def one_term(arrays):
+    """The arrays of a fold by name, after checking that they are one
+    group of one term whose exponents run over the registry in order; its
+    sales, exponents and durations become flat rows."""
+    folded = dict(zip(ARRAYS, arrays))
+    rows = folded["nulls"].size
     assert_same_arrays(
-        (table.sales, table.exponents, table.durations),
+        [folded[name] for name in ("seg_idx", "bounds", "group_of", "counts")],
+        [
+            np.arange(rows).reshape(1, rows),
+            np.zeros(1, np.int64),
+            np.zeros(1, np.int64),
+            np.ones(1),
+        ],
+        ("seg_idx", "bounds", "group_of", "counts"),
+    )
+    assert folded["coef"].shape == folded["n"].shape == folded["exposures"].shape == (1,)
+    folded["sales"], folded["exponents"] = folded["Z"][0], folded["seg_exp"][0]
+    return folded
+
+
+def assert_registry(folded, catalog, registry):
+    """The fold's registry rows are ``registry``, in order."""
+    assert_same_arrays(
+        (folded["membership"], folded["nulls"]),
+        (
+            membership_matrix(catalog, registry),
+            np.array([float(a.includes_null) for a in registry]),
+        ),
+        ("membership", "nulls"),
+    )
+
+
+def assert_folds_as_reference(groups, catalog):
+    folded = one_term(fold_timed(groups, catalog))
+    sales, registry, exponents, durations = reference_fold(catalog, groups)
+    assert_registry(folded, catalog, registry)
+    assert_same_arrays(
+        (folded["sales"], folded["exponents"], folded["thinned"]),
         (sales, exponents, durations),
         ("sales", "exponents", "durations"),
     )
+    # timed records have no observed time, and their arrivals are their
+    # purchases
+    assert folded["exposures"][0] == 0.0 and folded["coef"][0] == 0.0
+    assert folded["n"][0] == sales.sum()
 
 
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
@@ -142,38 +191,92 @@ def test_records_cover_duplicates_and_several_stockouts(records):
 
 def test_compile_matches_per_table_sum(records):
     ds = compile_dataset(records, "transactions-timed")
+    folded = one_term([getattr(ds, name) for name in ARRAYS])
     sales, registry, exponents, durations = reference_fold(ds.catalog, grouped(records))
-    assert ds._timed[0][0].assortments == registry
+    assert_registry(folded, ds.catalog, registry)
     assert_same_arrays(
-        (ds.timed_sales, ds.timed_membership, ds.timed_exponents, ds.timed_durations),
-        (sales, membership_matrix(ds.catalog, registry), exponents, durations),
-        ("timed_sales", "timed_membership", "timed_exponents", "timed_durations"),
+        (folded["sales"], folded["exponents"], folded["thinned"]),
+        (sales, exponents, durations),
+        ("sales", "exponents", "durations"),
     )
-    # the benchmark reads these two
-    assert len(ds._timed) == 1
-    assert np.array_equal(ds._timed_cols[0], np.arange(len(ds.catalog)))
     assert ds.visits == len(records)
-    assert ds.n_assort == len(ds.timed_exponents)
+    assert ds.n_assort == len(exponents)
 
 
 def test_single_visit_table_matches_reference(records):
     for record in records:
-        table = fold_timed([(record, 1)], record.initial_assortment.products)
         catalog, sales, assortments, exponents, durations = reference_table(record)
-        assert table.catalog == catalog
-        assert table.assortments == assortments
-        got = (table.sales, table.exponents, table.durations)
+        folded = one_term(fold_timed([(record, 1)], catalog))
+        assert_registry(folded, catalog, assortments)
+        got = (folded["sales"], folded["exponents"], folded["thinned"])
         for g, w in zip(got, (sales, exponents, durations)):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
 
 
-def test_untimed_compile_folds_nothing():
-    paths = simulate.simulate_dataset(CONFIGS["null-rate-10"].visit_config(), 20, 3)
-    ds = compile_dataset([sd_io.project_path(p, "sales") for p in paths], "sales")
-    assert ds._timed == [] and ds._timed_cols == []
-    assert ds.timed_exponents.size == 0 and not ds.timed_sales.any()
-    assert ds.visits == 20
+def granularity_dataset(granularity, visits=20, seed=3):
+    """A small compiled dataset of ``granularity``: the preset at rate 10,
+    with the null option unless the granularity has none."""
+    config = replace(PRESET, include_null=granularity != "sales-no-null", rate=10.0)
+    paths = simulate.simulate_dataset(config.visit_config(), visits, seed)
+    visits = [sd_io.project_path(p, granularity) for p in paths]
+    return compile_dataset(visits, granularity, TruncationPolicy(m=12))
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_compile_calls_one_builder(granularity, monkeypatch):
+    called = []
+
+    def spy(name):
+        builder = getattr(estimation, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return builder(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("table_sales", "table_sequences", "fold_timed"):
+        monkeypatch.setattr(estimation, name, spy(name))
+    ds = granularity_dataset(granularity)
+    builders = {
+        "complete": "fold_timed",
+        "transactions-timed": "fold_timed",
+        "transactions": "table_sequences",
+    }
+    assert called == [builders.get(granularity, "table_sales")]
+    # only a fold has thinned time
+    assert ds.thinned.any() == (granularity == "transactions-timed")
+
+
+def load_tracing():
+    """The benchmark's ``tracing`` module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_benchmark_reads_every_compiled_dataset(granularity):
+    # what the benchmark's traced run reads of a compiled dataset and of
+    # the package, and each of the dataset's arrays counted once
+    tracing = load_tracing()
+    ds = granularity_dataset(granularity)
+    arrays = [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == len(ARRAYS) + 1  # and the start point
+    assert not any(np.may_share_memory(a, b) for a, b in combinations(arrays, 2))
+    assert tracing.compiled_stats(ds) == {
+        "groups": ds.counts.size,
+        "terms": ds.n.size,
+        "assortments": ds.nulls.size,
+        "timed_tables": 0,
+        "compiled_bytes": sum(a.nbytes for a in arrays),
+        "visits": 20,
+    }
+    for owner, attr in tracing.traced_names():
+        assert callable(vars(owner)[attr]), (owner, attr)
 
 
 def timed(horizon, products, stocks, purchases):
@@ -276,13 +379,14 @@ def test_random_wide_groups_fold_as_reference(seed):
 
 
 def test_empty_fold():
-    table = fold_timed([], WIDE)
-    assert table.assortments == []
+    folded = one_term(fold_timed([], WIDE))
+    assert_registry(folded, WIDE, [])
     assert_same_arrays(
-        (table.sales, table.exponents, table.durations),
+        (folded["sales"], folded["exponents"], folded["thinned"]),
         (np.zeros(len(WIDE)), np.zeros(0), np.zeros(0)),
         ("sales", "exponents", "durations"),
     )
+    assert folded["n"][0] == 0 and folded["coef"][0] == folded["exposures"][0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -308,9 +412,10 @@ def test_first_bad_record_raises(order, message):
 def reference_l2_stack(catalog, groups):
     """The arrays :func:`term_loglik_grad` takes after ``x`` for complete
     paths stacked one ``l2`` term each: ``n`` the path's arrivals,
-    coefficient ``-log n!``, and per segment the assortment it faces with
-    exponent its choices (the stock-out purchase that closes it included),
-    zero exponents dropped; the sales are the purchases per product."""
+    coefficient ``n log T - log n!``, and per segment the assortment it
+    faces with exponent its choices (the stock-out purchase that closes it
+    included), zero exponents dropped; the exposure is the horizon, the
+    sales are the purchases per product, and no row has thinned time."""
     col = {a: i for i, a in enumerate(catalog)}
     registry = {}
     rows = []
@@ -331,17 +436,20 @@ def reference_l2_stack(catalog, groups):
         for j, (d, e) in enumerate(r):
             seg_idx[g, j], seg_exp[g, j] = d, e
     n = np.array([path.arrivals for path, _ in groups], dtype=np.int64)
+    horizons = np.array([path.horizon for path, _ in groups], dtype=float)
     return (
         membership_matrix(catalog, list(registry)),
         np.array([float(a.includes_null) for a in registry]),
-        np.array([-math.lgamma(x + 1) for x in n.tolist()]),
+        np.array([-math.lgamma(x + 1) for x in n.tolist()]) + n * np.log(horizons),
         n,
         seg_idx,
         seg_exp,
         np.arange(len(groups), dtype=np.int64),
+        np.arange(len(groups), dtype=np.int64),
         np.array([count for _, count in groups], dtype=float),
-        np.array([path.horizon for path, _ in groups], dtype=float),
+        horizons,
         sales,
+        np.zeros(len(registry)),
     )
 
 
@@ -439,7 +547,7 @@ def assert_folds_as_l2(paths, counts, seed=0):
     random points, with no ``0 log 0`` or ``0 / 0`` along the way."""
     groups = list(zip(paths, counts))
     ds = compile_dataset([p for p, c in groups for _ in range(c)], "complete")
-    assert ds.counts.size == 0  # no term groups: every path folds
+    assert ds.counts.size == ds.n.size == 1  # every path folds into one term
     reference = reference_l2_stack(ds.catalog, groups)
     rnd = np.random.default_rng(seed)
     for _ in range(3):
@@ -493,14 +601,15 @@ def test_sold_out_stretch_is_observed_time():
     # the path sells out both products at 0.5 and faces nothing after: its
     # exposure is still lambda T, its empty row has exponent 0
     paths = DEGENERATE["every product sells out, no null"][0][:1]
-    table = fold_timed([(paths[0], 2)], (0, 1))
-    assert table.assortments == [
-        Assortment((0, 1), False), Assortment((1,), False), Assortment((), False)
-    ]
-    assert np.array_equal(table.exponents, [2.0, 4.0, 0.0])
-    assert np.array_equal(table.durations, [0.0, 0.0, 0.0])
-    assert table.observed_time == 2.0 and table.null_choices == 0.0
-    assert np.array_equal(table.sales, [2.0, 4.0])
+    folded = one_term(fold_timed([(paths[0], 2)], (0, 1)))
+    assert_registry(
+        folded, (0, 1), [Assortment((0, 1), False), Assortment((1,), False), Assortment((), False)]
+    )
+    assert np.array_equal(folded["exponents"], [2.0, 4.0, 0.0])
+    assert np.array_equal(folded["thinned"], [0.0, 0.0, 0.0])
+    # no null choices: the arrivals are the sales
+    assert folded["exposures"][0] == 2.0 and folded["n"][0] == 6
+    assert np.array_equal(folded["sales"], [2.0, 4.0])
 
 
 def test_regimes_key_distinct_rows():
@@ -508,17 +617,18 @@ def test_regimes_key_distinct_rows():
     # adds to its segment's exponent and to the null choices, not the sales
     with_null = path(1.0, (0, 1), (1, 2), [(0.1, NULL), (0.2, 0), (0.6, NULL)])
     without = path(1.0, (0, 1), (1, 2), [(0.3, 1), (0.4, 0)], False)
-    table = fold_timed([(with_null, 1), (without, 3)], (0, 1))
-    assert table.assortments == [
+    folded = one_term(fold_timed([(with_null, 1), (without, 3)], (0, 1)))
+    assert_registry(folded, (0, 1), [
         Assortment((0, 1), True), Assortment((1,), True),
         Assortment((0, 1), False), Assortment((1,), False),
-    ]
-    assert np.array_equal(table.exponents, [2.0, 1.0, 6.0, 0.0])
-    assert np.array_equal(table.sales, [4.0, 3.0])
-    assert table.null_choices == 2.0
-    assert table.observed_time == 4.0
+    ])
+    assert np.array_equal(folded["exponents"], [2.0, 1.0, 6.0, 0.0])
+    assert np.array_equal(folded["sales"], [4.0, 3.0])
+    # 7 sales and 2 null choices
+    assert folded["n"][0] == 9
+    assert folded["exposures"][0] == 4.0
     # 3 (2 log 1 - log 2!) + (3 log 1 - log 3!)
-    assert table.constant == pytest.approx(-3 * math.log(2) - math.log(6), rel=1e-15)
+    assert folded["coef"][0] == pytest.approx(-3 * math.log(2) - math.log(6), rel=1e-15)
 
 
 def test_paths_that_differ_only_in_times_fold_as_one_group(monkeypatch):
@@ -544,9 +654,9 @@ def test_w2_config_folds_to_one_row_per_assortment():
     config = replace(PRESET, include_null=True, rate=10.0)
     paths = simulate.simulate_dataset(config.visit_config(), 300, 5)
     ds = compile_dataset(paths, "complete")
-    assert ds.counts.size == 0 and ds.n.size == 0
+    assert ds.counts.size == 1 and ds.n.size == 1
     rows = {a for p in paths for a in p.segments()[2]}
-    assert len(ds.timed_exponents) == len(rows) < len(paths)
+    assert ds.n_assort == ds.seg_exp.size == len(rows) < len(paths)
 
 
 def test_table_sequences_refuses_complete_paths():
