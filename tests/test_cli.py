@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,45 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
         c = simulate_small(tmp_path, "c.jsonl", seed=6)
         assert a.read_bytes() != c.read_bytes()
+
+    # a null-inclusive config with a horizon of 2 and a stock override
+    NULL_CONFIG = {
+        "catalog": [0, 1, 2, 3, 4],
+        "weights": {"0": 0.25, "1": 0.05, "2": 0.1, "3": 0.2, "4": 0.4},
+        "rate": 5.0,
+        "horizon": 2.0,
+        "always_available": [0],
+        "offer_probability": 0.6,
+        "stock_level": 2,
+        "stocks": {"4": 1},
+        "include_null": True,
+    }
+
+    @pytest.mark.parametrize(
+        "granularity, digest",
+        [
+            ("sales-no-null", "dc9f2a2e54cb2494da376c346d04bc9b258e2830764980e1e4dbd43784253109"),
+            ("sales", "e949dd5cc2618f1ebe4c126db9a957223f0891bb668aa1522b3ef4ab803951fe"),
+            ("transactions", "a452464945cf5b6ed4b57ad3a53bdc9bbb60291ba1aece7219982bdf0029676a"),
+            (
+                "transactions-timed",
+                "27046c5d4bbfddb78750ed7272a6b49e12e1e768e82a2037630d1038ca559e14",
+            ),
+            ("complete", "19575e138f78dceff4ca61cf62174e5349b327c8c91ba72ec39b4800b0bf03a3"),
+        ],
+    )
+    def test_written_bytes_pinned(self, tmp_path, capsys, granularity, digest):
+        # the section7 preset writes the no-null file; the null config the rest
+        if granularity == "sales-no-null":
+            source = ("--preset", "section7")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(self.NULL_CONFIG))
+            source = ("--config", str(config))
+        out = tmp_path / "visits.jsonl"
+        argv = ("--visits", "200", "--seed", "7", "--granularity", granularity)
+        assert run("simulate", *source, *argv, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_no_null_config_refuses_other_granularity(self, tmp_path, capsys):
         code = run(

@@ -133,6 +133,27 @@ def canonical_text(path):
     return json.dumps([path.horizon, offered.products, offered.includes_null, stocks, path.events])
 
 
+WALKAWAY_TIMED = replace(
+    SECTION7_PRESET,
+    weights={a: 0.1 * w for a, w in SECTION7_PRESET.weights.items()},
+    rate=20.0,
+    stock_level=1,
+    include_null=True,
+)
+
+# no null option and nothing always available: some visits sell out
+# everything, and some are offered nothing
+CENSORING = replace(
+    SECTION7_PRESET,
+    catalog=(0, 1, 2),
+    weights={0: 1.0, 1: 2.0, 2: 1.5},
+    rate=8.0,
+    always_available=(),
+    offer_probability=0.5,
+    stock_level=2,
+)
+
+
 @pytest.mark.parametrize(
     "config, seed, digest",
     [
@@ -146,12 +167,24 @@ def canonical_text(path):
             3,
             "a2afaff3c5b1954c6aa7a00a22b3421db5ab6e98dcbb524e1c3651f3b118594a",
         ),
+        (WALKAWAY_TIMED, 6, "51e8b901803251d76571e8003448e2ee1ca664d62b61d31036e23383f217faf3"),
+        (CENSORING, 1, "a0d1fa377cd9de3bbde31e6be9640c1f55914feb3a78593448d12ba9a3b22b3c"),
     ],
 )
 def test_datasets_pinned(config, seed, digest):
     # the same visits, draw for draw, as one rng.choice(p=...) per arrival
-    # gave: no-null section7 visits, and null visits where up to four
-    # products sell out
+    # gave: no-null section7 visits; null visits where up to four products
+    # sell out; walkaway visits of some twenty arrivals each; and no-null
+    # visits that sell out everything, or are offered nothing
     paths = simulate_dataset(config.visit_config(), 200, seed)
     text = "\n".join(map(canonical_text, paths))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert simulate_dataset(config.visit_config(), 0, seed) == []
+
+
+def test_censoring_config_covers_its_edge_cases():
+    # the pinned censoring dataset holds the visits its digest is there for
+    paths = simulate_dataset(CENSORING.visit_config(), 200, 1)
+    sold_out = [p for p in paths if p.arrivals == sum(p.stocks.values()) > 0]
+    assert sold_out and not any(p.initial_assortment.includes_null for p in paths)
+    assert any(not p.initial_assortment.products for p in paths)
