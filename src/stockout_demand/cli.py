@@ -83,6 +83,8 @@ def _default_granularity(config: RunConfig) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     config = _load_config(args)
     granularity = args.granularity or _default_granularity(config)
     if config.include_null != offers_null(granularity):
@@ -166,7 +168,10 @@ def cmd_verify_counterexample(args: argparse.Namespace) -> int:
 
 def _prefix_sizes(total: int, spec: Optional[str]) -> List[int]:
     if spec:
-        sizes = sorted({int(s) for s in spec.split(",")})
+        try:
+            sizes = sorted({int(s) for s in spec.split(",")})
+        except ValueError:
+            raise ValueError(f"--prefixes takes comma-separated integers, got {spec!r}") from None
         if any(s < 1 or s > total for s in sizes):
             raise DataFormatError(f"prefix sizes must lie in [1, {total}]")
         return sizes
@@ -215,11 +220,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             seed=args.seed or 0,
         ),
     }
-    rows = []
+    rows, not_mle = [], []
     for size in sizes:
         prefix = observations[:size]
         for name, runner in estimators.items():
             result = runner(prefix)
+            if not result.converged:
+                not_mle.append(f"prefix {size}, {name}: {result.message}")
             for key in sorted(truth, key=lambda a: (a is None, a)):
                 label = "null" if key is None else f"P_{key}"
                 rows.append(
@@ -230,7 +237,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         writer.writerow(["prefix_size", "estimator", "parameter", "estimate", "truth"])
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    # as estimate does, write the fits, then exit 3 naming each that is not
+    # the MLE
+    for line in not_mle:
+        print(line, file=sys.stderr)
+    return EXIT_NO_CONVERGENCE if not_mle else EXIT_OK
 
 
 # built on first use, not at import, then reused: an in-process caller

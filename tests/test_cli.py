@@ -3,11 +3,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from stockout_demand import cli
 from stockout_demand.cli import main
+from stockout_demand.estimation import GRANULARITIES
 from stockout_demand.io import read_visits
 
 
@@ -15,21 +19,80 @@ def run(*argv):
     return main(list(argv))
 
 
+def simulate_refused(*args):
+    raise AssertionError("simulated before refusing")
+
+
+def visit(data, granularity="sales", stocks='{"0": 1, "1": 3}', tail=""):
+    """A visit line over products 0 and 1, recording ``data``."""
+    return (
+        f'{{"T": 1.0, "assortment": [0, 1], "stocks": {stocks}, '
+        f'"granularity": "{granularity}", "data": {data}{tail}}}'
+    )
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
 def simulate_small(tmp_path, name="visits.jsonl", visits=30, seed=1):
     out = tmp_path / name
-    code = run(
-        "simulate",
-        "--preset",
-        "section7",
-        "--visits",
-        str(visits),
-        "--seed",
-        str(seed),
-        "--out",
-        str(out),
-    )
-    assert code == 0
+    argv = ("--preset", "section7", "--visits", str(visits), "--seed", str(seed))
+    assert run("simulate", *argv, "--out", str(out)) == 0
     return out
+
+
+#: the section7 preset with a null option, at rate 10
+PRESET_WITH_NULL = {
+    "catalog": [0, 1, 2, 3, 4],
+    "weights": {"0": 0.25, "1": 0.05, "2": 0.1, "3": 0.2, "4": 0.4},
+    "rate": 10,
+    "horizon": 1.0,
+    "always_available": [0],
+    "offer_probability": 0.6,
+    "stock_level": 3,
+    "include_null": True,
+}
+
+#: estimate calls that must write the same bytes on every run: each row's
+#: file granularity and options.  Both SAA fits draw sampled blocks, and the
+#: null-inclusive sales fits sum over a range of arrival counts
+RERUNS = {
+    "no-null-exact": ("sales-no-null", ()),
+    "no-null-naive": ("sales-no-null", ("--naive",)),
+    "no-null-saa16": ("sales-no-null", ("--saa-samples", "16", "--seed", "0")),
+    "null-exact": ("sales", ()),
+    "null-naive": ("sales", ("--naive",)),
+    "null-saa4": ("sales", ("--saa-samples", "4", "--seed", "1")),
+    "complete": ("complete", ()),
+    "transactions-timed": ("transactions-timed", ()),
+    "transactions": ("transactions", ()),
+}
+
+
+@pytest.fixture(scope="module")
+def rerun_files(tmp_path_factory):
+    """30 visits of the section7 preset at sales-no-null (seed 1), and of
+    :data:`PRESET_WITH_NULL` at every other granularity (seed 5), by path."""
+    root = tmp_path_factory.mktemp("reruns")
+    config = root / "null.json"
+    config.write_text(json.dumps(PRESET_WITH_NULL))
+    files = {}
+    for granularity in GRANULARITIES:
+        if granularity == "sales-no-null":
+            source = ("--preset", "section7", "--seed", "1")
+        else:
+            source = ("--config", str(config), "--seed", "5")
+        out = files[granularity] = root / f"{granularity}.jsonl"
+        argv = ("--visits", "30", "--granularity", granularity, "--out", str(out))
+        assert run("simulate", *source, *argv) == 0
+    return files
+
+
+def rerun_argv(files, row):
+    granularity, options = RERUNS[row]
+    return ["estimate", "--data", str(files[granularity]), *options]
 
 
 class TestExitCodes:
@@ -52,80 +115,144 @@ class TestExitCodes:
     def test_missing_data_file_is_data_error(self, tmp_path, capsys):
         assert run("estimate", "--data", str(tmp_path / "nope.jsonl")) == 2
 
-    def test_malformed_data_reports_line(self, tmp_path, capsys):
-        f = tmp_path / "bad.jsonl"
-        f.write_text('{"T": 1.0}\n')
-        assert run("estimate", "--data", str(f)) == 2
-        assert "line 1" in capsys.readouterr().err
-
-    def test_zero_stock_visit_is_data_error(self, tmp_path, capsys):
-        f = tmp_path / "bad.jsonl"
-        good = '{"T": 1.0, "assortment": [0], "stocks": {"0": 2}, '
-        bad = '{"T": 1.0, "assortment": [0], "stocks": {"0": 0}, '
-        tail = '"granularity": "sales", "data": {"0": 0}}\n'
-        f.write_text(good + tail + bad + tail)
-        assert run("estimate", "--data", str(f)) == 2
-        assert "line 2" in capsys.readouterr().err
-
-    def test_timestamp_past_horizon_is_data_error(self, tmp_path, capsys):
-        # the stock-out purchase of product 0 at t = 2.5 > T would give the
-        # second segment a negative exposure
-        f = tmp_path / "bad.jsonl"
-        head = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, '
-        head += '"granularity": "transactions-timed", "data": '
-        f.write_text(head + "[[0.3, 1]]}\n" + head + "[[0.2, 1], [2.5, 0], [0.1, 1]]}\n")
-        assert run("estimate", "--data", str(f)) == 2
-        assert "line 2" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "granularity, data",
+        "lines, message",
         [
-            ("complete", "[[0.2, 1], [2.5, 0]]"),
-            ("transactions", "[0, 0]"),
-            ("sales", '{"0": 2, "1": 0}'),
+            (['{"T": 1.0}'], "line 1: missing fields"),
+            (
+                [visit('{"0": 0, "1": 1}'), visit('{"0": 0, "1": 1}', stocks='{"0": 0, "1": 3}')],
+                "line 2: offered product 0 has stock 0",
+            ),
+            # product 0 has one unit; line 2 buys it twice, or buys it
+            # after the horizon ends, which would give the second segment a
+            # negative exposure
+            (
+                [visit("[[0.3, 1]]", "complete"), visit("[[0.2, 1], [2.5, 0]]", "complete")],
+                "line 2: event 2: time 2.5 outside [0, 1.0]",
+            ),
+            (
+                [
+                    visit("[[0.3, 1]]", "transactions-timed"),
+                    visit("[[0.2, 1], [2.5, 0], [0.1, 1]]", "transactions-timed"),
+                ],
+                "line 2: transaction 2: time 2.5 outside [0, 1.0]",
+            ),
+            (
+                [visit("[1]", "transactions"), visit("[0, 0]", "transactions")],
+                "line 2: transaction 2: product 0 bought beyond its stock of 1",
+            ),
+            (
+                [visit('{"0": 0, "1": 1}'), visit('{"0": 2, "1": 0}')],
+                "line 2: sales 2 of product 0 outside [0, 1]",
+            ),
+            # a cast would read the stock of 1.5 as 1
+            (
+                [visit('{"0": 0, "1": 1}'), visit('{"0": 0, "1": 1}', stocks='{"0": 1.5, "1": 3}')],
+                "line 2: malformed visit record: stock must be an integer, got 1.5",
+            ),
+            # a read builds each header once, and True == 1: line 2 must not
+            # reuse line 1's
+            (
+                [
+                    visit('{"0": 1, "1": 0}'),
+                    visit('{"0": 1, "1": 0}', stocks='{"0": true, "1": 3}'),
+                ],
+                "line 2: malformed visit record: stock must be an integer, got True",
+            ),
+            (
+                [
+                    visit('{"0": 1, "1": 0}'),
+                    visit('{"0": 1, "1": 0}', stocks='{"0": 1, "1": 2, "01": 3}'),
+                ],
+                "line 2: malformed visit record: stocks names product 1 more than once",
+            ),
+            # a read decodes line 1's header text once, yet must still read
+            # line 2 to its end
+            (
+                [visit('{"0": 1, "1": 0}'), visit('{"0": 0, "1": 1}', tail=', "extra": 1')],
+                "line 2: unknown fields ['extra']",
+            ),
+            # JSON whitespace is space, tab and line ends, so a line of only
+            # U+00A0 is no blank line but invalid JSON
+            (
+                [visit('{"0": 1, "1": 0}'), "\u00a0", visit('{"0": 0, "1": 1}')],
+                "line 2: invalid JSON",
+            ),
+        ],
+        ids=[
+            "missing-fields",
+            "zero-stock",
+            "complete-past-horizon",
+            "timed-past-horizon",
+            "transactions-oversold",
+            "sales-oversold",
+            "fractional-stock",
+            "true-stock",
+            "product-named-twice",
+            "key-after-data",
+            "nbsp-line",
         ],
     )
-    def test_infeasible_visit_is_data_error_on_its_line(
-        self, tmp_path, capsys, granularity, data
-    ):
-        # product 0 has one unit; the second visit buys it twice, or buys it
-        # after the horizon ends
-        f = tmp_path / "bad.jsonl"
-        head = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, '
-        head += f'"granularity": "{granularity}", "data": '
-        good = {
-            "complete": "[[0.3, 1]]",
-            "transactions": "[1]",
-            "sales": '{"0": 0, "1": 1}',
-        }
-        f.write_text(head + good[granularity] + "}\n" + head + data + "}\n")
-        assert run("estimate", "--data", str(f)) == 2
-        assert "line 2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["estimate", "compare"])
-    def test_negative_truncation_is_usage_error(self, tmp_path, capsys, command):
-        # no-null sales never read m, so estimate used to fit and write
-        # "truncation": -3
-        data = simulate_small(tmp_path)
-        out = tmp_path / "out"
-        config = ("--preset", "section7") if command == "compare" else ()
-        code = run(command, "--data", str(data), *config, "--truncation", "-3", "--out", str(out))
-        assert code == 1
-        assert "truncation m must be >= 0, got -3" in capsys.readouterr().err
+    def test_bad_line_is_data_error_naming_it(self, tmp_path, capsys, lines, message):
+        data = write_lines(tmp_path / "bad.jsonl", lines)
+        out = tmp_path / "fit.json"
+        assert run("estimate", "--data", str(data), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["estimate", "compare"])
-    def test_negative_seed_is_usage_error_whatever_is_drawn(self, tmp_path, capsys, command):
-        # a sample size above every block's count draws nothing, so a
-        # negative seed used to reach no generator: estimate wrote
-        # "seed": -1 and compare its CSV
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            # no-null sales never read m, so estimate used to fit and write
+            # "truncation": -3
+            ("estimate", ("--truncation", "-3"), "truncation m must be >= 0, got -3"),
+            ("compare", ("--truncation", "-3"), "truncation m must be >= 0, got -3"),
+            ("compare", ("--prefixes", "5,x"), "--prefixes takes comma-separated integers"),
+            # the seed used to be dropped and the fit written with "seed": null
+            (
+                "estimate",
+                ("--seed", "3"),
+                "--seed seeds the SAA sampler and needs --saa-samples",
+            ),
+            # the SAA request used to be dropped and a naive fit written
+            ("estimate", ("--naive", "--saa-samples", "4"), "not allowed with argument"),
+        ],
+        ids=[
+            "negative-truncation-estimate",
+            "negative-truncation-compare",
+            "prefixes-not-integers",
+            "seed-without-saa",
+            "naive-with-saa",
+        ],
+    )
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, command, options, message):
         data = simulate_small(tmp_path)
         out = tmp_path / "out"
         config = ("--preset", "section7") if command == "compare" else ()
-        code = run(
-            command, "--data", str(data), *config, "--saa-samples", "100000", "--seed", "-1",
-            "--out", str(out),
-        )
+        code = run(command, "--data", str(data), *config, *options, "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("estimate", ("--saa-samples", "100000")),
+            ("compare", ("--preset", "section7", "--saa-samples", "100000")),
+            ("simulate", ("--preset", "section7")),
+        ],
+        ids=["estimate", "compare", "simulate"],
+    )
+    def test_negative_seed_is_usage_error_whatever_is_drawn(
+        self, tmp_path, capsys, monkeypatch, command, options
+    ):
+        # a sample size above every block's count draws nothing, so a
+        # negative seed used to reach no generator: estimate wrote
+        # "seed": -1 and compare its CSV; simulate stopped in numpy
+        data = () if command == "simulate" else ("--data", str(simulate_small(tmp_path)))
+        monkeypatch.setattr(cli, "simulate_dataset", simulate_refused)
+        out = tmp_path / "out"
+        code = run(command, *data, *options, "--seed", "-1", "--out", str(out))
         assert code == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
@@ -142,18 +269,6 @@ class TestExitCodes:
         )
         assert code == 1
         assert "not allowed with argument" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_fractional_stock_is_data_error(self, tmp_path, capsys):
-        # a cast would read the stock of 1.5 as 1
-        f = tmp_path / "bad.jsonl"
-        head = '{"T": 1.0, "assortment": [0], "granularity": "sales", "data": {"0": 1}, '
-        f.write_text(head + '"stocks": {"0": 2}}\n' + head + '"stocks": {"0": 1.5}}\n')
-        out = tmp_path / "fit.json"
-        assert run("estimate", "--data", str(f), "--out", str(out)) == 2
-        assert "line 2: malformed visit record: stock must be an integer, got 1.5" in (
-            capsys.readouterr().err
-        )
         assert not out.exists()
 
 
@@ -233,10 +348,7 @@ class TestSimulate:
     def test_null_config_refuses_sales_no_null_before_simulating(
         self, tmp_path, capsys, monkeypatch
     ):
-        def simulate(*args):
-            raise AssertionError("simulated a config its granularity refuses")
-
-        monkeypatch.setattr(cli, "simulate_dataset", simulate)
+        monkeypatch.setattr(cli, "simulate_dataset", simulate_refused)
         config = tmp_path / "null.json"
         config.write_text(json.dumps({"catalog": [0, 1], "weights": {"0": 1, "1": 2}, "rate": 2}))
         out = tmp_path / "x.jsonl"
@@ -370,27 +482,6 @@ class TestEstimate:
         assert payload["saa_samples"] == 2
         assert payload["seed"] == 4
 
-    def test_naive_with_saa_is_usage_error(self, tmp_path, capsys):
-        # the SAA request used to be dropped and a naive fit written
-        data = simulate_small(tmp_path, visits=30, seed=3)
-        out = tmp_path / "fit.json"
-        code = run(
-            "estimate", "--data", str(data), "--naive", "--saa-samples", "4", "--out", str(out)
-        )
-        assert code == 1
-        assert "not allowed with argument" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_seed_without_saa_is_usage_error(self, tmp_path, capsys):
-        # the seed used to be dropped and the fit written with "seed": null
-        data = simulate_small(tmp_path)
-        out = tmp_path / "fit.json"
-        assert run("estimate", "--data", str(data), "--seed", "3", "--out", str(out)) == 1
-        assert "--seed seeds the SAA sampler and needs --saa-samples" in (
-            capsys.readouterr().err
-        )
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "option, message",
         [
@@ -399,51 +490,121 @@ class TestEstimate:
         ],
     )
     def test_sales_estimator_on_timed_file_is_data_error(
-        self, tmp_path, capsys, option, message
+        self, rerun_files, tmp_path, capsys, option, message
     ):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"catalog": [0, 1], "weights": {"0": 1.0, "1": 0.5}, "rate": 2.0})
-        )
-        data = tmp_path / "timed.jsonl"
-        assert run(
-            "simulate",
-            "--config",
-            str(config),
-            "--visits",
-            "20",
-            "--granularity",
-            "transactions-timed",
-            "--out",
-            str(data),
-        ) == 0
+        data = rerun_files["transactions-timed"]
         out = tmp_path / "fit.json"
         assert run("estimate", "--data", str(data), *option, "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_fit_short_of_the_truncation_tail_exits_3_and_is_written(self, tmp_path, capsys):
-        # m one above the largest visit total leaves Poisson mass beyond m
-        # at the fitted rate, so the fit is not the MLE
-        head = '{"T": 1.0, "assortment": [0, 1], "stocks": {"0": 1, "1": 3}, '
-        head += '"granularity": "sales", "data": '
-        data = tmp_path / "sales.jsonl"
-        data.write_text(
-            "".join(head + d + "}\n" for d in ('{"0": 1, "1": 2}', '{"0": 0, "1": 1}'))
-        )
+    @pytest.mark.parametrize(
+        "lines, options, message",
+        [
+            # m one above the largest visit total leaves Poisson mass beyond
+            # m at the fitted rate
+            (
+                [visit('{"0": 1, "1": 2}'), visit('{"0": 0, "1": 1}')],
+                ("--truncation", "4"),
+                "beyond m=4",
+            ),
+            # a product offered and never sold: its weight's supremum is 0
+            (
+                [
+                    visit('{"0": 1, "1": 0}', stocks='{"0": 2, "1": 3}'),
+                    visit('{"0": 2, "1": 0}', stocks='{"0": 2, "1": 3}'),
+                ],
+                (),
+                "product 1 never sold",
+            ),
+            # line 1 sells out both products: with no null option the
+            # arrivals after that go unrecorded
+            (
+                [
+                    visit('{"0": 1, "1": 2}', "sales-no-null", '{"0": 1, "1": 2}'),
+                    visit('{"0": 1, "1": 1}', "sales-no-null", '{"0": 2, "1": 2}'),
+                ],
+                (),
+                "1 no-null visits sell out every offered product, "
+                "so their arrival counts are censored",
+            ),
+        ],
+        ids=["tail", "never-sold", "censored"],
+    )
+    def test_fit_not_the_mle_exits_3_and_is_written(
+        self, tmp_path, capsys, lines, options, message
+    ):
+        data = write_lines(tmp_path / "sales.jsonl", lines)
         out = tmp_path / "fit.json"
-        assert run("estimate", "--data", str(data), "--truncation", "4", "--out", str(out)) == 3
+        assert run("estimate", "--data", str(data), *options, "--out", str(out)) == 3
         payload = json.loads(out.read_text())
         assert payload["converged"] is False
-        assert "beyond m=4" in payload["message"]
+        assert message in payload["message"]
 
-    def test_repeat_run_identical_output(self, tmp_path, capsys):
-        data = simulate_small(tmp_path, visits=40, seed=7)
-        out1, out2 = tmp_path / "f1.json", tmp_path / "f2.json"
-        args = ["estimate", "--data", str(data), "--saa-samples", "1", "--seed", "0"]
-        assert run(*args, "--out", str(out1)) in (0, 3)
-        assert run(*args, "--out", str(out2)) in (0, 3)
-        assert out1.read_bytes() == out2.read_bytes()
+    @pytest.mark.parametrize("row", RERUNS)
+    def test_reruns_are_byte_identical(self, rerun_files, tmp_path, capsys, row):
+        argv = rerun_argv(rerun_files, row)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run(*argv, "--out", str(first)) == 0
+        assert run(*argv, "--out", str(second)) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_reruns_in_another_process_are_byte_identical(self, rerun_files, tmp_path, capsys):
+        # the SAA streams are keyed through hash(), which a str in a key
+        # would salt per process: a child under another hash seed must write
+        # every rerun row's bytes
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        salt = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=salt)
+        calls = [
+            [*rerun_argv(rerun_files, row), "--out", str(tmp_path / f"child-{row}.json")]
+            for row in RERUNS
+        ]
+        code = (
+            "import json, sys; from stockout_demand.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, json.dumps(calls)],
+            env=env,
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        for row in RERUNS:
+            out = tmp_path / f"{row}.json"
+            assert run(*rerun_argv(rerun_files, row), "--out", str(out)) == 0
+            assert (tmp_path / f"child-{row}.json").read_bytes() == out.read_bytes(), row
+
+    @pytest.mark.parametrize(
+        "granularity, copies",
+        [("transactions-timed", 1), ("transactions-timed", 2), ("complete", 1)],
+        ids=["timed", "doubled", "complete"],
+    )
+    def test_file_written_two_ways_fits_the_same(
+        self, rerun_files, tmp_path, capsys, granularity, copies
+    ):
+        # a doubled file's repeated lines are read as one shared visit each
+        # but still counted; "T": 1 on every other line is the same visit
+        # as "T": 1.0, so each doubled pair, written two ways, still folds
+        # as one group
+        text = rerun_files[granularity].read_text().splitlines()
+        lines = [line for line in text for _ in range(copies)]
+        retyped = [
+            line.replace('"T": 1.0,', '"T": 1,', 1) if i % 2 == 0 else line
+            for i, line in enumerate(lines)
+        ]
+        assert all(line.startswith('{"T": 1,') for line in retyped[::2])
+        fits = []
+        for name, written in (("original", lines), ("retyped", retyped)):
+            data = write_lines(tmp_path / f"{name}.jsonl", written)
+            out = tmp_path / f"{name}.json"
+            assert run("estimate", "--data", str(data), "--out", str(out)) == 0
+            fit = json.loads(out.read_text())
+            assert fit.pop("data_path") == str(data)
+            fits.append(fit)
+        assert fits[0]["visits"] == len(text) * copies
+        assert fits[0] == fits[1]
 
 
 class TestVerifyCounterexample:
@@ -456,27 +617,34 @@ class TestVerifyCounterexample:
 
 
 class TestCompare:
-    def test_writes_plot_ready_csv(self, tmp_path, capsys):
-        data = simulate_small(tmp_path, visits=24, seed=8)
+    @pytest.mark.parametrize(
+        "seed, prefixes, not_mle",
+        [
+            (8, "12,24", None),
+            # no visit of the first two sells product 2: compare used to exit
+            # 0 with P_2 = 5.6e-13 as the correct estimate
+            (1, "2", "not the MLE: product 2 never sold, its weight's supremum 0"),
+        ],
+        ids=["converged", "never-sold"],
+    )
+    def test_writes_plot_ready_csv(self, tmp_path, capsys, seed, prefixes, not_mle):
+        data = simulate_small(tmp_path, visits=24, seed=seed)
         out = tmp_path / "compare.csv"
-        code = run(
-            "compare",
-            "--data",
-            str(data),
-            "--preset",
-            "section7",
-            "--prefixes",
-            "12,24",
-            "--saa-samples",
-            "1",
-            "--out",
-            str(out),
-        )
-        assert code == 0
+        argv = ("--preset", "section7", "--prefixes", prefixes, "--saa-samples", "1")
+        code = run("compare", "--data", str(data), *argv, "--out", str(out))
+        # as estimate does, compare writes a fit that is not the MLE, then
+        # exits 3 naming its prefix, estimator and message
+        assert code == (0 if not_mle is None else 3)
+        err = capsys.readouterr().err.splitlines()
+        named = [] if not_mle is None else ["correct", "naive", "saa"]
+        assert [line.split(": L-BFGS-B: ")[0] for line in err] == [
+            f"prefix {prefixes}, {name}" for name in named
+        ]
+        assert all(not_mle in line for line in err)
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
         assert {r["estimator"] for r in rows} == {"correct", "naive", "saa"}
-        assert {r["prefix_size"] for r in rows} == {"12", "24"}
+        assert {r["prefix_size"] for r in rows} == set(prefixes.split(","))
         # five products, no null column in the no-null regime
         assert {r["parameter"] for r in rows} == {f"P_{a}" for a in range(5)}
         truth = {f"P_{a}": w for a, w in enumerate([0.25, 0.05, 0.1, 0.2, 0.4])}
@@ -484,35 +652,13 @@ class TestCompare:
             assert float(r["truth"]) == pytest.approx(truth[r["parameter"]])
             assert 0.0 <= float(r["estimate"]) <= 1.0
 
-    def test_rejects_non_sales_data(self, tmp_path, capsys):
-        from stockout_demand import simulate_dataset, write_visits
-        from stockout_demand.io import project_path
-        from stockout_demand.simulate import VisitConfig
-        from stockout_demand.types import ModelParams
+    def test_rejects_non_sales_data(self, rerun_files, tmp_path, capsys):
+        data = rerun_files["transactions"]
+        err = self.refuse(tmp_path, capsys, "--preset", "section7", data=data)
+        assert "compare expects a sales-granularity file" in err
 
-        config = VisitConfig(
-            horizon=1.0,
-            params=ModelParams(rate=2.0, weights={0: 1.0}),
-            always_available=(0,),
-        )
-        paths = simulate_dataset(config, 5, seed=1)
-        f = tmp_path / "txn.jsonl"
-        write_visits(
-            str(f), [project_path(p, "transactions") for p in paths], "transactions"
-        )
-        code = run(
-            "compare",
-            "--data",
-            str(f),
-            "--preset",
-            "section7",
-            "--out",
-            str(tmp_path / "c.csv"),
-        )
-        assert code == 2
-
-    def refuse(self, tmp_path, capsys, *options):
-        data = simulate_small(tmp_path)
+    def refuse(self, tmp_path, capsys, *options, data=None):
+        data = data or simulate_small(tmp_path)
         out = tmp_path / "c.csv"
         code = run("compare", "--data", str(data), *options, "--out", str(out))
         assert code == 2
