@@ -11,7 +11,6 @@ approximation for sales data.
 """
 
 from .combinatorics import (
-    StockoutVector,
     count_stockout_vectors,
     enumerate_stockout_vectors,
     is_feasible,

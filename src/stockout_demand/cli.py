@@ -143,8 +143,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _probability(text: str) -> Fraction:
+    """A ``--prob`` value: a fraction strictly between 0 and 1."""
+    try:
+        p = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"takes a fraction, got {text!r}") from None
+    if not 0 < p < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return p
+
+
 def cmd_verify_counterexample(args: argparse.Namespace) -> int:
-    p = Fraction(args.prob)
+    p = args.prob
     correct, heuristic = counterexample_expectations(
         args.target_sales, args.other_sales, p
     )
@@ -167,7 +178,7 @@ def cmd_verify_counterexample(args: argparse.Namespace) -> int:
 
 
 def _prefix_sizes(total: int, spec: Optional[str]) -> List[int]:
-    if spec:
+    if spec is not None:
         try:
             sizes = sorted({int(s) for s in spec.split(",")})
         except ValueError:
@@ -288,7 +299,9 @@ def _build_parser() -> _Parser:
     )
     p_ver.add_argument("--target-sales", type=int, default=2)
     p_ver.add_argument("--other-sales", type=int, default=2)
-    p_ver.add_argument("--prob", default="1/2", help="target choice probability")
+    p_ver.add_argument(
+        "--prob", type=_probability, default="1/2", help="target choice probability"
+    )
     p_ver.set_defaults(func=cmd_verify_counterexample)
 
     p_cmp = sub.add_parser(

@@ -6,8 +6,8 @@ hits zero form a "stock-out vector".  These vectors index the inner sums
 of the sales likelihoods; this module provides the closed-form count, a
 brute-force enumerator used as an oracle, and uniform sampling without
 replacement via a linear congruential generator with rejection.  A vector
-lists its products by position, ``0, ..., k - 1``, in the order of their
-stocks.
+is a tuple, or a numpy row, of arrival indices that lists its products by
+position, ``0, ..., k - 1``, in the order of their stocks.
 
 A sample is the first feasible vectors of the generator's stream, read in
 one of two ways with the same result.  The stream's states are computed a
@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "StockoutVector",
     "is_feasible",
     "count_stockout_vectors",
     "enumerate_stockout_vectors",
@@ -45,34 +43,23 @@ __all__ = [
 ENUMERATION_GUARD = 10**7
 
 
-@dataclass(frozen=True)
-class StockoutVector:
-    """Arrival indices (1-based) at which the products with ``stocks``
-    sell out, one per product."""
-
-    stocks: Tuple[int, ...]
-    indices: Tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if len(self.stocks) != len(self.indices):
-            raise ValueError("stocks and indices must align")
-
-
-def is_feasible(v: StockoutVector) -> bool:
-    """Whether some feasible choice sequence realizes these stock-out indices.
+def is_feasible(stocks: Sequence[int], indices: Sequence[int], n: int) -> bool:
+    """Whether some feasible choice sequence of ``n`` arrivals sells out the
+    products with ``stocks`` at the (1-based) arrival ``indices``, one per
+    product; :class:`ValueError` if they do not align.
 
     Rules: indices in ``[1, n]``, pairwise distinct, and each index leaves
     room for all units sold out at or before it:
     ``r_j >= s_j + sum_{i: r_i < r_j} s_i``.
     """
-    r = v.indices
-    if len(set(r)) != len(r):
+    if len(stocks) != len(indices):
+        raise ValueError("stocks and indices must align")
+    if len(set(indices)) != len(indices):
         return False
-    if any(not 1 <= x <= v.n for x in r):
+    if any(not 1 <= x <= n for x in indices):
         return False
     cum = 0
-    for idx, s in sorted(zip(r, v.stocks)):
+    for idx, s in sorted(zip(indices, stocks)):
         cum += s
         if idx < cum:
             return False
@@ -96,19 +83,17 @@ def count_stockout_vectors(stocks: Sequence[int], n: int) -> int:
     return (n + 1) * falling - falling * sum(stocks)
 
 
-def enumerate_stockout_vectors(stocks: Sequence[int], n: int) -> Iterator[StockoutVector]:
+def enumerate_stockout_vectors(stocks: Sequence[int], n: int) -> Iterator[Tuple[int, ...]]:
     """Yield every feasible vector exactly once (brute force over ``n^k``)."""
     k = len(stocks)
     if k == 0:
-        yield StockoutVector((), (), n)
+        yield ()
         return
     if n**k > ENUMERATION_GUARD:
         raise ValueError(f"refusing to enumerate {n}^{k} > {ENUMERATION_GUARD} candidates")
-    stocks = tuple(stocks)
     for indices in iter_product(range(1, n + 1), repeat=k):
-        v = StockoutVector(stocks, indices, n)
-        if is_feasible(v):
-            yield v
+        if is_feasible(stocks, indices, n):
+            yield indices
 
 
 def _lcg_params(modulus: int, rng: random.Random) -> Tuple[int, int, int]:
@@ -218,7 +203,7 @@ def _lcg_blocks(
 
 def raw_stockout_draws(
     stocks: Sequence[int], n: int, seed: int
-) -> Iterator[Tuple[StockoutVector, bool]]:
+) -> Iterator[Tuple[Tuple[int, ...], bool]]:
     """Endless stream of raw candidate vectors with their feasibility flag.
 
     Each full LCG period visits every integer in ``[0, n^k)`` exactly once
@@ -226,17 +211,16 @@ def raw_stockout_draws(
     generator from the seed.  Candidate ``x`` is the vector of its base-``n``
     digits, least significant first, each plus one.
     """
-    stocks = tuple(stocks)
     for indices, feasible in _lcg_blocks(stocks, n, seed):
         for row, ok in zip(indices.tolist(), feasible.tolist()):
-            yield StockoutVector(stocks, tuple(row), n), ok
+            yield tuple(row), ok
 
 
 def sample_stockout_vectors(
     stocks: Sequence[int], n: int, sample_size: int, seed: int
-) -> List[StockoutVector]:
+) -> np.ndarray:
     """Uniform sample of feasible vectors, without replacement: the first
-    ``sample_size`` feasible vectors of :func:`raw_stockout_draws`.
+    ``sample_size`` feasible vectors of :func:`raw_stockout_draws`, as ``int64`` rows.
 
     One full-period LCG pass visits each candidate integer once; base-``n``
     decomposition turns it into indices and infeasible candidates are
@@ -246,13 +230,12 @@ def sample_stockout_vectors(
     count = count_stockout_vectors(stocks, n)
     if sample_size > count:
         raise ValueError(f"sample_size {sample_size} exceeds feasible count {count}")
-    stocks = tuple(stocks)
-    rows: List[List[int]] = []
+    rows = np.zeros((0, len(stocks)), dtype=np.int64)
     blocks = _lcg_blocks(stocks, n, seed)
     while len(rows) < sample_size:
         indices, feasible = next(blocks)
-        rows += indices[feasible][: sample_size - len(rows)].tolist()
-    return [StockoutVector(stocks, tuple(row), n) for row in rows]
+        rows = np.concatenate([rows, indices[feasible][: sample_size - len(rows)]])
+    return rows
 
 
 def drawn_by_position(k: int, n: int, take: int, count: int) -> bool:

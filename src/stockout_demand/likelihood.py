@@ -21,8 +21,9 @@ both null regimes (the visit's regime picks its arrival counts: up to
 shape once in numpy.  Untimed transactions (complete paths with the
 null choices dropped) stack through :func:`table_sequences`: a term per
 way of spreading the arrivals a record does not show over its segments
-as hidden null choices.  Every timed sequence, timed transactions and
-complete paths alike, folds instead, a dataset in one pass, into
+as hidden null choices, each segment count's ways enumerated once as
+numpy rows.  Every timed sequence, timed transactions and complete
+paths alike, folds instead, a dataset in one pass, into
 per-assortment totals (:func:`fold_timed`, a complete path's null
 choices counting as choices of a weight-1 null option): one group of
 one term, with the thinned time per assortment.  All three builders
@@ -140,21 +141,22 @@ def _poisson_logpmf(n: int, mu: float) -> float:
     return n * math.log(mu) - mu - math.lgamma(n + 1)
 
 
-def _compositions_at_most(limit: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative ints summing to at most ``limit``."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(limit + 1):
-        for rest in _compositions_at_most(limit - first, parts - 1):
-            yield (first,) + rest
+def _increasing(top: int, k: int) -> np.ndarray:
+    """Every increasing ``k``-tuple of ``1, ..., top``, one row each, in
+    lexicographic order."""
+    count = math.comb(top, k)
+    return np.fromiter(
+        chain.from_iterable(combinations(range(1, top + 1), k)), np.int64, count * k
+    ).reshape(count, k)
 
 
-def _compositions_exact(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    """All tuples of ``parts >= 1`` non-negative ints summing to ``total``:
-    the last part takes what the others leave."""
-    for head in _compositions_at_most(total, parts - 1):
-        yield head + (total - sum(head),)
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way of writing ``total >= 0`` as ``parts >= 1`` non-negative
+    ints, one row each, in lexicographic order: the gaps around ``parts - 1``
+    increasing bars among ``total + parts - 1`` places.  Without its last
+    column, a row sums to at most ``total``, and every such row comes once."""
+    top = total + parts - 1
+    return _segment_sizes(_increasing(top, parts - 1), top)
 
 
 def _null_arrival_terms(
@@ -173,7 +175,7 @@ def _null_arrival_terms(
     purchase excluded), and ``log_p_null[j]`` is its log no-purchase
     probability; the binomial counts the interleavings of its null
     arrivals with its choices."""
-    for n_o in _compositions_at_most(m - observed, len(seg_sizes)):
+    for n_o in _compositions(m - observed, len(seg_sizes) + 1)[:, :-1].tolist():
         t = base + _poisson_logpmf(observed + sum(n_o), mu)
         for extra, size, log_p in zip(n_o, seg_sizes, log_p_null):
             t += log_binomial(extra + size, extra) + extra * log_p
@@ -315,7 +317,7 @@ def lauricella_mgf(
         raise ValueError("series coefficients must be non-negative")
     s_total = sum(segment_sizes) + len(segment_sizes) - 1
     terms = []
-    for n_o in _compositions_at_most(max_extra, len(segment_sizes)):
+    for n_o in _compositions(max_extra, len(segment_sizes) + 1)[:, :-1].tolist():
         t = math.lgamma(s_total + 1) - math.lgamma(s_total + sum(n_o) + 1)
         for j, (extra, size) in enumerate(zip(n_o, segment_sizes)):
             if extra > 0 and thetas[j] == 0.0:
@@ -416,9 +418,8 @@ def _sales_splits(
         for a in products:
             q = summary.sales.get(a, 0) - (1 if a in position else 0)
             allowed = position.get(a, k + 1)
-            per_product.append(
-                [split + (0,) * (k + 1 - allowed) for split in _compositions_exact(q, allowed)]
-            )
+            padded = np.pad(_compositions(q, allowed), ((0, 0), (0, k + 1 - allowed)))
+            per_product.append(padded.tolist())
         yield seg_assort, splits(order, log_p, per_product)
 
 
@@ -501,11 +502,7 @@ def _shape_layouts(stocks: np.ndarray, n: np.ndarray) -> Tuple[np.ndarray, np.nd
     ``r_j >= s_1 + ... + s_j``; the sizes are :func:`_segment_sizes`.
     """
     k = stocks.shape[1]
-    top = int(n.max())
-    count = math.comb(top, k)
-    indices = np.fromiter(
-        chain.from_iterable(combinations(range(1, top + 1), k)), np.int64, count * k
-    ).reshape(count, k)
+    indices = _increasing(int(n.max()), k)
     orders = np.array(list(permutations(range(k))), dtype=np.int64)
     orders = orders.reshape(math.factorial(k), k)
     need = np.cumsum(stocks[:, orders], axis=2)[:, :, None, :]
@@ -514,14 +511,12 @@ def _shape_layouts(stocks: np.ndarray, n: np.ndarray) -> Tuple[np.ndarray, np.nd
     return shape_of, orders[order_of], _segment_sizes(indices[index_of], n[shape_of, None])
 
 
-def _segment_sizes(r: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _segment_sizes(r: np.ndarray, n: Union[np.ndarray, int]) -> np.ndarray:
     """Segment sizes of the layouts whose stock-outs arrive at the
     increasing indices ``r`` (one layout per row) out of ``n`` arrivals (a
-    column): ``r_1 - 1, r_j - r_{j-1} - 1, ..., n - r_k``, each segment's
-    closing stock-out arrival excluded."""
-    ends = np.concatenate([r, n + 1], axis=1)
-    starts = np.concatenate([np.zeros((r.shape[0], 1), dtype=np.int64), r], axis=1)
-    return ends - starts - 1
+    column, or one count for every row): ``r_1 - 1, r_j - r_{j-1} - 1,
+    ..., n - r_k``, each segment's closing stock-out arrival excluded."""
+    return np.diff(r, axis=1, prepend=0, append=n + 1) - 1
 
 
 def _layout_arrays(
@@ -650,29 +645,27 @@ def table_sequences(
 
     A group is ``(record, count, m)``: ``count`` copies of a record with at
     most ``m`` arrivals.  It has one term for each way ``n_o`` of spreading
-    ``m`` minus its purchases over its constant-assortment segments as
-    hidden null arrivals, in :func:`_compositions_at_most` order: arrival
-    count ``n = purchases + |n_o|``, coefficient ``n log T - log n! +
-    sum_j log C(n_o_j + s_j, n_o_j)`` (segment ``j`` holding ``s_j``
-    purchases, its closing stock-out excluded) and segment ``j``'s
-    exponent raised by ``n_o_j``.  A group whose ``m`` is below its
-    purchase count has no terms, which :func:`_stacked` refuses.
+    at most ``m`` minus its purchases over its constant-assortment segments
+    as hidden null arrivals, in lexicographic order: arrival count ``n =
+    purchases + |n_o|``, coefficient ``n log T - log n! + sum_j log C(n_o_j
+    + s_j, n_o_j)`` (segment ``j`` holding ``s_j`` purchases, its closing
+    stock-out excluded) and segment ``j``'s exponent raised by ``n_o_j``.
+    A group whose ``m`` is below its purchase count has no terms, which
+    :func:`_stacked` refuses.
+
+    Python runs once per group, to check it and read its segments.  Each
+    segment count's spreads are enumerated once (:func:`_compositions`), up
+    to the most any of its groups hides, and each group keeps, in order,
+    those within its own; numpy builds the terms.
     """
-    # every candidate's fields; per term: its group's first candidate and
-    # its segment count; every exponent; per group: its term count; per
-    # product of every group: the product and its sales
+    # every candidate's fields, group by group; per group: its segment
+    # sizes, one per candidate; per product of every group: the product and
+    # its sales
     candidates: List[Tuple[Tuple[int, ...], bool]] = []
-    offsets: List[int] = []
-    spans: List[int] = []
-    flat_exps: List[float] = []
-    n: List[int] = []
-    coef: List[float] = []
-    terms: List[int] = []
+    sizes: List[Tuple[int, ...]] = []
     products: List[int] = []
     sales: List[int] = []
-    # log x! for every arrival count and segment size a term can reach
-    log_fact = [math.lgamma(x + 1) for x in range(max((m for *_, m in groups), default=0) + 1)]
-    for visit, _, m in groups:
+    for visit, _, _ in groups:
         if not isinstance(visit, TransactionRecord):
             raise InvalidObservation(
                 f"table_sequences stacks transaction records, not {type(visit).__name__}"
@@ -681,43 +674,54 @@ def table_sequences(
             raise InvalidObservation("l4 is defined for the null-inclusive regime")
         sequence = visit.products
         _, seg_counts, assortments, _ = visit.segments()
-        # choices made from each segment's assortment: its counted choices,
-        # plus the stock-out purchase that closes every segment but the last
-        k = len(seg_counts) - 1
-        exponents = [c + (1.0 if j < k else 0.0) for j, c in enumerate(seg_counts)]
-        observed = len(sequence)
-        first = len(n)
-        for n_o in _compositions_at_most(m - observed, len(exponents)):
-            arrivals = observed + sum(n_o)
-            term_coef = -log_fact[arrivals]
-            for extra, size in zip(n_o, seg_counts):
-                # log C(extra + size, extra), as log_binomial computes it
-                term_coef += log_fact[extra + size] - log_fact[extra] - log_fact[size]
-            n.append(arrivals)
-            coef.append(term_coef)
-            flat_exps += [e + extra for e, extra in zip(exponents, n_o)]
-        terms.append(len(n) - first)
-        offsets += [len(candidates)] * terms[-1]
-        spans += [len(assortments)] * terms[-1]
         candidates += [(a.products, a.includes_null) for a in assortments]
+        sizes.append(seg_counts)
         offered = visit.initial_assortment.products
         products += offered
         sales += [sequence.count(a) for a in offered]
-    lens = np.array(spans, dtype=np.int64)
-    term = np.repeat(np.arange(len(n)), lens)
-    within = _ranks(lens)
-    cand = np.full((len(n), int(lens.max(initial=0))), -1, dtype=np.int64)
-    exps = np.zeros(cand.shape)
-    cand[term, within] = np.array(offsets, dtype=np.int64)[term] + within
-    exps[term, within] = flat_exps
+    # per group and segment slot, padded with zeros: its purchases, and its
+    # exponent, which adds the stock-out closing every segment but the last
+    parts = np.array([len(c) for c in sizes], dtype=np.int64)
+    width = int(parts.max(initial=0))
+    slot = np.arange(width)
+    size = np.array([c + (0,) * (width - len(c)) for c in sizes], dtype=np.int64)
+    size = size.reshape(len(groups), width)
+    exponent = size + (slot < parts[:, None] - 1)
+    # the exponents add up to the purchases
+    limit = np.array([m for *_, m in groups], dtype=np.int64) - exponent.sum(axis=1)
+    # every term's group and spread, a segment count at a time
+    group, spread = [np.zeros(0, dtype=np.int64)], [np.zeros((0, width), dtype=np.int64)]
+    for s in np.unique(parts).tolist():
+        mine = np.flatnonzero(parts == s)
+        limits, limit_of = np.unique(limit[mine], return_inverse=True)
+        top = max(int(limits[-1]), 0)
+        rows = _compositions(top, s + 1)
+        # each distinct limit's rows, in order, gathered for its groups
+        keep = top - rows[:, s] <= limits[:, None]
+        lens = keep.sum(axis=1)
+        count = lens[limit_of]
+        at = np.repeat((np.cumsum(lens) - lens)[limit_of], count) + _ranks(count)
+        group.append(np.repeat(mine, count))
+        spread.append(np.pad(rows[np.nonzero(keep)[1][at], :s], ((0, 0), (0, width - s))))
+    order = np.argsort(np.concatenate(group), kind="stable")
+    group, spread = np.concatenate(group)[order], np.concatenate(spread)[order]
+    exps = exponent[group] + spread
+    n = exps.sum(axis=1)
+    # -log n!, then each segment's log C(extra + size, extra), in order and
+    # as log_binomial computes it; a padding slot adds 0.0
+    log_fact = np.array([math.lgamma(x + 1) for x in range(int(n.max(initial=0)) + 1)])
+    coef = -log_fact[n]
+    for j in range(width):
+        extra, s_j = spread[:, j], size[group, j]
+        coef = coef + (log_fact[extra + s_j] - log_fact[extra] - log_fact[s_j])
     return _stacked(
         catalog,
-        np.array(n, dtype=np.int64),
-        np.array(coef, dtype=float),
-        cand,
-        exps,
+        n,
+        coef,
+        np.where(slot < parts[group, None], (np.cumsum(parts) - parts)[group, None] + slot, -1),
+        exps.astype(float),
         candidates,
-        terms,
+        np.bincount(group, minlength=len(groups)),
         [count for _, count, _ in groups],
         [visit.horizon for visit, _, _ in groups],
         [len(visit.initial_assortment.products) for visit, _, _ in groups],
@@ -755,8 +759,7 @@ def _drawn(blocks: Sequence[tuple], k: int) -> np.ndarray:
     start = 0
     for (stocks, n, t, _, seed), c in zip(blocks, cheap):
         if not c:
-            vectors = sample_stockout_vectors(stocks, n, t, seed)
-            out[start : start + t] = [v.indices for v in vectors]
+            out[start : start + t] = sample_stockout_vectors(stocks, n, t, seed)
         start += t
     return out
 

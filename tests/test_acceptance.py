@@ -170,10 +170,10 @@ def test_criterion_07_sampler_acceptance_ratio_and_uniformity():
     for _ in range(draws):
         v, ok = next(stream)
         if ok:
-            accepted.append(v.indices)
+            accepted.append(v)
     ratio = len(accepted) / draws
     assert abs(ratio - 0.5) <= 0.02
-    universe = sorted(v.indices for v in enumerate_stockout_vectors(stocks, n))
+    universe = sorted(enumerate_stockout_vectors(stocks, n))
     counts = {u: 0 for u in universe}
     for idx in accepted:
         counts[idx] += 1

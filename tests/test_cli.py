@@ -116,11 +116,12 @@ class TestExitCodes:
         assert run("estimate", "--data", str(tmp_path / "nope.jsonl")) == 2
 
     @pytest.mark.parametrize(
-        "lines, message",
+        "lines, options, message",
         [
-            (['{"T": 1.0}'], "line 1: missing fields"),
+            (['{"T": 1.0}'], (), "line 1: missing fields"),
             (
                 [visit('{"0": 0, "1": 1}'), visit('{"0": 0, "1": 1}', stocks='{"0": 0, "1": 3}')],
+                (),
                 "line 2: offered product 0 has stock 0",
             ),
             # product 0 has one unit; line 2 buys it twice, or buys it
@@ -128,6 +129,7 @@ class TestExitCodes:
             # negative exposure
             (
                 [visit("[[0.3, 1]]", "complete"), visit("[[0.2, 1], [2.5, 0]]", "complete")],
+                (),
                 "line 2: event 2: time 2.5 outside [0, 1.0]",
             ),
             (
@@ -135,19 +137,23 @@ class TestExitCodes:
                     visit("[[0.3, 1]]", "transactions-timed"),
                     visit("[[0.2, 1], [2.5, 0], [0.1, 1]]", "transactions-timed"),
                 ],
+                (),
                 "line 2: transaction 2: time 2.5 outside [0, 1.0]",
             ),
             (
                 [visit("[1]", "transactions"), visit("[0, 0]", "transactions")],
+                (),
                 "line 2: transaction 2: product 0 bought beyond its stock of 1",
             ),
             (
                 [visit('{"0": 0, "1": 1}'), visit('{"0": 2, "1": 0}')],
+                (),
                 "line 2: sales 2 of product 0 outside [0, 1]",
             ),
             # a cast would read the stock of 1.5 as 1
             (
                 [visit('{"0": 0, "1": 1}'), visit('{"0": 0, "1": 1}', stocks='{"0": 1.5, "1": 3}')],
+                (),
                 "line 2: malformed visit record: stock must be an integer, got 1.5",
             ),
             # a read builds each header once, and True == 1: line 2 must not
@@ -157,6 +163,7 @@ class TestExitCodes:
                     visit('{"0": 1, "1": 0}'),
                     visit('{"0": 1, "1": 0}', stocks='{"0": true, "1": 3}'),
                 ],
+                (),
                 "line 2: malformed visit record: stock must be an integer, got True",
             ),
             (
@@ -164,19 +171,33 @@ class TestExitCodes:
                     visit('{"0": 1, "1": 0}'),
                     visit('{"0": 1, "1": 0}', stocks='{"0": 1, "1": 2, "01": 3}'),
                 ],
+                (),
                 "line 2: malformed visit record: stocks names product 1 more than once",
             ),
             # a read decodes line 1's header text once, yet must still read
             # line 2 to its end
             (
                 [visit('{"0": 1, "1": 0}'), visit('{"0": 0, "1": 1}', tail=', "extra": 1')],
+                (),
                 "line 2: unknown fields ['extra']",
             ),
             # JSON whitespace is space, tab and line ends, so a line of only
             # U+00A0 is no blank line but invalid JSON
             (
                 [visit('{"0": 1, "1": 0}'), "\u00a0", visit('{"0": 0, "1": 1}')],
+                (),
                 "line 2: invalid JSON",
+            ),
+            # a file holds one granularity, the one asked for if any
+            (
+                [visit('{"0": 0, "1": 1}'), visit("[1]", "transactions")],
+                (),
+                "line 2: granularity 'transactions' differs from earlier 'sales'",
+            ),
+            (
+                [visit('{"0": 0, "1": 1}'), visit('{"0": 1, "1": 0}')],
+                ("--granularity", "transactions"),
+                "line 1: granularity 'sales' does not match requested 'transactions'",
             ),
         ],
         ids=[
@@ -191,12 +212,14 @@ class TestExitCodes:
             "product-named-twice",
             "key-after-data",
             "nbsp-line",
+            "mixed-granularity",
+            "other-granularity-requested",
         ],
     )
-    def test_bad_line_is_data_error_naming_it(self, tmp_path, capsys, lines, message):
+    def test_bad_line_is_data_error_naming_it(self, tmp_path, capsys, lines, options, message):
         data = write_lines(tmp_path / "bad.jsonl", lines)
         out = tmp_path / "fit.json"
-        assert run("estimate", "--data", str(data), "--out", str(out)) == 2
+        assert run("estimate", "--data", str(data), *options, "--out", str(out)) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -208,6 +231,8 @@ class TestExitCodes:
             ("estimate", ("--truncation", "-3"), "truncation m must be >= 0, got -3"),
             ("compare", ("--truncation", "-3"), "truncation m must be >= 0, got -3"),
             ("compare", ("--prefixes", "5,x"), "--prefixes takes comma-separated integers"),
+            # the empty list used to run the default prefix sizes
+            ("compare", ("--prefixes", ""), "--prefixes takes comma-separated integers, got ''"),
             # the seed used to be dropped and the fit written with "seed": null
             (
                 "estimate",
@@ -221,6 +246,7 @@ class TestExitCodes:
             "negative-truncation-estimate",
             "negative-truncation-compare",
             "prefixes-not-integers",
+            "prefixes-empty",
             "seed-without-saa",
             "naive-with-saa",
         ],
@@ -614,6 +640,22 @@ class TestVerifyCounterexample:
         assert "10/11" in out
         assert "26/33" in out
         assert "mismatch confirmed" in out
+
+    @pytest.mark.parametrize(
+        "prob, message",
+        [
+            ("x", "takes a fraction, got 'x'"),
+            ("2", "must lie strictly between 0 and 1, got 2"),
+            ("0", "must lie strictly between 0 and 1, got 0"),
+        ],
+        ids=["x", "2", "0"],
+    )
+    def test_bad_prob_is_usage_error_naming_it(self, capsys, prob, message):
+        # the library's error used to name no flag
+        assert run("verify-counterexample", "--prob", prob) == 1
+        captured = capsys.readouterr()
+        assert f"argument --prob: {message}" in captured.err
+        assert not captured.out
 
 
 class TestCompare:

@@ -11,7 +11,6 @@ import pytest
 from stockout_demand import (
     Assortment,
     SalesSummary,
-    StockoutVector,
     count_stockout_vectors,
     enumerate_stockout_vectors,
     is_feasible,
@@ -55,8 +54,7 @@ def reference_draws(stocks, n, seed):
             for _ in range(k):
                 x, rem = divmod(x, n)
                 indices.append(rem + 1)
-            v = StockoutVector(tuple(stocks), tuple(indices), n)
-            yield v.indices, is_feasible(v)
+            yield tuple(indices), is_feasible(stocks, indices, n)
         cycle += 1
 
 
@@ -76,19 +74,22 @@ GOLDEN_DRAW = [
 
 class TestFeasibility:
     def test_duplicate_indices_infeasible(self):
-        v = StockoutVector((1, 1), (3, 3), 5)
-        assert not is_feasible(v)
+        assert not is_feasible((1, 1), (3, 3), 5)
 
     def test_out_of_range_infeasible(self):
-        assert not is_feasible(StockoutVector((2,), (0,), 5))
-        assert not is_feasible(StockoutVector((2,), (6,), 5))
+        assert not is_feasible((2,), (0,), 5)
+        assert not is_feasible((2,), (6,), 5)
 
     def test_cumulative_room_rule(self):
         # product 0 (stock 2) out at arrival 2 is fine alone, but product 1
         # (stock 2) cannot also be out by arrival 3: 3 < 2 + 2
-        assert is_feasible(StockoutVector((2,), (2,), 5))
-        assert not is_feasible(StockoutVector((2, 2), (2, 3), 5))
-        assert is_feasible(StockoutVector((2, 2), (2, 4), 5))
+        assert is_feasible((2,), (2,), 5)
+        assert not is_feasible((2, 2), (2, 3), 5)
+        assert is_feasible((2, 2), (2, 4), 5)
+
+    def test_misaligned_stocks_and_indices_rejected(self):
+        with pytest.raises(ValueError, match="stocks and indices must align"):
+            is_feasible((2, 2), (2,), 5)
 
 
 class TestCount:
@@ -142,9 +143,10 @@ class TestSampling:
         stocks, n = (2, 1), 6
         count = count_stockout_vectors(stocks, n)
         sample = sample_stockout_vectors(stocks, n, count, seed=7)
-        assert len({v.indices for v in sample}) == count
-        universe = {v.indices for v in enumerate_stockout_vectors(stocks, n)}
-        assert {v.indices for v in sample} == universe
+        assert sample.dtype == np.int64 and sample.shape == (count, len(stocks))
+        assert len({tuple(row) for row in sample.tolist()}) == count
+        universe = set(enumerate_stockout_vectors(stocks, n))
+        assert {tuple(row) for row in sample.tolist()} == universe
 
     def test_oversampling_rejected(self):
         count = count_stockout_vectors([2], 4)
@@ -154,9 +156,9 @@ class TestSampling:
     def test_deterministic_in_seed(self):
         a = sample_stockout_vectors((3, 3), 10, 5, seed=42)
         b = sample_stockout_vectors((3, 3), 10, 5, seed=42)
-        assert [v.indices for v in a] == [v.indices for v in b]
+        assert a.tolist() == b.tolist()
         c = sample_stockout_vectors((3, 3), 10, 5, seed=43)
-        assert [v.indices for v in a] != [v.indices for v in c]
+        assert a.tolist() != c.tolist()
 
     def test_pair_frequencies_uniform_across_seeds(self):
         # h=1, n=4, s=2: feasible indices {2, 3, 4}; sampling 2 of 3 should
@@ -164,9 +166,7 @@ class TestSampling:
         counts = Counter()
         trials = 3000
         for seed in range(trials):
-            pair = frozenset(
-                v.indices[0] for v in sample_stockout_vectors([2], 4, 2, seed=seed)
-            )
+            pair = frozenset(sample_stockout_vectors([2], 4, 2, seed=seed)[:, 0].tolist())
             counts[pair] += 1
         assert set(counts) == {
             frozenset({2, 3}),
@@ -185,8 +185,8 @@ class TestSampling:
         stream = raw_stockout_draws(stocks, n, seed=11)
         for _ in range(total):
             v, ok = next(stream)
-            assert ok == is_feasible(v)
-            seen.append(v.indices)
+            assert ok == is_feasible(stocks, v, n)
+            seen.append(v)
         # one full period visits every candidate exactly once
         assert len(set(seen)) == total
 
@@ -202,9 +202,7 @@ class TestSampling:
     )
     def test_raw_draws_match_the_stepwise_generator(self, stocks, n, draws):
         for seed in (0, 5):
-            got = [
-                (v.indices, ok) for v, ok in islice(raw_stockout_draws(stocks, n, seed), draws)
-            ]
+            got = list(islice(raw_stockout_draws(stocks, n, seed), draws))
             assert got == list(islice(reference_draws(stocks, n, seed), draws))
 
     @pytest.mark.parametrize("n", [0, -2])
@@ -302,7 +300,8 @@ class TestDrawByPosition:
         assert count_stockout_vectors(stocks, n) == 50
         got = sample_by_position(np.array([stocks]), np.array([n]), np.array([take]), [seed])
         assert [tuple(row) for row in got.tolist()] == GOLDEN_DRAW
-        assert [v.indices for v in sample_stockout_vectors(stocks, n, take, seed)] == GOLDEN_DRAW
+        drawn = sample_stockout_vectors(stocks, n, take, seed)
+        assert [tuple(row) for row in drawn.tolist()] == GOLDEN_DRAW
         assert reference_sample(stocks, n, take, seed) == GOLDEN_DRAW
 
     def test_the_cost_line(self):
@@ -335,7 +334,7 @@ class TestDrawnLayouts:
                 # a sample of every vector, still taken as a draw
                 monkeypatch.setattr(likelihood, "count_stockout_vectors", lambda s, n: count + 1)
                 monkeypatch.setattr(
-                    likelihood, "_drawn", lambda blocks, k: np.array([v.indices for v in vectors])
+                    likelihood, "_drawn", lambda blocks, k: np.array(vectors)
                 )
                 free = n - sum(stocks)
                 summary = SalesSummary(
@@ -361,7 +360,7 @@ class TestDrawnLayouts:
                     for j in range(k):
                         (position,) = left[j] - left[j + 1]
                         indices[position] = int(ends[j])
-                    assert tuple(indices) == v.indices
+                    assert tuple(indices) == v
 
 
 class TestLogHelpers:

@@ -41,7 +41,7 @@ from stockout_demand import (
 from stockout_demand import choice
 from stockout_demand.likelihood import (
     TAIL_EPSILON,
-    _compositions_exact,
+    _compositions,
     fold_timed,
     sales_key,
     table_sales,
@@ -114,10 +114,16 @@ class TestCompositions:
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
     def test_exact_lists_every_composition_in_lexicographic_order(self, parts):
         for total in range(9):
-            expected = [
-                c for c in iter_product(range(total + 1), repeat=parts) if sum(c) == total
+            rows = _compositions(total, parts)
+            assert rows.dtype == np.int64
+            exact = [c for c in iter_product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert [tuple(row) for row in rows.tolist()] == exact
+            # the last column dropped: every way of parts - 1 ints summing
+            # to at most total, in the same order
+            at_most = [
+                c for c in iter_product(range(total + 1), repeat=parts - 1) if sum(c) <= total
             ]
-            assert list(_compositions_exact(total, parts)) == expected
+            assert [tuple(row) for row in rows[:, :-1].tolist()] == at_most
 
 
 class TestCompleteData:

@@ -16,6 +16,7 @@ from stockout_demand import (
     simulate_visit,
     visit_rng,
 )
+from stockout_demand import simulate
 from stockout_demand.simulate import VisitConfig
 
 
@@ -111,11 +112,17 @@ def test_offer_probability_frequency():
 
 
 def test_mean_arrivals_section7_preset_large_sample():
-    # Poisson(6) arrivals: 10^5 visits puts the standard error near 0.008
+    # Poisson(6) arrivals: 10^5 visits puts the standard error near 0.008.
+    # The visits of simulate_dataset(config, 10^5, seed=0), drawn from
+    # the same streams a block at a time, so that only one block's paths
+    # are held at once
     config = SECTION7_PRESET.visit_config()
-    paths = simulate_dataset(config, 100_000, seed=0)
-    mean = float(np.mean([p.arrivals for p in paths]))
-    assert abs(mean - 6.0) < 0.05
+    visits, block = 100_000, simulate._BLOCK
+    arrivals = 0
+    for start in range(0, visits, block):
+        streams = (visit_rng(0, i) for i in range(start, min(start + block, visits)))
+        arrivals += sum(p.arrivals for p in simulate._simulate(config, streams))
+    assert abs(arrivals / visits - 6.0) < 0.05
 
 
 def test_times_sorted_within_horizon():

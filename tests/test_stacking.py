@@ -132,10 +132,10 @@ def reference_saa(summary, m, samples_per_n, seed, key=0):
             return None
         draw_seed = int(np.random.SeedSequence((seed, key, n)).generate_state(1)[0])
         layouts = []
-        for v in sample_stockout_vectors(stocks, n, take, draw_seed):
+        for v in sample_stockout_vectors(stocks, n, take, draw_seed).tolist():
             # the products in stock-out order; each segment's arrivals up to
             # the next stock-out, that stock-out's arrival excluded
-            r, order = zip(*sorted(zip(v.indices, stocked)))
+            r, order = zip(*sorted(zip(v, stocked)))
             sizes = [b - a - 1 for a, b in zip((0,) + r, r + (n + 1,))]
             layouts.append((order, sizes))
         return layouts, math.log(count) - math.log(take)
@@ -447,13 +447,31 @@ class TestStackMatchesReference:
         with pytest.raises(ValueError, match="must be >= 1"):
             table_sales((0,), [(sales_key(summary), 1, 3, 0)], saa_samples=0)
 
-    @pytest.mark.parametrize("counts", [1, 3], ids=["single", "repeated"])
-    def test_transaction_tables(self, rng, counts):
-        records = [random_transaction_record(rng, max_products=4) for _ in range(25)]
+    @pytest.mark.parametrize(
+        "counts, options, above",
+        [
+            (1, {}, lambda i: 3),
+            (3, {}, lambda i: 3),
+            # up to 3 stock-outs per record, and m from the purchase count
+            # up to 6 above it: groups of one segment count have different
+            # limits and share one enumeration
+            (2, {"max_purchases": 8, "max_stockouts": 3}, lambda i: i % 7),
+        ],
+        ids=["single", "repeated", "varied-m"],
+    )
+    def test_transaction_tables(self, rng, counts, options, above):
+        records = [random_transaction_record(rng, max_products=4, **options) for _ in range(25)]
+        m = {id(r): r.total + above(i) for i, r in enumerate(records)}
+        if options:  # the input holds what it is there for
+            limits = {}
+            for r in records:
+                limits.setdefault(len(r.segments()[1]), set()).add(m[id(r)] - r.total)
+            assert max(limits) == 4
+            assert any(len(values) > 1 for values in limits.values())
         assert_same_stack(
             records,
-            lambda r: r.total + 3,
-            lambda r: reference_transactions(r, r.total + 3),
+            lambda r: m[id(r)],
+            lambda r: reference_transactions(r, m[id(r)]),
             [1 + i % counts for i in range(len(records))],
         )
 
