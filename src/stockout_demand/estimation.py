@@ -16,10 +16,13 @@ every evaluation costs the same whatever the number of visits.  One
 kernel, :func:`~stockout_demand.likelihood.term_loglik_grad`, evaluates
 every dataset, so each optimizer step is a handful of vectorized array
 operations with analytic gradients in ``(log rate, log weights)``.
-Compiling also checks the
-estimator (each granularity fits one observation class; SAA and the naive
-baseline fit sales only, and not together) and keeps the fit's start
-point and null regime.
+Every builder's exponents form one CSR (compressed sparse row)
+term-by-assortment matrix, which the compiled dataset wraps with its
+transpose once, so an evaluation's exponent sums and gradient weights are
+two sparse mat-vecs.  Compiling walks the visits once (and sales groups
+once), and also checks the estimator (each granularity fits one observation
+class; SAA and the naive baseline fit sales only, and not together) and
+keeps the fit's start point and null regime.
 
 Fitting runs one joint L-BFGS-B over (log rate, log weights) that reads
 only the compiled dataset; complete data keeps its closed-form rate.  The
@@ -34,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 from scipy.special import pdtrc
 
 from . import choice
@@ -41,6 +45,7 @@ from .likelihood import (
     TAIL_EPSILON,
     TruncationPolicy,
     fold_timed,
+    sales_groups,
     sales_key,
     table_sales,
     table_sequences,
@@ -124,11 +129,32 @@ def _observed_count(obs: Observation) -> int:
 
 def naive_rate(observations: Sequence[Observation]) -> float:
     """Observed events per unit time, pooled; the rate scale reference."""
-    total = sum(_observed_count(o) for o in observations)
-    horizon = sum(o.horizon for o in observations)
+    return _pooled_rate(
+        sum(_observed_count(o) for o in observations), sum(o.horizon for o in observations)
+    )
+
+
+def _pooled_rate(events: int, horizon: float) -> float:
+    """``events`` per unit of the total ``horizon``, floored at 1e-8."""
     if horizon <= 0:
         raise InvalidObservation("dataset has no observation time")
-    return max(total / horizon, 1e-8)
+    return max(events / horizon, 1e-8)
+
+
+def _truncated(
+    truncation: TruncationPolicy, rate_cap: float, horizons: np.ndarray, observed: np.ndarray
+) -> Tuple[np.ndarray, List[Tuple[float, int]]]:
+    """Each visit's truncation ``m`` for its horizon and observed count,
+    resolved once per distinct pair, in order of first appearance; and the
+    distinct ``(horizon, m)`` pairs, sorted."""
+    horizon_values, horizon_of = np.unique(horizons, return_inverse=True)
+    codes = horizon_of.reshape(-1) * (int(observed.max(initial=0)) + 1) + observed
+    _, first, pair_of = np.unique(codes, return_index=True, return_inverse=True)
+    m = np.zeros(first.size, dtype=np.int64)
+    for u in np.argsort(first).tolist():
+        m[u] = truncation.resolve(float(horizons[first[u]]), rate_cap, int(observed[first[u]]))
+    horizon_values = horizon_values[horizon_of.reshape(-1)[first]].tolist()
+    return m[pair_of.reshape(-1)], sorted(set(zip(horizon_values, m.tolist())))
 
 
 def _group_key(obs: Observation, granularity: str):
@@ -149,10 +175,18 @@ class CompiledDataset:
     returns the total log-likelihood and its gradient in ``x``, one
     :func:`term_loglik_grad` call over the arrays its builder returned:
     the assortment registry (``membership``, ``nulls`` and each row's
-    ``thinned`` time), the terms (``coef``, ``n``, ``seg_idx``,
-    ``seg_exp``, and ``group_of``, each term's group) and the groups (their
-    first terms ``bounds``, ``counts``, ``exposures`` and sales ``Z``).
-    Timed records and complete paths fold into one group of one term.
+    ``thinned`` time), the terms (``coef``, ``n``, the CSR parts
+    ``exp_data``, ``exp_indices`` and ``exp_indptr`` of their exponents
+    on the registry rows, and ``group_of``, each term's group) and the
+    groups (their first terms ``bounds``, ``counts``, ``exposures`` and
+    sales ``Z``).  Timed records and complete paths fold into one group of
+    one term.  The exponent matrix ``E`` and its transpose ``Et``
+    (``expt_data``, ``expt_indices``, ``expt_indptr``) are built here,
+    once, with the parts the kernel reads as float arrays: ``n``, the null
+    rows ``null_rows``, each row's ``guard`` (see the kernel), the null
+    rows' thinned time ``null_thinned``, the count-weighted sales ``sold``
+    and the exposure ``exposure``.  Every array the kernel reads is an
+    attribute, and the sparse matrices wrap those arrays without copying.
     ``start`` is the fit's start point: the log of ``rate`` (the naive
     rate) and the log naive sales shares, floored at 1e-6.
     ``includes_null`` tells whether any compiled assortment offers the
@@ -179,9 +213,10 @@ class CompiledDataset:
             self.membership,
             self.nulls,
             self.coef,
-            self.n,
-            self.seg_idx,
-            self.seg_exp,
+            n,
+            data,
+            indices,
+            indptr,
             self.bounds,
             self.group_of,
             self.counts,
@@ -194,11 +229,25 @@ class CompiledDataset:
         self._timed = []
         self._timed_cols = []
         self.n_assort = self.nulls.size
+        self.n = n.astype(float)
+        self.E = csr_array((data, indices, indptr), shape=(n.size, self.n_assort))
+        self.Et = self.E.T.tocsr()
+        self.exp_data, self.exp_indices, self.exp_indptr = (
+            self.E.data, self.E.indices, self.E.indptr
+        )
+        self.expt_data, self.expt_indices, self.expt_indptr = (
+            self.Et.data, self.Et.indices, self.Et.indptr
+        )
+        self.null_rows = self.nulls > 0
+        # a no-null row that offers nothing has D = 0
+        self.guard = self.nulls + ~(self.null_rows | self.membership.any(axis=1))
+        self.null_thinned = self.nulls * self.thinned
         # the sales are integer sums, so their order does not change them
-        sales = self.counts @ self.Z
-        shares = np.maximum(sales / max(sales.sum(), 1.0), 1e-6)
+        self.sold = self.counts @ self.Z
+        self.exposure = float(self.counts @ self.exposures)
+        shares = np.maximum(self.sold / max(self.sold.sum(), 1.0), 1e-6)
         self.start = np.concatenate(([math.log(rate)], np.log(shares)))
-        self.includes_null = bool(self.nulls.any())
+        self.includes_null = bool(self.null_rows.any())
 
     def params_of(self, x: np.ndarray) -> ModelParams:
         return ModelParams(
@@ -210,17 +259,20 @@ class CompiledDataset:
         return term_loglik_grad(
             x,
             self.membership,
-            self.nulls,
+            self.null_rows,
+            self.guard,
             self.coef,
             self.n,
-            self.seg_idx,
-            self.seg_exp,
+            self.E,
+            self.Et,
             self.bounds,
             self.group_of,
             self.counts,
-            self.exposures,
+            self.exposure,
             self.Z,
+            self.sold,
             self.thinned,
+            self.null_thinned,
         )
 
 
@@ -239,9 +291,18 @@ def compile_dataset(
     in one :func:`fold_timed` call, into one group of one term over
     per-assortment totals.  A visit not of the granularity's observation
     class, SAA or naive at a non-sales granularity, or SAA and naive
-    together, raises :class:`InvalidObservation`.  Each distinct visit object is checked and
-    keyed once, at its first occurrence.  A group's key is its visit's
-    content, read as values: a horizon written ``1`` or ``1.0`` keys alike.
+    together, raises :class:`InvalidObservation`.
+
+    The visits are walked once: each distinct visit object is checked and
+    keyed at its first occurrence, and every occurrence counts towards its
+    group's multiplicity.  A group's key is its visit's content, read as
+    values: a horizon written ``1`` or ``1.0`` keys alike.  Sales groups
+    are walked once after that, by :func:`sales_groups`, which flattens
+    their fields for numpy: their observed counts, censored visits and
+    truncations come from there, ``m`` resolved once per distinct
+    (horizon, observed count).  The start rate is the groups' observed counts
+    times their multiplicities over the horizons summed visit by visit, so
+    it equals :func:`naive_rate` of the visits bit for bit.
 
     A sales visit's own null regime picks its likelihood, for the exact,
     SAA and naive estimators alike and under either sales granularity:
@@ -271,65 +332,62 @@ def compile_dataset(
     # checked and keyed once, at its first occurrence, and its group is
     # looked up by id after that; ids stay unique while ``observations``
     # holds every visit
-    groups: Dict[object, List[int]] = {}
-    group_of: Dict[int, List[int]] = {}
+    groups: Dict[object, int] = {}
+    group_of: Dict[int, int] = {}
+    firsts: List[Observation] = []
+    counts: List[int] = []
     for i, obs in enumerate(observations):
-        members = group_of.get(id(obs))
-        if members is None:
+        g = group_of.get(id(obs))
+        if g is None:
             if not isinstance(obs, kind):
                 raise InvalidObservation(
                     f"visit {i + 1} is a {type(obs).__name__}; "
                     f"{granularity} fits {kind.__name__}"
                 )
-            members = group_of[id(obs)] = groups.setdefault(_group_key(obs, granularity), [])
-        members.append(i)
-    firsts = [observations[members[0]] for members in groups.values()]
-    catalog = sorted({a for o in firsts for a in o.initial_assortment.products})
-    # summed over every visit in order: the start point depends on it
-    rate = naive_rate(observations)
-    rate_cap = RATE_CAP_FACTOR * rate
-    sequences: List[Tuple[TransactionRecord, int, int]] = []
-    sales: List[tuple] = []
-    folded: List[Tuple[Union[CompletePath, TransactionRecord], int]] = []
-    # m depends only on the horizon and the observed count here
-    sizes: Dict[Tuple[float, int], int] = {}
-    censored = 0
-    for (key, members), obs in zip(groups.items(), firsts):
-        includes_null = obs.initial_assortment.includes_null
-        if not includes_null:
-            # a no-null visit's m is its own count: its choices are all
-            # purchases, none beyond its stock, so they reach its stocks
-            # once every offered product sells out
-            m = _observed_count(obs)
-            if m == sum(obs.stocks.values()):
-                censored += len(members)
-        if granularity in ("complete", "transactions-timed"):
-            folded.append((obs, len(members)))
-            continue
-        # only a visit with a null option has a latent arrival count
-        if includes_null:
-            observed = _observed_count(obs)
-            size_key = (obs.horizon, observed)
-            if size_key not in sizes:
-                sizes[size_key] = truncation.resolve(obs.horizon, rate_cap, observed)
-            m = sizes[size_key]
-        if kind is SalesSummary:
-            # ints/floats hash deterministically, so this key is stable per run
-            sales.append((key, len(members), m, hash(key) & 0x7FFFFFFF))
-        else:
-            sequences.append((obs, len(members), m))
+            g = group_of[id(obs)] = groups.setdefault(_group_key(obs, granularity), len(groups))
+            if g == len(firsts):
+                firsts.append(obs)
+                counts.append(0)
+        counts[g] += 1
+    count = np.array(counts, dtype=np.int64)
+    catalog = sorted(set().union(*{o.initial_assortment.products for o in firsts}))
+    # per group: its observed count, null option and whether it sells out
+    # every offered product
     if kind is SalesSummary:
-        stacked = table_sales(catalog, sales, saa_samples, seed, naive)
-    elif granularity == "transactions":
-        stacked = table_sequences(catalog, sequences)
+        sales = sales_groups(list(groups))
+        observed, nulls, exhausted = sales.totals, sales.nulls, sales.exhausted
     else:
-        stacked = fold_timed(folded, catalog)
+        observed = np.array([_observed_count(o) for o in firsts], dtype=np.int64)
+        nulls = np.array([o.initial_assortment.includes_null for o in firsts], dtype=bool)
+        exhausted = observed == [sum(o.stocks.values()) for o in firsts]
+    # the horizons summed over every visit in order, as naive_rate sums
+    # them: the start point depends on it
+    rate = _pooled_rate(int(count @ observed), sum(o.horizon for o in observations))
+    # a no-null visit's choices are all purchases, none beyond its stock,
+    # so its arrival count is censored once every offered product sells out
+    censored = int(count[exhausted & ~nulls].sum())
+    truncations: List[Tuple[float, int]] = []
+    if granularity in ("complete", "transactions-timed"):
+        stacked = fold_timed(list(zip(firsts, counts)), catalog)
+    else:
+        # only a visit with a null option has a latent arrival count
+        m = observed.copy()
+        horizons = sales.horizons if kind is SalesSummary else [o.horizon for o in firsts]
+        m[nulls], truncations = _truncated(
+            truncation, RATE_CAP_FACTOR * rate, np.asarray(horizons, dtype=float)[nulls], m[nulls]
+        )
+        if kind is SalesSummary:
+            # ints/floats hash deterministically, so these keys are stable per run
+            streams = None if saa_samples is None else [hash(key) & 0x7FFFFFFF for key in groups]
+            stacked = table_sales(catalog, sales, count, m, streams, saa_samples, seed, naive)
+        else:
+            stacked = table_sequences(catalog, list(zip(firsts, counts, m.tolist())))
     return CompiledDataset(
         tuple(catalog),
         stacked,
         rate,
         len(observations),
-        sorted({(horizon, m) for (horizon, _), m in sizes.items()}),
+        truncations,
         censored,
     )
 
@@ -404,8 +462,7 @@ def _joint_fit(ds: CompiledDataset) -> FitResult:
     causes = []
     # a product no visit sells appears only in denominators, so its
     # weight's supremum is 0, wherever the solve stops
-    sold = ds.counts @ ds.Z
-    never_sold = sold == 0
+    never_sold = ds.sold == 0
     # the arrivals the visits observe, each group's fewest: their
     # purchases, and for complete data their null choices too; with none
     # at all the likelihood rises as the rate falls to 0

@@ -14,11 +14,12 @@ Six likelihoods cover the data regimes:
 Under the attraction model the inner sums of ``l5``/``l6`` collapse to a
 sum over stock-out index vectors; that form is expressed as
 parameter-independent terms, stacked into flat arrays once per dataset.
-Sales build no table per visit: :func:`table_sales` stacks a dataset's
-sales visits in one pass, for the exact, SAA and naive estimators and
-both null regimes (the visit's regime picks its arrival counts: up to
-``m`` for ``l5``, the sales for ``l6``), enumerating each distinct layout
-shape once in numpy.  Untimed transactions (complete paths with the
+Sales build no table per visit: :func:`sales_groups` reads a dataset's
+sales groups into flat arrays in one pass, and :func:`table_sales`
+stacks them, for the exact, SAA and naive estimators and both null
+regimes (the visit's regime picks its arrival counts: up to ``m`` for
+``l5``, the sales for ``l6``), enumerating each distinct layout shape
+once in numpy.  Untimed transactions (complete paths with the
 null choices dropped) stack through :func:`table_sequences`: a term per
 way of spreading the arrivals a record does not show over its segments
 as hidden null choices, each segment count's ways enumerated once as
@@ -27,9 +28,11 @@ paths alike, folds instead, a dataset in one pass, into
 per-assortment totals (:func:`fold_timed`, a complete path's null
 choices counting as choices of a weight-1 null option): one group of
 one term, with the thinned time per assortment.  All three builders
-return the same arrays, and one kernel, :func:`term_loglik_grad`,
-evaluates every dataset: a grouped log-sum-exp, less the thinned
-arrival mass, with its gradient.  ``estimation.compile_dataset`` builds
+return the same arrays, the terms' exponents on the assortment rows as
+the parts of one CSR (compressed sparse row) matrix, and one kernel,
+:func:`term_loglik_grad`, evaluates every dataset: a grouped
+log-sum-exp over two sparse mat-vecs, less the thinned arrival mass,
+with its gradient.  ``estimation.compile_dataset`` builds
 the arrays, and is the one way they are evaluated.  Its oracles are
 the ``l*`` functions: the paper's formulas, written for a general choice
 law, evaluated visit by visit with the attraction probabilities of
@@ -54,7 +57,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product as iter_product
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln, logsumexp, pdtrc
@@ -94,6 +97,8 @@ __all__ = [
     "l4_lauricella",
     "table_sequences",
     "table_sales",
+    "sales_groups",
+    "SalesGroups",
     "sales_key",
     "fold_timed",
     "term_loglik_grad",
@@ -555,25 +560,28 @@ def _stacked(
     counts: Sequence[float],
     horizons: Sequence[float],
     widths: Sequence[int],
-    products: Sequence[int],
+    columns: Sequence[int],
     sales: Sequence[int],
 ) -> Tuple[np.ndarray, ...]:
-    """The arrays of :func:`term_loglik_grad` after ``x``, for terms in
-    place whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past
-    the last segment) with exponent ``exps[i, j]``, and groups owning
+    """The arrays a compiled dataset is built from, for terms in place
+    whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past the
+    last segment) with exponent ``exps[i, j]``, and groups owning
     ``terms[g]`` terms each.  Group ``g`` sold ``sales`` of its
-    ``widths[g]`` ``products``, the flat lists taken group by group, over
-    its horizon ``T_g``: its exposure, and ``n log T_g`` joins each of
-    its terms' coefficients.  No assortment has thinned time.
+    ``widths[g]`` products, at catalog ``columns``, the flat lists taken
+    group by group, over its horizon ``T_g``: its exposure, and ``n log
+    T_g`` joins each of its terms' coefficients.  No assortment has
+    thinned time.
 
     Candidate ``c`` faces the assortment of fields ``candidates[c]``
     (products, null option).  The registry holds the distinct assortments
     in order of first appearance, term by term and segment by segment, zero
     exponents included, so it does not depend on how candidates are
-    numbered; each term's nonzero exponents fill one row of ``seg_idx`` /
-    ``seg_exp``, in segment order, padded with zero exponents to the
-    longest row.  Raises :class:`InvalidObservation` for a group without
-    terms.
+    numbered.  The exponents are a CSR matrix over terms and registry rows:
+    each term's nonzero exponents, in segment order, are ``data`` and
+    ``indices`` from ``indptr[i]`` up to ``indptr[i + 1]``.  Returns
+    ``(membership, nulls, coef, n, data, indices, indptr, bounds,
+    group_of, counts, exposures, sales, thinned)``, as every builder does.
+    Raises :class:`InvalidObservation` for a group without terms.
     """
     terms = np.asarray(terms, dtype=np.int64)
     # a group without terms would make the kernel's reduceat read the next
@@ -597,17 +605,11 @@ def _stacked(
     rank = np.zeros(len(fields), dtype=np.int64)
     rank[registered] = np.arange(registered.size)
     nonzero = exps != 0.0
-    slot = np.cumsum(nonzero, axis=1) - 1
-    term_of, seg = np.nonzero(nonzero)
-    width = int(nonzero.sum(axis=1).max(initial=0))
-    seg_idx = np.zeros((cand.shape[0], width), dtype=np.int64)
-    seg_exp = np.zeros((cand.shape[0], width))
-    seg_idx[term_of, slot[term_of, seg]] = rank[uid[cand[term_of, seg]]]
-    seg_exp[term_of, slot[term_of, seg]] = exps[term_of, seg]
+    indptr = np.zeros(cand.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
     registry = [Assortment(*fields[u]) for u in registered]
-    col = {a: i for i, a in enumerate(catalog)}
     z = np.zeros((len(widths), len(catalog)))
-    z[np.repeat(np.arange(len(widths)), widths), [col[a] for a in products]] = sales
+    z[np.repeat(np.arange(len(widths)), widths), columns] = sales
     group_of = np.repeat(np.arange(terms.size), terms)
     horizons = np.array(horizons, dtype=float)
     return (
@@ -615,8 +617,9 @@ def _stacked(
         np.array([float(a.includes_null) for a in registry]),
         coef + n * np.log(horizons)[group_of],
         n,
-        seg_idx,
-        seg_exp,
+        exps[nonzero],
+        rank[uid[cand[nonzero]]],
+        indptr,
         np.cumsum(terms) - terms,
         group_of,
         np.array(counts, dtype=float),
@@ -635,8 +638,8 @@ def table_sequences(
     catalog: Sequence[int],
     groups: Sequence[Tuple[TransactionRecord, float, int]],
 ) -> Tuple[np.ndarray, ...]:
-    """The arrays :func:`term_loglik_grad` takes after ``x`` for a
-    dataset's untimed transaction records (``l4``), over the products
+    """The arrays a compiled dataset is built from (see :func:`_stacked`)
+    for a dataset's untimed transaction records (``l4``), over the products
     ``catalog``: complete paths with their null choices dropped, read
     without their times.  Complete paths themselves fold
     (:func:`fold_timed`); one, or any other visit that is not a
@@ -659,11 +662,12 @@ def table_sequences(
     those within its own; numpy builds the terms.
     """
     # every candidate's fields, group by group; per group: its segment
-    # sizes, one per candidate; per product of every group: the product and
-    # its sales
+    # sizes, one per candidate; per product of every group: its catalog
+    # column and its sales
+    col = {a: i for i, a in enumerate(catalog)}
     candidates: List[Tuple[Tuple[int, ...], bool]] = []
     sizes: List[Tuple[int, ...]] = []
-    products: List[int] = []
+    columns: List[int] = []
     sales: List[int] = []
     for visit, _, _ in groups:
         if not isinstance(visit, TransactionRecord):
@@ -677,7 +681,7 @@ def table_sequences(
         candidates += [(a.products, a.includes_null) for a in assortments]
         sizes.append(seg_counts)
         offered = visit.initial_assortment.products
-        products += offered
+        columns += [col[a] for a in offered]
         sales += [sequence.count(a) for a in offered]
     # per group and segment slot, padded with zeros: its purchases, and its
     # exponent, which adds the stock-out closing every segment but the last
@@ -725,18 +729,91 @@ def table_sequences(
         [count for _, count, _ in groups],
         [visit.horizon for visit, _, _ in groups],
         [len(visit.initial_assortment.products) for visit, _, _ in groups],
-        products,
+        columns,
         sales,
     )
 
 
 def sales_key(summary: SalesSummary) -> tuple:
-    """The fields of a sales visit that :func:`table_sales` reads, which
+    """The fields of a sales visit that :func:`sales_groups` reads, which
     also key its group: ``(horizon, (products, includes_null), stocks,
     sales)``, its ``header_key`` followed by its sales, stocks and sales
     in ``products`` order."""
+    sales = summary.sales
     products = summary.initial_assortment.products
-    return (*summary.header_key, tuple(summary.sales.get(a, 0) for a in products))
+    return (*summary.header_key, tuple([sales.get(a, 0) for a in products]))
+
+
+class SalesGroups(NamedTuple):
+    """A dataset's sales groups as flat arrays, read off their
+    :func:`sales_key` keys by :func:`sales_groups`.  ``headers`` holds the
+    distinct ``(products, includes_null)`` fields; per group, ``header``
+    is its place among them, with its horizon, null option, product count
+    ``widths``, total sales ``totals`` and whether every offered product
+    sold out (``exhausted``); ``stocks`` and ``sales`` hold every offered
+    product's, group by group, in ``products`` order."""
+
+    headers: List[Tuple[Tuple[int, ...], bool]]
+    header: np.ndarray
+    horizons: np.ndarray
+    nulls: np.ndarray
+    widths: np.ndarray
+    totals: np.ndarray
+    exhausted: np.ndarray
+    stocks: np.ndarray
+    sales: np.ndarray
+
+
+def sales_groups(keys: Sequence[tuple]) -> SalesGroups:
+    """The :class:`SalesGroups` of the sales visits keyed ``keys``.  Python
+    runs once per group, to look up its header and append its fields to
+    flat lists; numpy sums them per group."""
+    headers: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+    header: List[int] = []
+    horizons: List[float] = []
+    widths: List[int] = []
+    stocks: List[int] = []
+    sales: List[int] = []
+    for horizon, fields, group_stocks, group_sales in keys:
+        header.append(headers.setdefault(fields, len(headers)))
+        horizons.append(horizon)
+        widths.append(len(group_stocks))
+        stocks += group_stocks
+        sales += group_sales
+    fields = list(headers)
+    header = np.array(header, dtype=np.int64)
+    widths = np.array(widths, dtype=np.int64)
+    row = np.repeat(np.arange(widths.size), widths)
+    stocks = np.array(stocks, dtype=np.int64)
+    sales = np.array(sales, dtype=np.int64)
+    sold_out = np.bincount(row[stocks == sales], minlength=widths.size)
+    return SalesGroups(
+        fields,
+        header,
+        np.array(horizons, dtype=float),
+        np.array([includes_null for _, includes_null in fields], dtype=bool)[header],
+        widths,
+        np.bincount(row, sales, widths.size).astype(np.int64),
+        sold_out == widths,
+        stocks,
+        sales,
+    )
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """Each row of non-negative ints as one ``int64``, ordered as the rows
+    are lexicographically: a mixed-radix number, each column's radix one
+    above its largest entry.  Where the next column would overflow, the
+    codes so far and that column are first replaced by their ranks."""
+    code = np.zeros(rows.shape[0], dtype=np.int64)
+    for column in rows.T:
+        radix = int(column.max(initial=0)) + 1
+        if (int(code.max(initial=0)) + 1) * radix > 2**63:
+            code = np.unique(code, return_inverse=True)[1].reshape(-1)
+            column = np.unique(column, return_inverse=True)[1].reshape(-1)
+            radix = int(column.max(initial=0)) + 1
+        code = code * radix + column
+    return code
 
 
 def _drawn(blocks: Sequence[tuple], k: int) -> np.ndarray:
@@ -766,20 +843,24 @@ def _drawn(blocks: Sequence[tuple], k: int) -> np.ndarray:
 
 def table_sales(
     catalog: Sequence[int],
-    groups: Sequence[tuple],
+    groups: SalesGroups,
+    counts: Sequence[float],
+    m: Sequence[int],
+    streams: Optional[Sequence[int]] = None,
     saa_samples: Optional[int] = None,
     seed: int = 0,
     naive: bool = False,
 ) -> Tuple[np.ndarray, ...]:
-    """The arrays :func:`term_loglik_grad` takes after ``x`` for a
-    dataset's sales visits, over the products ``catalog``, under the
+    """The arrays a compiled dataset is built from (see :func:`_stacked`)
+    for a dataset's sales visits, over the products ``catalog``, under the
     attraction model: ``l5`` for a visit with a null option, ``l6`` for
     one without.
 
-    A group is ``(sales_key(visit), count, m, stream)``: ``count`` copies
-    of a visit, at truncation ``m``, with SAA stream key ``stream``.  Its
-    null regime picks its arrival counts ``n``: the sales up to ``m`` with
-    a null option, exactly the sales without one.  Each ``n`` is one block
+    Group ``g`` of ``groups`` (see :func:`sales_groups`) stands for
+    ``counts[g]`` copies of a visit, at truncation ``m[g]``, with SAA
+    stream key ``streams[g]`` (read only with ``saa_samples``).  Its null
+    regime picks its arrival counts ``n``: the sales up to ``m[g]`` with a
+    null option, exactly the sales without one.  Each ``n`` is one block
     of terms, one per (stock-out order, segment sizes) layout of the
     products that sell out, with base coefficient ``n log T - log n! +
     log_free(n)``: every other product's sales fall freely among the
@@ -797,104 +878,109 @@ def table_sales(
 
     Terms come group by group, block by block (``n`` ascending), then in
     :func:`_shape_layouts` order for a full block, each distinct shape
-    (sold-out stocks and ``n``) enumerated once, or in draw order.  Python
-    runs per group and per sampled block (to count it and key its
-    generator), numpy per block and per term.  The sampled blocks are drawn
-    after the loop, those with the same number of stock-outs in one batch
-    (:func:`_drawn`): by their candidates' positions in the generator's
-    cycle where that costs less than walking the stream, and without a
-    Python step per candidate either way.  A group with a full block faces
-    one candidate per sold-out subset, built once per products, null option
-    and sold-out positions; a group of drawn blocks only faces just the
-    subsets its layouts reach.
+    (sold-out stocks and ``n``) enumerated once, or in draw order.  Numpy
+    finds every group's sold-out positions, blocks and terms; Python runs
+    per sampled block (to count it and key its generator) and per
+    distinct ``(products, null option, sold-out positions)`` key.  The
+    sampled blocks are drawn after the loop, those with the same number of
+    stock-outs in one batch (:func:`_drawn`): by their candidates'
+    positions in the generator's cycle where that costs less than walking
+    the stream, and without a Python step per candidate either way.  A
+    group with a full block faces one candidate per sold-out subset, built
+    once per key; a group of drawn blocks only faces just the subsets its
+    layouts reach.
     """
     if saa_samples is not None and saa_samples < 1:
         raise ValueError(f"saa_samples must be >= 1, got {saa_samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    candidates: List[Tuple[Tuple[int, ...], bool]] = []  # their fields
-    subsets: Dict[tuple, int] = {}  # first of each key's 2^k candidates
-    # per group: its key's id, first candidate (-1 for drawn blocks only),
-    # first arrival count and block count, product count; per product of
-    # every group
-    keys: Dict[tuple, int] = {}
-    key_of: List[int] = []
-    offsets: List[int] = []
-    first_n: List[int] = []
-    spans: List[int] = []
-    widths: List[int] = []
-    flat_products: List[int] = []
-    flat_stocks: List[int] = []
-    flat_sales: List[int] = []
-    # per block, SAA only: the layouts drawn (0 for a full block) and the
-    # log weight; per stock-out count, every sampled block's stocks, n,
-    # sample size, feasible count and draw seed
-    takes: List[int] = []
-    weights: List[float] = []
-    sampled: Dict[int, List[tuple]] = {}
-    for (_, (products, includes_null), stocks, sales), _, m, stream in groups:
-        stocked = () if naive else tuple([i for i, s in enumerate(stocks) if s == sales[i]])
-        total = sum(sales)
-        last = m if includes_null else total
-        has_full = saa_samples is None
-        level = tuple([stocks[i] for i in stocked])
-        for n in () if has_full else range(total, last + 1):
-            count = count_stockout_vectors(level, n)
-            take = min(saa_samples, count)
-            if take == count:  # full coverage: the exact enumeration
-                has_full = True
-                takes.append(0)
-                weights.append(0.0)
-                continue
-            # its draw seed: numpy's SeedSequence state of (seed, stream, n)
-            draw_seed = int(np.random.SeedSequence((seed, stream, n)).generate_state(1)[0])
-            sampled.setdefault(len(level), []).append((level, n, take, count, draw_seed))
-            takes.append(take)
-            weights.append(math.log(count) - math.log(take))
-        key = (products, includes_null, stocked)
-        if has_full and key not in subsets:
-            # candidate c faces the products less those of c's mask bits
-            subsets[key] = len(candidates)
-            faced = [products]
-            for i in stocked:
-                faced += [tuple(a for a in f if a != products[i]) for f in faced]
-            candidates += [(f, includes_null) for f in faced]
-        key_of.append(keys.setdefault(key, len(keys)))
-        offsets.append(subsets[key] if has_full else -1)
-        first_n.append(total)
-        spans.append(last - total + 1)
-        widths.append(len(products))
-        flat_products += products
-        flat_stocks += stocks
-        flat_sales += sales
+    size = groups.widths.size
+    # per product slot of every group: its group, its place, and whether
+    # it sold out
+    lens = groups.widths
+    row = np.repeat(np.arange(size), lens)
+    place = _ranks(lens)
+    out = groups.stocks == groups.sales
+    out &= not naive
+    # per group: how many sold out, their stocks and positions, and its
+    # key's id, the key's sold-out positions packed 8 to a byte
+    k_of = np.bincount(row[out], minlength=size)
+    out_stocks = np.zeros((size, int(k_of.max(initial=0))), dtype=np.int64)
+    out_stocks[row[out], _ranks(k_of)] = groups.stocks[out]
+    positions = np.zeros((size, int(lens.max(initial=0))), dtype=bool)
+    positions[row, place] = out
+    keys = np.column_stack([groups.header, np.packbits(positions, axis=1)])
+    _, key_first, key_id = np.unique(_row_codes(keys), return_index=True, return_inverse=True)
+    key_id = key_id.reshape(-1)
 
     # per block: group, arrival count, null arrivals, base coefficient
-    block_g = np.repeat(np.arange(len(groups)), spans)
-    extra = _ranks(np.array(spans, dtype=np.int64))  # n - sales
-    block_n = np.array(first_n, dtype=np.int64)[block_g] + extra
+    first_n = groups.totals
+    last = np.where(groups.nulls, np.asarray(m, dtype=np.int64), first_n)
+    spans = last - first_n + 1
+    block_g = np.repeat(np.arange(size), spans)
+    extra = _ranks(spans)  # n - sales
+    block_n = first_n[block_g] + extra
     log_fact = np.array([math.lgamma(x + 1) for x in range(int(block_n.max(initial=0)) + 1)])
-    # per group and product slot: whether it sold out (as in ``stocked``),
-    # the stocks of those that did, and log z! of the others' free sales
-    # (0.0 at a sold-out or padding slot, which adds nothing to a sum)
-    lens = np.array(widths, dtype=np.int64)
-    row = np.repeat(np.arange(len(groups)), lens)
-    out = np.array(flat_stocks, dtype=np.int64) == flat_sales
-    out &= not naive
-    k_of = np.bincount(row[out], minlength=len(groups))
-    out_stocks = np.zeros((len(groups), int(k_of.max(initial=0))), dtype=np.int64)
-    out_stocks[row[out], _ranks(k_of)] = np.array(flat_stocks, dtype=np.int64)[out]
-    free_log_fact = np.zeros((len(groups), int(lens.max(initial=0))))
-    free_log_fact[row, _ranks(lens)] = np.where(out, 0.0, log_fact[flat_sales])
-    free_total = np.bincount(row[~out], np.array(flat_sales)[~out], len(groups))
+
+    # per block, SAA only: the layouts drawn (0 for a full block) and the
+    # log weight; per stock-out count, every sampled block's stocks, n,
+    # sample size, feasible count and draw seed; per group, whether it has
+    # a full block
+    taken = np.zeros_like(block_n)
+    weight = np.zeros(block_n.size)
+    sampled: Dict[int, List[tuple]] = {}
+    has_full = np.full(size, saa_samples is None)
+    if saa_samples is not None:
+        # with nothing sold out, every block's one vector is drawn in full
+        has_full |= (k_of == 0) & (spans > 0)
+        at = (np.cumsum(spans) - spans).tolist()
+        for g in np.flatnonzero(k_of).tolist():
+            level = tuple(out_stocks[g, : k_of[g]].tolist())
+            for b, n in enumerate(range(int(first_n[g]), int(last[g]) + 1), at[g]):
+                count = count_stockout_vectors(level, n)
+                take = min(saa_samples, count)
+                if take == count:  # full coverage: the exact enumeration
+                    has_full[g] = True
+                    continue
+                # its draw seed: numpy's SeedSequence state of (seed, stream, n)
+                state = np.random.SeedSequence((seed, streams[g], n)).generate_state(1)
+                sampled.setdefault(len(level), []).append((level, n, take, count, int(state[0])))
+                taken[b] = take
+                weight[b] = math.log(count) - math.log(take)
+
+    # per group and product slot: log z! of the free sales (0.0 at a
+    # sold-out or padding slot, which adds nothing to a sum)
+    free_log_fact = np.zeros(positions.shape)
+    free_log_fact[row, place] = np.where(out, 0.0, log_fact[groups.sales])
+    free_total = np.bincount(row[~out], groups.sales[~out], size)
     # log_multinomial([n - sales] + free sales), its terms added in order
     denominator = log_fact[extra]
     for j in range(free_log_fact.shape[1]):
         denominator = denominator + free_log_fact[block_g, j]
     free_n = extra + free_total.astype(np.int64)[block_g]
-    saa = saa_samples is not None
-    weight = np.array(weights) if saa else 0.0
     base = -log_fact[block_n] + (log_fact[free_n] - denominator) + weight
-    taken = np.array(takes, dtype=np.int64) if saa else np.zeros_like(block_n)
+
+    # every key with a full block faces its 2^k candidates, candidate c the
+    # products less those of c's mask bits
+    candidates: List[Tuple[Tuple[int, ...], bool]] = []  # their fields
+    subsets = np.zeros(key_first.size, dtype=np.int64)  # each key's first
+    # per key: its header and sold-out positions
+    key_header = groups.header[key_first].tolist()
+    key_k = k_of[key_first]
+    key_at = (np.cumsum(key_k) - key_k).tolist()
+    key_positions = np.nonzero(positions[key_first])[1].tolist()
+
+    def key_fields(key: int) -> Tuple[Tuple[int, ...], bool, List[int]]:
+        at = key_at[key]
+        return (*groups.headers[key_header[key]], key_positions[at : at + int(key_k[key])])
+
+    for key in np.unique(key_id[has_full]).tolist():
+        products, includes_null, stocked = key_fields(key)
+        subsets[key] = len(candidates)
+        faced = [products]
+        for i in stocked:
+            faced += [tuple([a for a in f if a != products[i]]) for f in faced]
+        candidates += [(f, includes_null) for f in faced]
 
     # every row set, each built in one pass: the layouts of every full
     # block's shape with k stock-outs, or the drawn layouts with k
@@ -906,17 +992,16 @@ def table_sales(
     for k in np.unique(k_block[full]).tolist():
         seqs = np.flatnonzero(full & (k_block == k))
         shape_rows = np.column_stack([out_stocks[block_g[seqs], :k], block_n[seqs]])
-        shapes, shape = np.unique(shape_rows, axis=0, return_inverse=True)
+        _, first, shape = np.unique(
+            _row_codes(shape_rows), return_index=True, return_inverse=True
+        )
+        shapes, shape = shape_rows[first], shape.reshape(-1)
         shape_of, orders, sizes = _shape_layouts(shapes[:, :k], shapes[:, k])
         lens = np.bincount(shape_of, minlength=len(shapes))
         block_row[seqs] = (np.cumsum(lens) - lens)[shape]
         block_len[seqs] = lens[shape]
         row_sets.append((seqs, *_layout_arrays(shapes[shape_of, :k], orders, sizes, log_fact)))
-    offset = np.array(offsets, dtype=np.int64)
-    pending = offset < 0
-    offset[pending] = 0
-    key_id = np.array(key_of, dtype=np.int64)
-    key_list = list(keys)
+    offset = np.where(has_full, subsets[key_id], 0)
     for k, blocks in sampled.items():
         seqs = np.flatnonzero(~full & (k_block == k))
         owner = np.repeat(seqs, taken[seqs])
@@ -932,14 +1017,13 @@ def table_sales(
         # a group of drawn blocks only faces just the subsets it reaches:
         # its rows name them by their place among all candidates, found
         # through the code ``key id * 2^k + mask``
-        mine = pending[block_g[owner]]
+        mine = ~has_full[block_g[owner]]
         codes = (key_id[block_g[owner][mine], None] << k) + masks[mine]
         reached, local = np.unique(codes.ravel(), return_inverse=True)
         masks[mine] = len(candidates) + local.reshape(-1, k + 1)
         for code in reached.tolist():
-            key, mask = code >> k, code & ((1 << k) - 1)
-            products, includes_null, stocked = key_list[key]
-            gone = {stocked[j] for j in range(k) if mask >> j & 1}
+            products, includes_null, stocked = key_fields(code >> k)
+            gone = {stocked[j] for j in range(k) if code >> j & 1}
             faced = tuple(a for i, a in enumerate(products) if i not in gone)
             candidates.append((faced, includes_null))
         row_sets.append((seqs, binom, exps, masks))
@@ -966,6 +1050,11 @@ def table_sales(
         coef[at] = term_coef
         cand[at, : masks.shape[1]] = offset[block_g[owner], None] + masks[rows]
         exps[at, : masks.shape[1]] = row_exps[rows]
+    # every product slot's catalog column, through its header's
+    col = {a: i for i, a in enumerate(catalog)}
+    header_cols = np.zeros((len(groups.headers), positions.shape[1]), dtype=np.int64)
+    for h, (products, _) in enumerate(groups.headers):
+        header_cols[h, : len(products)] = [col[a] for a in products]
     return _stacked(
         catalog,
         n,
@@ -973,12 +1062,12 @@ def table_sales(
         cand,
         exps,
         candidates,
-        np.bincount(block_g, weights=block_len, minlength=len(groups)),
-        [count for _, count, _, _ in groups],
-        [key[0] for key, _, _, _ in groups],
-        widths,
-        flat_products,
-        flat_sales,
+        np.bincount(block_g, weights=block_len, minlength=size),
+        counts,
+        groups.horizons,
+        groups.widths,
+        header_cols[groups.header[row], place],
+        groups.sales,
     )
 
 
@@ -986,15 +1075,17 @@ def fold_timed(
     groups: Sequence[Tuple[Union[CompletePath, TransactionRecord], int]],
     catalog: Sequence[int],
 ) -> Tuple[np.ndarray, ...]:
-    """The arrays :func:`term_loglik_grad` takes after ``x`` for timed
-    records and complete paths with multiplicities, over ``catalog``: a
-    choice enters the likelihood only through its product and the
-    denominator it faces, and the thinned purchase rate is linear in the
-    visits, so many visits fold into one group of one term over
+    """The arrays a compiled dataset is built from (see :func:`_stacked`)
+    for timed records and complete paths with multiplicities, over
+    ``catalog``: a choice enters the likelihood only through its product
+    and the denominator it faces, and the thinned purchase rate is linear
+    in the visits, so many visits fold into one group of one term over
     per-assortment totals.  The registry rows are the distinct segment
     assortments, keyed on ``(products, includes_null)``, in order of first
     appearance; the term's exponent on each is its count-weighted choice
-    total, and each row's thinned time is its count-weighted duration.
+    total (the term is one CSR row over every registry row, zero exponents
+    included), and each row's thinned time is its count-weighted
+    duration.
     The group's sales are the count-weighted purchases per product, its
     term's arrival count every observed choice.  The first untimed record,
     or one without a null option, raises :class:`InvalidObservation`, as
@@ -1127,11 +1218,13 @@ def fold_timed(
     return (
         membership,
         registry[:, -1].astype(float),
-        # the one term: its coefficient, arrivals and exponent on every row
+        # the one term: its coefficient, arrivals and exponent on every
+        # row, zero exponents included, as a one-row matrix
         np.array([weight @ (n * np.log(observed) - gammaln(n + 1))]),
         np.array([chosen_totals.sum()], dtype=np.int64),
-        np.arange(order.size).reshape(1, -1),
-        _totals(seg_row, exponents, order.size).reshape(1, -1),
+        _totals(seg_row, exponents, order.size),
+        np.arange(order.size),
+        np.array([0, order.size]),
         # the one group: its first term, the term's group, its count,
         # observed time and sales
         np.zeros(1, dtype=np.int64),
@@ -1152,61 +1245,66 @@ def _totals(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 def term_loglik_grad(
     x: np.ndarray,
     membership: np.ndarray,
-    nulls: np.ndarray,
+    null_rows: np.ndarray,
+    guard: np.ndarray,
     coef: np.ndarray,
     n: np.ndarray,
-    seg_idx: np.ndarray,
-    seg_exp: np.ndarray,
+    E,
+    Et,
     starts: np.ndarray,
     group_of: np.ndarray,
     counts: np.ndarray,
-    exposures: np.ndarray,
+    exposure: float,
     sales: np.ndarray,
+    sold: np.ndarray,
     thinned: np.ndarray,
+    null_thinned: np.ndarray,
 ) -> Tuple[float, np.ndarray]:
     """Log-likelihood of a dataset's stacked arrays and its gradient in
     ``x = (log rate, log weights)``.
 
     Group ``g`` owns the terms from ``starts[g]`` up to the next start
     (``group_of`` names each term's group); it has multiplicity
-    ``counts[g]``, exposure ``t_g = exposures[g]`` and per-product sales
-    ``z_g = sales[g]``, and contributes ``z_g . log f + LSE_i(coef_i + n_i
-    log lambda - sum_d E_id log D_d) - lambda t_g``.  Row ``d`` of
-    ``membership`` and ``nulls[d]`` give the weight sum ``F_d`` and
-    denominator ``D_d = null_d + F_d``; ``seg_idx``/``seg_exp`` hold each
-    term's assortment indices and exponents ``E_id``, padded with zero
-    exponents.  Every group must own at least one term.  Beyond the groups,
-    row ``d`` is exposed for ``thinned[d]`` to the thinned rate ``lambda
-    F_d / D_d``, which subtracts ``lambda tau . (F / D)``: it is linear in
-    the visits, so one visit and a whole dataset summed per assortment
-    evaluate alike.  On a null-inclusive row, ``log1p(F)`` and ``F / (1 +
-    F)`` keep their precision when ``F`` is tiny and the rate is huge; a
-    no-null row that offers nothing (``D = 0``) only ever has exponent and
-    thinned time 0 (nobody can choose from it), and adds nothing.
+    ``counts[g]`` and per-product sales ``z_g = sales[g]``, and contributes
+    ``z_g . log f + LSE_i(coef_i + n_i log lambda - sum_d E_id log D_d)``,
+    less ``lambda`` times ``exposure``, the count-weighted exposures of
+    every group; ``sold`` is the count-weighted sales ``counts @ sales``.
+    Row ``d`` of ``membership`` gives the weight sum ``F_d``, and
+    ``null_rows[d]`` whether it offers the null option: ``D_d = 1 + F_d``
+    if so, ``F_d`` if not.  ``E`` is the sparse term-by-row exponent matrix
+    and ``Et`` its transpose, so the exponent sums are ``E @ log D`` and
+    the rows' gradient weights ``Et @ w``.  Every group must own at least
+    one term.  Beyond the groups, row ``d`` is exposed for ``thinned[d]``
+    to the thinned rate ``lambda F_d / D_d``, which subtracts ``lambda tau
+    . (F / D)``: it is linear in the visits, so one visit and a whole
+    dataset summed per assortment evaluate alike; ``null_thinned`` is
+    ``thinned`` on the null rows, 0 elsewhere.  On a null row,
+    ``log1p(F)`` and ``F / (1 + F)`` keep their precision when ``F`` is
+    tiny and the rate is huge.  ``guard[d]`` is 1 on a null row and on a
+    no-null row that offers nothing, 0 elsewhere, and ``guard + F`` stands
+    for ``D``: an empty row has ``D = 0`` but only ever exponent and
+    thinned time 0 (nobody can choose from it), so it adds nothing.
     """
     log_rate = x[0]
     theta = np.asarray(x[1:], dtype=float)
     beta = np.exp(theta)
     rate = math.exp(log_rate)
     weight_sum = membership @ beta
-    denom = nulls + weight_sum
-    safe = np.where(denom > 0, denom, 1.0)
-    log_denom = np.where(nulls > 0, np.log1p(weight_sum), np.log(safe))
-    t = coef + n * log_rate - (seg_exp * log_denom[seg_idx]).sum(axis=1)
+    safe = guard + weight_sum
+    log_denom = np.log(safe)
+    np.log1p(weight_sum, out=log_denom, where=null_rows)
+    t = coef + n * log_rate - E @ log_denom
     mx = np.maximum.reduceat(t, starts)
     lse = mx + np.log(np.add.reduceat(np.exp(t - mx[group_of]), starts))
-    exposure = float(counts @ exposures) + float(thinned @ (weight_sum / safe))
+    exposure = exposure + float(thinned @ (weight_sum / safe))
     value = float(counts @ (lse + sales @ theta)) - rate * exposure
     w = np.exp(t - lse[group_of]) * counts[group_of]
     grad = np.empty(x.size)
     grad[0] = float(w @ n) - rate * exposure
-    bucket = np.bincount(
-        seg_idx.ravel(), weights=(w[:, None] * seg_exp).ravel(), minlength=denom.size
-    )
-    # d/d theta_a: the sales less sum_d (bucket_d + lambda null_d tau_d /
+    # d/d theta_a: the sales less sum_d ((Et @ w)_d + lambda null_d tau_d /
     # D_d) beta_a / D_d over the rows offering a
-    per_denom = (bucket + rate * nulls * thinned / safe) / safe
-    grad[1:] = counts @ sales - beta * (per_denom @ membership)
+    per_denom = (Et @ w + rate * null_thinned / safe) / safe
+    grad[1:] = sold - beta * (per_denom @ membership)
     return value, grad
 
 

@@ -13,6 +13,14 @@ from stockout_demand import (
     SalesSummary,
     TransactionRecord,
 )
+from stockout_demand.likelihood import sales_groups, table_sales
+
+
+def stack_sales(catalog, groups, **options):
+    """``table_sales`` of the groups ``(sales_key(visit), count, m,
+    stream)``."""
+    keys, counts, m, streams = zip(*groups)
+    return table_sales(catalog, sales_groups(keys), counts, m, streams, **options)
 
 
 @pytest.fixture

@@ -27,6 +27,8 @@ from stockout_demand.combinatorics import (
     sample_by_position,
 )
 
+from conftest import stack_sales
+
 
 def multinomial_exact(counts):
     """Exact big-integer multinomial coefficient."""
@@ -315,10 +317,10 @@ class TestDrawByPosition:
 def segment_terms(stacked):
     """Every term of a stack as its faced segments: (membership row,
     exponent) pairs, zero exponents dropped."""
-    membership, _, _, _, seg_idx, seg_exp, *_ = stacked
+    membership, _, _, _, data, indices, indptr, *_ = stacked
     return [
-        tuple((tuple(membership[d]), e) for d, e in zip(idx, exps) if e)
-        for idx, exps in zip(seg_idx.tolist(), seg_exp.tolist())
+        tuple((tuple(membership[d]), e) for d, e in zip(indices[i:j], data[i:j]) if e)
+        for i, j in zip(indptr.tolist(), indptr[1:].tolist())
     ]
 
 
@@ -345,14 +347,16 @@ class TestDrawnLayouts:
                 )
                 products = summary.initial_assortment.products
                 group = (likelihood.sales_key(summary), 1, 0, 0)
-                saa = likelihood.table_sales(products, [group], count)
-                exact = likelihood.table_sales(products, [group])
+                saa = stack_sales(products, [group], saa_samples=count)
+                exact = stack_sales(products, [group])
                 got = segment_terms(saa)
                 assert sorted(got) == sorted(segment_terms(exact)), (stocks, n)
                 # the first k segments close with a stock-out, so their
                 # exponents (size + 1) are nonzero and add up to its index
-                membership = saa[0]
-                for v, idx, exps in zip(vectors, saa[4], saa[5]):
+                membership, data, columns, indptr = saa[0], saa[4], saa[5], saa[6]
+                rows = [slice(i, j) for i, j in zip(indptr.tolist(), indptr[1:].tolist())]
+                for v, row in zip(vectors, rows):
+                    idx, exps = columns[row], data[row]
                     left = [set(np.flatnonzero(membership[d][:k])) for d in idx[:k]]
                     left.append(set())  # nothing stocked out is left at the end
                     ends = np.cumsum(exps[:k])

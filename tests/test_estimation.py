@@ -32,9 +32,9 @@ from stockout_demand import (
     simulate_dataset,
 )
 from stockout_demand import estimation
-from stockout_demand.io import project_path
+from stockout_demand.io import project_path, read_visits, serialize_visit
 from stockout_demand.likelihood import TAIL_EPSILON
-from stockout_demand.simulate import VisitConfig
+from stockout_demand.simulate import VisitConfig, simulate_visit, visit_rng
 from stockout_demand.types import (
     TransactionRecord,
     project_sales,
@@ -485,6 +485,44 @@ class TestEstimatorChecks:
         assert ds.visits == 35
         assert ds.counts.sum() == 35
 
+    @pytest.mark.parametrize("granularity", ["sales", "sales-no-null", "transactions"])
+    def test_one_pass_grouping_of_varied_horizons(self, granularity, tmp_path, monkeypatch):
+        # W2v's horizons, T from U(0.5, 1.5) rounded to 3 decimals, and a
+        # visit at T = 1 written once as "T": 1.0 and once as "T": 1: equal
+        # content in two objects; repeated lines are one object each
+        config = two_product_config(granularity != "sales-no-null", rate=2.0, stock=1)
+        horizons = np.round(np.random.default_rng(0).uniform(0.5, 1.5, 200), 3).tolist()
+        paths = [
+            simulate_visit(replace(config, horizon=T), visit_rng(5, i))
+            for i, T in enumerate(horizons + [1.0])
+        ]
+        lines = [serialize_visit(project_path(p, granularity), granularity) for p in paths]
+        assert '"T": 1.0,' in lines[-1]
+        lines.append(lines[-1].replace('"T": 1.0,', '"T": 1,'))
+        path = tmp_path / "visits.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines + lines[::3] + lines[-2:]))
+        observations, _ = read_visits(str(path))
+        distinct = list({id(o): o for o in observations}.values())
+        assert len(distinct) == len(set(lines)) < len(observations)
+        multiplicity = {}
+        for obs in observations:
+            key = estimation._group_key(obs, granularity)
+            multiplicity[key] = multiplicity.get(key, 0) + 1
+        assert len(multiplicity) < len(distinct)  # the two spellings of T = 1
+        keyed = []
+        group_key = estimation._group_key
+
+        def counted(obs, granularity):
+            keyed.append(obs)
+            return group_key(obs, granularity)
+
+        monkeypatch.setattr(estimation, "_group_key", counted)
+        ds = compile_dataset(observations, granularity)
+        assert len(keyed) == len(distinct)
+        assert all(a is b for a, b in zip(keyed, distinct))
+        assert ds.counts.tolist() == list(multiplicity.values())
+        assert ds.start[0] == math.log(naive_rate(observations))
+
     def test_naive_and_saa_together_rejected(self):
         # the naive fit used to run and be labelled with the SAA options
         paths = simulate_dataset(two_product_config(), 5, seed=31)
@@ -532,8 +570,9 @@ class TestEstimatorChecks:
 
 
 COMPILED_ARRAYS = (
-    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp", "bounds", "group_of", "counts",
-    "exposures", "Z", "thinned", "start",
+    "membership", "nulls", "coef", "n", "exp_data", "exp_indices", "exp_indptr", "expt_data",
+    "expt_indices", "expt_indptr", "bounds", "group_of", "counts", "exposures", "Z", "thinned",
+    "start",
 )
 
 

@@ -44,7 +44,6 @@ from stockout_demand.likelihood import (
     _compositions,
     fold_timed,
     sales_key,
-    table_sales,
     table_sequences,
 )
 from stockout_demand.types import InvalidObservation
@@ -56,6 +55,7 @@ from conftest import (
     random_params,
     random_sales_summary,
     random_transaction_record,
+    stack_sales,
 )
 
 
@@ -106,6 +106,23 @@ def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(choice.__file__))
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     code = "import sys, stockout_demand.cli; assert 'scipy.stats' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_loads_no_scipy_module_beyond_the_solver():
+    # the kernel's sparse matrices come with scipy.optimize, so importing
+    # the package loads no scipy module that the solver and the special
+    # functions do not
+    src = os.path.dirname(os.path.dirname(choice.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = (
+        "import sys; import scipy.optimize, scipy.special; "
+        "base = {m for m in sys.modules if m.startswith('scipy')}; "
+        "import stockout_demand.cli; "
+        "extra = {m for m in sys.modules if m.startswith('scipy')} - base; "
+        "assert not extra, sorted(extra)"
+    )
     env = dict(os.environ, PYTHONPATH=path)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -466,9 +483,9 @@ class TestImpossibleVisitRules:
     @pytest.mark.parametrize(
         "includes_null, build",
         [
-            (True, lambda obs: table_sales((0, 1), [(sales_key(obs), 1, 6, 0)])),
-            (True, lambda obs: table_sales((0, 1), [(sales_key(obs), 1, 6, 0)], naive=True)),
-            (False, lambda obs: table_sales((0, 1), [(sales_key(obs), 1, 0, 0)])),
+            (True, lambda obs: stack_sales((0, 1), [(sales_key(obs), 1, 6, 0)])),
+            (True, lambda obs: stack_sales((0, 1), [(sales_key(obs), 1, 6, 0)], naive=True)),
+            (False, lambda obs: stack_sales((0, 1), [(sales_key(obs), 1, 0, 0)])),
         ],
     )
     def test_sales_visit_cannot_be_built(self, change, rule, includes_null, build):
@@ -513,7 +530,8 @@ class TestSampleAverageApproximation:
 
         def stacked(seed, key):
             group = (sales_key(summary), 1, 10, key)
-            return table_sales(summary.initial_assortment.products, [group], 1, seed)
+            products = summary.initial_assortment.products
+            return stack_sales(products, [group], saa_samples=1, seed=seed)
 
         def same(a, b):
             return all(np.array_equal(x, y) for x, y in zip(a, b))

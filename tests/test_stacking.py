@@ -26,12 +26,11 @@ from stockout_demand.combinatorics import (
 from stockout_demand.likelihood import (
     membership_matrix,
     sales_key,
-    table_sales,
     table_sequences,
 )
 from stockout_demand.types import Assortment, InvalidObservation, SalesSummary, TransactionRecord
 
-from conftest import random_transaction_record
+from conftest import random_transaction_record, stack_sales
 
 NEG_INF = float("-inf")
 
@@ -191,13 +190,8 @@ def reference_stack(catalog, tables):
                     exps.append(e)
             n.append(term_n)
             coef.append(term_coef)
-    term_of = np.asarray(rows, dtype=np.int64)
-    slot = np.arange(term_of.size) - np.searchsorted(term_of, term_of)
-    width = int(slot.max()) + 1 if slot.size else 0
-    seg_idx = np.zeros((len(n), width), dtype=np.int64)
-    seg_exp = np.zeros((len(n), width))
-    seg_idx[term_of, slot] = idx
-    seg_exp[term_of, slot] = exps
+    # each term's nonzero exponents, in segment order, as CSR parts
+    indptr = np.searchsorted(np.asarray(rows, dtype=np.int64), np.arange(len(n) + 1))
     n = np.asarray(n, dtype=np.int64)
     group_of = np.searchsorted(starts, np.arange(n.size), side="right") - 1
     horizons = np.array([table.horizon for table, _ in tables], dtype=float)
@@ -207,8 +201,9 @@ def reference_stack(catalog, tables):
         # each term's n log T, from its Poisson factor (lambda T)^n / n!
         np.asarray(coef, dtype=float) + n * np.log(horizons)[group_of],
         n,
-        seg_idx,
-        seg_exp,
+        np.asarray(exps, dtype=float),
+        np.asarray(idx, dtype=np.int64),
+        indptr,
         np.asarray(starts, dtype=np.int64),
         group_of,
         np.array([count for _, count in tables], dtype=float),
@@ -219,7 +214,7 @@ def reference_stack(catalog, tables):
 
 
 NAMES = (
-    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp",
+    "membership", "nulls", "coef", "n", "exp_data", "exp_indices", "exp_indptr",
     "starts", "group_of", "counts", "exposures", "sales", "thinned",
 )
 
@@ -264,7 +259,7 @@ def assert_same_sales_stack(
     catalog = catalog_of(summaries)
     counts = counts or [1] * len(summaries)
     groups = [(sales_key(s), c, m(s), stream(s)) for s, c in zip(summaries, counts)]
-    got = table_sales(catalog, groups, **options)
+    got = stack_sales(catalog, groups, **options)
     if options.get("naive"):
         reference = lambda s: reference_naive(s, m(s))
     elif options.get("saa_samples") is not None:
@@ -326,7 +321,7 @@ class TestStackMatchesReference:
         saa = assert_same_sales_stack(
             section7_sales, stream=lambda s: key[id(s)], saa_samples=16, seed=0
         )
-        exact = table_sales(catalog_of(section7_sales), [(sales_key(s), 1, 0, 0) for s in section7_sales])
+        exact = stack_sales(catalog_of(section7_sales), [(sales_key(s), 1, 0, 0) for s in section7_sales])
         assert saa[2].size < exact[2].size  # some visits sample
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -408,7 +403,7 @@ class TestStackMatchesReference:
             saa_samples=5,
             seed=4,
         )
-        starts = list(stacked[6]) + [stacked[2].size]
+        starts = list(stacked[7]) + [stacked[2].size]
         terms = [b - a for a, b in zip(starts, starts[1:])]
         assert terms[0] == 3 * 5  # n = 6, 7, 8 all drawn
         assert terms[1] == 5 + 5 + 5  # full at n = 5 (5 vectors), drawn at 6, 7
@@ -442,10 +437,32 @@ class TestStackMatchesReference:
         (candidates,) = stacked_candidates
         assert candidates <= 1 + len(blocks) * 4 * k
 
+    @pytest.mark.parametrize("includes_null", [True, False])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_wide_catalog_sells_out_past_column_63(self, estimator, includes_null):
+        # 70 products: 65 and 66 sell out, the others sell part of their
+        # stock, so a sold-out key must not be a 64-bit mask; a second
+        # visit on the same products that sells out 65 and 67 instead must
+        # not share the first one's key
+        products = tuple(range(70))
+        stocks = {a: 2 for a in products}
+        sales = {a: a % 2 for a in products}
+        summaries = []
+        for gone in [(65, 66), (65, 67)]:
+            sold = {**sales, **{a: 2 for a in gone}}
+            summaries.append(SalesSummary(1.0, Assortment(products, includes_null), stocks, sold))
+            assert summaries[-1].stocked_out == gone
+        assert_same_sales_stack(
+            summaries,
+            m=lambda s: s.total_sales + 1 if includes_null else 0,
+            stream=lambda s: 3,
+            **ESTIMATORS[estimator],
+        )
+
     def test_saa_samples_below_one_rejected(self):
         summary = SalesSummary(1.0, Assortment((0,), True), {0: 1}, {0: 1})
         with pytest.raises(ValueError, match="must be >= 1"):
-            table_sales((0,), [(sales_key(summary), 1, 3, 0)], saa_samples=0)
+            stack_sales((0,), [(sales_key(summary), 1, 3, 0)], saa_samples=0)
 
     @pytest.mark.parametrize(
         "counts, options, above",

@@ -30,14 +30,19 @@ import pytest
 from stockout_demand import estimation
 from stockout_demand import io as sd_io
 from stockout_demand import simulate
-from stockout_demand.estimation import GRANULARITIES, _group_key, compile_dataset, fit
+from stockout_demand.estimation import (
+    GRANULARITIES,
+    CompiledDataset,
+    _group_key,
+    compile_dataset,
+    fit,
+)
 from stockout_demand.likelihood import (
     TruncationPolicy,
     fold_timed,
     l2_choice_sequence,
     membership_matrix,
     table_sequences,
-    term_loglik_grad,
 )
 from stockout_demand.types import (
     NULL,
@@ -110,7 +115,7 @@ def assert_same_arrays(got, want, names):
 
 #: the arrays every builder returns, in order
 ARRAYS = (
-    "membership", "nulls", "coef", "n", "seg_idx", "seg_exp",
+    "membership", "nulls", "coef", "n", "exp_data", "exp_indices", "exp_indptr",
     "bounds", "group_of", "counts", "exposures", "Z", "thinned",
 )
 
@@ -121,18 +126,20 @@ def one_term(arrays):
     sales, exponents and durations become flat rows."""
     folded = dict(zip(ARRAYS, arrays))
     rows = folded["nulls"].size
+    names = ("exp_indices", "exp_indptr", "bounds", "group_of", "counts")
     assert_same_arrays(
-        [folded[name] for name in ("seg_idx", "bounds", "group_of", "counts")],
+        [folded[name] for name in names],
         [
-            np.arange(rows).reshape(1, rows),
+            np.arange(rows),
+            np.array([0, rows]),
             np.zeros(1, np.int64),
             np.zeros(1, np.int64),
             np.ones(1),
         ],
-        ("seg_idx", "bounds", "group_of", "counts"),
+        names,
     )
     assert folded["coef"].shape == folded["n"].shape == folded["exposures"].shape == (1,)
-    folded["sales"], folded["exponents"] = folded["Z"][0], folded["seg_exp"][0]
+    folded["sales"], folded["exponents"] = folded["Z"][0], folded["exp_data"]
     return folded
 
 
@@ -265,7 +272,16 @@ def test_benchmark_reads_every_compiled_dataset(granularity):
     tracing = load_tracing()
     ds = granularity_dataset(granularity)
     arrays = [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == len(ARRAYS) + 1  # and the start point
+    # the builder's arrays, the transpose's parts, what the kernel reads
+    # as compiled, and the start point
+    assert {name for name, v in vars(ds).items() if isinstance(v, np.ndarray)} == {
+        *ARRAYS, "expt_data", "expt_indices", "expt_indptr",
+        "null_rows", "guard", "null_thinned", "sold", "start",
+    }
+    # the sparse matrices read counted arrays, not copies
+    for matrix in (ds.E, ds.Et):
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            assert any(part is a for a in arrays)
     assert not any(np.may_share_memory(a, b) for a, b in combinations(arrays, 2))
     assert tracing.compiled_stats(ds) == {
         "groups": ds.counts.size,
@@ -410,7 +426,7 @@ def test_first_bad_record_raises(order, message):
 
 
 def reference_l2_stack(catalog, groups):
-    """The arrays :func:`term_loglik_grad` takes after ``x`` for complete
+    """The arrays a builder returns (see ``CompiledDataset``) for complete
     paths stacked one ``l2`` term each: ``n`` the path's arrivals,
     coefficient ``n log T - log n!``, and per segment the assortment it
     faces with exponent its choices (the stock-out purchase that closes it
@@ -429,12 +445,10 @@ def reference_l2_stack(catalog, groups):
         for c in path.choices:
             if c is not NULL:
                 sales[g, col[c]] += 1
-    width = max((len(r) for r in rows), default=0)
-    seg_idx = np.zeros((len(groups), width), dtype=np.int64)
-    seg_exp = np.zeros((len(groups), width))
-    for g, r in enumerate(rows):
-        for j, (d, e) in enumerate(r):
-            seg_idx[g, j], seg_exp[g, j] = d, e
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    flat = [entry for r in rows for entry in r]
+    exp_indices = np.array([d for d, _ in flat], dtype=np.int64)
+    exp_data = np.array([e for _, e in flat], dtype=float)
     n = np.array([path.arrivals for path, _ in groups], dtype=np.int64)
     horizons = np.array([path.horizon for path, _ in groups], dtype=float)
     return (
@@ -442,8 +456,9 @@ def reference_l2_stack(catalog, groups):
         np.array([float(a.includes_null) for a in registry]),
         np.array([-math.lgamma(x + 1) for x in n.tolist()]) + n * np.log(horizons),
         n,
-        seg_idx,
-        seg_exp,
+        exp_data,
+        exp_indices,
+        indptr,
         np.arange(len(groups), dtype=np.int64),
         np.arange(len(groups), dtype=np.int64),
         np.array([count for _, count in groups], dtype=float),
@@ -548,14 +563,14 @@ def assert_folds_as_l2(paths, counts, seed=0):
     groups = list(zip(paths, counts))
     ds = compile_dataset([p for p, c in groups for _ in range(c)], "complete")
     assert ds.counts.size == ds.n.size == 1  # every path folds into one term
-    reference = reference_l2_stack(ds.catalog, groups)
+    reference = CompiledDataset(ds.catalog, reference_l2_stack(ds.catalog, groups), 1.0, 0, [], 0)
     rnd = np.random.default_rng(seed)
     for _ in range(3):
         x = np.concatenate(([rnd.normal(1.0, 1.0)], rnd.normal(0.0, 1.0, len(ds.catalog))))
         params = ds.params_of(x)
         with np.errstate(all="raise"):
             value, grad = ds.loglik_grad(x)
-            want_value, want_grad = term_loglik_grad(x, *reference)
+            want_value, want_grad = reference.loglik_grad(x)
         l2_sum = sum(c * l2_choice_sequence(p, params) for p, c in groups)
         assert value == pytest.approx(want_value, rel=1e-9, abs=0)
         assert value == pytest.approx(l2_sum, rel=1e-9, abs=0)
@@ -656,7 +671,7 @@ def test_w2_config_folds_to_one_row_per_assortment():
     ds = compile_dataset(paths, "complete")
     assert ds.counts.size == 1 and ds.n.size == 1
     rows = {a for p in paths for a in p.segments()[2]}
-    assert ds.n_assort == ds.seg_exp.size == len(rows) < len(paths)
+    assert ds.n_assort == ds.exp_data.size == len(rows) < len(paths)
 
 
 def test_table_sequences_refuses_complete_paths():
