@@ -2,7 +2,7 @@
 
 A dataset is compiled once into flat arrays: identical visits are grouped
 with multiplicities, and one builder per granularity turns the groups
-into one set of arrays whose assortment denominators share one registry.
+into one :class:`~stockout_demand.likelihood.Terms`.
 Sales groups build no table: :func:`~stockout_demand.likelihood.table_sales`
 stacks them all in one pass, each stock-out layout shape enumerated once.
 Untimed transactions stack likewise, in one
@@ -13,13 +13,10 @@ groups, in one pass, into one group of one term over per-assortment
 totals (exponents and thinned time, plus the sales, and for complete
 paths their null choices, observed time and constant), so their part of
 every evaluation costs the same whatever the number of visits.  One
-kernel, :func:`~stockout_demand.likelihood.term_loglik_grad`, evaluates
-every dataset, so each optimizer step is a handful of vectorized array
-operations with analytic gradients in ``(log rate, log weights)``.
-Every builder's exponents form one CSR (compressed sparse row)
-term-by-assortment matrix, which the compiled dataset wraps with its
-transpose once, so an evaluation's exponent sums and gradient weights are
-two sparse mat-vecs.  Compiling walks the visits once (and sales groups
+kernel, :meth:`CompiledDataset.loglik_grad`, evaluates every dataset, so
+each optimizer step is a handful of vectorized array operations (two of
+them sparse mat-vecs) with analytic gradients in ``(log rate, log
+weights)``.  Compiling walks the visits once (and sales groups
 once), and also checks the estimator (each granularity fits one observation
 class; SAA and the naive baseline fit sales only, and not together) and
 keeps the fit's start point and null regime.
@@ -43,13 +40,13 @@ from scipy.special import pdtrc
 from . import choice
 from .likelihood import (
     TAIL_EPSILON,
+    Terms,
     TruncationPolicy,
     fold_timed,
     sales_groups,
     sales_key,
     table_sales,
     table_sequences,
-    term_loglik_grad,
 )
 from .types import (
     Assortment,
@@ -169,37 +166,29 @@ def _group_key(obs: Observation, granularity: str):
 
 
 class CompiledDataset:
-    """Flat-array dataset representation evaluated per optimizer step.
+    """A dataset compiled once, evaluated per optimizer step.
 
-    ``x = (log rate, log weight_a for a in catalog)``; :meth:`loglik_grad`
-    returns the total log-likelihood and its gradient in ``x``, one
-    :func:`term_loglik_grad` call over the arrays its builder returned:
-    the assortment registry (``membership``, ``nulls`` and each row's
-    ``thinned`` time), the terms (``coef``, ``n``, the CSR parts
-    ``exp_data``, ``exp_indices`` and ``exp_indptr`` of their exponents
-    on the registry rows, and ``group_of``, each term's group) and the
-    groups (their first terms ``bounds``, ``counts``, ``exposures`` and
-    sales ``Z``).  Timed records and complete paths fold into one group of
-    one term.  The exponent matrix ``E`` and its transpose ``Et``
-    (``expt_data``, ``expt_indices``, ``expt_indptr``) are built here,
-    once, with the parts the kernel reads as float arrays: ``n``, the null
-    rows ``null_rows``, each row's ``guard`` (see the kernel), the null
-    rows' thinned time ``null_thinned``, the count-weighted sales ``sold``
-    and the exposure ``exposure``.  Every array the kernel reads is an
-    attribute, and the sparse matrices wrap those arrays without copying.
-    ``start`` is the fit's start point: the log of ``rate`` (the naive
-    rate) and the log naive sales shares, floored at 1e-6.
-    ``includes_null`` tells whether any compiled assortment offers the
-    null option; ``visits`` is the number of visits compiled.
-    ``truncations`` are the distinct ``(horizon, m)`` pairs at which sums
-    over latent arrival counts were truncated.  ``censored`` counts the
-    no-null visits that sell out every offered product.
+    Its builder's :class:`~stockout_demand.likelihood.Terms` are its
+    attributes, by field name, with ``n`` as floats.  The exponent matrix
+    ``E`` and its transpose ``Et`` (``expt_data``, ``expt_indices``,
+    ``expt_indptr``) are built here, once, with the parts the kernel reads
+    as compiled: the null rows ``null_rows``, each row's ``guard`` (see
+    :meth:`loglik_grad`), the null rows' thinned time ``null_thinned``,
+    the count-weighted sales ``sold`` and the exposure ``exposure``.
+    Every array the kernel reads is an attribute, and the sparse matrices
+    wrap those arrays without copying.  ``start`` is the fit's start point:
+    the log of ``rate`` (the naive rate) and the log naive sales shares,
+    floored at 1e-6.  ``includes_null`` tells whether any compiled
+    assortment offers the null option; ``visits`` is the number of visits
+    compiled.  ``truncations`` are the distinct ``(horizon, m)`` pairs at
+    which sums over latent arrival counts were truncated.  ``censored``
+    counts the no-null visits that sell out every offered product.
     """
 
     def __init__(
         self,
         catalog: Tuple[int, ...],
-        stacked: Tuple[np.ndarray, ...],
+        terms: Terms,
         rate: float,
         visits: int,
         truncations: Sequence[Tuple[float, int]],
@@ -209,35 +198,25 @@ class CompiledDataset:
         self.visits = visits
         self.truncations = truncations
         self.censored = censored
-        (
-            self.membership,
-            self.nulls,
-            self.coef,
-            n,
-            data,
-            indices,
-            indptr,
-            self.bounds,
-            self.group_of,
-            self.counts,
-            self.exposures,
-            self.Z,
-            self.thinned,
-        ) = stacked
+        vars(self).update(terms._asdict())
         # perfbench/tracing.compiled_stats reads the timed tables as
         # (table, count) pairs with their columns; no dataset has one
         self._timed = []
         self._timed_cols = []
         self.n_assort = self.nulls.size
-        self.n = n.astype(float)
-        self.E = csr_array((data, indices, indptr), shape=(n.size, self.n_assort))
+        self.E = csr_array(
+            (self.exp_data, self.exp_indices, self.exp_indptr), shape=(self.n.size, self.n_assort)
+        )
         self.Et = self.E.T.tocsr()
+        # csr_array wraps data and indices in views of its own, so its parts
+        # replace the builder's: each array is kept, and counted, once
         self.exp_data, self.exp_indices, self.exp_indptr = (
             self.E.data, self.E.indices, self.E.indptr
         )
         self.expt_data, self.expt_indices, self.expt_indptr = (
             self.Et.data, self.Et.indices, self.Et.indptr
         )
+        self.n = self.n.astype(float)
         self.null_rows = self.nulls > 0
         # a no-null row that offers nothing has D = 0
         self.guard = self.nulls + ~(self.null_rows | self.membership.any(axis=1))
@@ -256,24 +235,45 @@ class CompiledDataset:
         )
 
     def loglik_grad(self, x: np.ndarray) -> Tuple[float, np.ndarray]:
-        return term_loglik_grad(
-            x,
-            self.membership,
-            self.null_rows,
-            self.guard,
-            self.coef,
-            self.n,
-            self.E,
-            self.Et,
-            self.bounds,
-            self.group_of,
-            self.counts,
-            self.exposure,
-            self.Z,
-            self.sold,
-            self.thinned,
-            self.null_thinned,
-        )
+        """The log-likelihood and its gradient in ``x = (log rate, log
+        weights)``: the one kernel every dataset is evaluated by.
+
+        Group ``g`` contributes ``counts[g]`` times ``Z[g] . log f +
+        LSE_i(coef_i + n_i log lambda - sum_d E_id log D_d)`` over its
+        terms, and the whole dataset subtracts ``lambda`` times
+        ``exposure``.  ``D_d = 1 + F_d`` on a null row and ``F_d`` on
+        another, so the exponent sums are ``E @ log D`` and the rows'
+        gradient weights ``Et @ w``.  Beyond the groups, row ``d`` is exposed
+        for ``thinned[d]`` to the thinned rate ``lambda F_d / D_d``, which
+        subtracts ``lambda thinned . (F / D)``: it is linear in the visits,
+        so one visit and a whole dataset summed per assortment evaluate
+        alike.  On a null row, ``log1p(F)`` and ``F / (1 + F)`` keep their
+        precision when ``F`` is tiny and the rate is huge.  ``guard + F``
+        stands for ``D``: ``guard`` is 1 on a null row and on a no-null row
+        that offers nothing, 0 elsewhere, and an empty row adds nothing
+        (see :class:`~stockout_demand.likelihood.Terms`).
+        """
+        log_rate = x[0]
+        theta = np.asarray(x[1:], dtype=float)
+        beta = np.exp(theta)
+        rate = math.exp(log_rate)
+        weight_sum = self.membership @ beta
+        safe = self.guard + weight_sum
+        log_denom = np.log(safe)
+        np.log1p(weight_sum, out=log_denom, where=self.null_rows)
+        t = self.coef + self.n * log_rate - self.E @ log_denom
+        mx = np.maximum.reduceat(t, self.bounds)
+        lse = mx + np.log(np.add.reduceat(np.exp(t - mx[self.group_of]), self.bounds))
+        exposure = self.exposure + float(self.thinned @ (weight_sum / safe))
+        value = float(self.counts @ (lse + self.Z @ theta)) - rate * exposure
+        w = np.exp(t - lse[self.group_of]) * self.counts[self.group_of]
+        grad = np.empty(x.size)
+        grad[0] = float(w @ self.n) - rate * exposure
+        # d/d theta_a: the sales less sum_d ((Et @ w)_d + lambda null_d
+        # thinned_d / D_d) beta_a / D_d over the rows offering a
+        per_denom = (self.Et @ w + rate * self.null_thinned / safe) / safe
+        grad[1:] = self.sold - beta * (per_denom @ self.membership)
+        return value, grad
 
 
 def compile_dataset(
@@ -368,7 +368,7 @@ def compile_dataset(
     censored = int(count[exhausted & ~nulls].sum())
     truncations: List[Tuple[float, int]] = []
     if granularity in ("complete", "transactions-timed"):
-        stacked = fold_timed(list(zip(firsts, counts)), catalog)
+        terms = fold_timed(list(zip(firsts, counts)), catalog)
     else:
         # only a visit with a null option has a latent arrival count
         m = observed.copy()
@@ -379,17 +379,10 @@ def compile_dataset(
         if kind is SalesSummary:
             # ints/floats hash deterministically, so these keys are stable per run
             streams = None if saa_samples is None else [hash(key) & 0x7FFFFFFF for key in groups]
-            stacked = table_sales(catalog, sales, count, m, streams, saa_samples, seed, naive)
+            terms = table_sales(catalog, sales, count, m, streams, saa_samples, seed, naive)
         else:
-            stacked = table_sequences(catalog, list(zip(firsts, counts, m.tolist())))
-    return CompiledDataset(
-        tuple(catalog),
-        stacked,
-        rate,
-        len(observations),
-        truncations,
-        censored,
-    )
+            terms = table_sequences(catalog, list(zip(firsts, counts, m.tolist())))
+    return CompiledDataset(tuple(catalog), terms, rate, len(observations), truncations, censored)
 
 
 def dataset_log_likelihood(

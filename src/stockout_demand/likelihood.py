@@ -28,15 +28,12 @@ paths alike, folds instead, a dataset in one pass, into
 per-assortment totals (:func:`fold_timed`, a complete path's null
 choices counting as choices of a weight-1 null option): one group of
 one term, with the thinned time per assortment.  All three builders
-return the same arrays, the terms' exponents on the assortment rows as
-the parts of one CSR (compressed sparse row) matrix, and one kernel,
-:func:`term_loglik_grad`, evaluates every dataset: a grouped
-log-sum-exp over two sparse mat-vecs, less the thinned arrival mass,
-with its gradient.  ``estimation.compile_dataset`` builds
-the arrays, and is the one way they are evaluated.  Its oracles are
-the ``l*`` functions: the paper's formulas, written for a general choice
-law, evaluated visit by visit with the attraction probabilities of
-``choice.prob``.
+return one format, :class:`Terms`, whose assortment rows one rule
+numbers (:func:`_registry`).  ``estimation.compile_dataset`` builds it,
+and ``CompiledDataset.loglik_grad`` is the one way it is evaluated.  Its
+oracles are the ``l*`` functions: the paper's formulas, written for a
+general choice law, evaluated visit by visit with the attraction
+probabilities of ``choice.prob``.
 
 Every function here takes visits as built, and a visit checks itself when
 it is built (see :mod:`~stockout_demand.types`), so none of them checks
@@ -101,7 +98,7 @@ __all__ = [
     "SalesGroups",
     "sales_key",
     "fold_timed",
-    "term_loglik_grad",
+    "Terms",
 ]
 
 NEG_INF = float("-inf")
@@ -483,17 +480,6 @@ def l6_generic(summary: SalesSummary, params: ModelParams) -> float:
 # term tables under the attraction model
 
 
-def membership_matrix(catalog: Sequence[int], assortments: Sequence[Assortment]) -> np.ndarray:
-    """0/1 matrix whose row ``d`` marks the catalog products offered in
-    assortment ``d``, so that ``membership @ weights`` gives the weight sums."""
-    a_of = {a: i for i, a in enumerate(catalog)}
-    rows = np.zeros((len(assortments), len(catalog)))
-    for d, assortment in enumerate(assortments):
-        for a in assortment.products:
-            rows[d, a_of[a]] = 1.0
-    return rows
-
-
 def _shape_layouts(stocks: np.ndarray, n: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every layout of each sales shape ``(stocks[i], n[i])``, all with
     ``k = stocks.shape[1]`` products selling out: the shape, the stock-out
@@ -549,6 +535,81 @@ def _layout_arrays(
     return binom, exps, masks
 
 
+class Terms(NamedTuple):
+    """A dataset's likelihood as flat term tables: the one format every
+    builder returns and ``estimation.CompiledDataset`` evaluates.
+
+    *The assortment registry.*  Row ``d`` of ``membership`` (registry
+    rows by catalog columns, 0 or 1) marks the products assortment ``d``
+    offers, so ``membership @ weights`` gives its weight sum ``F_d``;
+    ``nulls[d]`` is 1.0 if it offers the null option and 0.0 if not; and
+    ``thinned[d]`` is its count-weighted time exposed to thinned arrivals
+    (only timed records have any).
+
+    *The terms.*  Term ``i`` has coefficient ``coef[i]`` and arrival
+    count ``n[i]``, and its exponents on the registry rows are one row of a
+    CSR (compressed sparse row) matrix ``E``: ``exp_data`` at rows
+    ``exp_indices``, from ``exp_indptr[i]`` up to ``exp_indptr[i + 1]``,
+    every index below the number of registry rows.  Each arrival lands in
+    exactly one segment, so a term's exponents sum to its ``n``.
+
+    *The groups.*  Group ``g`` owns the terms from ``bounds[g]`` up to the
+    next bound (``bounds`` starts at 0 and strictly increases, so every
+    group owns a term, and ``group_of`` names each term's group).  It
+    stands for ``counts[g]`` visits, with observed time ``exposures[g]``
+    and per-product sales ``Z[g]`` over the catalog.
+
+    A no-null row that offers nothing has ``D = 0``; nobody can choose
+    from it, so it has exponent 0 in every term and thinned time 0.
+    ``CompiledDataset.loglik_grad`` states the likelihood these tables
+    stand for.
+    """
+
+    membership: np.ndarray
+    nulls: np.ndarray
+    coef: np.ndarray
+    n: np.ndarray
+    exp_data: np.ndarray
+    exp_indices: np.ndarray
+    exp_indptr: np.ndarray
+    bounds: np.ndarray
+    group_of: np.ndarray
+    counts: np.ndarray
+    exposures: np.ndarray
+    Z: np.ndarray
+    thinned: np.ndarray
+
+
+def _registry(
+    faced: np.ndarray, slots: np.ndarray, products: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The assortment registry of candidates ``faced`` (one row each: the
+    catalog columns a candidate offers, in its own order and padded with
+    ``-1``, then its null flag) as the slots ``slots`` (candidate numbers,
+    in order) face them: the distinct rows some slot faces, in order of
+    first appearance among the slots, so the registry does not depend on
+    how candidates are numbered.  Returns its ``membership`` over
+    ``products`` catalog columns and its ``nulls`` (see :class:`Terms`),
+    and each candidate's registry row (meaningless for a candidate no slot
+    faces)."""
+    rows = faced.view(np.dtype((np.void, faced.strides[0]))).ravel()
+    _, first, uid = np.unique(rows, return_index=True, return_inverse=True)
+    uid = uid.reshape(-1)
+    # each distinct row's first slot, in one linear pass: the slots far
+    # outnumber the rows, so sorting them would cost more
+    first_at = np.full(first.size, slots.size)
+    np.minimum.at(first_at, uid[slots], np.arange(slots.size))
+    registered = np.flatnonzero(first_at < slots.size)
+    registered = registered[np.argsort(first_at[registered])]
+    rank = np.zeros(first.size, dtype=np.int64)
+    rank[registered] = np.arange(registered.size)
+    registry = faced[first[registered]]
+    offered, at = np.nonzero(registry[:, :-1] >= 0)
+    membership = np.zeros((registered.size, products))
+    membership[offered, registry[offered, at]] = 1.0
+    return membership, registry[:, -1].astype(float), rank[uid]
+
+
 def _stacked(
     catalog: Sequence[int],
     n: np.ndarray,
@@ -562,26 +623,20 @@ def _stacked(
     widths: Sequence[int],
     columns: Sequence[int],
     sales: Sequence[int],
-) -> Tuple[np.ndarray, ...]:
-    """The arrays a compiled dataset is built from, for terms in place
-    whose segment ``j`` faces candidate ``cand[i, j]`` (``-1`` past the
-    last segment) with exponent ``exps[i, j]``, and groups owning
-    ``terms[g]`` terms each.  Group ``g`` sold ``sales`` of its
-    ``widths[g]`` products, at catalog ``columns``, the flat lists taken
-    group by group, over its horizon ``T_g``: its exposure, and ``n log
-    T_g`` joins each of its terms' coefficients.  No assortment has
-    thinned time.
+) -> Terms:
+    """The :class:`Terms` of terms in place whose segment ``j`` faces
+    candidate ``cand[i, j]`` (``-1`` past the last segment) with exponent
+    ``exps[i, j]``, and groups owning ``terms[g]`` terms each.  Group ``g``
+    sold ``sales`` of its ``widths[g]`` products, at catalog ``columns``,
+    the flat lists taken group by group, over its horizon ``T_g``: its
+    exposure, and ``n log T_g`` joins each of its terms' coefficients.
+    No assortment has thinned time.
 
     Candidate ``c`` faces the assortment of fields ``candidates[c]``
-    (products, null option).  The registry holds the distinct assortments
-    in order of first appearance, term by term and segment by segment, zero
-    exponents included, so it does not depend on how candidates are
-    numbered.  The exponents are a CSR matrix over terms and registry rows:
-    each term's nonzero exponents, in segment order, are ``data`` and
-    ``indices`` from ``indptr[i]`` up to ``indptr[i + 1]``.  Returns
-    ``(membership, nulls, coef, n, data, indices, indptr, bounds,
-    group_of, counts, exposures, sales, thinned)``, as every builder does.
-    Raises :class:`InvalidObservation` for a group without terms.
+    (products, null option).  The registry (:func:`_registry`) takes the
+    segments term by term, zero exponents included, and a term's CSR row
+    holds its nonzero exponents in segment order.  Raises
+    :class:`InvalidObservation` for a group without terms.
     """
     terms = np.asarray(terms, dtype=np.int64)
     # a group without terms would make the kernel's reduceat read the next
@@ -590,42 +645,37 @@ def _stacked(
     empty = np.flatnonzero(terms == 0)
     if empty.size:
         raise InvalidObservation(f"term table {empty[0]} lists no terms")
-    # distinct assortments, keyed by their fields, which hash faster than
-    # the dataclass
-    distinct: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-    uid = np.array([distinct.setdefault(f, len(distinct)) for f in candidates], dtype=np.int64)
-    fields = list(distinct)
-    # each uid's first slot, in one linear pass: the slots far outnumber
-    # the uids, so sorting them would cost more
-    slots = uid[cand[cand >= 0]]
-    first_at = np.full(len(fields), slots.size)
-    np.minimum.at(first_at, slots, np.arange(slots.size))
-    registered = np.flatnonzero(first_at < slots.size)
-    registered = registered[np.argsort(first_at[registered])]
-    rank = np.zeros(len(fields), dtype=np.int64)
-    rank[registered] = np.arange(registered.size)
+    # every candidate's row: its products' columns, scattered from one
+    # flat list, then its null flag
+    col = {a: i for i, a in enumerate(catalog)}
+    lens = np.array([len(products) for products, _ in candidates], dtype=np.int64)
+    faced = np.full((lens.size, int(lens.max(initial=0)) + 1), -1, dtype=np.int64)
+    faced[np.repeat(np.arange(lens.size), lens), _ranks(lens)] = [
+        col[a] for products, _ in candidates for a in products
+    ]
+    faced[:, -1] = [includes_null for _, includes_null in candidates]
+    membership, nulls, row = _registry(faced, cand[cand >= 0], len(catalog))
     nonzero = exps != 0.0
     indptr = np.zeros(cand.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
-    registry = [Assortment(*fields[u]) for u in registered]
     z = np.zeros((len(widths), len(catalog)))
     z[np.repeat(np.arange(len(widths)), widths), columns] = sales
     group_of = np.repeat(np.arange(terms.size), terms)
     horizons = np.array(horizons, dtype=float)
-    return (
-        membership_matrix(catalog, registry),
-        np.array([float(a.includes_null) for a in registry]),
-        coef + n * np.log(horizons)[group_of],
-        n,
-        exps[nonzero],
-        rank[uid[cand[nonzero]]],
-        indptr,
-        np.cumsum(terms) - terms,
-        group_of,
-        np.array(counts, dtype=float),
-        horizons,
-        z,
-        np.zeros(len(registry)),
+    return Terms(
+        membership=membership,
+        nulls=nulls,
+        coef=coef + n * np.log(horizons)[group_of],
+        n=n,
+        exp_data=exps[nonzero],
+        exp_indices=row[cand[nonzero]],
+        exp_indptr=indptr,
+        bounds=np.cumsum(terms) - terms,
+        group_of=group_of,
+        counts=np.array(counts, dtype=float),
+        exposures=horizons,
+        Z=z,
+        thinned=np.zeros(nulls.size),
     )
 
 
@@ -637,11 +687,10 @@ def _ranks(lens: np.ndarray) -> np.ndarray:
 def table_sequences(
     catalog: Sequence[int],
     groups: Sequence[Tuple[TransactionRecord, float, int]],
-) -> Tuple[np.ndarray, ...]:
-    """The arrays a compiled dataset is built from (see :func:`_stacked`)
-    for a dataset's untimed transaction records (``l4``), over the products
-    ``catalog``: complete paths with their null choices dropped, read
-    without their times.  Complete paths themselves fold
+) -> Terms:
+    """The :class:`Terms` of a dataset's untimed transaction records
+    (``l4``), over the products ``catalog``: complete paths with their
+    null choices dropped, read without their times.  Complete paths themselves fold
     (:func:`fold_timed`); one, or any other visit that is not a
     transaction record, raises :class:`InvalidObservation`, as does a
     record without a null option.
@@ -850,11 +899,10 @@ def table_sales(
     saa_samples: Optional[int] = None,
     seed: int = 0,
     naive: bool = False,
-) -> Tuple[np.ndarray, ...]:
-    """The arrays a compiled dataset is built from (see :func:`_stacked`)
-    for a dataset's sales visits, over the products ``catalog``, under the
-    attraction model: ``l5`` for a visit with a null option, ``l6`` for
-    one without.
+) -> Terms:
+    """The :class:`Terms` of a dataset's sales visits, over the products
+    ``catalog``, under the attraction model: ``l5`` for a visit with a
+    null option, ``l6`` for one without.
 
     Group ``g`` of ``groups`` (see :func:`sales_groups`) stands for
     ``counts[g]`` copies of a visit, at truncation ``m[g]``, with SAA
@@ -1074,19 +1122,16 @@ def table_sales(
 def fold_timed(
     groups: Sequence[Tuple[Union[CompletePath, TransactionRecord], int]],
     catalog: Sequence[int],
-) -> Tuple[np.ndarray, ...]:
-    """The arrays a compiled dataset is built from (see :func:`_stacked`)
-    for timed records and complete paths with multiplicities, over
-    ``catalog``: a choice enters the likelihood only through its product
-    and the denominator it faces, and the thinned purchase rate is linear
-    in the visits, so many visits fold into one group of one term over
-    per-assortment totals.  The registry rows are the distinct segment
-    assortments, keyed on ``(products, includes_null)``, in order of first
-    appearance; the term's exponent on each is its count-weighted choice
-    total (the term is one CSR row over every registry row, zero exponents
-    included), and each row's thinned time is its count-weighted
-    duration.
-    The group's sales are the count-weighted purchases per product, its
+) -> Terms:
+    """The :class:`Terms` of timed records and complete paths with
+    multiplicities, over ``catalog``: a choice enters the likelihood only
+    through its product and the denominator it faces, and the thinned
+    purchase rate is linear in the visits, so many visits fold into one
+    group of one term over per-assortment totals.  The registry
+    (:func:`_registry`) holds the distinct segment assortments; the term's
+    exponent on each is its count-weighted choice total (its CSR row spans
+    every registry row, zero exponents included), and each row's thinned
+    time is its count-weighted duration.  The group's sales are the count-weighted purchases per product, its
     term's arrival count every observed choice.  The first untimed record,
     or one without a null option, raises :class:`InvalidObservation`, as
     in :func:`l3_transactions_timed`.
@@ -1203,36 +1248,28 @@ def fold_timed(
     faced[np.nonzero(kept)[0], np.cumsum(kept, axis=1)[kept] - 1] = seg_cols[kept]
     faced[:, -1] = header_null[header[seg_group]]
 
-    # the registry: the distinct faced rows in order of first appearance
-    rows = faced.view(np.dtype((np.void, faced.strides[0]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    seg_row = np.argsort(order)[inverse.ravel()]
-    registry = faced[first[order]]
-    offered, at = np.nonzero(registry[:, :-1] >= 0)
-    membership = np.zeros((order.size, len(catalog)))
-    membership[offered, registry[offered, at]] = 1.0
+    membership, nulls, seg_row = _registry(faced, np.arange(seg_group.size), len(catalog))
+    rows = nulls.size
     chosen_totals = _totals(bought, count[owner], ids.size)
     # the complete paths' arrival counts, horizons and counts
-    n, observed, weight = np.array(lengths)[complete], horizon[complete], count[complete]
-    return (
-        membership,
-        registry[:, -1].astype(float),
+    arrivals, observed, weight = np.array(lengths)[complete], horizon[complete], count[complete]
+    return Terms(
+        membership=membership,
+        nulls=nulls,
         # the one term: its coefficient, arrivals and exponent on every
         # row, zero exponents included, as a one-row matrix
-        np.array([weight @ (n * np.log(observed) - gammaln(n + 1))]),
-        np.array([chosen_totals.sum()], dtype=np.int64),
-        _totals(seg_row, exponents, order.size),
-        np.arange(order.size),
-        np.array([0, order.size]),
-        # the one group: its first term, the term's group, its count,
-        # observed time and sales
-        np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        np.ones(1),
-        np.array([weight @ observed]),
-        chosen_totals[:-1].reshape(1, -1),
-        _totals(seg_row, durations, order.size),
+        coef=np.array([weight @ (arrivals * np.log(observed) - gammaln(arrivals + 1))]),
+        n=np.array([chosen_totals.sum()], dtype=np.int64),
+        exp_data=_totals(seg_row, exponents, rows),
+        exp_indices=np.arange(rows),
+        exp_indptr=np.array([0, rows]),
+        # the one group
+        bounds=np.zeros(1, dtype=np.int64),
+        group_of=np.zeros(1, dtype=np.int64),
+        counts=np.ones(1),
+        exposures=np.array([weight @ observed]),
+        Z=chosen_totals[:-1].reshape(1, -1),
+        thinned=_totals(seg_row, durations, rows),
     )
 
 
@@ -1240,72 +1277,6 @@ def _totals(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """``weights`` summed per ``index`` in order, as floats even when there
     are none (``np.bincount`` then counts in integers)."""
     return np.bincount(index, weights, size).astype(float, copy=False)
-
-
-def term_loglik_grad(
-    x: np.ndarray,
-    membership: np.ndarray,
-    null_rows: np.ndarray,
-    guard: np.ndarray,
-    coef: np.ndarray,
-    n: np.ndarray,
-    E,
-    Et,
-    starts: np.ndarray,
-    group_of: np.ndarray,
-    counts: np.ndarray,
-    exposure: float,
-    sales: np.ndarray,
-    sold: np.ndarray,
-    thinned: np.ndarray,
-    null_thinned: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    """Log-likelihood of a dataset's stacked arrays and its gradient in
-    ``x = (log rate, log weights)``.
-
-    Group ``g`` owns the terms from ``starts[g]`` up to the next start
-    (``group_of`` names each term's group); it has multiplicity
-    ``counts[g]`` and per-product sales ``z_g = sales[g]``, and contributes
-    ``z_g . log f + LSE_i(coef_i + n_i log lambda - sum_d E_id log D_d)``,
-    less ``lambda`` times ``exposure``, the count-weighted exposures of
-    every group; ``sold`` is the count-weighted sales ``counts @ sales``.
-    Row ``d`` of ``membership`` gives the weight sum ``F_d``, and
-    ``null_rows[d]`` whether it offers the null option: ``D_d = 1 + F_d``
-    if so, ``F_d`` if not.  ``E`` is the sparse term-by-row exponent matrix
-    and ``Et`` its transpose, so the exponent sums are ``E @ log D`` and
-    the rows' gradient weights ``Et @ w``.  Every group must own at least
-    one term.  Beyond the groups, row ``d`` is exposed for ``thinned[d]``
-    to the thinned rate ``lambda F_d / D_d``, which subtracts ``lambda tau
-    . (F / D)``: it is linear in the visits, so one visit and a whole
-    dataset summed per assortment evaluate alike; ``null_thinned`` is
-    ``thinned`` on the null rows, 0 elsewhere.  On a null row,
-    ``log1p(F)`` and ``F / (1 + F)`` keep their precision when ``F`` is
-    tiny and the rate is huge.  ``guard[d]`` is 1 on a null row and on a
-    no-null row that offers nothing, 0 elsewhere, and ``guard + F`` stands
-    for ``D``: an empty row has ``D = 0`` but only ever exponent and
-    thinned time 0 (nobody can choose from it), so it adds nothing.
-    """
-    log_rate = x[0]
-    theta = np.asarray(x[1:], dtype=float)
-    beta = np.exp(theta)
-    rate = math.exp(log_rate)
-    weight_sum = membership @ beta
-    safe = guard + weight_sum
-    log_denom = np.log(safe)
-    np.log1p(weight_sum, out=log_denom, where=null_rows)
-    t = coef + n * log_rate - E @ log_denom
-    mx = np.maximum.reduceat(t, starts)
-    lse = mx + np.log(np.add.reduceat(np.exp(t - mx[group_of]), starts))
-    exposure = exposure + float(thinned @ (weight_sum / safe))
-    value = float(counts @ (lse + sales @ theta)) - rate * exposure
-    w = np.exp(t - lse[group_of]) * counts[group_of]
-    grad = np.empty(x.size)
-    grad[0] = float(w @ n) - rate * exposure
-    # d/d theta_a: the sales less sum_d ((Et @ w)_d + lambda null_d tau_d /
-    # D_d) beta_a / D_d over the rows offering a
-    per_denom = (Et @ w + rate * null_thinned / safe) / safe
-    grad[1:] = sold - beta * (per_denom @ membership)
-    return value, grad
 
 
 # ---------------------------------------------------------------------------

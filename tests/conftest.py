@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stockout_demand import (
@@ -21,6 +22,17 @@ def stack_sales(catalog, groups, **options):
     stream)``."""
     keys, counts, m, streams = zip(*groups)
     return table_sales(catalog, sales_groups(keys), counts, m, streams, **options)
+
+
+def membership_matrix(catalog, assortments):
+    """The 0/1 matrix whose row ``d`` marks the catalog products that
+    ``assortments[d]`` offers: the ``membership`` a builder returns for the
+    registry ``assortments``."""
+    rows = np.zeros((len(assortments), len(catalog)))
+    column = {a: i for i, a in enumerate(catalog)}
+    for d, assortment in enumerate(assortments):
+        rows[d, [column[a] for a in assortment.products]] = 1.0
+    return rows
 
 
 @pytest.fixture

@@ -317,7 +317,9 @@ class TestDrawByPosition:
 def segment_terms(stacked):
     """Every term of a stack as its faced segments: (membership row,
     exponent) pairs, zero exponents dropped."""
-    membership, _, _, _, data, indices, indptr, *_ = stacked
+    membership, data, indices, indptr = (
+        stacked.membership, stacked.exp_data, stacked.exp_indices, stacked.exp_indptr
+    )
     return [
         tuple((tuple(membership[d]), e) for d, e in zip(indices[i:j], data[i:j]) if e)
         for i, j in zip(indptr.tolist(), indptr[1:].tolist())
@@ -353,7 +355,9 @@ class TestDrawnLayouts:
                 assert sorted(got) == sorted(segment_terms(exact)), (stocks, n)
                 # the first k segments close with a stock-out, so their
                 # exponents (size + 1) are nonzero and add up to its index
-                membership, data, columns, indptr = saa[0], saa[4], saa[5], saa[6]
+                membership, data, columns, indptr = (
+                    saa.membership, saa.exp_data, saa.exp_indices, saa.exp_indptr
+                )
                 rows = [slice(i, j) for i, j in zip(indptr.tolist(), indptr[1:].tolist())]
                 for v, row in zip(vectors, rows):
                     idx, exps = columns[row], data[row]

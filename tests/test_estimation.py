@@ -33,7 +33,7 @@ from stockout_demand import (
 )
 from stockout_demand import estimation
 from stockout_demand.io import project_path, read_visits, serialize_visit
-from stockout_demand.likelihood import TAIL_EPSILON
+from stockout_demand.likelihood import TAIL_EPSILON, Terms
 from stockout_demand.simulate import VisitConfig, simulate_visit, visit_rng
 from stockout_demand.types import (
     TransactionRecord,
@@ -569,11 +569,8 @@ class TestEstimatorChecks:
         assert ds.includes_null is includes_null
 
 
-COMPILED_ARRAYS = (
-    "membership", "nulls", "coef", "n", "exp_data", "exp_indices", "exp_indptr", "expt_data",
-    "expt_indices", "expt_indptr", "bounds", "group_of", "counts", "exposures", "Z", "thinned",
-    "start",
-)
+#: the builder's arrays, the transpose's parts and the start point
+COMPILED_ARRAYS = (*Terms._fields, "expt_data", "expt_indices", "expt_indptr", "start")
 
 
 class TestSalesRegime:

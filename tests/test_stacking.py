@@ -23,14 +23,10 @@ from stockout_demand.combinatorics import (
     log_multinomial,
     sample_stockout_vectors,
 )
-from stockout_demand.likelihood import (
-    membership_matrix,
-    sales_key,
-    table_sequences,
-)
+from stockout_demand.likelihood import Terms, sales_key, table_sequences
 from stockout_demand.types import Assortment, InvalidObservation, SalesSummary, TransactionRecord
 
-from conftest import random_transaction_record, stack_sales
+from conftest import membership_matrix, random_transaction_record, stack_sales
 
 NEG_INF = float("-inf")
 
@@ -195,28 +191,22 @@ def reference_stack(catalog, tables):
     n = np.asarray(n, dtype=np.int64)
     group_of = np.searchsorted(starts, np.arange(n.size), side="right") - 1
     horizons = np.array([table.horizon for table, _ in tables], dtype=float)
-    return (
-        membership_matrix(catalog, list(registry)),
-        np.array([float(a.includes_null) for a in registry]),
+    return Terms(
+        membership=membership_matrix(catalog, list(registry)),
+        nulls=np.array([float(a.includes_null) for a in registry]),
         # each term's n log T, from its Poisson factor (lambda T)^n / n!
-        np.asarray(coef, dtype=float) + n * np.log(horizons)[group_of],
-        n,
-        np.asarray(exps, dtype=float),
-        np.asarray(idx, dtype=np.int64),
-        indptr,
-        np.asarray(starts, dtype=np.int64),
-        group_of,
-        np.array([count for _, count in tables], dtype=float),
-        horizons,
-        sales,
-        np.zeros(len(registry)),
+        coef=np.asarray(coef, dtype=float) + n * np.log(horizons)[group_of],
+        n=n,
+        exp_data=np.asarray(exps, dtype=float),
+        exp_indices=np.asarray(idx, dtype=np.int64),
+        exp_indptr=indptr,
+        bounds=np.asarray(starts, dtype=np.int64),
+        group_of=group_of,
+        counts=np.array([count for _, count in tables], dtype=float),
+        exposures=horizons,
+        Z=sales,
+        thinned=np.zeros(len(registry)),
     )
-
-
-NAMES = (
-    "membership", "nulls", "coef", "n", "exp_data", "exp_indices", "exp_indptr",
-    "starts", "group_of", "counts", "exposures", "sales", "thinned",
-)
 
 
 def catalog_of(observations):
@@ -225,8 +215,9 @@ def catalog_of(observations):
 
 def assert_same_arrays(got, want):
     """Two stacks are equal array for array, dtype and shape included."""
-    assert got[2].size > 0
-    for name, g, w in zip(NAMES, got, want):
+    assert got.coef.size > 0
+    for name in Terms._fields:
+        g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype, name
         assert g.shape == w.shape, name
         assert np.array_equal(g, w), name
@@ -274,7 +265,7 @@ def assert_same_sales_stack(
 
 def block_sizes(stacked):
     """Terms per arrival count ``n`` of a one-visit stack."""
-    n = stacked[3]
+    n = stacked.n
     return dict(zip(*np.unique(n, return_counts=True)))
 
 
@@ -322,7 +313,7 @@ class TestStackMatchesReference:
             section7_sales, stream=lambda s: key[id(s)], saa_samples=16, seed=0
         )
         exact = stack_sales(catalog_of(section7_sales), [(sales_key(s), 1, 0, 0) for s in section7_sales])
-        assert saa[2].size < exact[2].size  # some visits sample
+        assert saa.coef.size < exact.coef.size  # some visits sample
 
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_null_sales_fixed_m(self, null_sales, estimator):
@@ -362,7 +353,7 @@ class TestStackMatchesReference:
             stream=lambda s: s.initial_assortment.products[0],
             **ESTIMATORS[estimator],
         )
-        membership = stacked[0]
+        membership = stacked.membership
         assert len(np.unique(membership, axis=0)) < len(membership)
 
     def test_every_offered_product_sells_out(self):
@@ -403,7 +394,7 @@ class TestStackMatchesReference:
             saa_samples=5,
             seed=4,
         )
-        starts = list(stacked[7]) + [stacked[2].size]
+        starts = list(stacked.bounds) + [stacked.coef.size]
         terms = [b - a for a, b in zip(starts, starts[1:])]
         assert terms[0] == 3 * 5  # n = 6, 7, 8 all drawn
         assert terms[1] == 5 + 5 + 5  # full at n = 5 (5 vectors), drawn at 6, 7

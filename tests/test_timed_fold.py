@@ -11,7 +11,7 @@ exactly the visit's reference table.
 
 Complete paths: a folded complete dataset's log-likelihood and gradient
 must equal, to 1e-9 relative, those of the per-path ``l2`` stack (one
-term per path, evaluated by the same kernel, :func:`term_loglik_grad`)
+term per path, evaluated by the same kernel, ``CompiledDataset.loglik_grad``)
 and the sum of :func:`l2_choice_sequence` over its paths; degenerate
 datasets must also fit as they did when each path was stacked as one
 ``l2`` term.
@@ -38,10 +38,10 @@ from stockout_demand.estimation import (
     fit,
 )
 from stockout_demand.likelihood import (
+    Terms,
     TruncationPolicy,
     fold_timed,
     l2_choice_sequence,
-    membership_matrix,
     table_sequences,
 )
 from stockout_demand.types import (
@@ -51,6 +51,8 @@ from stockout_demand.types import (
     InvalidObservation,
     TransactionRecord,
 )
+
+from conftest import membership_matrix
 
 PRESET = sd_io.SECTION7_PRESET
 
@@ -113,18 +115,11 @@ def assert_same_arrays(got, want, names):
         assert np.array_equal(g, w), name
 
 
-#: the arrays every builder returns, in order
-ARRAYS = (
-    "membership", "nulls", "coef", "n", "exp_data", "exp_indices", "exp_indptr",
-    "bounds", "group_of", "counts", "exposures", "Z", "thinned",
-)
-
-
-def one_term(arrays):
+def one_term(terms):
     """The arrays of a fold by name, after checking that they are one
     group of one term whose exponents run over the registry in order; its
     sales, exponents and durations become flat rows."""
-    folded = dict(zip(ARRAYS, arrays))
+    folded = terms._asdict()
     rows = folded["nulls"].size
     names = ("exp_indices", "exp_indptr", "bounds", "group_of", "counts")
     assert_same_arrays(
@@ -198,7 +193,7 @@ def test_records_cover_duplicates_and_several_stockouts(records):
 
 def test_compile_matches_per_table_sum(records):
     ds = compile_dataset(records, "transactions-timed")
-    folded = one_term([getattr(ds, name) for name in ARRAYS])
+    folded = one_term(Terms(*(getattr(ds, name) for name in Terms._fields)))
     sales, registry, exponents, durations = reference_fold(ds.catalog, grouped(records))
     assert_registry(folded, ds.catalog, registry)
     assert_same_arrays(
@@ -275,7 +270,7 @@ def test_benchmark_reads_every_compiled_dataset(granularity):
     # the builder's arrays, the transpose's parts, what the kernel reads
     # as compiled, and the start point
     assert {name for name, v in vars(ds).items() if isinstance(v, np.ndarray)} == {
-        *ARRAYS, "expt_data", "expt_indices", "expt_indptr",
+        *Terms._fields, "expt_data", "expt_indices", "expt_indptr",
         "null_rows", "guard", "null_thinned", "sold", "start",
     }
     # the sparse matrices read counted arrays, not copies
@@ -426,8 +421,7 @@ def test_first_bad_record_raises(order, message):
 
 
 def reference_l2_stack(catalog, groups):
-    """The arrays a builder returns (see ``CompiledDataset``) for complete
-    paths stacked one ``l2`` term each: ``n`` the path's arrivals,
+    """The :class:`Terms` of complete paths stacked one ``l2`` term each: ``n`` the path's arrivals,
     coefficient ``n log T - log n!``, and per segment the assortment it
     faces with exponent its choices (the stock-out purchase that closes it
     included), zero exponents dropped; the exposure is the horizon, the
@@ -451,20 +445,20 @@ def reference_l2_stack(catalog, groups):
     exp_data = np.array([e for _, e in flat], dtype=float)
     n = np.array([path.arrivals for path, _ in groups], dtype=np.int64)
     horizons = np.array([path.horizon for path, _ in groups], dtype=float)
-    return (
-        membership_matrix(catalog, list(registry)),
-        np.array([float(a.includes_null) for a in registry]),
-        np.array([-math.lgamma(x + 1) for x in n.tolist()]) + n * np.log(horizons),
-        n,
-        exp_data,
-        exp_indices,
-        indptr,
-        np.arange(len(groups), dtype=np.int64),
-        np.arange(len(groups), dtype=np.int64),
-        np.array([count for _, count in groups], dtype=float),
-        horizons,
-        sales,
-        np.zeros(len(registry)),
+    return Terms(
+        membership=membership_matrix(catalog, list(registry)),
+        nulls=np.array([float(a.includes_null) for a in registry]),
+        coef=np.array([-math.lgamma(x + 1) for x in n.tolist()]) + n * np.log(horizons),
+        n=n,
+        exp_data=exp_data,
+        exp_indices=exp_indices,
+        exp_indptr=indptr,
+        bounds=np.arange(len(groups), dtype=np.int64),
+        group_of=np.arange(len(groups), dtype=np.int64),
+        counts=np.array([count for _, count in groups], dtype=float),
+        exposures=horizons,
+        Z=sales,
+        thinned=np.zeros(len(registry)),
     )
 
 
